@@ -55,7 +55,6 @@ class SweepConfig:
     chain: list
     state_mode: str
     explicit_vector: np.ndarray | None
-    tol: float
     seed: int
     samples: int
 
@@ -97,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="group or quantum-group JSON file")
         p.add_argument("--seminorm", default="auto",
                        help="metric | length | file:PATH | auto (default)")
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--output", default=None)
@@ -105,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="validate the Hopf axioms and the invariant state")
     common(p_check)
+    p_check.add_argument("--tol", type=float, default=1e-9)
     p_check.add_argument("--pw", action="store_true", help="also validate the irreducible family")
     p_check.set_defaults(handler=cmd_check)
 
@@ -114,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trunc = sub.add_parser("truncate", help="build one truncation and certify its coactions")
     common(p_trunc)
+    p_trunc.add_argument("--tol", type=float, default=1e-9)
     p_trunc.add_argument("--lambda", dest="lam", required=True, help="irrep indices '0,1,5' or 'all'")
     p_trunc.set_defaults(handler=cmd_truncate)
 
@@ -279,17 +279,17 @@ def cmd_truncate(args, out) -> int:
     return EXIT_OK
 
 
-def _bound_row(g, irreps, lip, subset, state_mode, explicit_vector, tol, seed, samples,
-               dec=None, diam=None, check_invariant=True):
+def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
     start = time.perf_counter()
-    ts = compress.truncate(g, irreps, subset, dec=dec)
+    g, lip = config.loaded.algebra, config.seminorm
+    subset, seed = config.chain[index], config.seed + index
+    ts = compress.truncate(g, config.irreps, subset, dec=dec)
     alpha = compress.induced_coaction(g, ts, "right")
     beta = compress.induced_coaction(g, ts, "left")
 
-    notes = []
-    if state_mode == "canonical":
+    if config.state_mode == "canonical":
         density = compress.canonical_symbol_state(g, ts)
-    elif state_mode == "optimized":
+    elif config.state_mode == "optimized":
         eps = hopf.counit_state(g)
 
         def objective(dens):
@@ -299,24 +299,19 @@ def _bound_row(g, irreps, lip, subset, state_mode, explicit_vector, tol, seed, s
 
         density, _ = compress.optimized_symbol_state(g, ts, objective, seed=seed)
     else:
-        vec = np.asarray(explicit_vector, dtype=complex)
+        vec = config.explicit_vector
         if vec.shape != (ts.rank,):
             raise ConfigError(f"explicit vector must have length {ts.rank}, got {vec.shape}")
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-12:
-            notes.append(f"note: explicit vector normalized (norm was {norm:.6g})")
-            vec = vec / norm
         density = np.outer(vec, vec.conj())
 
-    bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=check_invariant, seed=seed)
+    bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=index == 0, seed=seed)
     criterion = mkdist.criterion_bound(mkdist.CriterionInputs(
-        diam_x=diam.upper if diam else 0.0, diam_y=diam.upper if diam else 0.0,
-        c_phi=1.0, c_psi=1.0, eps_x=bound, eps_y=bound))
+        diam_x=diam.upper, diam_y=diam.upper, c_phi=1.0, c_psi=1.0, eps_x=bound, eps_y=bound))
 
     rng = np.random.default_rng(seed)
     sym = compress.symbol_map(ts, alpha, density)
     c1 = -np.inf
-    for _ in range(samples):
+    for _ in range(config.samples):
         a = sampling.random_element(g, rng)
         lhs1 = g.opnorm(sym(ts.expand(ts.tau(a))) - a)
         c1 = max(c1, lhs1 - bound * lip.value(a))
@@ -327,13 +322,12 @@ def _bound_row(g, irreps, lip, subset, state_mode, explicit_vector, tol, seed, s
     n1 = _hausdorff_lower(g, ts, lip, sym, order=1, rng=rng, probes=3, samples=40)
     n2 = _hausdorff_lower(g, ts, lip, sym, order=2, rng=rng, probes=3, samples=40)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    row = {
+    return {
         "lambda_id": _lambda_id(subset), "dim_sys": ts.dim_sys, "bound_B": bound,
-        "criterion_r": criterion, "diam_lower": diam.lower if diam else None,
-        "diam_upper": diam.upper if diam else None, "c1_max_residual": float(c1),
-        "n1_hausdorff_lower": n1, "n2_hausdorff_lower": n2, "runtime_ms": runtime_ms,
+        "criterion_r": criterion, "diam_lower": diam.lower, "diam_upper": diam.upper,
+        "c1_max_residual": float(c1), "n1_hausdorff_lower": n1, "n2_hausdorff_lower": n2,
+        "runtime_ms": runtime_ms,
     }
-    return row, notes
 
 
 def _hausdorff_lower(g, ts, lip, sym, order, rng, probes, samples) -> float:
@@ -363,20 +357,20 @@ def _unit(n, i):
 
 def cmd_bound(args, out) -> int:
     loaded, irreps = _load(args)
-    g = loaded.algebra
-    lip = _seminorm(args, loaded)
-    subset = _parse_lambda(args.lam, len(irreps))
     explicit = None
     if args.state == "explicit":
         if not args.vector:
             raise ConfigError("--state explicit needs --vector")
         explicit = np.array([complex(tok) for tok in args.vector.split(",")])
-    diam = mkdist.diameter_bracket(g, lip, samples=min(12, 4 + g.dim), seed=args.seed)
-    row, notes = _bound_row(g, irreps, lip, subset, args.state, explicit,
-                            args.tol, args.seed, min(args.samples, 100), diam=diam)
-    for note in notes:
-        print(note, file=out)
-    _emit(out, args.format, [row])
+        norm = np.linalg.norm(explicit)
+        if abs(norm - 1.0) > 1e-12:
+            print(f"note: explicit vector normalized (norm was {norm:.6g})", file=out)
+            explicit = explicit / norm
+    config = SweepConfig(
+        loaded=loaded, irreps=irreps, seminorm=_seminorm(args, loaded),
+        chain=[_parse_lambda(args.lam, len(irreps))], state_mode=args.state,
+        explicit_vector=explicit, seed=args.seed, samples=min(args.samples, 100))
+    _emit(out, args.format, run_sweep(config))
     return EXIT_OK
 
 
@@ -385,34 +379,24 @@ def cmd_sweep(args, out) -> int:
     config = SweepConfig(
         loaded=loaded, irreps=irreps, seminorm=_seminorm(args, loaded),
         chain=_parse_chain(args.chain, loaded, irreps), state_mode=args.state,
-        explicit_vector=None, tol=args.tol, seed=args.seed, samples=args.samples)
-    rows = run_sweep(config)
-    _emit(out, args.format, rows)
+        explicit_vector=None, seed=args.seed, samples=args.samples)
+    _emit(out, args.format, run_sweep(config))
     return EXIT_OK
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """Validate a sweep configuration and compute one row per chain level.
 
-    Rows are independent given the per-row seed, so they may be fanned out;
-    here they run in chain order.
+    Row k uses seed + k, and row 0 also runs the bi-invariance gate.  Rows
+    are independent given the per-row seed, so they may be fanned out; here
+    they run in chain order.
     """
     g = config.loaded.algebra
     chains.check_chain(config.chain)
-    violation = lipnorm.check_invariance(config.seminorm, g, side="bi", samples=12,
-                                         seed=config.seed, tol=1e-7)
-    if violation > 1e-6:
-        raise CertificationError(f"Lip-norm is not bi-invariant (violation {violation:.2e})")
     dec = corep.pw_decompose(g, config.irreps, tol=1e-10)
     diam = mkdist.diameter_bracket(g, config.seminorm, samples=min(12, 4 + g.dim),
                                    seed=config.seed)
-    rows = []
-    for index, subset in enumerate(config.chain):
-        row, _ = _bound_row(g, config.irreps, config.seminorm, subset, config.state_mode,
-                            config.explicit_vector, config.tol, config.seed + index,
-                            config.samples, dec=dec, diam=diam, check_invariant=False)
-        rows.append(row)
-    return rows
+    return [_bound_row(config, index, dec, diam) for index in range(len(config.chain))]
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import numpy as np
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
 from .hopf import FiniteQuantumGroup, State, _maxabs, _rank, certify_state, counit_support_projection
+from .sampling import random_density
 
 RANK_RTOL = 1e-10
 
@@ -447,18 +448,8 @@ def liftable_states(ts: TruncatedSystem, samples: int, seed: int, tol: float = 1
     r = ts.rank
     out, densities = [], []
     for j in range(samples):
-        if j % 2 == 0 or r == 1:
-            v = rng.normal(size=r) + 1j * rng.normal(size=r)
-            v /= np.linalg.norm(v)
-            density = np.outer(v, v.conj())
-        else:
-            parts = int(rng.integers(2, 5))
-            weights = rng.dirichlet(np.ones(parts))
-            density = np.zeros((r, r), dtype=complex)
-            for w in weights:
-                v = rng.normal(size=r) + 1j * rng.normal(size=r)
-                v /= np.linalg.norm(v)
-                density += w * np.outer(v, v.conj())
+        parts = 1 if j % 2 == 0 or r == 1 else int(rng.integers(2, 5))
+        density = random_density(r, rng, parts)
         out.append(pullback_state(ts, density, tol))
         densities.append(density)
     if return_densities:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import groups
 from .errors import CompletenessError, InternalInconsistencyError, SchurError, StructureError
-from .hopf import FiniteQuantumGroup, _maxabs, _rank
+from .hopf import FiniteQuantumGroup, _maxabs, _orthonormalize, _rank
 
 GNS_TOL = 1e-10
 
@@ -256,20 +256,6 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL,
                 raise InternalInconsistencyError(
                     f"coefficient blocks {a} and {b} are not orthogonal (overlap {overlap:.2e})")
     return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks), complete=complete)
-
-
-def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
-    out: list[np.ndarray] = []
-    for v in np.asarray(vecs, dtype=complex):
-        w = v.copy()
-        for _ in range(2):
-            for q in out:
-                w = w - np.dot(q.conj(), w) * q
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            out.append(w / norm)
-    return np.array(out) if out else np.zeros((0, vecs.shape[1]), dtype=complex)
 
 
 def pw_projector(g: FiniteQuantumGroup, irreps, subset, tol: float = GNS_TOL) -> np.ndarray:

@@ -314,7 +314,7 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
 
     # Delta is a unital *-homomorphism
     hom = np.einsum("ijl,lpq->ijpq", g.mult, g.comult).astype(complex)
-    hom -= np.einsum("iab,jcd,acp,bdq->ijpq", g.comult, g.comult, g.mult, g.mult)
+    hom -= np.einsum("iab,jcd,acp,bdq->ijpq", g.comult, g.comult, g.mult, g.mult, optimize=True)
     res["comult_multiplicative"] = _maxabs(hom)
     starhom = np.einsum("ij,jpq->ipq", g.star, g.comult)
     starhom -= np.einsum("ipq,pa,qb->iab", np.conj(g.comult), g.star, g.star)
@@ -373,6 +373,20 @@ def _rank(m: np.ndarray, rtol: float = 1e-10) -> int:
     if len(sv) == 0 or sv[0] <= 1e-12:
         return 0
     return int(np.sum(sv > rtol * sv[0]))
+
+
+def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with one re-orthogonalization pass."""
+    out: list[np.ndarray] = []
+    for v in np.asarray(vecs, dtype=complex):
+        w = v.copy()
+        for _ in range(2):
+            for q in out:
+                w = w - np.dot(q.conj(), w) * q
+        norm = np.linalg.norm(w)
+        if norm > 1e-8:
+            out.append(w / norm)
+    return np.array(out) if out else np.zeros((0, vecs.shape[1]), dtype=complex)
 
 
 def _maxabs(x) -> float:

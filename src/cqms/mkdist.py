@@ -20,7 +20,8 @@ import numpy as np
 
 from .compress import TruncatedSystem, pullback_state
 from .errors import CertificationError, DegenerateKernelError
-from .hopf import FiniteQuantumGroup, Functional, State, _maxabs, _rank, counit_state
+from .hopf import (FiniteQuantumGroup, Functional, State, _maxabs, _orthonormalize, _readonly,
+                   counit_state)
 from .lipnorm import LipValueBracket, PolyhedralSeminorm, check_invariance
 from .sampling import basis_vector_state, random_selfadjoint, random_state
 from .simplex import LPProblem, solve_lp
@@ -52,28 +53,53 @@ def sa_basis(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
     if basis.shape[0] != n:
         raise CertificationError(f"self-adjoint space has real dimension {basis.shape[0]}, expected {n}")
     # project out the unit direction using the invariant state, then orthonormalize
-    centered = []
-    for b in basis:
-        b = b - complex(np.dot(g.haar, b)) * g.unit
-        centered.append(b)
-    centered = _real_orthonormalize(np.array(centered))
-    if centered.shape[0] != n - 1:
+    # over the reals by stacking [re | im]
+    centered = np.array([b - complex(np.dot(g.haar, b)) * g.unit for b in basis])
+    stacked = _orthonormalize(np.hstack([centered.real, centered.imag])).real
+    if stacked.shape[0] != n - 1:
         raise CertificationError(
-            f"unit-quotient of the self-adjoint part has dimension {centered.shape[0]}, expected {n - 1}")
-    return g.unit.astype(complex), centered
+            f"unit-quotient of the self-adjoint part has dimension {stacked.shape[0]}, expected {n - 1}")
+    return g.unit.astype(complex), stacked[:, :n] + 1j * stacked[:, n:]
 
 
-def _real_orthonormalize(vecs: np.ndarray) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for v in vecs:
-        w = v.copy()
-        for _ in range(2):
-            for q in out:
-                w = w - np.real(np.vdot(q, w)) * q
-        norm = np.linalg.norm(w)
-        if norm > 1e-9:
-            out.append(w / norm)
-    return np.array(out) if out else np.zeros((0, vecs.shape[1]), dtype=complex)
+@lru_cache(maxsize=32)
+def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(quotient, z, real): the unit ball {L <= 1} in quotient coordinates.
+
+    Row i of ``z = functionals @ quotient.T`` bounds |z_i . t| <= weights[i];
+    ``real`` marks the rows that are real up to roundoff, the others are discs.
+    Checks the kernel and the unit once.  Cached per (algebra, family) pair.
+    """
+    defect = lip.kernel_rank_defect(g.dim)
+    if defect > 0:
+        raise DegenerateKernelError(f"seminorm kernel exceeds the scalars (rank defect {defect})")
+    unit_res = lip.unit_residual(g.unit)
+    if unit_res > 1e-10:
+        raise CertificationError(f"seminorm family does not kill the unit (residual {unit_res:.2e})")
+    _, quotient = sa_basis(g)
+    z = lip.functionals @ quotient.T
+    real = np.max(np.abs(z.imag), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(z), axis=1))
+    return quotient, _readonly(z), _readonly(real)
+
+
+_DISC_START = tuple(k * np.pi / 8 for k in range(16))
+
+
+def _cuts(z, weights, real, disc_angles) -> tuple[np.ndarray, np.ndarray]:
+    """Outer polyhedral approximation of the unit ball as (rows, bounds).
+
+    Each real row gives the cuts +-Re z_i; each disc row i gives one tangent
+    cut Re(e^{-i theta} z_i) per angle theta in ``disc_angles[i]``.
+    """
+    a_mat, b_vec = [], []
+    for i in np.flatnonzero(real):
+        a_mat.extend([z[i].real, -z[i].real])
+        b_vec.extend([weights[i], weights[i]])
+    for i, angles in disc_angles.items():
+        for theta in angles:
+            a_mat.append(np.real(np.exp(-1j * theta) * z[i]))
+            b_vec.append(weights[i])
+    return np.array(a_mat), np.array(b_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +124,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     """
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
-    defect = lip.kernel_rank_defect(g.dim)
-    if defect > 0:
-        raise DegenerateKernelError(f"seminorm kernel exceeds the scalars (rank defect {defect})")
-    unit_res = lip.unit_residual(g.unit)
-    if unit_res > 1e-10:
-        raise CertificationError(f"seminorm family does not kill the unit (residual {unit_res:.2e})")
-    unit, quotient = sa_basis(g)
+    quotient, z, real = _unit_ball(g, lip)
     w = mu_c - nu_c
 
     objective = np.real(quotient @ w)
@@ -112,30 +132,12 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     if herm_res > 1e-8 * max(1.0, _maxabs(w)):
         raise CertificationError(f"mu - nu is not hermitian (imaginary part {herm_res:.2e})")
 
-    z = lip.functionals @ quotient.T                  # (m, n-1) complex constraint rows
-    real_rows = np.max(np.abs(z.imag), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(z), axis=1))
-
-    cuts, bounds = [], []
-    disc_angles: dict[int, list[float]] = {}
-    for i in range(z.shape[0]):
-        if real_rows[i]:
-            cuts.append(z[i].real)
-            cuts.append(-z[i].real)
-            bounds.extend([lip.weights[i], lip.weights[i]])
-        else:
-            disc_angles[i] = [k * np.pi / 8 for k in range(16)]
-
+    disc_angles = {i: list(_DISC_START) for i in np.flatnonzero(~real)}
     rounds = 0
     while True:
-        a_mat = list(cuts)
-        b_vec = list(bounds)
-        for i, angles in disc_angles.items():
-            for theta in angles:
-                a_mat.append(np.real(np.exp(-1j * theta) * z[i]))
-                b_vec.append(lip.weights[i])
-        solution = solve_lp(LPProblem(objective=objective,
-                                      inequalities=np.array(a_mat),
-                                      bounds=np.array(b_vec)), tol=lp_tol)
+        a_mat, b_vec = _cuts(z, lip.weights, real, disc_angles)
+        solution = solve_lp(LPProblem(objective=objective, inequalities=a_mat, bounds=b_vec),
+                            tol=lp_tol)
         if solution.status == "unbounded":
             raise DegenerateKernelError("distance LP is unbounded; the seminorm is degenerate")
         solution.certify(tol=1e-7)
@@ -266,9 +268,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     vertex enumeration of the unit ball in low dimension and by the
     coordinate-wise dual-norm box containment otherwise.
     """
-    defect = lip.kernel_rank_defect(g.dim)
-    if defect > 0:
-        raise DegenerateKernelError(f"seminorm kernel exceeds the scalars (rank defect {defect})")
+    quotient, z, real = _unit_ball(g, lip)
     rng = np.random.default_rng(seed)
     d0 = g.rep.shape[1]
     states: list[State] = [basis_vector_state(g, i) for i in range(min(d0, samples))]
@@ -279,14 +279,10 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
         for j in range(i + 1, len(states)):
             lower = max(lower, mk_distance(g, lip, states[i], states[j], lp_tol=lp_tol))
 
-    unit, quotient = sa_basis(g)
-    z = lip.functionals @ quotient.T
-    real_ball = bool(np.all(np.max(np.abs(z.imag), axis=1)
-                            <= 1e-12 * np.maximum(1.0, np.max(np.abs(z), axis=1))))
     q_dim = quotient.shape[0]
     upper = None
     method = ""
-    if real_ball and q_dim <= 3 and z.shape[0] <= 60:
+    if np.all(real) and q_dim <= 3 and z.shape[0] <= 60:
         vertices = _enumerate_vertices(z.real, lip.weights)
         if vertices is not None and len(vertices):
             radius = 0.0
@@ -302,8 +298,8 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
         for k in range(q_dim):
             obj = np.zeros(q_dim)
             obj[k] = 1.0
-            hi = _support_lp(z, lip.weights, obj, lp_tol)
-            lo = _support_lp(z, lip.weights, -obj, lp_tol)
+            hi = _support_lp(g, lip, obj, lp_tol)
+            lo = _support_lp(g, lip, -obj, lp_tol)
             mat = g.rho_of(quotient[k])
             eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
             radius += max(hi, lo) * float(eigs[-1] - eigs[0]) / 2
@@ -313,19 +309,10 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     return LipValueBracket(lower=lower, upper=upper, method=method)
 
 
-def _support_lp(z, weights, objective, lp_tol) -> float:
-    cuts, bounds = [], []
-    for i in range(z.shape[0]):
-        row = z[i]
-        if np.max(np.abs(row.imag)) <= 1e-12 * max(1.0, np.max(np.abs(row))):
-            cuts.extend([row.real, -row.real])
-            bounds.extend([weights[i], weights[i]])
-        else:
-            for theta in np.arange(16) * np.pi / 8:
-                cuts.append(np.real(np.exp(-1j * theta) * row))
-                bounds.append(weights[i])
-    solution = solve_lp(LPProblem(objective=objective, inequalities=np.array(cuts),
-                                  bounds=np.array(bounds)), tol=lp_tol)
+def _support_lp(g, lip, objective, lp_tol) -> float:
+    _, z, real = _unit_ball(g, lip)
+    cuts, bounds = _cuts(z, lip.weights, real, {i: _DISC_START for i in np.flatnonzero(~real)})
+    solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds), tol=lp_tol)
     if solution.status != "optimal":
         raise DegenerateKernelError("support LP unbounded; the seminorm is degenerate")
     solution.certify(tol=1e-7)

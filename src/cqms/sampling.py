@@ -72,11 +72,3 @@ def random_matrix_state(g: FiniteQuantumGroup, order: int, rng: np.random.Genera
     q, _ = np.linalg.qr(raw)
     return np.einsum("pa,ipq,qb->iab", q.conj(), g.rep, q)
 
-
-def matrix_state_on_system(rank: int, order: int, rng: np.random.Generator) -> np.ndarray:
-    """Isometry defining a ucp map B(H_Lambda) -> M_order."""
-    if order > rank:
-        raise ValueError(f"matrix state order {order} exceeds the truncation rank {rank}")
-    raw = rng.normal(size=(rank, order)) + 1j * rng.normal(size=(rank, order))
-    q, _ = np.linalg.qr(raw)
-    return q

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqms import cli, corep, groups, hopf, io
+from cqms import cli, corep, groups, hopf, io, lipnorm
 
 import oracles
 
@@ -229,7 +230,55 @@ def test_run_sweep_config_roundtrip(z8_file):
     config = cli.SweepConfig(
         loaded=loaded, irreps=irreps, seminorm=lipnorm_mod.lip_from_metric(loaded.algebra),
         chain=[(0,), (0, 1, 7)], state_mode="canonical", explicit_vector=None,
-        tol=1e-9, seed=3, samples=8)
+        seed=3, samples=8)
     rows = cli.run_sweep(config)
     assert len(rows) == 2
     assert rows[0]["dim_sys"] == 1
+
+
+def _strip_runtime(text):
+    return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
+
+
+@pytest.mark.parametrize("command", [["bound", "--lambda", "0"], ["sweep"]])
+def test_cli_tol_is_rejected_where_unread(z8_file, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command[0], "--input", z8_file, *command[1:], "--tol", "1e-3"])
+    assert exc.value.code == 2
+
+
+def test_cli_bound_prints_the_one_level_sweep_row(z8_file, capsys):
+    code = cli.main(["bound", "--input", z8_file, "--lambda", "0,1,7", "--samples", "20",
+                     "--seed", "3"])
+    bound_out = capsys.readouterr().out
+    code2 = cli.main(["sweep", "--input", z8_file, "--chain", "0,1,7", "--samples", "20",
+                      "--seed", "3"])
+    sweep_out = capsys.readouterr().out
+    assert code == cli.EXIT_OK and code2 == cli.EXIT_OK
+    assert _strip_runtime(bound_out) == _strip_runtime(sweep_out)
+
+
+@pytest.mark.parametrize("command", [["bound", "--lambda", "0,1"], ["sweep"]])
+def test_cli_rejects_non_invariant_family(z4_file, f_z4, tmp_path, capsys, command):
+    # the metric pair functionals of F(Z_4) with weights that break translation invariance
+    lip = lipnorm.lip_from_metric(f_z4)
+    payload = {"functionals": io._encode_complex(lip.functionals),
+               "weights": [1, 2, 1.5, 1, 2, 1]}
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main([command[0], "--input", z4_file, *command[1:], "--seminorm", f"file:{path}",
+                     "--samples", "5"])
+    assert code == cli.EXIT_NUMERIC
+    assert "not bi-invariant" in capsys.readouterr().err
+
+
+def test_cli_sweep_matches_benchmark_reference(z8_file, capsys):
+    references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    reference = json.loads(references.read_text(encoding="utf-8"))["sweep"]
+    code = cli.main(["sweep", "--input", z8_file, "--samples", "5"])
+    assert code == cli.EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == reference["lambda_id"]
+    for row, ref in zip(rows, reference["bound_B"]):
+        # the benchmark's rule: 1e-12 plus one unit in the 12th printed digit
+        assert abs(float(row[2]) - ref) <= 1e-12 + 1e-11 * abs(ref)
