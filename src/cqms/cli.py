@@ -319,8 +319,9 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
         lhs2 = float(np.linalg.norm(ts.tau(sym(ts.expand(x))) - x, 2))
         c1 = max(c1, lhs2 - bound * lipnorm.induced_lip(lip, beta, x, tol=1e-7))
 
-    n1 = _hausdorff_lower(g, ts, lip, sym, order=1, rng=rng, probes=3, samples=40)
-    n2 = _hausdorff_lower(g, ts, lip, sym, order=2, rng=rng, probes=3, samples=40)
+    smoothed = [sym(ts.expand(ts.tau(e))) for e in np.eye(g.dim, dtype=complex)]
+    n1 = _hausdorff_lower(g, lip, smoothed, order=1, rng=rng, probes=3, samples=40)
+    n2 = _hausdorff_lower(g, lip, smoothed, order=2, rng=rng, probes=3, samples=40)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return {
         "lambda_id": _lambda_id(subset), "dim_sys": ts.dim_sys, "bound_B": bound,
@@ -330,29 +331,21 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
     }
 
 
-def _hausdorff_lower(g, ts, lip, sym, order, rng, probes, samples) -> float:
+def _hausdorff_lower(g, lip, smoothed, order, rng, probes, samples) -> float:
     """Sampled lower-bound proxy for the order-n matrix-state Hausdorff gap.
 
     For sampled matrix states on A, pair each with its liftable image through
     the symbol map and report the largest certified pairwise lower bound.
+    ``smoothed[i]`` is the symbol-map image of the i-th basis element of A.
     """
     worst = 0.0
     for _ in range(probes):
         blocks = sampling.random_matrix_state(g, order, rng)
-        composed = np.stack([
-            np.einsum("i,iab->ab", sym(ts.expand(ts.tau(_unit(g.dim, i)))), blocks)
-            for i in range(g.dim)
-        ])
+        composed = np.stack([np.einsum("i,iab->ab", s, blocks) for s in smoothed])
         val = mkdist.matrix_mk_lower_bound(g, lip, order, blocks, composed,
                                            samples=samples, seed=int(rng.integers(2 ** 31)))
         worst = max(worst, val)
     return worst
-
-
-def _unit(n, i):
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
 
 
 def cmd_bound(args, out) -> int:

@@ -139,10 +139,9 @@ class InducedCoaction:
         return self.system.unit_coords
 
     def realize(self, coords) -> np.ndarray:
-        """The carrier element with these coordinates, as a concrete matrix."""
-        if self.system is None:
-            return self.g.rho_of(coords)
-        return self.system.combine(coords)
+        """The carrier elements with these coordinate rows, as concrete matrices."""
+        basis = self.g.rep if self.system is None else self.system.sys_basis
+        return np.einsum("...k,kab->...ab", np.asarray(coords, dtype=complex), basis)
 
     def apply(self, coords) -> np.ndarray:
         """Coaction as a coefficient matrix: (carrier, algebra) or (algebra, carrier)."""
@@ -427,14 +426,8 @@ def isotypical_projection(coaction: InducedCoaction, gamma) -> np.ndarray:
 def pullback_state(ts: TruncatedSystem, density: np.ndarray, tol: float = 1e-9) -> State:
     """tau^* phi as a certified state on A."""
     density = certify_system_state(ts, density, tol)
-    coeffs = np.array([np.trace(density @ ts.tau(_basis_vec(ts.g.dim, i))) for i in range(ts.g.dim)])
+    coeffs = np.array([np.trace(density @ ts.tau(e)) for e in np.eye(ts.g.dim, dtype=complex)])
     return certify_state(ts.g, coeffs, tol=tol)
-
-
-def _basis_vec(n, i):
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
 
 
 def liftable_states(ts: TruncatedSystem, samples: int, seed: int, tol: float = 1e-9,

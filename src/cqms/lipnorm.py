@@ -18,7 +18,7 @@ from . import groups
 from .compress import InducedCoaction, TruncatedSystem, state_values_on_basis
 from .errors import LengthError, MetricError, UnsupportedSeminormError
 from .hopf import FiniteQuantumGroup, _maxabs, _rank
-from .sampling import random_state_density
+from .sampling import random_density, random_state_density
 
 W_TOL = 1e-6
 
@@ -192,69 +192,57 @@ def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL) ->
 def _radius_brackets(stack, tols, prune_weights):
     """Per-matrix brackets [lower, upper] with upper - lower <= tols[i].
 
-    With ``prune_weights``, matrices that provably cannot attain
-    max_i w_i / weights_i stop refining early; their brackets stay valid but
-    wider, and never exceed the running best ratio.
+    lower is an attained support value; upper bounds the support function on
+    every arc, including arcs dropped unrefined.  With ``prune_weights``,
+    matrices that provably cannot attain max_i w_i / weights_i stop refining
+    early; their brackets stay valid but wider.  Refinement state lives in
+    parallel per-arc arrays, so each wave is one pass over the whole stack.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or (stack.shape[0] and stack.shape[1] != stack.shape[2]):
         raise ValueError(f"expected a stack of square matrices, got {stack.shape}")
     count = stack.shape[0]
     tols = np.broadcast_to(np.asarray(tols, dtype=float), (count,))
-    lower = np.zeros(count)
-    upper = np.zeros(count)
-    todo = []
-    for b in range(count):
-        nrm = float(np.linalg.norm(stack[b], 2)) if stack[b].size else 0.0
-        if nrm <= tols[b]:
-            lower[b] = upper[b] = nrm
-            continue
-        mh = stack[b].conj().T
-        if _maxabs(stack[b] @ mh - mh @ stack[b]) <= 1e-13 * nrm ** 2:
-            val = float(np.max(np.abs(np.linalg.eigvals(stack[b]))))
-            lower[b] = upper[b] = val
-            continue
-        todo.append(b)
-    if not todo:
-        return lower, upper
+    if not stack.size:
+        return np.zeros(count), np.zeros(count)
+    nrm = np.linalg.norm(stack, 2, axis=(1, 2))
+    small = nrm <= tols
+    lower, upper = nrm.copy(), nrm.copy()
+    mh = stack.conj().transpose(0, 2, 1)
+    drift = np.max(np.abs(stack @ mh - mh @ stack), axis=(1, 2))
+    normal = ~small & (drift <= 1e-13 * nrm ** 2)
+    lower[normal] = upper[normal] = np.max(np.abs(np.linalg.eigvals(stack[normal])), axis=1)
+    active = ~small & ~normal
 
     grid = np.linspace(0.0, 2 * np.pi, 17)
+    todo = np.flatnonzero(active)
     vals = _support_values_batch(stack, np.repeat(todo, len(grid)),
-                                 np.tile(grid, len(todo)))
-    arcs = {}
-    for j, b in enumerate(todo):
-        v = vals[j * len(grid):(j + 1) * len(grid)]
-        arcs[b] = [(grid[i], grid[i + 1], v[i], v[i + 1]) for i in range(len(grid) - 1)]
-        lower[b] = float(np.max(v))
-        upper[b] = np.inf
-
-    active = set(todo)
-    while active:
-        requests = []                      # (owner, arc) pairs needing midpoints
-        for b in sorted(active):
-            caps = _arc_bounds_vec(arcs[b])
-            cap = float(np.max(caps))
-            upper[b] = cap
-            if cap - lower[b] <= tols[b]:
-                active.discard(b)
-                continue
-            if prune_weights is not None:
-                best_ratio = float(np.max(lower / prune_weights))
-                if cap / prune_weights[b] <= best_ratio:
-                    active.discard(b)      # cannot exceed the max; bracket stays valid
-                    continue
-            keep = [arc for arc, ub in zip(arcs[b], caps) if ub > lower[b] + tols[b] / 2]
-            arcs[b] = []
-            requests.extend((b, arc) for arc in keep)
-        if not requests:
-            break
-        mids = [(arc[0] + arc[1]) / 2 for _, arc in requests]
-        mid_vals = _support_values_batch(stack, [b for b, _ in requests], mids)
-        for (b, (lo, hi, flo, fhi)), mid, fmid in zip(requests, mids, mid_vals):
-            arcs[b].append((lo, mid, flo, fmid))
-            arcs[b].append((mid, hi, fmid, fhi))
-            lower[b] = max(lower[b], fmid)
-    return lower, upper
+                                 np.tile(grid, len(todo))).reshape(len(todo), len(grid))
+    lower[todo] = np.max(vals, axis=1)
+    owner = np.repeat(todo, len(grid) - 1)
+    lo, hi = np.tile(grid[:-1], len(todo)), np.tile(grid[1:], len(todo))
+    flo, fhi = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+    dropped = np.full(count, -np.inf)      # bounds of arcs left unrefined
+    while active.any():
+        caps = _arc_bounds(lo, hi, flo, fhi)
+        cap = np.full(count, -np.inf)
+        np.maximum.at(cap, owner, caps)
+        upper[active] = cap[active]
+        done = cap - lower <= tols
+        if prune_weights is not None:      # cannot exceed the max; bracket stays valid
+            done |= cap / prune_weights <= np.max(lower / prune_weights)
+        active &= ~done
+        live = active[owner]
+        split = live & (caps > lower[owner] + tols[owner] / 2)
+        np.maximum.at(dropped, owner[live & ~split], caps[live & ~split])
+        owner, lo, hi, flo, fhi = owner[split], lo[split], hi[split], flo[split], fhi[split]
+        mid = (lo + hi) / 2
+        fmid = _support_values_batch(stack, owner, mid)
+        np.maximum.at(lower, owner, fmid)
+        owner = np.concatenate([owner, owner])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
+    return lower, np.maximum(upper, dropped)
 
 
 def _support_values_batch(stack, owners, thetas) -> np.ndarray:
@@ -267,16 +255,14 @@ def _support_values_batch(stack, owners, thetas) -> np.ndarray:
     return np.linalg.eigvalsh(hs)[:, -1]
 
 
-def _arc_bounds_vec(arc_list) -> np.ndarray:
+def _arc_bounds(lo, hi, f_lo, f_hi) -> np.ndarray:
     """Exact support-function bound for max f over each arc from endpoint values.
 
     f restricted to an arc is dominated by the sinusoid through the two
     endpoint constraints; its amplitude over sin(width) is an upper bound.
     """
-    arr = np.asarray(arc_list, dtype=float)
-    width = arr[:, 1] - arr[:, 0]
-    f_lo, f_hi = arr[:, 2], arr[:, 3]
-    out = np.full(len(arr), np.inf)
+    width = hi - lo
+    out = np.full(len(width), np.inf)
     sw = np.sin(width)
     tiny = sw < 1e-15
     narrow = (width < 0.9 * np.pi) & ~tiny
@@ -304,8 +290,7 @@ def induced_lip(lip: PolyhedralSeminorm, coaction: InducedCoaction, x, tol: floa
             "exact induced values need a polyhedral seminorm; use induced_lip_bracket")
     coords = _carrier_coords(coaction, x)
     sliced = coaction.slice_states(coords, lip.functionals)     # (m, s)
-    mats = np.array([coaction.realize(row) for row in sliced])
-    return max_numerical_radius(mats, lip.weights, tol)
+    return max_numerical_radius(coaction.realize(sliced), lip.weights, tol)
 
 
 def induced_lip_bi(lip: PolyhedralSeminorm, alpha: InducedCoaction, beta: InducedCoaction,
@@ -352,26 +337,16 @@ def induced_lip_bracket(lip: CommutatorSeminorm, coaction: InducedCoaction, x,
     ts = coaction.system
     coords = _carrier_coords(coaction, x)
     rng = np.random.default_rng(seed)
-    r = ts.rank
-
     lower = 0.0
-    for j in range(samples):
-        v = rng.normal(size=r) + 1j * rng.normal(size=r)
-        v /= np.linalg.norm(v)
-        density = np.outer(v, v.conj())
-        if j % 3 == 2:
-            w = rng.normal(size=r) + 1j * rng.normal(size=r)
-            w /= np.linalg.norm(w)
-            t = rng.uniform(0.2, 0.8)
-            density = t * density + (1 - t) * np.outer(w, w.conj())
-        phi = state_values_on_basis(ts, density)
+    for _ in range(samples):
+        phi = state_values_on_basis(ts, random_density(ts.rank, rng))
         lower = max(lower, lip.value(coaction.slice_carrier(coords, phi)))
 
     if coaction.side == "right":
         slices = np.einsum("k,kml->ml", coords, coaction.tensor)    # per basis index m: element of A
     else:
         slices = np.einsum("k,klm->ml", coords, coaction.tensor)
-    bounds = numerical_radius_many(ts.sys_basis, tol=1e-8)
+    _, bounds = _radius_brackets(ts.sys_basis, 1e-8, None)
     upper = float(sum(bounds[m] * lip.value(slices[m]) for m in range(ts.dim_sys)))
     upper = max(upper, lower)
     return LipValueBracket(lower=float(lower), upper=upper, method="sampled-states/basis-expansion")

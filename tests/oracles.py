@@ -93,3 +93,52 @@ def toeplitz_compression(f, n, window):
         for b in range(size):
             out[a, b] = fhat[freqs[a] - freqs[b]]
     return out
+
+
+def loop_radius_brackets(stack, tols, prune_weights):
+    """The numerical-radius arc refinement with per-matrix Python arc lists.
+
+    Same waves, support values, arc bounds and decisions as
+    ``lipnorm._radius_brackets``, one matrix and one arc at a time, so the
+    batched bookkeeping must agree with it bit for bit.
+    """
+    from cqms.lipnorm import _arc_bounds, _support_values_batch
+
+    count = len(stack)
+    tols = np.broadcast_to(np.asarray(tols, dtype=float), (count,))
+    lower, upper, dropped = np.zeros(count), np.zeros(count), np.full(count, -np.inf)
+    grid = np.linspace(0.0, 2 * np.pi, 17)
+    arcs = {}
+    for b, m in enumerate(stack):
+        nrm = float(np.linalg.norm(m, 2))
+        mh = m.conj().T
+        if nrm <= tols[b]:
+            lower[b] = upper[b] = nrm
+        elif np.max(np.abs(m @ mh - mh @ m)) <= 1e-13 * nrm ** 2:
+            lower[b] = upper[b] = np.max(np.abs(np.linalg.eigvals(m)))
+        else:
+            v = _support_values_batch(stack, [b] * len(grid), grid)
+            arcs[b] = [(grid[i], grid[i + 1], v[i], v[i + 1]) for i in range(len(grid) - 1)]
+            lower[b] = max(v)
+    while arcs:
+        best = None if prune_weights is None else max(lower / prune_weights)
+        requests = []
+        for b in sorted(arcs):
+            arc_list = arcs.pop(b)
+            caps = _arc_bounds(*(np.array(col) for col in zip(*arc_list)))
+            upper[b] = max(caps)
+            if upper[b] - lower[b] <= tols[b]:
+                continue
+            if best is not None and upper[b] / prune_weights[b] <= best:
+                continue
+            for arc, cap in zip(arc_list, caps):
+                if cap > lower[b] + tols[b] / 2:
+                    requests.append((b, arc))
+                else:
+                    dropped[b] = max(dropped[b], cap)
+        for b, (lo, hi, flo, fhi) in requests:
+            mid = (lo + hi) / 2
+            fmid = _support_values_batch(stack, [b], [mid])[0]
+            arcs.setdefault(b, []).extend([(lo, mid, flo, fmid), (mid, hi, fmid, fhi)])
+            lower[b] = max(lower[b], fmid)
+    return lower, np.maximum(upper, dropped)

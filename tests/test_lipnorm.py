@@ -66,6 +66,45 @@ def test_numerical_radius_matches_brute_force():
         assert w <= float(np.linalg.norm(m, 2)) + 1e-8
 
 
+def test_numerical_radius_many_dispatches_a_mixed_stack():
+    rng = np.random.default_rng(6)
+    tol = 1e-8
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = h + h.conj().T
+    diag = np.diag(rng.normal(size=4) + 1j * rng.normal(size=4))
+    e12 = np.zeros((4, 4))
+    e12[0, 1] = 1.0
+    rand = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    stack = np.concatenate([np.stack([np.zeros((4, 4)), h, diag, e12]), rand])
+
+    w = lipnorm.numerical_radius_many(stack, tol=tol)
+    assert w.shape == (len(stack),)
+    assert w[0] == 0.0
+    assert w[1] == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(h))), abs=tol)
+    assert w[2] == pytest.approx(np.max(np.abs(np.diag(diag))), abs=tol)
+    assert w[3] == pytest.approx(0.5, abs=tol)
+    for m, value in zip(rand, w[4:]):
+        assert oracles.brute_numerical_radius(m, trials=200, seed=7) <= value + tol
+
+    weights = rng.uniform(1.0, 3.0, size=len(stack))
+    expected = max(lipnorm.numerical_radius(m, tol=tol) / c for m, c in zip(stack, weights))
+    assert lipnorm.max_numerical_radius(stack, weights, tol) == pytest.approx(expected, abs=tol)
+
+
+def test_radius_brackets_match_the_loop_reference():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        d, count = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        stack = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+        stack[::3] += np.conj(np.transpose(stack[::3], (0, 2, 1)))
+        stack[1::5] = 0.0
+        weights = rng.uniform(0.5, 3.0, size=count) if trial % 2 else None
+        tols = 1e-7 if weights is None else 1e-7 * weights
+        got = lipnorm._radius_brackets(stack, tols, weights)
+        want = oracles.loop_radius_brackets(stack, tols, weights)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_kadison_sandwich_sampled():
     rng = np.random.default_rng(4)
     for _ in range(60):
