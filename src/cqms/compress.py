@@ -114,9 +114,11 @@ def truncate(g: FiniteQuantumGroup, irreps, subset, tol: float = 1e-10,
 class InducedCoaction:
     """A coaction on a finite-dimensional carrier in fixed bases.
 
-    side "right": alpha(x_k) = sum_{m,l} tensor[k, m, l] x_m (x) e_l
-    side "left":  beta(x_k)  = sum_{l,m} tensor[k, l, m] e_l (x) x_m
-    The carrier is either a TruncatedSystem or the algebra itself.
+    Both sides store the carrier leg first: tensor[k, m, l] is the coefficient
+    of x_m (x) e_l in alpha(x_k) on the right and of e_l (x) x_m in beta(x_k)
+    on the left, so applying and slicing read the tensor the same way on both
+    sides; only the coaction identity depends on the side.  The carrier is
+    either a TruncatedSystem or the algebra itself.
     """
 
     side: str
@@ -144,37 +146,30 @@ class InducedCoaction:
         return np.einsum("...k,kab->...ab", np.asarray(coords, dtype=complex), basis)
 
     def apply(self, coords) -> np.ndarray:
-        """Coaction as a coefficient matrix: (carrier, algebra) or (algebra, carrier)."""
-        coords = np.asarray(coords, dtype=complex)
-        if self.side == "right":
-            return np.einsum("k,kml->ml", coords, self.tensor)
-        return np.einsum("k,klm->lm", coords, self.tensor)
+        """The coaction as a (carrier, algebra) coefficient matrix, on either side."""
+        return np.einsum("k,kml->ml", np.asarray(coords, dtype=complex), self.tensor)
 
     def slice_states(self, coords, functionals) -> np.ndarray:
         """Algebra-leg slices (id (x) l_i) or (l_i (x) id) for a family of functionals.
 
         ``functionals`` is an (m, n) array; returns (m, s) carrier coordinates.
         """
-        coords = np.asarray(coords, dtype=complex)
-        if self.side == "right":
-            return np.einsum("k,kml,il->im", coords, self.tensor, functionals)
-        return np.einsum("k,klm,il->im", coords, self.tensor, functionals)
+        return np.einsum("k,kml,il->im", np.asarray(coords, dtype=complex), self.tensor,
+                         functionals)
 
     def slice_carrier(self, coords, phi_values) -> np.ndarray:
         """Carrier-leg slice (phi (x) id) alpha(x) (or (id (x) phi) beta(x)) as A-coefficients."""
-        coords = np.asarray(coords, dtype=complex)
-        if self.side == "right":
-            return np.einsum("k,kml,m->l", coords, self.tensor, phi_values)
-        return np.einsum("k,klm,m->l", coords, self.tensor, phi_values)
+        return np.einsum("k,kml,m->l", np.asarray(coords, dtype=complex), self.tensor,
+                         phi_values)
 
 
 def comultiplication_coaction(g: FiniteQuantumGroup, side: str = "right") -> InducedCoaction:
     """The comultiplication viewed as the (right or left) coaction of A on itself."""
-    fixed = _fixed_space_dim(g.comult, g.unit, side)
-    return InducedCoaction(side=side, tensor=g.comult.copy(), g=g, system=None,
+    tensor = g.comult.copy() if side == "right" else g.comult.transpose(0, 2, 1).copy()
+    return InducedCoaction(side=side, tensor=tensor, g=g, system=None,
                            well_definedness_residual=0.0, coaction_residual=0.0,
                            counit_residual=0.0, podles_rank_defect=0,
-                           fixed_space_dim=fixed)
+                           fixed_space_dim=_fixed_space_dim(tensor, g.unit))
 
 
 def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "right",
@@ -186,33 +181,22 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    n, s = g.dim, ts.dim_sys
-
-    well = 0.0
-    for v in ts.kernel:
-        well = max(well, _tensor_opnorm(g, ts, v, side))
+    well = max((_tensor_opnorm(g, ts, v[None, None], side) for v in ts.kernel), default=0.0)
     if well > tol:
         raise InternalInconsistencyError(
             f"kernel of tau is not contained in the sliced kernel (residual {well:.3e}); "
             "input tensors are corrupt")
 
-    if side == "right":
-        tensor = np.zeros((s, s, n), dtype=complex)
-        for k in range(s):
-            delta = g.coproduct(ts.lift(ts.sys_basis[k]))
-            for l in range(n):
-                tensor[k, :, l] = ts.expand(ts.tau(delta[:, l]))
-    else:
-        tensor = np.zeros((s, n, s), dtype=complex)
-        for k in range(s):
-            delta = g.coproduct(ts.lift(ts.sys_basis[k]))
-            for l in range(n):
-                tensor[k, l, :] = ts.expand(ts.tau(delta[l, :]))
+    s = ts.dim_sys
+    basis = ts.sys_basis.reshape(s, -1)
+    deltas = np.einsum("ik,ijl->kjl", ts.lift_matrix @ basis.T, g.comult)   # Delta(lift(x_k))
+    if side == "left":
+        deltas = deltas.transpose(0, 2, 1)         # compress Delta's second leg
+    tensor = (basis.conj() @ ts.tau_matrix) @ deltas   # expand o tau on the carrier leg
 
     coaction_res = _coaction_residual(g, tensor, side)
-    counit_res = _counit_residual(g, tensor, side)
-    podles = _podles_defect(g, tensor, side)
-    fixed = _fixed_space_dim(tensor, g.unit, side)
+    counit_res = _maxabs(tensor @ g.counit - np.eye(s))
+    podles = _podles_defect(g, tensor)
     worst = max(coaction_res, counit_res)
     if worst > tol or podles > 0:
         raise InternalInconsistencyError(
@@ -221,20 +205,20 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     return InducedCoaction(side=side, tensor=tensor, g=g, system=ts,
                            well_definedness_residual=well, coaction_residual=coaction_res,
                            counit_residual=counit_res, podles_rank_defect=podles,
-                           fixed_space_dim=fixed)
+                           fixed_space_dim=_fixed_space_dim(tensor, g.unit))
 
 
-def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, a, side: str) -> float:
-    """Operator norm of (tau (x) rho)Delta(a) or (rho (x) tau)Delta(a)."""
-    delta = g.coproduct(a)
-    r = ts.rank
-    d0 = g.rep.shape[1]
-    if side == "right":
-        taus = np.stack([ts.tau(delta[:, l]) for l in range(g.dim)])
-        big = np.einsum("lpq,lab->paqb", taus, g.rep).reshape(r * d0, r * d0)
-    else:
-        taus = np.stack([ts.tau(delta[l, :]) for l in range(g.dim)])
-        big = np.einsum("lab,lpq->apbq", taus, g.rep).reshape(d0 * r, d0 * r)
+def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries,
+                   side: str = "right") -> float:
+    """Operator norm of (tau (x) rho)Delta (or (rho (x) tau)Delta) on a p x p matrix over A.
+
+    ``entries`` is a (p, p, n) block of elements; p = 1 is a single element.
+    """
+    p, r, d0 = entries.shape[0], ts.rank, g.rep.shape[1]
+    delta = np.einsum("pqi,ijl->pqjl", entries, g.comult)
+    delta = delta if side == "right" else delta.swapaxes(2, 3)   # the norm ignores leg order
+    taus = (ts.tau_matrix @ delta).reshape(p, p, r, r, g.dim)
+    big = np.einsum("pqabl,lcd->pacqbd", taus, g.rep).reshape(p * r * d0, p * r * d0)
     return float(np.linalg.norm(big, 2))
 
 
@@ -242,46 +226,32 @@ def _coaction_residual(g, tensor, side) -> float:
     if side == "right":
         lhs = np.einsum("kql,qmp->kmpl", tensor, tensor)    # (alpha (x) id) alpha
         rhs = np.einsum("kml,lpq->kmpq", tensor, g.comult)  # (id (x) Delta) alpha
-        return _maxabs(lhs - rhs)
-    lhs = np.einsum("kpq,qlm->kplm", tensor, tensor)        # (id (x) beta) beta
-    rhs = np.einsum("kqm,qpl->kplm", tensor, g.comult)      # (Delta (x) id) beta
+    else:
+        lhs = np.einsum("kqp,qml->kplm", tensor, tensor)    # (id (x) beta) beta
+        rhs = np.einsum("kmq,qpl->kplm", tensor, g.comult)  # (Delta (x) id) beta
     return _maxabs(lhs - rhs)
 
 
-def _counit_residual(g, tensor, side) -> float:
-    s = tensor.shape[0]
-    if side == "right":
-        return _maxabs(np.einsum("kml,l->km", tensor, g.counit) - np.eye(s))
-    return _maxabs(np.einsum("klm,l->km", tensor, g.counit) - np.eye(s))
-
-
-def _podles_defect(g, tensor, side) -> int:
-    n = g.dim
-    s = tensor.shape[0]
-    if side == "right":
-        vecs = np.einsum("kml,jlq->jkmq", tensor, g.mult)
-    else:
-        vecs = np.einsum("klm,jlq->jkqm", tensor, g.mult)
+def _podles_defect(g, tensor) -> int:
+    """Rank defect of the span of (1 (x) e_j) alpha(x_k) (or (e_j (x) 1) beta(x_k) on the left)."""
+    n, s = g.dim, tensor.shape[0]
+    vecs = np.einsum("kml,jlq->jkmq", tensor, g.mult)
     return int(s * n - _rank(vecs.reshape(n * s, s * n)))
 
 
-def _fixed_space_dim(tensor, algebra_unit, side) -> int:
+def _fixed_space_dim(tensor, algebra_unit) -> int:
     """Dimension of {x : coaction(x) = x (x) 1_A} (or 1_A (x) x on the left)."""
     s = tensor.shape[0]
-    if side == "right":
-        system = tensor - np.einsum("km,l->kml", np.eye(s), algebra_unit)
-    else:
-        system = tensor - np.einsum("km,l->klm", np.eye(s), algebra_unit)
-    system = system.transpose(1, 2, 0).reshape(-1, s)
-    return int(s - _rank(system))
+    system = tensor - np.einsum("km,l->kml", np.eye(s), algebra_unit)
+    return int(s - _rank(system.transpose(1, 2, 0).reshape(-1, s)))
 
 
 def cocommutation_residual(alpha: InducedCoaction, beta: InducedCoaction) -> float:
     """Residual of (beta (x) id) alpha = (id (x) alpha) beta."""
     if alpha.side != "right" or beta.side != "left":
         raise ValueError("cocommutation takes a right coaction and a left coaction")
-    lhs = np.einsum("kml,mjp->kjpl", alpha.tensor, beta.tensor)
-    rhs = np.einsum("kjm,mpl->kjpl", beta.tensor, alpha.tensor)
+    lhs = np.einsum("kml,mpj->kjpl", alpha.tensor, beta.tensor)
+    rhs = np.einsum("kmj,mpl->kjpl", beta.tensor, alpha.tensor)
     return _maxabs(lhs - rhs)
 
 
@@ -296,31 +266,12 @@ def isometry_witness_residual(g: FiniteQuantumGroup, ts: TruncatedSystem, sample
     n = g.dim
     worst = 0.0
     for j in range(samples):
-        if amplified_every and (j + 1) % amplified_every == 0:
-            entries = rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n))
-            lhs = _amplified_tensor_norm(g, ts, entries)
-            rhs_mat = np.block([[ts.tau(entries[p, q]) for q in range(2)] for p in range(2)])
-            rhs = float(np.linalg.norm(rhs_mat, 2))
-        else:
-            a = rng.normal(size=n) + 1j * rng.normal(size=n)
-            lhs = _tensor_opnorm(g, ts, a, "right")
-            rhs = float(np.linalg.norm(ts.tau(a), 2))
+        p = 2 if amplified_every and (j + 1) % amplified_every == 0 else 1
+        entries = rng.normal(size=(p, p, n)) + 1j * rng.normal(size=(p, p, n))
+        lhs = _tensor_opnorm(g, ts, entries)
+        rhs = float(np.linalg.norm(np.block([[ts.tau(a) for a in row] for row in entries]), 2))
         worst = max(worst, abs(lhs - rhs) / max(1.0, rhs))
     return worst
-
-
-def _amplified_tensor_norm(g, ts, entries) -> float:
-    r = ts.rank
-    d0 = g.rep.shape[1]
-    blocks = []
-    for p in range(2):
-        row = []
-        for q in range(2):
-            delta = g.coproduct(entries[p, q])
-            taus = np.stack([ts.tau(delta[:, l]) for l in range(g.dim)])
-            row.append(np.einsum("lpq,lab->paqb", taus, g.rep).reshape(r * d0, r * d0))
-        blocks.append(row)
-    return float(np.linalg.norm(np.block(blocks), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +334,7 @@ def conditional_expectation(coaction: InducedCoaction, samples: int = 20,
                             seed: int = 0) -> ExpectationReport:
     """E(x) = (id (x) h) applied to the coaction; extracts the invariant state when ergodic."""
     g = coaction.g
-    if coaction.side == "right":
-        e = np.einsum("kml,l->mk", coaction.tensor, g.haar)
-    else:
-        e = np.einsum("klm,l->mk", coaction.tensor, g.haar)
+    e = np.einsum("kml,l->mk", coaction.tensor, g.haar)
     idem = _maxabs(e @ e - e)
 
     invariant = None
@@ -399,10 +347,7 @@ def conditional_expectation(coaction: InducedCoaction, samples: int = 20,
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             mu = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
-            if coaction.side == "right":
-                acted = np.einsum("kml,m,l->k", coaction.tensor, invariant, mu)
-            else:
-                acted = np.einsum("klm,m,l->k", coaction.tensor, invariant, mu)
+            acted = np.einsum("kml,m,l->k", coaction.tensor, invariant, mu)
             inv_res = max(inv_res, _maxabs(acted - np.dot(mu, g.unit) * invariant))
     return ExpectationReport(matrix=e, idempotency_residual=idem,
                              invariant_state=invariant, invariance_residual=inv_res)
@@ -414,9 +359,7 @@ def isotypical_projection(coaction: InducedCoaction, gamma) -> np.ndarray:
     chi = gamma.u.trace(axis1=0, axis2=1)
     chi_star = g.star_of(chi)
     weights = np.einsum("p,plq,q->l", chi_star, g.mult, g.haar)
-    if coaction.side == "right":
-        return gamma.dim * np.einsum("kml,l->mk", coaction.tensor, weights)
-    return gamma.dim * np.einsum("klm,l->mk", coaction.tensor, weights)
+    return gamma.dim * np.einsum("kml,l->mk", coaction.tensor, weights)
 
 
 # ---------------------------------------------------------------------------

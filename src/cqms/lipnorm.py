@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .compress import InducedCoaction, TruncatedSystem, state_values_on_basis
+from .compress import (InducedCoaction, TruncatedSystem, comultiplication_coaction,
+                       state_values_on_basis)
 from .errors import LengthError, MetricError, UnsupportedSeminormError
 from .hopf import FiniteQuantumGroup, _maxabs, _rank
 from .sampling import random_density, random_state_density
@@ -167,9 +168,10 @@ def numerical_radius(m: np.ndarray, tol: float = W_TOL) -> float:
 def numerical_radius_many(stack: np.ndarray, tol: float = W_TOL) -> np.ndarray:
     """Certified numerical radii of a stack of square matrices.
 
-    Normal matrices are dispatched through their spectrum; the rest run the
-    adaptive arc refinement, with all support values of one refinement wave
-    batched into a single stacked eigensolve across matrices.
+    A matrix whose spectral radius is within tol of its norm is settled by
+    rho(M) <= w(M) <= ||M||; the rest run the adaptive arc refinement, with
+    all support values of one refinement wave batched into a single stacked
+    eigensolve across matrices.
     """
     lower, upper = _radius_brackets(stack, tol, None)
     return (lower + upper) / 2
@@ -192,10 +194,12 @@ def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL) ->
 def _radius_brackets(stack, tols, prune_weights):
     """Per-matrix brackets [lower, upper] with upper - lower <= tols[i].
 
-    lower is an attained support value; upper bounds the support function on
-    every arc, including arcs dropped unrefined.  With ``prune_weights``,
-    matrices that provably cannot attain max_i w_i / weights_i stop refining
-    early; their brackets stay valid but wider.  Refinement state lives in
+    lower is attained: a support value, or |lambda| for an eigenvalue lambda.
+    upper is ||M||_2 for a matrix settled by rho(M) <= w(M) <= ||M||_2, and
+    otherwise bounds the support function on every arc, including arcs
+    dropped unrefined.  With ``prune_weights``, matrices that provably cannot
+    attain max_i w_i / weights_i stop refining early; their brackets stay
+    valid but wider.  Refinement state lives in
     parallel per-arc arrays, so each wave is one pass over the whole stack.
     """
     stack = np.asarray(stack, dtype=complex)
@@ -206,13 +210,12 @@ def _radius_brackets(stack, tols, prune_weights):
     if not stack.size:
         return np.zeros(count), np.zeros(count)
     nrm = np.linalg.norm(stack, 2, axis=(1, 2))
-    small = nrm <= tols
-    lower, upper = nrm.copy(), nrm.copy()
+    lower, upper = np.zeros(count), nrm.copy()
     mh = stack.conj().transpose(0, 2, 1)
     drift = np.max(np.abs(stack @ mh - mh @ stack), axis=(1, 2))
-    normal = ~small & (drift <= 1e-13 * nrm ** 2)
-    lower[normal] = upper[normal] = np.max(np.abs(np.linalg.eigvals(stack[normal])), axis=1)
-    active = ~small & ~normal
+    near = (nrm <= tols) | (drift <= 1e-13 * nrm ** 2)     # candidates for rho(M) ~ ||M||
+    lower[near] = np.max(np.abs(np.linalg.eigvals(stack[near])), axis=1)
+    active = ~near | (nrm - lower > tols)      # settled: rho(M) <= w(M) <= ||M|| within tol
 
     grid = np.linspace(0.0, 2 * np.pi, 17)
     todo = np.flatnonzero(active)
@@ -342,10 +345,7 @@ def induced_lip_bracket(lip: CommutatorSeminorm, coaction: InducedCoaction, x,
         phi = state_values_on_basis(ts, random_density(ts.rank, rng))
         lower = max(lower, lip.value(coaction.slice_carrier(coords, phi)))
 
-    if coaction.side == "right":
-        slices = np.einsum("k,kml->ml", coords, coaction.tensor)    # per basis index m: element of A
-    else:
-        slices = np.einsum("k,klm->ml", coords, coaction.tensor)
+    slices = coaction.apply(coords)            # per basis index m: element of A
     _, bounds = _radius_brackets(ts.sys_basis, 1e-8, None)
     upper = float(sum(bounds[m] * lip.value(slices[m]) for m in range(ts.dim_sys)))
     upper = max(upper, lower)
@@ -366,19 +366,13 @@ def invariant_upgrade(lip: PolyhedralSeminorm, g: FiniteQuantumGroup, side: str 
     """
     if side not in ("right", "left", "bi"):
         raise ValueError(f"side must be 'right', 'left' or 'bi', got {side!r}")
+    # the right upgrade slices Delta's first leg: the algebra leg of Delta's left coaction view
+    views = [comultiplication_coaction(g, view) for view in
+             {"right": ("left",), "left": ("right",), "bi": ("left", "right")}[side]]
 
     def evaluate(a) -> float:
-        delta = g.coproduct(a)
-        vals = []
-        if side in ("right", "bi"):
-            sliced = lip.functionals @ delta              # (m, n): (l_i (x) id) Delta a
-            mats = np.einsum("ml,lpq->mpq", sliced, g.rep)
-            vals.append(max_numerical_radius(mats, lip.weights, tol))
-        if side in ("left", "bi"):
-            sliced = delta @ lip.functionals.T            # (n, m) -> transpose
-            mats = np.einsum("lm,lpq->mpq", sliced, g.rep)
-            vals.append(max_numerical_radius(mats, lip.weights, tol))
-        return float(max(vals))
+        return max(max_numerical_radius(co.realize(co.slice_states(a, lip.functionals)),
+                                        lip.weights, tol) for co in views)
 
     return evaluate
 

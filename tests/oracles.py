@@ -112,14 +112,14 @@ def loop_radius_brackets(stack, tols, prune_weights):
     for b, m in enumerate(stack):
         nrm = float(np.linalg.norm(m, 2))
         mh = m.conj().T
-        if nrm <= tols[b]:
-            lower[b] = upper[b] = nrm
-        elif np.max(np.abs(m @ mh - mh @ m)) <= 1e-13 * nrm ** 2:
-            lower[b] = upper[b] = np.max(np.abs(np.linalg.eigvals(m)))
-        else:
-            v = _support_values_batch(stack, [b] * len(grid), grid)
-            arcs[b] = [(grid[i], grid[i + 1], v[i], v[i + 1]) for i in range(len(grid) - 1)]
-            lower[b] = max(v)
+        if nrm <= tols[b] or np.max(np.abs(m @ mh - mh @ m)) <= 1e-13 * nrm ** 2:
+            rho = np.max(np.abs(np.linalg.eigvals(m)))
+            if nrm - rho <= tols[b]:             # rho(M) <= w(M) <= ||M||
+                lower[b], upper[b] = rho, nrm
+                continue
+        v = _support_values_batch(stack, [b] * len(grid), grid)
+        arcs[b] = [(grid[i], grid[i + 1], v[i], v[i + 1]) for i in range(len(grid) - 1)]
+        lower[b] = max(v)
     while arcs:
         best = None if prune_weights is None else max(lower / prune_weights)
         requests = []

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cqms import compress, corep, groups, hopf, mkdist
-from cqms.errors import StateCertificationError
+from cqms.errors import InternalInconsistencyError, StateCertificationError
 from cqms.sampling import random_element
 
 import oracles
@@ -42,16 +44,34 @@ def test_unit_of_system_is_projection(z8_mid):
     assert np.allclose(ts.tau(g.unit), np.eye(ts.rank), atol=1e-12)
 
 
-def test_full_coaction_is_comultiplication(f_z4):
-    irreps = corep.default_irreps(f_z4)
-    ts = compress.truncate(f_z4, irreps, range(4))
-    alpha = compress.induced_coaction(f_z4, ts, "right")
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_full_coaction_is_comultiplication(f_z4, f_s3, side):
+    # both sides give (carrier, algebra) coefficients; F(S_3) is not cocommutative
     rng = np.random.default_rng(3)
-    a = random_element(f_z4, rng)
-    sliced = alpha.apply(ts.expand(ts.tau(a)))           # (carrier, algebra) coefficients
-    delta = f_z4.coproduct(a)
-    reconstructed = np.stack([ts.expand(ts.tau(delta[:, l])) for l in range(4)], axis=1)
-    assert np.allclose(sliced, reconstructed, atol=1e-10)
+    for g in (f_z4, f_s3):
+        irreps = corep.default_irreps(g)
+        ts = compress.truncate(g, irreps, range(len(irreps)))
+        co = compress.induced_coaction(g, ts, side)
+        a = random_element(g, rng)
+        sliced = co.apply(ts.expand(ts.tau(a)))
+        delta = g.coproduct(a)
+        legs = [delta[:, l] if side == "right" else delta[l, :] for l in range(g.dim)]
+        reconstructed = np.stack([ts.expand(ts.tau(leg)) for leg in legs], axis=1)
+        assert np.allclose(sliced, reconstructed, atol=1e-10)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_corrupt_comultiplication_fails_the_coaction_certificates(z8_setup, side):
+    g, irreps, dec, _ = z8_setup
+    comult = g.comult.copy()
+    comult[3, 1, 2] += 1e-3
+    bad = dataclasses.replace(g, comult=comult)
+    mid = compress.truncate(bad, irreps, (0, 1, 7), dec=dec)
+    with pytest.raises(InternalInconsistencyError, match="kernel of tau is not contained"):
+        compress.induced_coaction(bad, mid, side)
+    full = compress.truncate(bad, irreps, range(8), dec=dec)
+    with pytest.raises(InternalInconsistencyError, match="induced coaction certificates failed"):
+        compress.induced_coaction(bad, full, side)
 
 
 def test_trivial_coaction_is_unital(f_z4):
@@ -274,7 +294,7 @@ def test_sweedler_counit_composition(z8_mid):
     g, _, ts, alpha, beta = z8_mid
     s = ts.dim_sys
     right = np.einsum("kml,l->km", alpha.tensor, g.counit)
-    left = np.einsum("klm,l->km", beta.tensor, g.counit)
+    left = np.einsum("kml,l->km", beta.tensor, g.counit)
     assert np.allclose(right, np.eye(s), atol=1e-12)
     assert np.allclose(left, np.eye(s), atol=1e-12)
 

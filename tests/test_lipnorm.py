@@ -105,6 +105,15 @@ def test_radius_brackets_match_the_loop_reference():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_radius_brackets_contain_near_normal_and_tiny_radii():
+    # w(I + e E12) = 1 + e/2 and w(e E12) = e/2: near-normal and below-tolerance matrices
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    for m, w in ((np.eye(2) + 3e-7 * e12, 1 + 1.5e-7), (1e-10 * e12, 5e-11)):
+        lower, upper = lipnorm._radius_brackets(m[None], 1e-9, None)
+        assert lower[0] <= w <= upper[0]
+        assert upper[0] - lower[0] <= 1e-9
+
+
 def test_kadison_sandwich_sampled():
     rng = np.random.default_rng(4)
     for _ in range(60):
@@ -346,14 +355,23 @@ def test_induced_lip_two_sided_against_state_oracle(z8_mid):
         assert oracle - 1e-7 <= exact <= oracle + 1e-3 * max(1.0, oracle)
 
 
-def test_induced_on_comultiplication_matches_upgrade(z8_setup, s3c_setup):
-    # the coaction view of Delta and the direct upgrade evaluator are two code
-    # paths for the same supremum
-    for g, _, _, lip in (z8_setup, s3c_setup):
-        co = compress.comultiplication_coaction(g, "right")
-        upgrade = lipnorm.invariant_upgrade(lip, g, "left", tol=1e-8)
-        rng = np.random.default_rng(22)
-        for _ in range(5):
-            a = random_element(g, rng)
-            via_coaction = lipnorm.induced_lip(lip, co, a, tol=1e-8)
-            assert via_coaction == pytest.approx(upgrade(a), abs=1e-6)
+def test_induced_on_comultiplication_matches_upgrade(z8_setup, s3c_setup, f_s3):
+    # the right upgrade slices Delta's first leg, the left one its second; a
+    # non-invariant family on F(S_3), which is not cocommutative, tells them apart
+    funcs = np.zeros((2, 6), dtype=complex)
+    funcs[0, 0], funcs[0, 1] = 1.0, -1.0
+    funcs[1, 1], funcs[1, 3] = 1.0, -1.0
+    skew = lipnorm.PolyhedralSeminorm(functionals=funcs, weights=np.array([1.0, 3.0]))
+    rng = np.random.default_rng(22)
+    for g, lip in ((z8_setup[0], z8_setup[3]), (s3c_setup[0], s3c_setup[3]), (f_s3, skew)):
+        for side, view in (("right", "left"), ("left", "right")):
+            upgrade = lipnorm.invariant_upgrade(lip, g, side, tol=1e-8)
+            co = compress.comultiplication_coaction(g, view)
+            for _ in range(5):
+                a = random_element(g, rng)
+                delta = g.coproduct(a)
+                sliced = lip.functionals @ (delta if side == "right" else delta.T)
+                mats = np.einsum("il,lpq->ipq", sliced, g.rep)
+                direct = lipnorm.max_numerical_radius(mats, lip.weights, tol=1e-8)
+                assert upgrade(a) == pytest.approx(direct, abs=1e-6)
+                assert lipnorm.induced_lip(lip, co, a, tol=1e-8) == pytest.approx(direct, abs=1e-6)
