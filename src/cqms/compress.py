@@ -128,7 +128,7 @@ class InducedCoaction:
     well_definedness_residual: float
     coaction_residual: float
     counit_residual: float
-    podles_rank_defect: int
+    podles_residual: float
     fixed_space_dim: int
 
     @property
@@ -143,19 +143,21 @@ class InducedCoaction:
     def realize(self, coords) -> np.ndarray:
         """The carrier elements with these coordinate rows, as concrete matrices."""
         basis = self.g.rep if self.system is None else self.system.sys_basis
-        return np.einsum("...k,kab->...ab", np.asarray(coords, dtype=complex), basis)
+        coords = np.asarray(coords, dtype=complex)
+        flat = coords @ basis.reshape(basis.shape[0], -1)
+        return flat.reshape(coords.shape[:-1] + basis.shape[1:])
 
     def apply(self, coords) -> np.ndarray:
         """The coaction as a (carrier, algebra) coefficient matrix, on either side."""
-        return np.einsum("k,kml->ml", np.asarray(coords, dtype=complex), self.tensor)
+        flat = np.asarray(coords, dtype=complex) @ self.tensor.reshape(self.carrier_dim, -1)
+        return flat.reshape(self.tensor.shape[1:])
 
     def slice_states(self, coords, functionals) -> np.ndarray:
         """Algebra-leg slices (id (x) l_i) or (l_i (x) id) for a family of functionals.
 
         ``functionals`` is an (m, n) array; returns (m, s) carrier coordinates.
         """
-        return np.einsum("k,kml,il->im", np.asarray(coords, dtype=complex), self.tensor,
-                         functionals)
+        return np.asarray(functionals) @ self.apply(coords).T
 
     def slice_carrier(self, coords, phi_values) -> np.ndarray:
         """Carrier-leg slice (phi (x) id) alpha(x) (or (id (x) phi) beta(x)) as A-coefficients."""
@@ -168,7 +170,7 @@ def comultiplication_coaction(g: FiniteQuantumGroup, side: str = "right") -> Ind
     tensor = g.comult.copy() if side == "right" else g.comult.transpose(0, 2, 1).copy()
     return InducedCoaction(side=side, tensor=tensor, g=g, system=None,
                            well_definedness_residual=0.0, coaction_residual=0.0,
-                           counit_residual=0.0, podles_rank_defect=0,
+                           counit_residual=0.0, podles_residual=0.0,
                            fixed_space_dim=_fixed_space_dim(tensor, g.unit))
 
 
@@ -177,11 +179,12 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     """Push the comultiplication through the compression map.
 
     Well-definedness is certified by ker tau <= ker (tau (x) id) Delta; the
-    coaction, counit and Podles properties are certified numerically.
+    coaction and counit identities are certified numerically, and Podles
+    density by an explicit inverse of x (x) a -> (1 (x) a) alpha(x).
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    well = max((_tensor_opnorm(g, ts, v[None, None], side) for v in ts.kernel), default=0.0)
+    well = float(_kernel_frobenius(g, ts, side).max(initial=0.0))
     if well > tol:
         raise InternalInconsistencyError(
             f"kernel of tau is not contained in the sliced kernel (residual {well:.3e}); "
@@ -196,47 +199,80 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
     coaction_res = _coaction_residual(g, tensor, side)
     counit_res = _maxabs(tensor @ g.counit - np.eye(s))
-    podles = _podles_defect(g, tensor)
-    worst = max(coaction_res, counit_res)
-    if worst > tol or podles > 0:
+    podles = _podles_residual(g, tensor, side)
+    worst = max(coaction_res, counit_res, podles)
+    # entries of Psi Phi - I below 0.5 / (n s) give ||Psi Phi - I||_2 < 1: Phi is invertible
+    if worst > tol or podles > 0.5 / (g.dim * s):
         raise InternalInconsistencyError(
             f"induced coaction certificates failed (coaction {coaction_res:.2e}, "
-            f"counit {counit_res:.2e}, Podles defect {podles})")
+            f"counit {counit_res:.2e}, Podles {podles:.2e})")
     return InducedCoaction(side=side, tensor=tensor, g=g, system=ts,
                            well_definedness_residual=well, coaction_residual=coaction_res,
-                           counit_residual=counit_res, podles_rank_defect=podles,
+                           counit_residual=counit_res, podles_residual=podles,
                            fixed_space_dim=_fixed_space_dim(tensor, g.unit))
 
 
-def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries,
-                   side: str = "right") -> float:
-    """Operator norm of (tau (x) rho)Delta (or (rho (x) tau)Delta) on a p x p matrix over A.
+def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str) -> np.ndarray:
+    """Frobenius norms of (tau (x) rho)Delta(v) (or (rho (x) tau)Delta(v)) for v in ker tau.
+
+    Each bounds the operator norm from above.  With W[ab, l] the compressed
+    coefficient of e_l, ||sum_l W_l (x) rho(e_l)||_F^2 = sum W*_l W_l' G[l, l']
+    through the Hilbert-Schmidt Gram matrix G of rho.
+    """
+    n = g.dim
+    deltas = (ts.kernel @ g.comult.reshape(n, n * n)).reshape(-1, n, n)
+    if side == "left":
+        deltas = deltas.swapaxes(1, 2)             # compress Delta's second leg
+    taus = ts.tau_matrix @ deltas                  # (n_ker, r*r, n)
+    reps = g.rep.reshape(n, -1)
+    gram = reps.conj() @ reps.T
+    squares = np.sum(taus.conj() * (taus @ gram.T), axis=(1, 2)).real
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float:
+    """Operator norm of (tau (x) rho)Delta on a p x p matrix over A.
 
     ``entries`` is a (p, p, n) block of elements; p = 1 is a single element.
     """
     p, r, d0 = entries.shape[0], ts.rank, g.rep.shape[1]
     delta = np.einsum("pqi,ijl->pqjl", entries, g.comult)
-    delta = delta if side == "right" else delta.swapaxes(2, 3)   # the norm ignores leg order
     taus = (ts.tau_matrix @ delta).reshape(p, p, r, r, g.dim)
     big = np.einsum("pqabl,lcd->pacqbd", taus, g.rep).reshape(p * r * d0, p * r * d0)
     return float(np.linalg.norm(big, 2))
 
 
 def _coaction_residual(g, tensor, side) -> float:
-    if side == "right":
-        lhs = np.einsum("kql,qmp->kmpl", tensor, tensor)    # (alpha (x) id) alpha
-        rhs = np.einsum("kml,lpq->kmpq", tensor, g.comult)  # (id (x) Delta) alpha
-    else:
-        lhs = np.einsum("kqp,qml->kplm", tensor, tensor)    # (id (x) beta) beta
-        rhs = np.einsum("kmq,qpl->kplm", tensor, g.comult)  # (Delta (x) id) beta
+    s, n = tensor.shape[0], g.dim
+    # [k, m, p, l]: coefficient of x_m (x) e_p (x) e_l in (id (x) Delta) alpha(x_k),
+    # or of e_p (x) e_l (x) x_m in (Delta (x) id) beta(x_k)
+    rhs = (tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)).reshape(s, s, n, n)
+    if side == "right":    # (alpha (x) id) alpha
+        lhs = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s, s, n, n)
+    else:                  # (id (x) beta) beta, computed as [k, p, m, l]
+        lhs = np.matmul(tensor.transpose(0, 2, 1), tensor.reshape(s, s * n))
+        lhs = lhs.reshape(s, n, s, n).swapaxes(1, 2)
     return _maxabs(lhs - rhs)
 
 
-def _podles_defect(g, tensor) -> int:
-    """Rank defect of the span of (1 (x) e_j) alpha(x_k) (or (e_j (x) 1) beta(x_k) on the left)."""
+def _podles_residual(g, tensor, side) -> float:
+    """max|Psi Phi - I| for Phi(x (x) a) = (1 (x) a) alpha(x) and its inverse Psi.
+
+    On the right Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)); on the left, with
+    Phi(a (x) x) = (a (x) 1) beta(x), Psi(a (x) x) = a S(x_(-1)) (x) x_(0).
+    Both are built from the carrier-first tensor by one product each.
+    """
     n, s = g.dim, tensor.shape[0]
-    vecs = np.einsum("kml,jlq->jkmq", tensor, g.mult)
-    return int(s * n - _rank(vecs.reshape(n * s, s * n)))
+    antipode = np.linalg.inv(g.antipode) if side == "right" else g.antipode
+    # phi_t[(j, k), (m, q)]: coefficient of x_m (x) e_q in Phi(x_k (x) e_j); on the left
+    # read e_q (x) x_m and e_j (x) x_k
+    phi_t = np.matmul(tensor.reshape(s * s, n), g.mult).reshape(n * s, s * n)
+    # psi_t[(k, j), (q, m)]: coefficient of x_m (x) e_q in Psi(x_k (x) e_j), same reading
+    mult_jq = g.mult.transpose(0, 2, 1).reshape(n * n, n)
+    psi_t = np.matmul(mult_jq, (tensor @ antipode).transpose(0, 2, 1)).reshape(s * n, n * s)
+    defect = phi_t @ psi_t                 # (Psi Phi)^T, both legs listed as (j, k)
+    defect.flat[::n * s + 1] -= 1.0
+    return _maxabs(defect)
 
 
 def _fixed_space_dim(tensor, algebra_unit) -> int:

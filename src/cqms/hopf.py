@@ -427,7 +427,7 @@ def counit_support_projection(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -
         raise InternalInconsistencyError("counit is not a *-character; inputs are corrupt")
 
     system = np.concatenate([g.mult[i].T - g.counit[i] * np.eye(n) for i in range(n)], axis=0)
-    _, sv, vh = np.linalg.svd(system)
+    _, sv, vh = np.linalg.svd(system, full_matrices=False)
     null_dim = int(np.sum(sv <= 1e-10 * sv[0])) + max(0, n - len(sv))
     if null_dim < 1:
         raise InternalInconsistencyError("counit has no support projection; inputs are corrupt")

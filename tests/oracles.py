@@ -142,3 +142,46 @@ def loop_radius_brackets(stack, tols, prune_weights):
             arcs.setdefault(b, []).extend([(lo, mid, flo, fmid), (mid, hi, fmid, fhi)])
             lower[b] = max(lower[b], fmid)
     return lower, np.maximum(upper, dropped)
+
+
+def svd_podles_defect(g, tensor):
+    """Rank defect of the span of (1 (x) e_j) alpha(x_k) (or (e_j (x) 1) beta(x_k)), by SVD.
+
+    ``tensor`` is a carrier-first coaction tensor as stored by
+    ``compress.InducedCoaction``; the reference for its explicit-inverse
+    Podles certificate.
+    """
+    n, s = g.dim, tensor.shape[0]
+    vecs = np.einsum("kml,jlq->jkmq", tensor, g.mult).reshape(n * s, s * n)
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    return int(s * n - np.sum(sv > 1e-10 * sv[0]))
+
+
+def einsum_coaction_residual(g, tensor, side):
+    """The coaction-identity residual of a carrier-first tensor, by explicit einsums.
+
+    max|(alpha (x) id)alpha - (id (x) Delta)alpha| on the right and
+    max|(id (x) beta)beta - (Delta (x) id)beta| on the left: the reference for
+    the matrix-product form in ``compress``.
+    """
+    if side == "right":
+        lhs = np.einsum("kql,qmp->kmpl", tensor, tensor)
+        rhs = np.einsum("kml,lpq->kmpq", tensor, g.comult)
+    else:
+        lhs = np.einsum("kqp,qml->kplm", tensor, tensor)
+        rhs = np.einsum("kmq,qpl->kplm", tensor, g.comult)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def sliced_kernel_matrix(g, ts, v, side):
+    """(tau (x) rho)Delta(v) (left: (rho (x) tau)Delta(v)) as a sum of Kronecker products."""
+    delta = g.coproduct(v)
+    basis = np.eye(g.dim, dtype=complex)
+    total = 0.0
+    for j in range(g.dim):
+        for l in range(g.dim):
+            if side == "right":
+                total = total + delta[j, l] * np.kron(ts.tau(basis[j]), g.rep[l])
+            else:
+                total = total + delta[j, l] * np.kron(g.rep[j], ts.tau(basis[l]))
+    return total
