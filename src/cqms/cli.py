@@ -152,10 +152,19 @@ def _seminorm(args, loaded: io.LoadedInput) -> lipnorm.PolyhedralSeminorm:
     g = loaded.algebra
     spec = args.seminorm
     if spec.startswith("file:"):
-        data = io._load_json(spec[5:])
-        funcs = io._as_complex(data["functionals"])
-        weights = np.asarray(data["weights"], dtype=float)
-        return lipnorm.PolyhedralSeminorm(functionals=funcs, weights=weights, label="custom")
+        path = spec[5:]
+        data = io._load_json(path)
+        try:
+            funcs = io._as_complex(data["functionals"])
+            weights = np.asarray(data["weights"], dtype=float)
+            lip = lipnorm.PolyhedralSeminorm(functionals=funcs, weights=weights, label="custom")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise io.ParseError(f"{path}: a seminorm file needs 'functionals' (m x n) and "
+                                f"positive 'weights' (m): {exc!r}") from exc
+        if lip.functionals.shape[1] != g.dim:
+            raise io.ParseError(f"{path}: functionals have {lip.functionals.shape[1]} entries, "
+                                f"the algebra has dimension {g.dim}")
+        return lip
     if spec == "auto":
         spec = "metric" if g.kind == "function" else "length"
     if spec == "metric":
@@ -310,14 +319,19 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
 
     rng = np.random.default_rng(seed)
     sym = compress.symbol_map(ts, alpha, density)
-    c1 = -np.inf
-    for _ in range(config.samples):
-        a = sampling.random_element(g, rng)
-        lhs1 = g.opnorm(sym(ts.expand(ts.tau(a))) - a)
-        c1 = max(c1, lhs1 - bound * lip.value(a))
-        x = ts.tau(a)
-        lhs2 = float(np.linalg.norm(ts.tau(sym(ts.expand(x))) - x, 2))
-        c1 = max(c1, lhs2 - bound * lipnorm.induced_lip(lip, beta, x, tol=1e-7))
+    # draw the whole row first (only random_element draws), then stack its norms and radii
+    k = config.samples
+    elements = np.array([sampling.random_element(g, rng) for _ in range(k)]).reshape(k, g.dim)
+    taus = np.array([ts.tau(a) for a in elements]).reshape(k, ts.rank, ts.rank)
+    coords = np.array([ts.expand(x) for x in taus]).reshape(k, ts.dim_sys)
+    images = np.array([sym(c) for c in coords]).reshape(k, g.dim)
+    lhs1 = np.linalg.norm(np.einsum("ki,ipq->kpq", images - elements, g.rep), 2, axis=(1, 2))
+    lhs2 = np.linalg.norm(np.array([ts.tau(b) for b in images]).reshape(taus.shape) - taus,
+                          2, axis=(1, 2))
+    values = np.array([lip.value(a) for a in elements])
+    c1 = max(np.max(lhs1 - bound * values, initial=-np.inf),
+             np.max(lhs2 - bound * lipnorm.induced_lip_many(lip, beta, coords, tol=1e-7),
+                    initial=-np.inf))
 
     smoothed = [sym(ts.expand(ts.tau(e))) for e in np.eye(g.dim, dtype=complex)]
     n1 = _hausdorff_lower(g, lip, smoothed, order=1, rng=rng, probes=3, samples=40)

@@ -148,16 +148,21 @@ class InducedCoaction:
         return flat.reshape(coords.shape[:-1] + basis.shape[1:])
 
     def apply(self, coords) -> np.ndarray:
-        """The coaction as a (carrier, algebra) coefficient matrix, on either side."""
-        flat = np.asarray(coords, dtype=complex) @ self.tensor.reshape(self.carrier_dim, -1)
-        return flat.reshape(self.tensor.shape[1:])
+        """The coaction as a (carrier, algebra) coefficient matrix, on either side.
+
+        A stack of coordinate rows gives a stack of matrices.
+        """
+        coords = np.asarray(coords, dtype=complex)
+        flat = coords @ self.tensor.reshape(self.carrier_dim, -1)
+        return flat.reshape(coords.shape[:-1] + self.tensor.shape[1:])
 
     def slice_states(self, coords, functionals) -> np.ndarray:
         """Algebra-leg slices (id (x) l_i) or (l_i (x) id) for a family of functionals.
 
-        ``functionals`` is an (m, n) array; returns (m, s) carrier coordinates.
+        ``functionals`` is an (m, n) array; returns (m, s) carrier coordinates,
+        or (k, m, s) for a (k, s) stack of coordinate rows.
         """
-        return np.asarray(functionals) @ self.apply(coords).T
+        return np.asarray(functionals) @ np.swapaxes(self.apply(coords), -1, -2)
 
     def slice_carrier(self, coords, phi_values) -> np.ndarray:
         """Carrier-leg slice (phi (x) id) alpha(x) (or (id (x) phi) beta(x)) as A-coefficients."""

@@ -25,12 +25,15 @@ from .hopf import FiniteQuantumGroup, _solve_haar, function_algebra, group_algeb
 
 
 class ParseError(ConfigError):
-    """JSON syntax error, carrying line and column."""
+    """Unreadable or malformed input file; JSON syntax errors carry line and column."""
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read the file ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

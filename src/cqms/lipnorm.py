@@ -11,6 +11,7 @@ Commutator seminorms ||[D, pi(a)]|| only admit certified brackets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .hopf import FiniteQuantumGroup, _maxabs, _rank
 from .sampling import random_density, random_state_density
 
 W_TOL = 1e-6
+EPS = float(np.finfo(float).eps)
+RADIUS_BLOCK = 1 << 13         # complex entries per stacked eigensolve of the support values
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +156,92 @@ def lip_fourier(g: FiniteQuantumGroup, length=None) -> PolyhedralSeminorm:
 
 
 # ---------------------------------------------------------------------------
+# reducing a family once for all consumers
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
+                  ) -> tuple[PolyhedralSeminorm, PolyhedralSeminorm]:
+    """(lp_family, radius_family): the rows each consumer needs, built once.
+
+    A pair row is a row equal to +-(e_a - e_b).  The LP family drops a pair
+    row when the pair rows kept so far, taken in order of increasing weight,
+    already join a and b by a path of total weight at most w_ab (1 + 4 eps)
+    (for a metric family: some c has d(a, c) + d(c, b) = d(a, b)).  Then
+    |f(a) - f(b)| is at most the sum along the path, so
+    L_pruned <= L_full <= (1 + 4 eps) L_pruned, with path weights summed in
+    floating point.  The unit ball {L <= 1} can only grow, so distances and
+    bound_B computed over it stay rigorous upper bounds.  Other rows are kept
+    as they are, and the family itself comes back when nothing is dropped.
+
+    The radius family serves induced_lip.  On F(G) with a pure pair family
+    whose kept pairs and weights are invariant under left and right
+    translation it is the kept rows through the identity, one per {k, k^-1}:
+    translations act on P A P by unitaries (P projects onto Peter-Weyl
+    summands), so the slice at (a, b) is a unitary conjugate of the slice at
+    (e, a^-1 b) on the right and at (e, b a^-1) on the left, and the
+    numerical radius does not see the conjugation.  Otherwise it is the LP
+    family.  The invariance gate reads only the LP family, since the radius
+    family assumes the invariance the gate checks.  Cached per (algebra,
+    family) pair.
+    """
+    ends = _pair_ends(lip.functionals)
+    keep = _triangle_kept(ends, lip.weights, g.dim)
+    lp_family = lip if keep.all() else PolyhedralSeminorm(
+        functionals=lip.functionals[keep], weights=lip.weights[keep], label=lip.label)
+    return lp_family, _orbit_family(g, lp_family, ends[keep])
+
+
+def _pair_ends(functionals) -> np.ndarray:
+    """(a, b) for each row equal to e_a - e_b, and (-1, -1) for every other row."""
+    plus, minus = functionals == 1, functionals == -1
+    pair = ((plus.sum(axis=1) == 1) & (minus.sum(axis=1) == 1)
+            & np.all(plus | minus | (functionals == 0), axis=1))
+    ends = np.stack([plus.argmax(axis=1), minus.argmax(axis=1)], axis=1)
+    ends[~pair] = -1
+    return ends
+
+
+def _triangle_kept(ends, weights, n: int) -> np.ndarray:
+    """Mask of the rows to keep: every pair row not joined by a shorter kept path."""
+    keep = np.ones(len(weights), dtype=bool)
+    path = np.full((n, n), np.inf)         # shortest kept path between two points
+    np.fill_diagonal(path, 0.0)
+    for i in np.argsort(weights, kind="stable"):
+        a, b = ends[i]
+        if a < 0:
+            continue
+        w = weights[i]
+        if path[a, b] <= w * (1 + 4 * EPS):
+            keep[i] = False
+            continue
+        np.minimum(path, path[:, [a]] + w + path[[b], :], out=path)
+        np.minimum(path, path[:, [b]] + w + path[[a], :], out=path)
+    return keep
+
+
+def _orbit_family(g: FiniteQuantumGroup, lp_family: PolyhedralSeminorm, ends) -> PolyhedralSeminorm:
+    """One row per translation orbit of a bi-invariant pair family on F(G), else the family."""
+    if g.kind != "function" or g.group_table is None or not len(ends) or np.any(ends < 0):
+        return lp_family
+    table = np.asarray(g.group_table)
+    identity, inverse = groups.validate_cayley(table)
+    weight = np.zeros((g.dim, g.dim))
+    weight[ends[:, 0], ends[:, 1]] = weight[ends[:, 1], ends[:, 0]] = lp_family.weights
+    for perm in np.concatenate([table, table.T]):       # h -> kh, then h -> hk
+        if np.any(np.abs(weight[np.ix_(perm, perm)] - weight) > 1e-12 * weight):
+            return lp_family
+    rows, seen = [], set()
+    for i in np.flatnonzero(np.any(ends == identity, axis=1)):
+        k = int(ends[i].sum()) - identity
+        if k not in seen:
+            rows.append(i)
+            seen.update((k, int(inverse[k])))
+    return PolyhedralSeminorm(functionals=lp_family.functionals[rows],
+                              weights=lp_family.weights[rows], label=lp_family.label)
+
+
+# ---------------------------------------------------------------------------
 # numerical radius
 # ---------------------------------------------------------------------------
 
@@ -177,36 +266,47 @@ def numerical_radius_many(stack: np.ndarray, tol: float = W_TOL) -> np.ndarray:
     return (lower + upper) / 2
 
 
-def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL) -> float:
+def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL, group_ids=None):
     """max_i w(stack[i]) / weights[i] within tol.
 
     Refinement prunes every matrix whose certified upper bound already falls
     below the best lower bound, so only near-maximal matrices are resolved.
+    With ``group_ids`` (one index in 0..k-1 per matrix, every index used) the
+    maximum is taken per group and returned as a (k,) array; a group prunes
+    only its own matrices, so each value is the one its own call returns.
     """
     stack = np.asarray(stack, dtype=complex)
-    if stack.shape[0] == 0:
+    if group_ids is None and stack.shape[0] == 0:
         return 0.0
     weights = np.ones(stack.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    lower, upper = _radius_brackets(stack, tol * weights, weights)
-    return float((np.max(lower / weights) + np.max(upper / weights)) / 2)
+    lower, upper = _radius_brackets(stack, tol * weights, weights, group_ids)
+    if group_ids is None:
+        return float((np.max(lower / weights) + np.max(upper / weights)) / 2)
+    count = int(np.max(group_ids, initial=-1)) + 1
+    best_lower, best_upper = np.full(count, -np.inf), np.full(count, -np.inf)
+    np.maximum.at(best_lower, group_ids, lower / weights)
+    np.maximum.at(best_upper, group_ids, upper / weights)
+    return (best_lower + best_upper) / 2
 
 
-def _radius_brackets(stack, tols, prune_weights):
+def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     """Per-matrix brackets [lower, upper] with upper - lower <= tols[i].
 
     lower is attained: a support value, or |lambda| for an eigenvalue lambda.
     upper is ||M||_2 for a matrix settled by rho(M) <= w(M) <= ||M||_2, and
     otherwise bounds the support function on every arc, including arcs
     dropped unrefined.  With ``prune_weights``, matrices that provably cannot
-    attain max_i w_i / weights_i stop refining early; their brackets stay
-    valid but wider.  Refinement state lives in
-    parallel per-arc arrays, so each wave is one pass over the whole stack.
+    attain the max of w_i / weights_i over their group (``group_ids``, default
+    one group) stop refining early; their brackets stay valid but wider.
+    Refinement state lives in parallel per-arc arrays, so each wave is one
+    pass over the whole stack.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or (stack.shape[0] and stack.shape[1] != stack.shape[2]):
         raise ValueError(f"expected a stack of square matrices, got {stack.shape}")
     count = stack.shape[0]
     tols = np.broadcast_to(np.asarray(tols, dtype=float), (count,))
+    group_ids = np.zeros(count, dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
     if not stack.size:
         return np.zeros(count), np.zeros(count)
     nrm = np.linalg.norm(stack, 2, axis=(1, 2))
@@ -232,8 +332,10 @@ def _radius_brackets(stack, tols, prune_weights):
         np.maximum.at(cap, owner, caps)
         upper[active] = cap[active]
         done = cap - lower <= tols
-        if prune_weights is not None:      # cannot exceed the max; bracket stays valid
-            done |= cap / prune_weights <= np.max(lower / prune_weights)
+        if prune_weights is not None:      # cannot exceed its group's max; bracket stays valid
+            best = np.full(group_ids.max() + 1, -np.inf)
+            np.maximum.at(best, group_ids, lower / prune_weights)
+            done |= cap / prune_weights <= best[group_ids]
         active &= ~done
         live = active[owner]
         split = live & (caps > lower[owner] + tols[owner] / 2)
@@ -249,13 +351,21 @@ def _radius_brackets(stack, tols, prune_weights):
 
 
 def _support_values_batch(stack, owners, thetas) -> np.ndarray:
-    """f(theta) = lambda_max(Re(e^{i theta} M_owner)) for paired (owner, theta)."""
+    """f(theta) = lambda_max(Re(e^{i theta} M_owner)) for paired (owner, theta).
+
+    Evaluated in blocks of RADIUS_BLOCK matrix entries, so the temporaries
+    stay small however many arcs a wave refines.
+    """
     owners = np.asarray(owners, dtype=int)
     phases = np.exp(1j * np.asarray(thetas, dtype=float))
-    mats = stack[owners]
-    hs = 0.5 * (phases[:, None, None] * mats
-                + np.conj(phases)[:, None, None] * np.conj(np.transpose(mats, (0, 2, 1))))
-    return np.linalg.eigvalsh(hs)[:, -1]
+    out = np.empty(len(owners))
+    step = max(1, RADIUS_BLOCK // max(1, stack.shape[-1] ** 2))
+    for start in range(0, len(owners), step):
+        part = slice(start, start + step)
+        rotated = phases[part, None, None] * stack[owners[part]]
+        hs = 0.5 * (rotated + np.conj(np.transpose(rotated, (0, 2, 1))))
+        out[part] = np.linalg.eigvalsh(hs)[:, -1]
+    return out
 
 
 def _arc_bounds(lo, hi, f_lo, f_hi) -> np.ndarray:
@@ -284,16 +394,33 @@ def induced_lip(lip: PolyhedralSeminorm, coaction: InducedCoaction, x, tol: floa
     """The coaction-induced Lip-norm of a carrier element, within tol.
 
     The supremum over states of the carrier reduces to a numerical radius per
-    family functional: every state of the operator system extends to a state
-    of the containing matrix algebra, where the supremum of |phi(.)| is the
-    numerical radius.
+    functional of the family's radius family (see ``reduce_family``): every
+    state of the operator system extends to a state of the containing matrix
+    algebra, where the supremum of |phi(.)| is the numerical radius.
+    """
+    return float(induced_lip_many(lip, coaction, _carrier_coords(coaction, x)[None], tol)[0])
+
+
+def induced_lip_many(lip: PolyhedralSeminorm, coaction: InducedCoaction, rows,
+                     tol: float = W_TOL) -> np.ndarray:
+    """``induced_lip`` of each row of a (k, s) stack of carrier coordinates.
+
+    Takes coordinate rows only, never matrices.  All k * m slices go to one
+    ``max_numerical_radius`` call with one group per row, so each value is
+    the one ``induced_lip`` returns for that row.
     """
     if not isinstance(lip, PolyhedralSeminorm):
         raise UnsupportedSeminormError(
             "exact induced values need a polyhedral seminorm; use induced_lip_bracket")
-    coords = _carrier_coords(coaction, x)
-    sliced = coaction.slice_states(coords, lip.functionals)     # (m, s)
-    return max_numerical_radius(coaction.realize(sliced), lip.weights, tol)
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != coaction.carrier_dim:
+        raise ValueError(f"expected (k, {coaction.carrier_dim}) coordinate rows, got {rows.shape}")
+    family = reduce_family(coaction.g, lip)[1]
+    m = len(family.weights)
+    sliced = coaction.slice_states(rows, family.functionals)       # (k, m, s)
+    mats = coaction.realize(sliced.reshape(-1, coaction.carrier_dim))
+    return max_numerical_radius(mats, np.tile(family.weights, len(rows)), tol,
+                                group_ids=np.repeat(np.arange(len(rows)), m))
 
 
 def induced_lip_bi(lip: PolyhedralSeminorm, alpha: InducedCoaction, beta: InducedCoaction,
@@ -361,8 +488,8 @@ def invariant_upgrade(lip: PolyhedralSeminorm, g: FiniteQuantumGroup, side: str 
     """Evaluator of the invariant upgrade of a seminorm.
 
     side "right": a -> sup over states of L((id (x) mu) Delta a), computed as
-    max_i w(rho((l_i (x) id) Delta a)) / c_i; "left" mirrors it; "bi" takes
-    the max of both.
+    max_i w(rho((l_i (x) id) Delta a)) / c_i over the family's LP rows
+    (``reduce_family``); "left" mirrors it; "bi" takes the max of both.
     """
     if side not in ("right", "left", "bi"):
         raise ValueError(f"side must be 'right', 'left' or 'bi', got {side!r}")
@@ -370,9 +497,11 @@ def invariant_upgrade(lip: PolyhedralSeminorm, g: FiniteQuantumGroup, side: str 
     views = [comultiplication_coaction(g, view) for view in
              {"right": ("left",), "left": ("right",), "bi": ("left", "right")}[side]]
 
+    family = reduce_family(g, lip)[0]
+
     def evaluate(a) -> float:
-        return max(max_numerical_radius(co.realize(co.slice_states(a, lip.functionals)),
-                                        lip.weights, tol) for co in views)
+        return max(max_numerical_radius(co.realize(co.slice_states(a, family.functionals)),
+                                        family.weights, tol) for co in views)
 
     return evaluate
 
@@ -383,11 +512,13 @@ def check_invariance(lip: PolyhedralSeminorm, g: FiniteQuantumGroup, side: str =
 
     Combines sampled-state slices L(slice) - L(a) with the exact check
     upgrade(a) <= L(a) on sampled elements (exact over states by the
-    numerical-radius reduction).
+    numerical-radius reduction).  Reads the LP family only: the orbit-reduced
+    radius family assumes the invariance checked here.
     """
     rng = np.random.default_rng(seed)
     n = g.dim
     upgrade = invariant_upgrade(lip, g, side, tol)
+    lip = reduce_family(g, lip)[0]
     worst = 0.0
     for _ in range(samples):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)

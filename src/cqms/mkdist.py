@@ -22,7 +22,7 @@ from .compress import TruncatedSystem, pullback_state
 from .errors import CertificationError, DegenerateKernelError
 from .hopf import (FiniteQuantumGroup, Functional, State, _maxabs, _orthonormalize, _readonly,
                    counit_state)
-from .lipnorm import LipValueBracket, PolyhedralSeminorm, check_invariance
+from .lipnorm import LipValueBracket, PolyhedralSeminorm, check_invariance, reduce_family
 from .sampling import basis_vector_state, random_selfadjoint, random_state
 from .simplex import LPProblem, solve_lp
 
@@ -63,23 +63,27 @@ def sa_basis(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(quotient, z, real): the unit ball {L <= 1} in quotient coordinates.
+def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(quotient, z, real, weights): the unit ball {L <= 1} in quotient coordinates.
 
-    Row i of ``z = functionals @ quotient.T`` bounds |z_i . t| <= weights[i];
-    ``real`` marks the rows that are real up to roundoff, the others are discs.
+    Built from the family's LP rows (``reduce_family``), whose ball contains
+    the full family's and exceeds it by at most a factor 1 + 4 eps.  Row i of
+    ``z = functionals @ quotient.T`` bounds |z_i . t| <= weights[i]; ``real``
+    marks the rows that are real up to roundoff, the others are discs.
     Checks the kernel and the unit once.  Cached per (algebra, family) pair.
     """
-    defect = lip.kernel_rank_defect(g.dim)
+    family = reduce_family(g, lip)[0]
+    defect = family.kernel_rank_defect(g.dim)
     if defect > 0:
         raise DegenerateKernelError(f"seminorm kernel exceeds the scalars (rank defect {defect})")
-    unit_res = lip.unit_residual(g.unit)
+    unit_res = family.unit_residual(g.unit)
     if unit_res > 1e-10:
         raise CertificationError(f"seminorm family does not kill the unit (residual {unit_res:.2e})")
     _, quotient = sa_basis(g)
-    z = lip.functionals @ quotient.T
+    z = family.functionals @ quotient.T
     real = np.max(np.abs(z.imag), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(z), axis=1))
-    return quotient, _readonly(z), _readonly(real)
+    return quotient, _readonly(z), _readonly(real), family.weights
 
 
 _DISC_START = tuple(k * np.pi / 8 for k in range(16))
@@ -124,7 +128,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     """
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
-    quotient, z, real = _unit_ball(g, lip)
+    quotient, z, real, weights = _unit_ball(g, lip)
     w = mu_c - nu_c
 
     objective = np.real(quotient @ w)
@@ -135,7 +139,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     disc_angles = {i: list(_DISC_START) for i in np.flatnonzero(~real)}
     rounds = 0
     while True:
-        a_mat, b_vec = _cuts(z, lip.weights, real, disc_angles)
+        a_mat, b_vec = _cuts(z, weights, real, disc_angles)
         solution = solve_lp(LPProblem(objective=objective, inequalities=a_mat, bounds=b_vec),
                             tol=lp_tol)
         if solution.status == "unbounded":
@@ -145,7 +149,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
         if not disc_angles:
             break
         vals = z @ t
-        ratio = max(float(np.max(np.abs(vals[i]) / lip.weights[i])) for i in disc_angles)
+        ratio = max(float(np.max(np.abs(vals[i]) / weights[i])) for i in disc_angles)
         upper = solution.value
         lower = solution.value / max(ratio, 1.0)
         if upper - lower <= lp_tol * max(1.0, abs(upper)):
@@ -155,7 +159,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
             raise CertificationError(f"disc refinement stalled with bracket [{lower}, {upper}]")
         for i in disc_angles:
             val = vals[i]
-            if abs(val) > lip.weights[i] * (1 - 1e-12):
+            if abs(val) > weights[i] * (1 - 1e-12):
                 disc_angles[i].append(float(np.angle(val)))
 
     element = quotient.T @ t
@@ -268,7 +272,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     vertex enumeration of the unit ball in low dimension and by the
     coordinate-wise dual-norm box containment otherwise.
     """
-    quotient, z, real = _unit_ball(g, lip)
+    quotient, z, real, weights = _unit_ball(g, lip)
     rng = np.random.default_rng(seed)
     d0 = g.rep.shape[1]
     states: list[State] = [basis_vector_state(g, i) for i in range(min(d0, samples))]
@@ -283,7 +287,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     upper = None
     method = ""
     if np.all(real) and q_dim <= 3 and z.shape[0] <= 60:
-        vertices = _enumerate_vertices(z.real, lip.weights)
+        vertices = _enumerate_vertices(z.real, weights)
         if vertices is not None and len(vertices):
             radius = 0.0
             for t in vertices:
@@ -310,8 +314,8 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
 
 
 def _support_lp(g, lip, objective, lp_tol) -> float:
-    _, z, real = _unit_ball(g, lip)
-    cuts, bounds = _cuts(z, lip.weights, real, {i: _DISC_START for i in np.flatnonzero(~real)})
+    _, z, real, weights = _unit_ball(g, lip)
+    cuts, bounds = _cuts(z, weights, real, {i: _DISC_START for i in np.flatnonzero(~real)})
     solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds), tol=lp_tol)
     if solution.status != "optimal":
         raise DegenerateKernelError("support LP unbounded; the seminorm is degenerate")

@@ -185,3 +185,28 @@ def sliced_kernel_matrix(g, ts, v, side):
             else:
                 total = total + delta[j, l] * np.kron(g.rep[j], ts.tau(basis[l]))
     return total
+
+
+def full_family_distance(lip, mu, nu):
+    """sup{(mu - nu)(x) : |l_i(x)| <= w_i for every family row} over real x, by scipy's LP.
+
+    For a real family on a function algebra F(G), whose self-adjoint elements
+    are the real vectors; x_0 = 0 fixes the free unit direction.  Every row of
+    the family is a constraint: the reference for the pruned LP family.
+    """
+    rows = np.real(np.asarray(lip.functionals))
+    diff = np.real(np.asarray(mu, dtype=complex) - np.asarray(nu, dtype=complex))
+    weights = np.asarray(lip.weights, dtype=float)
+    bounds = [(0.0, 0.0)] + [(None, None)] * (rows.shape[1] - 1)
+    res = linprog(-diff, A_ub=np.vstack([rows, -rows]), b_ub=np.concatenate([weights, weights]),
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
+def full_family_induced_lip(lip, coaction, coords, tol):
+    """The induced Lip-norm with one numerical radius per row of the whole family."""
+    from cqms.lipnorm import max_numerical_radius
+
+    sliced = coaction.slice_states(np.asarray(coords, dtype=complex), lip.functionals)
+    return max_numerical_radius(coaction.realize(sliced), lip.weights, tol)

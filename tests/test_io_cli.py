@@ -282,3 +282,22 @@ def test_cli_sweep_matches_benchmark_reference(z8_file, capsys):
     for row, ref in zip(rows, reference["bound_B"]):
         # the benchmark's rule: 1e-12 plus one unit in the 12th printed digit
         assert abs(float(row[2]) - ref) <= 1e-12 + 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("case", ["missing-input", "mismatched-shapes", "nonpositive-weight",
+                                  "missing-functionals", "wrong-width"])
+def test_cli_malformed_input_files_exit_2(z4_file, f_z4, tmp_path, capsys, case):
+    lip = lipnorm.lip_from_metric(f_z4)
+    funcs, weights = io._encode_complex(lip.functionals), np.asarray(lip.weights).tolist()
+    payload = {"mismatched-shapes": {"functionals": funcs, "weights": weights[:-1]},
+               "nonpositive-weight": {"functionals": funcs, "weights": [0.0] + weights[1:]},
+               "missing-functionals": {"weights": weights},
+               "wrong-width": {"functionals": [row[:3] for row in funcs], "weights": weights}}.get(case)
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(payload))
+    input_file = str(tmp_path / "absent.json") if case == "missing-input" else z4_file
+    code = cli.main(["bound", "--input", input_file, "--lambda", "0,1",
+                     "--seminorm", f"file:{family}", "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -375,3 +375,109 @@ def test_induced_on_comultiplication_matches_upgrade(z8_setup, s3c_setup, f_s3):
                 direct = lipnorm.max_numerical_radius(mats, lip.weights, tol=1e-8)
                 assert upgrade(a) == pytest.approx(direct, abs=1e-6)
                 assert lipnorm.induced_lip(lip, co, a, tol=1e-8) == pytest.approx(direct, abs=1e-6)
+
+
+# -- reduced families ---------------------------------------------------------
+
+def _metric_algebra(name):
+    if name == "F(S_3)":
+        return hopf.function_algebra(groups.s3_table(), metric=groups.s3_transposition_metric())
+    n = int(name[4:-1])
+    return hopf.function_algebra(groups.cyclic_table(n), metric=groups.arc_metric(n))
+
+
+@pytest.mark.parametrize("name, full, pruned, orbits", [
+    ("F(Z_8)", 28, 8, 1), ("F(Z_24)", 276, 24, 1), ("F(S_3)", 15, 9, 3), ("F(Z_3)", 3, 3, 1)])
+def test_reduce_family_row_counts(name, full, pruned, orbits):
+    g = _metric_algebra(name)
+    lip = lipnorm.lip_from_metric(g)
+    lp_family, radius_family = lipnorm.reduce_family(g, lip)
+    assert (len(lip.weights), len(lp_family.weights), len(radius_family.weights)) == (full, pruned, orbits)
+    assert lipnorm.reduce_family(g, lip)[0] is lp_family            # cached per (algebra, family)
+    assert (lp_family is lip) == (pruned == full)
+    # the kept rows are the nearest neighbours: every longer pair is a sum of steps
+    assert np.max(lp_family.weights) <= np.min(lip.weights) * (1 + 1e-12)
+
+
+def test_reduce_family_leaves_fourier_and_non_pair_rows(s3c_setup, f_z4):
+    g, _, _, lip = s3c_setup
+    assert lipnorm.reduce_family(g, lip) == (lip, lip)
+    # a non-pair row is kept even where the pair rows are pruned, and stops the orbit reduction
+    metric = lipnorm.lip_from_metric(f_z4)
+    extra = np.array([[2.0, -1.0, 0.0, -1.0]], dtype=complex)
+    mixed = lipnorm.PolyhedralSeminorm(functionals=np.vstack([metric.functionals, extra]),
+                                       weights=np.append(metric.weights, 0.5))
+    lp_family, radius_family = lipnorm.reduce_family(f_z4, mixed)
+    assert len(lp_family.weights) == 5
+    assert np.array_equal(lp_family.functionals[-1], extra[0])
+    assert radius_family is lp_family
+
+
+def test_non_invariant_pair_family_keeps_the_lp_rows(f_z4):
+    # the metric pairs of F(Z_4) with weights that break translation invariance
+    metric = lipnorm.lip_from_metric(f_z4)
+    lopsided = lipnorm.PolyhedralSeminorm(functionals=metric.functionals,
+                                          weights=np.array([1, 2, 1.5, 1, 2, 1.0]))
+    lp_family, radius_family = lipnorm.reduce_family(f_z4, lopsided)
+    assert len(lp_family.weights) == 4
+    assert radius_family is lp_family
+
+
+@pytest.mark.parametrize("name, subsets", [
+    ("F(Z_8)", [(0,), (0, 1, 7), (0, 2, 6), (0, 1, 2, 6, 7), tuple(range(8))]),
+    ("F(Z_12)", [(0, 1, 11), (0, 3, 9), (0, 1, 2, 10, 11), (0, 1, 5, 7)]),
+    ("F(S_3)", [(0,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])])
+def test_orbit_radius_family_matches_the_full_family(name, subsets):
+    g = _metric_algebra(name)
+    lip = lipnorm.lip_from_metric(g)
+    irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    tol = 1e-9
+    rng = np.random.default_rng(23)
+    coactions = [compress.comultiplication_coaction(g, side) for side in ("right", "left")]
+    for subset in subsets:
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        coactions += [compress.induced_coaction(g, ts, side) for side in ("right", "left")]
+    for co in coactions:
+        for _ in range(3):
+            a = random_element(g, rng)
+            x = a if co.system is None else co.system.tau(a)
+            coords = x if co.system is None else co.system.expand(x)
+            full = oracles.full_family_induced_lip(lip, co, coords, tol)
+            assert abs(lipnorm.induced_lip(lip, co, x, tol) - full) <= tol * max(1.0, full)
+
+
+@pytest.mark.parametrize("setup", ["z8_mid", "s3c_setup"])
+def test_induced_lip_many_matches_single_calls(setup, request):
+    if setup == "z8_mid":
+        g, lip, ts, _, beta = request.getfixturevalue(setup)
+    else:   # the 5-row Fourier family: several matrices per row, so grouping matters
+        g, irreps, dec, lip = request.getfixturevalue(setup)
+        ts = compress.truncate(g, irreps, (0, 1), dec=dec)
+        beta = compress.induced_coaction(g, ts, "left")
+    rng = np.random.default_rng(24)
+    rows = np.array([ts.expand(ts.tau(random_element(g, rng))) for _ in range(12)])
+    rows[3] = 0.0
+    many = lipnorm.induced_lip_many(lip, beta, rows, tol=1e-7)
+    single = np.array([lipnorm.induced_lip(lip, beta, row, tol=1e-7) for row in rows])
+    assert many.shape == (12,) and many[3] == 0.0
+    np.testing.assert_allclose(many, single, rtol=1e-13, atol=0.0)
+    assert lipnorm.induced_lip_many(lip, beta, np.zeros((0, ts.dim_sys)), tol=1e-7).shape == (0,)
+
+
+def test_radius_brackets_prune_per_group():
+    # group 1's maxima are 10x group 0's: one shared group would stop group 0 at once
+    rng = np.random.default_rng(25)
+    small = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    stack = np.concatenate([small, 10 * small[::-1]])
+    weights = rng.uniform(0.5, 2.0, size=12)
+    group_ids = np.repeat([0, 1], 6)
+    lower, upper = lipnorm._radius_brackets(stack, 1e-7 * weights, weights, group_ids)
+    for part in (slice(0, 6), slice(6, 12)):
+        alone = lipnorm._radius_brackets(stack[part], 1e-7 * weights[part], weights[part])
+        assert np.array_equal(lower[part], alone[0]) and np.array_equal(upper[part], alone[1])
+    shared = lipnorm._radius_brackets(stack, 1e-7 * weights, weights)
+    assert np.max(shared[1][:6] - shared[0][:6]) > 1e-3         # pruned, not resolved
+    maxima = lipnorm.max_numerical_radius(stack, weights, 1e-7, group_ids=group_ids)
+    assert maxima.tolist() == [lipnorm.max_numerical_radius(stack[:6], weights[:6], 1e-7),
+                               lipnorm.max_numerical_radius(stack[6:], weights[6:], 1e-7)]

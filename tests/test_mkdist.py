@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqms import compress, corep, groups, hopf, lipnorm, mkdist
+from cqms import chains, compress, corep, groups, hopf, lipnorm, mkdist
 from cqms.errors import DegenerateKernelError
 from cqms.sampling import basis_vector_state, random_matrix_state, random_state
 
@@ -42,6 +42,42 @@ def test_agreement_with_transport_oracle(z8_setup, f_s3):
             oracle = oracles.transport_distance(mu.coeffs.real, nu.coeffs.real, g.metric)
             assert lp_val == pytest.approx(oracle, abs=1e-8)
 
+
+
+def _metric_algebra(name):
+    if name == "F(S_3)":
+        return hopf.function_algebra(groups.s3_table(), metric=groups.s3_transposition_metric())
+    n = int(name[4:-1])
+    return hopf.function_algebra(groups.cyclic_table(n), metric=groups.arc_metric(n))
+
+
+@pytest.mark.parametrize("name", ["F(Z_8)", "F(S_3)", "F(Z_24)", "F(Z_4) lopsided"])
+def test_pruned_lp_family_matches_the_full_family(name):
+    # the LP runs over the triangle-pruned rows; every full-family row is a constraint of the oracle
+    g = _metric_algebra(name.split()[0])
+    lip = lipnorm.lip_from_metric(g)
+    if name.endswith("lopsided"):     # pair weights that are no metric's: 1.5 < 1 + 1 + 1 keeps (0, 3)
+        lip = lipnorm.PolyhedralSeminorm(functionals=lip.functionals,
+                                         weights=np.array([1, 2, 1.5, 1, 2, 1.0]))
+    assert len(lipnorm.reduce_family(g, lip)[0].weights) < len(lip.weights)
+    rng = np.random.default_rng(30)
+    pairs = [(basis_vector_state(g, 0), basis_vector_state(g, g.dim // 2))]
+    pairs += [(random_state(g, rng), random_state(g, rng)) for _ in range(6)]
+    for mu, nu in pairs:
+        value = mkdist.mk_distance(g, lip, mu, nu)
+        assert abs(value - oracles.full_family_distance(lip, mu.coeffs, nu.coeffs)) <= 1e-12
+
+    irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    chain = (chains.frequency_chain(g.dim) if groups.is_cyclic_canonical(g.group_table)
+             else chains.prefix_chain(len(irreps)))
+    eps = hopf.counit_state(g)
+    for subset in chain:
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        density = compress.canonical_symbol_state(g, ts)
+        bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=False)
+        pulled = compress.pullback_state(ts, density)
+        assert abs(bound - 2 * oracles.full_family_distance(lip, pulled.coeffs, eps.coeffs)) <= 1e-12
 
 def test_symmetry_and_triangle(z8_setup):
     g, _, _, lip = z8_setup
