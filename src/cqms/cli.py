@@ -188,6 +188,11 @@ def _parse_lambda(text: str, count: int) -> tuple:
     return subset
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
+
+
 def _parse_chain(text: str, loaded: io.LoadedInput, irreps) -> list:
     g = loaded.algebra
     count = len(irreps)
@@ -270,6 +275,7 @@ def cmd_pw(args, out) -> int:
 
 
 def cmd_truncate(args, out) -> int:
+    _check_samples(args.samples)
     loaded, irreps = _load(args)
     g = loaded.algebra
     subset = _parse_lambda(args.lam, len(irreps))
@@ -364,20 +370,28 @@ def _hausdorff_lower(g, lip, smoothed, order, rng, probes, samples) -> float:
 
 def cmd_bound(args, out) -> int:
     loaded, irreps = _load(args)
-    explicit = None
+    explicit, note = None, None
     if args.state == "explicit":
         if not args.vector:
             raise ConfigError("--state explicit needs --vector")
-        explicit = np.array([complex(tok) for tok in args.vector.split(",")])
+        try:
+            explicit = np.array([complex(tok) for tok in args.vector.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse --vector {args.vector!r}: {exc}") from exc
         norm = np.linalg.norm(explicit)
+        if not np.isfinite(norm) or norm == 0.0:
+            raise ConfigError(f"--vector must be finite and nonzero, got {args.vector!r}")
         if abs(norm - 1.0) > 1e-12:
-            print(f"note: explicit vector normalized (norm was {norm:.6g})", file=out)
+            note = f"note: explicit vector normalized (norm was {norm:.6g})"
             explicit = explicit / norm
     config = SweepConfig(
         loaded=loaded, irreps=irreps, seminorm=_seminorm(args, loaded),
         chain=[_parse_lambda(args.lam, len(irreps))], state_mode=args.state,
         explicit_vector=explicit, seed=args.seed, samples=min(args.samples, 100))
-    _emit(out, args.format, run_sweep(config))
+    rows = run_sweep(config)            # print nothing unless every row is computed
+    if note:
+        print(note, file=out)
+    _emit(out, args.format, rows)
     return EXIT_OK
 
 
@@ -399,6 +413,7 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     they run in chain order.
     """
     g = config.loaded.algebra
+    _check_samples(config.samples)
     chains.check_chain(config.chain)
     dec = corep.pw_decompose(g, config.irreps, tol=1e-10)
     diam = mkdist.diameter_bracket(g, config.seminorm, samples=min(12, 4 + g.dim),

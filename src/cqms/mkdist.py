@@ -63,15 +63,18 @@ def sa_basis(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(quotient, z, real, weights): the unit ball {L <= 1} in quotient coordinates.
+def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm) -> tuple[np.ndarray, ...]:
+    """(quotient, z, weights, cuts, bounds, owner): the unit ball {L <= 1} in quotient coordinates.
 
     Built from the family's LP rows (``reduce_family``), whose ball contains
     the full family's and exceeds it by at most a factor 1 + 4 eps.  Row i of
-    ``z = functionals @ quotient.T`` bounds |z_i . t| <= weights[i]; ``real``
-    marks the rows that are real up to roundoff, the others are discs.
-    Checks the kernel and the unit once.  Cached per (algebra, family) pair.
+    ``z = functionals @ quotient.T`` bounds |z_i . t| <= weights[i].  The
+    starting outer polygon is ``cuts @ t <= bounds``: each row that is real up
+    to roundoff gives the cuts +-Re z_i, each other (disc) row i gives 16
+    tangent cuts Re(e^{-i theta} z_i) <= weights[i].  ``owner`` names the disc
+    row of each cut (-1 for real rows); cuts are grouped by increasing owner.
+    Checks the kernel and the unit once.  Cached per (algebra, family) pair,
+    as read-only arrays.
     """
     family = reduce_family(g, lip)[0]
     defect = family.kernel_rank_defect(g.dim)
@@ -81,29 +84,20 @@ def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
     if unit_res > 1e-10:
         raise CertificationError(f"seminorm family does not kill the unit (residual {unit_res:.2e})")
     _, quotient = sa_basis(g)
-    z = family.functionals @ quotient.T
+    z, weights = family.functionals @ quotient.T, family.weights
     real = np.max(np.abs(z.imag), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(z), axis=1))
-    return quotient, _readonly(z), _readonly(real), family.weights
+    reals, discs = np.flatnonzero(real), np.flatnonzero(~real).repeat(16)
+    signed = np.stack([z[reals].real, -z[reals].real], axis=1).reshape(2 * len(reals), z.shape[1])
+    start = np.tile(np.arange(16) * np.pi / 8, len(discs) // 16)
+    cuts = np.vstack([signed, _tangents(z[discs], start)])
+    bounds = np.concatenate([weights[reals].repeat(2), weights[discs]])
+    owner = np.concatenate([np.full(2 * len(reals), -1), discs])
+    return tuple(_readonly(np.array(a)) for a in (quotient, z, weights, cuts, bounds, owner))
 
 
-_DISC_START = tuple(k * np.pi / 8 for k in range(16))
-
-
-def _cuts(z, weights, real, disc_angles) -> tuple[np.ndarray, np.ndarray]:
-    """Outer polyhedral approximation of the unit ball as (rows, bounds).
-
-    Each real row gives the cuts +-Re z_i; each disc row i gives one tangent
-    cut Re(e^{-i theta} z_i) per angle theta in ``disc_angles[i]``.
-    """
-    a_mat, b_vec = [], []
-    for i in np.flatnonzero(real):
-        a_mat.extend([z[i].real, -z[i].real])
-        b_vec.extend([weights[i], weights[i]])
-    for i, angles in disc_angles.items():
-        for theta in angles:
-            a_mat.append(np.real(np.exp(-1j * theta) * z[i]))
-            b_vec.append(weights[i])
-    return np.array(a_mat), np.array(b_vec)
+def _tangents(rows: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The tangent cuts Re(e^{-i theta_k} z_k) of the discs |z_k . t| <= w_k."""
+    return np.real(np.exp(-1j * angles)[:, None] * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +122,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     """
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
-    quotient, z, real, weights = _unit_ball(g, lip)
+    quotient, z, weights, cuts, bounds, owner = _unit_ball(g, lip)
     w = mu_c - nu_c
 
     objective = np.real(quotient @ w)
@@ -136,31 +130,33 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     if herm_res > 1e-8 * max(1.0, _maxabs(w)):
         raise CertificationError(f"mu - nu is not hermitian (imaginary part {herm_res:.2e})")
 
-    disc_angles = {i: list(_DISC_START) for i in np.flatnonzero(~real)}
+    # the rows that own cuts; np.unique would import numpy.ma (~1.8 MB resident)
+    discs = np.flatnonzero(np.bincount(owner + 1, minlength=len(weights) + 1)[1:])
     rounds = 0
     while True:
-        a_mat, b_vec = _cuts(z, weights, real, disc_angles)
-        solution = solve_lp(LPProblem(objective=objective, inequalities=a_mat, bounds=b_vec),
+        solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds),
                             tol=lp_tol)
         if solution.status == "unbounded":
             raise DegenerateKernelError("distance LP is unbounded; the seminorm is degenerate")
         solution.certify(tol=1e-7)
         t = solution.x
-        if not disc_angles:
-            break
-        vals = z @ t
-        ratio = max(float(np.max(np.abs(vals[i]) / weights[i])) for i in disc_angles)
+        vals = (z @ t)[discs]
+        ratio = np.max(np.abs(vals) / weights[discs], initial=1.0)
         upper = solution.value
-        lower = solution.value / max(ratio, 1.0)
+        lower = solution.value / ratio
         if upper - lower <= lp_tol * max(1.0, abs(upper)):
             break
         rounds += 1
         if rounds > 80:
             raise CertificationError(f"disc refinement stalled with bracket [{lower}, {upper}]")
-        for i in disc_angles:
-            val = vals[i]
-            if abs(val) > weights[i] * (1 - 1e-12):
-                disc_angles[i].append(float(np.angle(val)))
+        # one tangent at the optimum per touched disc, kept after its disc's earlier cuts
+        hit = np.abs(vals) > weights[discs] * (1 - 1e-12)
+        touched = discs[hit]
+        cuts = np.vstack([cuts, _tangents(z[touched], np.angle(vals[hit]))])
+        bounds = np.concatenate([bounds, weights[touched]])
+        owner = np.concatenate([owner, touched])
+        order = np.argsort(owner, kind="stable")
+        cuts, bounds, owner = cuts[order], bounds[order], owner[order]
 
     element = quotient.T @ t
     scale = lip.value(element)
@@ -272,7 +268,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     vertex enumeration of the unit ball in low dimension and by the
     coordinate-wise dual-norm box containment otherwise.
     """
-    quotient, z, real, weights = _unit_ball(g, lip)
+    quotient, _, _, cuts, bounds, owner = _unit_ball(g, lip)
     rng = np.random.default_rng(seed)
     d0 = g.rep.shape[1]
     states: list[State] = [basis_vector_state(g, i) for i in range(min(d0, samples))]
@@ -286,8 +282,8 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     q_dim = quotient.shape[0]
     upper = None
     method = ""
-    if np.all(real) and q_dim <= 3 and z.shape[0] <= 60:
-        vertices = _enumerate_vertices(z.real, weights)
+    if np.all(owner < 0) and q_dim <= 3 and len(bounds) <= 120:
+        vertices = _enumerate_vertices(cuts, bounds)
         if vertices is not None and len(vertices):
             radius = 0.0
             for t in vertices:
@@ -314,8 +310,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
 
 
 def _support_lp(g, lip, objective, lp_tol) -> float:
-    _, z, real, weights = _unit_ball(g, lip)
-    cuts, bounds = _cuts(z, weights, real, {i: _DISC_START for i in np.flatnonzero(~real)})
+    _, _, _, cuts, bounds, _ = _unit_ball(g, lip)
     solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds), tol=lp_tol)
     if solution.status != "optimal":
         raise DegenerateKernelError("support LP unbounded; the seminorm is degenerate")
@@ -323,12 +318,10 @@ def _support_lp(g, lip, objective, lp_tol) -> float:
     return float(solution.value)
 
 
-def _enumerate_vertices(a: np.ndarray, b: np.ndarray):
-    """All vertices of {t : a t <= b, -a t <= b} in dimension <= 3."""
+def _enumerate_vertices(rows: np.ndarray, rhs: np.ndarray):
+    """All vertices of {t : rows t <= rhs} in dimension <= 3."""
     from itertools import combinations
 
-    rows = np.vstack([a, -a])
-    rhs = np.concatenate([b, b])
     m, d = rows.shape
     vertices = []
     for combo in combinations(range(m), d):
@@ -354,15 +347,10 @@ def matrix_mk_lower_bound(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, order:
     """
     if order < 1:
         raise ValueError("matrix order must be at least 1")
-    mu_blocks = np.asarray(mu_blocks, dtype=complex)
-    nu_blocks = np.asarray(nu_blocks, dtype=complex)
+    gap_blocks = np.asarray(mu_blocks, dtype=complex) - np.asarray(nu_blocks, dtype=complex)
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        x = random_selfadjoint(g, rng)
-        lx = lip.value(x)
-        if lx < 1e-12:
-            continue
-        gap = np.einsum("i,iab->ab", x, mu_blocks - nu_blocks)
-        best = max(best, float(np.linalg.norm(gap, 2)) / lx)
-    return best
+    xs = np.array([random_selfadjoint(g, rng) for _ in range(samples)]).reshape(-1, g.dim)
+    lx = np.max(np.abs(xs @ lip.functionals.T) / lip.weights, axis=1, initial=0.0)
+    keep = lx >= 1e-12
+    gaps = np.einsum("si,iab->sab", xs[keep], gap_blocks)
+    return float(np.max(np.linalg.norm(gaps, 2, axis=(1, 2)) / lx[keep], initial=0.0))

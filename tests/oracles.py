@@ -210,3 +210,55 @@ def full_family_induced_lip(lip, coaction, coords, tol):
 
     sliced = coaction.slice_states(np.asarray(coords, dtype=complex), lip.functionals)
     return max_numerical_radius(coaction.realize(sliced), lip.weights, tol)
+
+
+def loop_mk_distance(g, lip, mu, nu, lp_tol=1e-9):
+    """The disc refinement with a dict of angle lists and the cuts rebuilt before every LP.
+
+    Real rows of the unit ball give the cuts +-Re z_i; disc row i gives one
+    tangent Re(e^{-i theta} z_i) per angle in its list, which starts at 16
+    equally spaced angles and gains the optimum's angle whenever the optimum
+    touches the disc.  Same ball, LPs and decisions as ``mkdist.mk_distance``,
+    so the array refinement must agree with it bit for bit.  The LPs go
+    through ``mkdist.solve_lp``, where a test can record them.
+    """
+    from cqms import mkdist
+    from cqms.simplex import LPProblem
+
+    quotient, z, weights = mkdist._unit_ball(g, lip)[:3]
+    real = np.max(np.abs(z.imag), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(z), axis=1))
+    objective = np.real(quotient @ (mu.coeffs - nu.coeffs))
+    disc_angles = {i: [k * np.pi / 8 for k in range(16)] for i in np.flatnonzero(~real)}
+    rounds = 0
+    while True:
+        a_mat, b_vec = [], []
+        for i in np.flatnonzero(real):
+            a_mat.extend([z[i].real, -z[i].real])
+            b_vec.extend([weights[i], weights[i]])
+        for i, angles in disc_angles.items():
+            for theta in angles:
+                a_mat.append(np.real(np.exp(-1j * theta) * z[i]))
+                b_vec.append(weights[i])
+        problem = LPProblem(objective=objective, inequalities=np.array(a_mat),
+                            bounds=np.array(b_vec))
+        solution = mkdist.solve_lp(problem, tol=lp_tol)
+        solution.certify(tol=1e-7)
+        t = solution.x
+        if not disc_angles:
+            break
+        vals = z @ t
+        ratio = max(float(np.max(np.abs(vals[i]) / weights[i])) for i in disc_angles)
+        upper = solution.value
+        if upper - upper / max(ratio, 1.0) <= lp_tol * max(1.0, abs(upper)):
+            break
+        rounds += 1
+        assert rounds <= 80, "disc refinement stalled"
+        for i in disc_angles:
+            if abs(vals[i]) > weights[i] * (1 - 1e-12):
+                disc_angles[i].append(float(np.angle(vals[i])))
+    element = quotient.T @ t
+    scale = lip.value(element)
+    if scale > 1.0 + 1e-9:
+        element = element / scale
+    return mkdist.MKResult(value=max(solution.value, 0.0), element=element,
+                           lp_iterations=solution.iterations, refinement_rounds=rounds)

@@ -301,3 +301,25 @@ def test_cli_malformed_input_files_exit_2(z4_file, f_z4, tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert code == cli.EXIT_VALIDATION
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vector", ["1,x", "nan,1,0", "0,0,0"])
+def test_cli_bound_rejects_a_bad_explicit_vector(z4_file, capsys, vector):
+    code = cli.main(["bound", "--input", z4_file, "--lambda", "0,1,3", "--state", "explicit",
+                     "--vector", vector, "--samples", "10"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["truncate", "--lambda", "0,1"], ["bound", "--lambda", "0,1"],
+    ["bound", "--lambda", "0,1", "--state", "explicit", "--vector", "2,0"], ["sweep"]],
+    ids=["truncate", "bound", "bound-explicit", "sweep"])
+def test_cli_rejects_samples_below_one(z4_file, capsys, command, samples):
+    code = cli.main(command + ["--input", z4_file, f"--samples={samples}"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""

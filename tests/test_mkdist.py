@@ -120,6 +120,61 @@ def test_complex_disc_constraints_match_closed_form(s3c_setup):
         assert closed - 1e-10 <= lp_val <= closed + 1e-8
 
 
+
+def _lp_arrays(problem):
+    return (problem.objective, problem.inequalities, problem.bounds)
+
+
+@pytest.mark.parametrize("name", ["C*(S_3)", "F(Z_8)"])
+def test_array_refinement_matches_the_angle_list_reference(name, s3c_setup, z8_setup, monkeypatch):
+    # every LP and every result equal the dict-of-angles refinement's, bit for bit
+    g, _, _, lip = s3c_setup if name == "C*(S_3)" else z8_setup
+    solve, lps = mkdist.solve_lp, []
+
+    def record(problem, tol):
+        lps.append(_lp_arrays(problem))
+        return solve(problem, tol=tol)
+
+    monkeypatch.setattr(mkdist, "solve_lp", record)
+    rng = np.random.default_rng(40)
+    rounds = 0
+    for _ in range(24):
+        mu, nu = random_state(g, rng), random_state(g, rng)
+        result = mkdist.mk_distance(g, lip, mu, nu, return_result=True)
+        ours, lps[:] = list(lps), []
+        reference = oracles.loop_mk_distance(g, lip, mu, nu)
+        assert len(ours) == len(lps) == reference.refinement_rounds + 1
+        for mine, theirs in zip(ours, lps):
+            for a, b in zip(mine, theirs):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        lps.clear()
+        assert result.value == reference.value
+        assert result.element.tobytes() == reference.element.tobytes()
+        assert (result.lp_iterations, result.refinement_rounds) == \
+            (reference.lp_iterations, reference.refinement_rounds)
+        rounds += result.refinement_rounds
+    assert (rounds > 0) == (name == "C*(S_3)")     # F(Z_8) has no disc rows
+
+
+def test_refinement_leaves_the_cached_polygon_unchanged(s3c_setup):
+    g, _, _, lip = s3c_setup
+    ball = mkdist._unit_ball(g, lip)
+    before = [a.copy() for a in ball]
+    owner = ball[-1]
+    discs = np.unique(owner[owner >= 0])
+    assert len(discs) > 0 and np.all(np.diff(owner) >= 0)
+    assert all(np.sum(owner == i) == 16 for i in discs)
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        result = mkdist.mk_distance(g, lip, random_state(g, rng), random_state(g, rng),
+                                    return_result=True)
+        assert result.refinement_rounds > 0
+    after = mkdist._unit_ball(g, lip)
+    for a, b, old in zip(ball, after, before):
+        assert a is b and not a.flags.writeable
+        assert a.dtype == old.dtype and a.tobytes() == old.tobytes()
+
+
 # -- truncation bound ---------------------------------------------------------
 
 def test_truncation_bound_zero_at_full(z8_setup):
@@ -294,6 +349,21 @@ def test_matrix_lower_bound_zero_for_equal(z8_setup):
     rng = np.random.default_rng(11)
     blocks = random_matrix_state(g, 2, rng)
     assert mkdist.matrix_mk_lower_bound(g, lip, 2, blocks, blocks, samples=20, seed=12) == 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_matrix_lower_bound_matches_the_per_sample_loop(z8_setup, s3c_setup, order):
+    from cqms.sampling import random_selfadjoint
+    for g, lip in (z8_setup[0], z8_setup[3]), (s3c_setup[0], s3c_setup[3]):
+        rng = np.random.default_rng(17 + order)
+        mu, nu = random_matrix_state(g, order, rng), random_matrix_state(g, order, rng)
+        lower = mkdist.matrix_mk_lower_bound(g, lip, order, mu, nu, samples=40, seed=18)
+        sample_rng, best = np.random.default_rng(18), 0.0
+        for _ in range(40):          # the same draws, one SVD and one L(x) at a time
+            x = random_selfadjoint(g, sample_rng)
+            gap = np.einsum("i,iab->ab", x, mu - nu)
+            best = max(best, float(np.linalg.norm(gap, 2)) / lip.value(x))
+        assert lower > 0 and abs(lower - best) <= 1e-12 * best
 
 
 def test_matrix_lower_bound_order_one_below_lp(z8_setup):
