@@ -10,34 +10,20 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 
 from . import chains, compress, corep, groups, hopf, io, lipnorm, mkdist, sampling
-from .errors import (
-    CertificationError,
-    CompletenessError,
-    ConfigError,
-    CqmsError,
-    DegenerateKernelError,
-    GroupTableError,
-    InternalInconsistencyError,
-    LengthError,
-    MetricError,
-    NotAQuantumGroupError,
-    SchurError,
-    StateCertificationError,
-    StructureError,
-)
+from .errors import (CertificationError, ConfigError, CqmsError, DegenerateKernelError,
+                     InternalInconsistencyError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
-_VALIDATION_ERRORS = (io.ParseError, GroupTableError, MetricError, LengthError,
-                      StructureError, NotAQuantumGroupError, StateCertificationError,
-                      CompletenessError, SchurError)
 _NUMERIC_ERRORS = (CertificationError, InternalInconsistencyError, DegenerateKernelError)
 
 CSV_COLUMNS = ["lambda_id", "dim_sys", "bound_B", "criterion_r", "diam_lower",
@@ -62,14 +48,12 @@ class SweepConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
-    close_out = False
+    out = StringIO() if args.output else sys.stdout
     try:
-        if args.output:
-            out = open(args.output, "w", encoding="utf-8")
-            close_out = True
         code = args.handler(args, out)
-    except _VALIDATION_ERRORS as exc:
+        if args.output:        # a command that raises leaves the file as it was
+            Path(args.output).write_text(out.getvalue(), encoding="utf-8")
+    except io.ParseError as exc:          # a ConfigError, but an unreadable input is invalid input
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
     except ConfigError as exc:
@@ -81,9 +65,6 @@ def main(argv=None) -> int:
     except CqmsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
-    finally:
-        if close_out:
-            out.close()
     return code
 
 
@@ -193,6 +174,11 @@ def _check_samples(samples: int) -> None:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {tol}")
+
+
 def _parse_chain(text: str, loaded: io.LoadedInput, irreps) -> list:
     g = loaded.algebra
     count = len(irreps)
@@ -241,12 +227,12 @@ def _lambda_id(subset) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args, out) -> int:
+    _check_tol(args.tol)
     loaded, irreps = _load(args)
     g = loaded.algebra
     report = hopf.check_axioms(g, tol=args.tol)
     print(f"algebra: {g.label or args.input} (dim {g.dim})", file=out)
     print(report, file=out)
-    code = EXIT_OK if report.passed else EXIT_VALIDATION
     haar = hopf.haar_state(g, tol=max(args.tol, 1e-9))
     print(f"invariant state certified (min witness eigenvalue {haar.min_eig:.3e})", file=out)
     if args.pw:
@@ -254,11 +240,9 @@ def cmd_check(args, out) -> int:
         total = sum(pi.dim ** 2 for pi in dec.irreps)
         print(f"peter-weyl: {len(dec.irreps)} irreps, sum d^2 = {total} = dim, blocks orthogonal",
               file=out)
-    if report.passed:
-        print(f"all axioms pass (max residual {report.max_residual:.1e})", file=out)
-    else:
-        print(f"axioms FAIL (max residual {report.max_residual:.1e})", file=out)
-    return code
+    verdict = "all axioms pass" if report.passed else "axioms FAIL"
+    print(f"{verdict} (max residual {report.max_residual:.1e})", file=out)
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_pw(args, out) -> int:
@@ -276,6 +260,7 @@ def cmd_pw(args, out) -> int:
 
 def cmd_truncate(args, out) -> int:
     _check_samples(args.samples)
+    _check_tol(args.tol)
     loaded, irreps = _load(args)
     g = loaded.algebra
     subset = _parse_lambda(args.lam, len(irreps))

@@ -14,7 +14,8 @@ import numpy as np
 
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
-from .hopf import FiniteQuantumGroup, State, _maxabs, _rank, certify_state, counit_support_projection
+from .hopf import (FiniteQuantumGroup, State, _coaction_residual, _counit_residual, _maxabs,
+                   _podles_limit, _podles_residual, _rank, certify_state, counit_support_projection)
 from .sampling import random_density
 
 RANK_RTOL = 1e-10
@@ -203,11 +204,10 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     tensor = (basis.conj() @ ts.tau_matrix) @ deltas   # expand o tau on the carrier leg
 
     coaction_res = _coaction_residual(g, tensor, side)
-    counit_res = _maxabs(tensor @ g.counit - np.eye(s))
+    counit_res = _counit_residual(g, tensor)
     podles = _podles_residual(g, tensor, side)
     worst = max(coaction_res, counit_res, podles)
-    # entries of Psi Phi - I below 0.5 / (n s) give ||Psi Phi - I||_2 < 1: Phi is invertible
-    if worst > tol or podles > 0.5 / (g.dim * s):
+    if worst > tol or podles > _podles_limit(g.dim, s):
         raise InternalInconsistencyError(
             f"induced coaction certificates failed (coaction {coaction_res:.2e}, "
             f"counit {counit_res:.2e}, Podles {podles:.2e})")
@@ -245,39 +245,6 @@ def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float
     taus = (ts.tau_matrix @ delta).reshape(p, p, r, r, g.dim)
     big = np.einsum("pqabl,lcd->pacqbd", taus, g.rep).reshape(p * r * d0, p * r * d0)
     return float(np.linalg.norm(big, 2))
-
-
-def _coaction_residual(g, tensor, side) -> float:
-    s, n = tensor.shape[0], g.dim
-    # [k, m, p, l]: coefficient of x_m (x) e_p (x) e_l in (id (x) Delta) alpha(x_k),
-    # or of e_p (x) e_l (x) x_m in (Delta (x) id) beta(x_k)
-    rhs = (tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)).reshape(s, s, n, n)
-    if side == "right":    # (alpha (x) id) alpha
-        lhs = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s, s, n, n)
-    else:                  # (id (x) beta) beta, computed as [k, p, m, l]
-        lhs = np.matmul(tensor.transpose(0, 2, 1), tensor.reshape(s, s * n))
-        lhs = lhs.reshape(s, n, s, n).swapaxes(1, 2)
-    return _maxabs(lhs - rhs)
-
-
-def _podles_residual(g, tensor, side) -> float:
-    """max|Psi Phi - I| for Phi(x (x) a) = (1 (x) a) alpha(x) and its inverse Psi.
-
-    On the right Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)); on the left, with
-    Phi(a (x) x) = (a (x) 1) beta(x), Psi(a (x) x) = a S(x_(-1)) (x) x_(0).
-    Both are built from the carrier-first tensor by one product each.
-    """
-    n, s = g.dim, tensor.shape[0]
-    antipode = np.linalg.inv(g.antipode) if side == "right" else g.antipode
-    # phi_t[(j, k), (m, q)]: coefficient of x_m (x) e_q in Phi(x_k (x) e_j); on the left
-    # read e_q (x) x_m and e_j (x) x_k
-    phi_t = np.matmul(tensor.reshape(s * s, n), g.mult).reshape(n * s, s * n)
-    # psi_t[(k, j), (q, m)]: coefficient of x_m (x) e_q in Psi(x_k (x) e_j), same reading
-    mult_jq = g.mult.transpose(0, 2, 1).reshape(n * n, n)
-    psi_t = np.matmul(mult_jq, (tensor @ antipode).transpose(0, 2, 1)).reshape(s * n, n * s)
-    defect = phi_t @ psi_t                 # (Psi Phi)^T, both legs listed as (j, k)
-    defect.flat[::n * s + 1] -= 1.0
-    return _maxabs(defect)
 
 
 def _fixed_space_dim(tensor, algebra_unit) -> int:

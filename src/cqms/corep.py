@@ -14,7 +14,8 @@ import numpy as np
 
 from . import groups
 from .errors import CompletenessError, InternalInconsistencyError, SchurError, StructureError
-from .hopf import FiniteQuantumGroup, _maxabs, _orthonormalize, _rank
+from .hopf import (FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness, _rank,
+                   _rep_residuals, _unitarity_residual)
 
 GNS_TOL = 1e-10
 
@@ -42,7 +43,7 @@ class GNSSpace:
 
 def gns_build(g: FiniteQuantumGroup) -> GNSSpace:
     """Left regular representation on H = A with <a, b> = h(b* a)."""
-    gram = np.einsum("ip,pjq,q->ij", g.star, g.mult, g.haar)
+    gram = _positivity_witness(g, g.haar)
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= eigs[-1] * 1e-12:
@@ -60,12 +61,7 @@ def gns_build(g: FiniteQuantumGroup) -> GNSSpace:
 
 
 def _certify_gns(g: FiniteQuantumGroup, s: GNSSpace, tol: float = GNS_TOL) -> None:
-    n = g.dim
-    hom = np.einsum("ikl,jlm->ijkm", s.rep, s.rep) - np.einsum("ijp,pkm->ijkm", g.mult, s.rep)
-    star = np.einsum("ij,jkl->ikl", g.star, s.rep) - np.conj(np.transpose(s.rep, (0, 2, 1)))
-    unital = np.einsum("i,ikl->kl", g.unit, s.rep) - np.eye(n)
-    cyc = abs(np.linalg.norm(s.cyclic) - 1.0)
-    worst = max(_maxabs(hom), _maxabs(star), _maxabs(unital), cyc)
+    worst = max(*_rep_residuals(g, s.rep), abs(np.linalg.norm(s.cyclic) - 1.0))
     if worst > tol:
         raise InternalInconsistencyError(f"GNS representation certificate failed (residual {worst:.3e})")
 
@@ -157,12 +153,7 @@ class CorepReport:
 
 def validate_corep(g: FiniteQuantumGroup, pi: Corepresentation, tol: float = GNS_TOL) -> CorepReport:
     """Residuals of unitarity and the corepresentation identity, plus dim End(pi)."""
-    big = amplified_corep(g, pi)
-    dd = big.shape[0]
-    unit_res = max(
-        _maxabs(big.conj().T @ big - np.eye(dd)),
-        _maxabs(big @ big.conj().T - np.eye(dd)),
-    )
+    unit_res = _unitarity_residual(amplified_corep(g, pi))
     lhs = np.einsum("ijn,npq->ijpq", pi.u, g.comult)
     rhs = np.einsum("ikp,kjq->ijpq", pi.u, pi.u)
     corep_res = _maxabs(lhs - rhs)
@@ -304,13 +295,8 @@ def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W",
         else:
             # column (k, m): sum_{j,l} delta[j,l] (rho(e_j) e_k) (x) (pi(e_l) cyclic)
             cols = np.einsum("jl,jqk,lp->qpk", delta, g.rep, acted)
-            flat = cols.reshape(d0 * n, d0)
-            for k in range(d0):
-                mat[:, k * n + m] = flat[:, k]
-    unit_res = max(
-        _maxabs(mat.conj().T @ mat - np.eye(mat.shape[0])),
-        _maxabs(mat @ mat.conj().T - np.eye(mat.shape[0])),
-    )
+            mat[:, m::n] = cols.reshape(d0 * n, d0)
+    unit_res = _unitarity_residual(mat)
     impl_res = _implementation_residual(g, gns, mat, side, samples, seed)
     return MultiplicativeUnitary(side=side, matrix=mat, unitarity_residual=unit_res,
                                  implementation_residual=impl_res)

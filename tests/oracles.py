@@ -262,3 +262,88 @@ def loop_mk_distance(g, lip, mu, nu, lp_tol=1e-9):
         element = element / scale
     return mkdist.MKResult(value=max(solution.value, 0.0), element=element,
                            lp_iterations=solution.iterations, refinement_rounds=rounds)
+
+
+def einsum_axiom_residuals(g):
+    """Every Hopf *-algebra axiom residual by explicit einsums, with Podles density by SVD rank.
+
+    The reference for ``hopf.check_axioms``: the same keys, except that Podles
+    density is the rank defect of span{(e_i (x) 1)Delta(e_j)} (right) and
+    span{(1 (x) e_i)Delta(e_j)} (left) instead of the inverse witness.
+    """
+    def maxabs(x):
+        return float(np.max(np.abs(x))) if np.size(x) else 0.0
+
+    def rank(m):
+        sv = np.linalg.svd(m, compute_uv=False)
+        return 0 if len(sv) == 0 or sv[0] <= 1e-12 else int(np.sum(sv > 1e-10 * sv[0]))
+
+    n = g.dim
+    res = {}
+    assoc = np.einsum("ijm,mkl->ijkl", g.mult, g.mult) - np.einsum("jkm,iml->ijkl", g.mult, g.mult)
+    res["associativity"] = maxabs(assoc)
+    res["unit"] = max(maxabs(np.einsum("i,ijk->jk", g.unit, g.mult) - np.eye(n)),
+                      maxabs(np.einsum("j,ijk->ik", g.unit, g.mult) - np.eye(n)))
+    coassoc = np.einsum("iab,bcd->iacd", g.comult, g.comult) - np.einsum("iab,acd->icdb", g.comult, g.comult)
+    res["coassociativity"] = maxabs(coassoc)
+    res["counit"] = max(maxabs(np.einsum("ijk,j->ik", g.comult, g.counit) - np.eye(n)),
+                        maxabs(np.einsum("ijk,k->ij", g.comult, g.counit) - np.eye(n)))
+    hom = np.einsum("ijl,lpq->ijpq", g.mult, g.comult).astype(complex)
+    hom -= np.einsum("iab,jcd,acp,bdq->ijpq", g.comult, g.comult, g.mult, g.mult, optimize=True)
+    res["comult_multiplicative"] = maxabs(hom)
+    starhom = np.einsum("ij,jpq->ipq", g.star, g.comult)
+    starhom -= np.einsum("ipq,pa,qb->iab", np.conj(g.comult), g.star, g.star)
+    res["comult_star"] = maxabs(starhom)
+    res["comult_unital"] = maxabs(np.einsum("i,ijk->jk", g.unit, g.comult) - np.outer(g.unit, g.unit))
+    s_left = np.einsum("ijk,jp,pkq->iq", g.comult, g.antipode, g.mult)
+    s_right = np.einsum("ijk,kp,jpq->iq", g.comult, g.antipode, g.mult)
+    target = np.outer(g.counit, g.unit)
+    res["antipode"] = max(maxabs(s_left - target), maxabs(s_right - target))
+    res["star_involutive"] = maxabs(np.conj(g.star) @ g.star - np.eye(n))
+    anti = np.einsum("ijk,kp->ijp", np.conj(g.mult), g.star)
+    anti -= np.einsum("jb,ia,bap->ijp", g.star, g.star, g.mult)
+    res["star_antimultiplicative"] = maxabs(anti)
+    res["star_unit"] = maxabs(g.star.T @ np.conj(g.unit) - g.unit)
+    res["rep_multiplicative"], res["rep_star"], res["rep_unital"] = einsum_rep_residuals(g, g.rep)
+    res["rep_faithful_rank_defect"] = float(n - rank(g.rep.reshape(n, -1)))
+    right = np.einsum("jab,iap->jipb", g.comult, g.mult)
+    left = np.einsum("jab,ibq->jiaq", g.comult, g.mult)
+    res["podles_right_rank_defect"] = float(n * n - rank(right.reshape(n * n, n * n)))
+    res["podles_left_rank_defect"] = float(n * n - rank(left.reshape(n * n, n * n)))
+    right_inv = np.einsum("ijk,k->ij", g.comult, g.haar) - np.outer(g.haar, g.unit)
+    left_inv = np.einsum("ijk,j->ik", g.comult, g.haar) - np.outer(g.haar, g.unit)
+    res["haar_invariance"] = max(maxabs(right_inv), maxabs(left_inv))
+    res["haar_normalization"] = abs(np.dot(g.haar, g.unit) - 1.0)
+    gram = np.einsum("ip,pjq,q->ij", g.star, g.mult, g.haar)
+    res["haar_gram_hermitian"] = maxabs(gram - gram.conj().T)
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    res["haar_gram_definiteness"] = 1.0 if eigs[0] <= eigs[-1] * 1e-12 else 0.0
+    return res
+
+
+def einsum_rep_residuals(g, rep):
+    """Multiplicative, star and unital residuals of a representation, by explicit einsums."""
+    hom = np.einsum("ikl,jlm->ijkm", rep, rep) - np.einsum("ijp,pkm->ijkm", g.mult, rep)
+    star = np.einsum("ij,jkl->ikl", g.star, rep) - np.conj(np.transpose(rep, (0, 2, 1)))
+    unital = np.einsum("i,ikl->kl", g.unit, rep) - np.eye(rep.shape[1])
+    return tuple(float(np.max(np.abs(x))) for x in (hom, star, unital))
+
+
+def einsum_podles_witness(g, side):
+    """max|Psi Phi - I| for Delta as the coaction of A on itself, from the legs of Delta.
+
+    Right: Phi(e_k (x) e_j) = (1 (x) e_j)Delta(e_k) and Psi(e_k (x) e_j) =
+    e_k(1) (x) e_j S^-1(e_k(2)).  Left: Phi(e_j (x) e_k) = (e_j (x) 1)Delta(e_k)
+    and Psi(e_j (x) e_k) = e_j S(e_k(1)) (x) e_k(2).  Maps are (out, in) matrices
+    over pairs (first leg, second leg).
+    """
+    n = g.dim
+    if side == "right":
+        s_inv = np.linalg.inv(g.antipode)
+        phi = np.einsum("kml,jlq->mqkj", g.comult, g.mult)
+        psi = np.einsum("kml,lp,jpq->mqkj", g.comult, s_inv, g.mult)
+    else:
+        phi = np.einsum("kml,jmq->qljk", g.comult, g.mult)
+        psi = np.einsum("kml,mp,jpq->qljk", g.comult, g.antipode, g.mult)
+    phi, psi = phi.reshape(n * n, n * n), psi.reshape(n * n, n * n)
+    return float(np.max(np.abs(psi @ phi - np.eye(n * n))))

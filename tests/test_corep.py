@@ -4,6 +4,9 @@ import pytest
 from cqms import corep, groups, hopf
 from cqms.errors import CompletenessError, SchurError
 
+import oracles
+from kp8_example import build_kp8
+
 
 def test_gns_gram_function_algebra(f_z4):
     gns = corep.gns_build(f_z4)
@@ -21,6 +24,17 @@ def test_gns_cyclicity(c_s3):
     for _ in range(5):
         a = rng.normal(size=6) + 1j * rng.normal(size=6)
         assert np.allclose(gns.act(a) @ gns.cyclic, gns.vector(a), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["F(Z_12)", "F(S_3)", "C*(S_3)", "kp8"])
+def test_gns_residuals_match_the_einsum_reference(name, f_s3, c_s3):
+    g = {"F(Z_12)": lambda: hopf.function_algebra(groups.cyclic_table(12)),
+         "F(S_3)": lambda: f_s3, "C*(S_3)": lambda: c_s3, "kp8": lambda: build_kp8()[0]}[name]()
+    gns = corep.gns_build(g)
+    noise = np.random.default_rng(1).normal(size=gns.rep.shape)
+    for rep in (gns.rep, gns.rep + 1e-3 * noise):
+        got = hopf._rep_residuals(g, rep)
+        assert got == pytest.approx(oracles.einsum_rep_residuals(g, rep), rel=0, abs=1e-14)
 
 
 def test_validate_trivial_corep(f_z4):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,29 @@ from cqms.errors import (
     StateCertificationError,
     StructureError,
 )
+
+import oracles
+from kp8_example import build_kp8
+
+REFERENCE_ALGEBRAS = {
+    "F(Z_4)": lambda: hopf.function_algebra(groups.cyclic_table(4)),
+    "F(Z_6)": lambda: hopf.function_algebra(groups.cyclic_table(6)),
+    "F(S_3)": lambda: hopf.function_algebra(groups.s3_table()),
+    "C*(S_3)": lambda: hopf.group_algebra(groups.s3_table()),
+    "F(D_4)": lambda: hopf.function_algebra(groups.d4_table()),
+    "F(Q_8)": lambda: hopf.function_algebra(groups.q8_table()),
+    "C*(Q_8)": lambda: hopf.group_algebra(groups.q8_table()),
+    "kp8": lambda: build_kp8()[0],
+}
+# one entry per tensor; comult[1, 0, 1] sits on the identity's leg of Delta(e_1) in F(G),
+# so only the left counit residual sees it
+BUMPS = {"mult": (1, 1, 2), "comult": (1, 0, 1), "rep": (1, 0, 0), "antipode": (1, 1)}
+
+
+def _bumped(g, name):
+    tensor = np.array(getattr(g, name))
+    tensor[BUMPS[name]] += 1e-3
+    return dataclasses.replace(g, **{name: tensor})
 
 
 def test_z2_comultiplication_of_delta0():
@@ -147,8 +172,50 @@ def test_slice_orders_commute(c_s3):
 
 def test_podles_ranks(c_z4):
     report = hopf.check_axioms(c_z4)
-    assert report.residuals["podles_right_rank_defect"] == 0.0
-    assert report.residuals["podles_left_rank_defect"] == 0.0
+    assert report.residuals["podles_right"] <= 1e-12
+    assert report.residuals["podles_left"] <= 1e-12
+    reference = oracles.einsum_axiom_residuals(c_z4)
+    assert reference["podles_right_rank_defect"] == 0.0
+    assert reference["podles_left_rank_defect"] == 0.0
+
+
+@pytest.mark.parametrize("bump", [None, *BUMPS])
+@pytest.mark.parametrize("name", list(REFERENCE_ALGEBRAS))
+def test_check_axioms_matches_the_einsum_reference(name, bump):
+    g = REFERENCE_ALGEBRAS[name]()
+    if bump is not None:
+        g = _bumped(g, bump)
+    got = hopf.check_axioms(g).residuals
+    reference = oracles.einsum_axiom_residuals(g)
+    shared = set(got) & set(reference)
+    assert set(got) - shared == {"podles_right", "podles_left"}
+    for key in shared:
+        assert abs(got[key] - reference[key]) <= 1e-12 * abs(reference[key]) + 1e-15, key
+    for side in ("right", "left"):
+        assert got[f"podles_{side}"] == pytest.approx(
+            oracles.einsum_podles_witness(g, side), rel=1e-12, abs=1e-15)
+    if bump is None:
+        assert max(got["podles_right"], got["podles_left"]) <= 1e-12
+        assert reference["podles_right_rank_defect"] == reference["podles_left_rank_defect"] == 0.0
+
+
+def test_podles_witness_above_its_limit_never_passes(f_z4):
+    antipode = np.array(f_z4.antipode)
+    antipode[1, 1] += 0.5
+    bad = dataclasses.replace(f_z4, antipode=antipode)
+    loose = hopf.check_axioms(bad, tol=10.0)
+    assert loose.max_residual < loose.tol
+    assert loose.residuals["podles_right"] > hopf._podles_limit(4, 4)
+    assert not loose.passed
+    assert "[FAIL]" in str(loose)
+
+
+def test_singular_antipode_gives_an_infinite_witness(f_z4):
+    antipode = np.array(f_z4.antipode)
+    antipode[1] = 0.0
+    report = hopf.check_axioms(dataclasses.replace(f_z4, antipode=antipode))
+    assert report.residuals["podles_right"] == np.inf
+    assert not report.passed
 
 
 def test_counit_support_projection_function(f_z4):

@@ -323,3 +323,66 @@ def test_cli_rejects_samples_below_one(z4_file, capsys, command, samples):
     assert code == cli.EXIT_CONFIG
     assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", [["check"], ["truncate", "--lambda", "0,1"]],
+                         ids=["check", "truncate"])
+def test_cli_rejects_a_tol_that_is_not_finite_and_positive(z4_file, capsys, command, tol):
+    code = cli.main(command + ["--input", z4_file, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_cli_output_is_written_only_when_the_command_returns(z4_file, f_z4, tmp_path, capsys):
+    previous = tmp_path / "prev.csv"
+    previous.write_text("lambda_id\n0\n")
+    fresh = tmp_path / "fresh.csv"
+    for path in (previous, fresh):
+        code = cli.main(["sweep", "--input", z4_file, "--samples", "0", "--output", str(path)])
+        assert code == cli.EXIT_CONFIG
+    assert previous.read_text() == "lambda_id\n0\n"
+    assert not fresh.exists()
+    # a FAIL report is a normal return with exit 2, and is written
+    mult = np.array(f_z4.mult)
+    mult[1, 1, 2] += 1e-3
+    broken = tmp_path / "broken.json"
+    io.dump_quantum_group_file(str(broken), hopf.FiniteQuantumGroup(
+        dim=4, mult=mult, unit=f_z4.unit, star=f_z4.star, comult=f_z4.comult,
+        counit=f_z4.counit, antipode=f_z4.antipode, rep=f_z4.rep, haar=f_z4.haar),
+        corep.default_irreps(f_z4))
+    code = cli.main(["check", "--input", str(broken), "--output", str(fresh)])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+    assert "axioms FAIL" in fresh.read_text()
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["check"], cli.EXIT_VALIDATION),
+    (["truncate", "--lambda", "0,1"], cli.EXIT_NUMERIC),
+    (["bound", "--lambda", "0,1", "--samples", "5"], cli.EXIT_NUMERIC),
+    (["sweep", "--samples", "5"], cli.EXIT_NUMERIC)], ids=["check", "truncate", "bound", "sweep"])
+def test_cli_singular_antipode_fails_without_a_traceback(f_z4, tmp_path, capsys, command, expected):
+    antipode = np.array(f_z4.antipode)
+    antipode[1] = 0.0
+    path = tmp_path / "singular.json"
+    io.dump_quantum_group_file(str(path), hopf.FiniteQuantumGroup(
+        dim=4, mult=f_z4.mult, unit=f_z4.unit, star=f_z4.star, comult=f_z4.comult,
+        counit=f_z4.counit, antipode=antipode, rep=f_z4.rep, haar=f_z4.haar),
+        corep.default_irreps(f_z4))
+    lip = lipnorm.lip_from_metric(f_z4)           # a quantum-group file carries no metric
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"functionals": io._encode_complex(lip.functionals),
+                                  "weights": np.asarray(lip.weights).tolist()}))
+    code = cli.main(command + ["--input", str(path), "--seminorm", f"file:{family}"])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert "Traceback" not in captured.err
+    if expected == cli.EXIT_VALIDATION:
+        assert "podles_right                 inf" in captured.out
+        assert "axioms FAIL" in captured.out
+    else:
+        assert captured.err.startswith("certification error:") and captured.err.count("\n") == 1
+        assert "Podles inf" in captured.err
