@@ -32,7 +32,7 @@ dec = pw_decompose(g, irreps)
 print("F(Z_8): eight characters, blocks of dimension 1, sum d^2 =",
       sum(p.dim ** 2 for p in irreps))
 
-w = multiplicative_unitary(g, "W", gns=dec.gns)
+w = multiplicative_unitary(g, "W")
 print(f"multiplicative unitary W: unitarity residual {w.unitarity_residual:.1e}, "
       f"implements the comultiplication to {w.implementation_residual:.1e}")
 p = dec.projector([0, 1, 7])

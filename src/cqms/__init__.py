@@ -68,7 +68,6 @@ from .lipnorm import (
     lip_fourier,
     max_numerical_radius,
     numerical_radius,
-    numerical_radius_many,
     sampled_state_lower_bound,
 )
 from .mkdist import (

@@ -46,7 +46,7 @@ def length_chain(g: FiniteQuantumGroup) -> list[tuple]:
     return chain
 
 
-def check_chain(chain, complete_size: int | None = None, require_full: bool = False) -> None:
+def check_chain(chain) -> None:
     """Validate that the chain is increasing under inclusion."""
     if not chain:
         raise ConfigError("empty chain")
@@ -58,5 +58,3 @@ def check_chain(chain, complete_size: int | None = None, require_full: bool = Fa
         if k > 0 and current == prev:
             raise ConfigError(f"chain repeats the subset at step {k}")
         prev = current
-    if require_full and complete_size is not None and len(prev) != complete_size:
-        raise ConfigError(f"final chain element has {len(prev)} irreps, expected {complete_size}")

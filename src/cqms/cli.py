@@ -26,9 +26,8 @@ EXIT_NUMERIC = 4
 
 _NUMERIC_ERRORS = (CertificationError, InternalInconsistencyError, DegenerateKernelError)
 
-CSV_COLUMNS = ["lambda_id", "dim_sys", "bound_B", "criterion_r", "diam_lower",
-               "diam_upper", "c1_max_residual", "n1_hausdorff_lower",
-               "n2_hausdorff_lower", "runtime_ms"]
+CSV_COLUMNS = ["lambda_id", "dim_sys", "bound_B", "diam_lower", "diam_upper",
+               "c1_max_residual", "n1_hausdorff_lower", "n2_hausdorff_lower", "runtime_ms"]
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="group or quantum-group JSON file")
         p.add_argument("--seminorm", default="auto",
                        help="metric | length | file:PATH | auto (default)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
         p.add_argument("--output", default=None)
+
+    def sampled(p, samples):
+        common(p)
+        p.add_argument("--seed", type=int, default=0, help="seed of the sampled checks (default 0)")
+        p.add_argument("--samples", type=int, default=samples,
+                       help=f"random elements per sampled check (default {samples})")
+
+    def tabulated(p, samples):
+        sampled(p, samples)
         p.add_argument("--format", choices=["csv", "text"], default="csv")
 
     p_check = sub.add_parser("check", help="validate the Hopf axioms and the invariant state")
     common(p_check)
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="accepted and unused: check draws no random numbers")
+    p_check.add_argument("--tol", type=float, default=1e-9,
+                         help="axiom and invariant-state tolerance, used as given (default 1e-9)")
     p_check.add_argument("--pw", action="store_true", help="also validate the irreducible family")
     p_check.set_defaults(handler=cmd_check)
 
@@ -93,13 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pw.set_defaults(handler=cmd_pw)
 
     p_trunc = sub.add_parser("truncate", help="build one truncation and certify its coactions")
-    common(p_trunc)
-    p_trunc.add_argument("--tol", type=float, default=1e-9)
+    sampled(p_trunc, 50)
+    p_trunc.add_argument("--tol", type=float, default=1e-9,
+                         help="coaction certificate tolerance, used as given (default 1e-9)")
     p_trunc.add_argument("--lambda", dest="lam", required=True, help="irrep indices '0,1,5' or 'all'")
     p_trunc.set_defaults(handler=cmd_truncate)
 
     p_bound = sub.add_parser("bound", help="certified distance bound for one truncation")
-    common(p_bound)
+    tabulated(p_bound, 100)
     p_bound.add_argument("--lambda", dest="lam", required=True)
     p_bound.add_argument("--state", choices=["canonical", "optimized", "explicit"],
                          default="canonical")
@@ -107,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(handler=cmd_bound)
 
     p_sweep = sub.add_parser("sweep", help="bounds along an increasing chain of truncations")
-    common(p_sweep)
+    tabulated(p_sweep, 200)
     p_sweep.add_argument("--chain", default="auto",
                          help="auto | prefix | freq | semicolon list '0;0,1,7;all'")
     p_sweep.add_argument("--state", choices=["canonical", "optimized"], default="canonical")
@@ -136,16 +146,12 @@ def _seminorm(args, loaded: io.LoadedInput) -> lipnorm.PolyhedralSeminorm:
         path = spec[5:]
         data = io._load_json(path)
         try:
-            funcs = io._as_complex(data["functionals"])
+            funcs = io._as_complex(data["functionals"], (None, g.dim), f"{path}: 'functionals'")
             weights = np.asarray(data["weights"], dtype=float)
-            lip = lipnorm.PolyhedralSeminorm(functionals=funcs, weights=weights, label="custom")
+            return lipnorm.PolyhedralSeminorm(functionals=funcs, weights=weights, label="custom")
         except (KeyError, TypeError, ValueError) as exc:
             raise io.ParseError(f"{path}: a seminorm file needs 'functionals' (m x n) and "
                                 f"positive 'weights' (m): {exc!r}") from exc
-        if lip.functionals.shape[1] != g.dim:
-            raise io.ParseError(f"{path}: functionals have {lip.functionals.shape[1]} entries, "
-                                f"the algebra has dimension {g.dim}")
-        return lip
     if spec == "auto":
         spec = "metric" if g.kind == "function" else "length"
     if spec == "metric":
@@ -233,7 +239,7 @@ def cmd_check(args, out) -> int:
     report = hopf.check_axioms(g, tol=args.tol)
     print(f"algebra: {g.label or args.input} (dim {g.dim})", file=out)
     print(report, file=out)
-    haar = hopf.haar_state(g, tol=max(args.tol, 1e-9))
+    haar = hopf.haar_state(g, tol=args.tol)
     print(f"invariant state certified (min witness eigenvalue {haar.min_eig:.3e})", file=out)
     if args.pw:
         dec = corep.pw_decompose(g, irreps, tol=1e-10)
@@ -265,10 +271,10 @@ def cmd_truncate(args, out) -> int:
     g = loaded.algebra
     subset = _parse_lambda(args.lam, len(irreps))
     ts = compress.truncate(g, irreps, subset)
-    alpha = compress.induced_coaction(g, ts, "right", tol=max(args.tol, 1e-9))
-    beta = compress.induced_coaction(g, ts, "left", tol=max(args.tol, 1e-9))
+    alpha = compress.induced_coaction(g, ts, "right", tol=args.tol)
+    beta = compress.induced_coaction(g, ts, "left", tol=args.tol)
     cocom = compress.cocommutation_residual(alpha, beta)
-    witness = compress.isometry_witness_residual(g, ts, samples=min(args.samples, 50),
+    witness = compress.isometry_witness_residual(g, ts, samples=args.samples,
                                                  seed=args.seed, amplified_every=10)
     print(f"lambda {_lambda_id(subset)}: rank {ts.rank}, dim_sys {ts.dim_sys}", file=out)
     print(f"coaction residuals: right {alpha.coaction_residual:.2e}, "
@@ -305,8 +311,6 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
         density = np.outer(vec, vec.conj())
 
     bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=index == 0, seed=seed)
-    criterion = mkdist.criterion_bound(mkdist.CriterionInputs(
-        diam_x=diam.upper, diam_y=diam.upper, c_phi=1.0, c_psi=1.0, eps_x=bound, eps_y=bound))
 
     rng = np.random.default_rng(seed)
     sym = compress.symbol_map(ts, alpha, density)
@@ -330,7 +334,7 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return {
         "lambda_id": _lambda_id(subset), "dim_sys": ts.dim_sys, "bound_B": bound,
-        "criterion_r": criterion, "diam_lower": diam.lower, "diam_upper": diam.upper,
+        "diam_lower": diam.lower, "diam_upper": diam.upper,
         "c1_max_residual": float(c1), "n1_hausdorff_lower": n1, "n2_hausdorff_lower": n2,
         "runtime_ms": runtime_ms,
     }
@@ -372,7 +376,7 @@ def cmd_bound(args, out) -> int:
     config = SweepConfig(
         loaded=loaded, irreps=irreps, seminorm=_seminorm(args, loaded),
         chain=[_parse_lambda(args.lam, len(irreps))], state_mode=args.state,
-        explicit_vector=explicit, seed=args.seed, samples=min(args.samples, 100))
+        explicit_vector=explicit, seed=args.seed, samples=args.samples)
     rows = run_sweep(config)            # print nothing unless every row is computed
     if note:
         print(note, file=out)

@@ -291,7 +291,6 @@ class SymbolMap:
     """sigma(x) = (phi (x) id) alpha(x), a linear map from the system into A."""
 
     matrix: np.ndarray           # (n, s)
-    phi_values: np.ndarray       # phi on the system basis
 
     def __call__(self, coords) -> np.ndarray:
         return self.matrix @ np.asarray(coords, dtype=complex)
@@ -326,8 +325,7 @@ def symbol_map(ts: TruncatedSystem, alpha: InducedCoaction, density: np.ndarray,
         raise ValueError("symbol map needs the right coaction of the same truncated system")
     density = certify_system_state(ts, density, tol)
     phi = state_values_on_basis(ts, density)
-    matrix = np.einsum("kml,m->lk", alpha.tensor, phi)
-    return SymbolMap(matrix=matrix, phi_values=phi)
+    return SymbolMap(matrix=np.einsum("kml,m->lk", alpha.tensor, phi))
 
 
 @dataclass(frozen=True, eq=False)

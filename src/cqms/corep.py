@@ -195,7 +195,6 @@ class PWDecomposition:
     gns: GNSSpace
     irreps: tuple
     blocks: tuple            # per irrep: (d^2, n) array, rows orthonormal in GNS coords
-    complete: bool
 
     def projector(self, subset) -> np.ndarray:
         n = self.gns.onb.shape[0]
@@ -210,10 +209,9 @@ class PWDecomposition:
         return np.vstack([self.blocks[k] for k in subset]).T
 
 
-def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL,
-                 require_complete: bool = True, gns: GNSSpace | None = None) -> PWDecomposition:
-    """Validate an irreducible family and orthonormalize its coefficient blocks."""
-    gns = gns or gns_build(g)
+def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecomposition:
+    """Validate a complete irreducible family and orthonormalize its coefficient blocks."""
+    gns = gns_build(g)
     irreps = tuple(irreps)
     for k, pi in enumerate(irreps):
         report = validate_corep(g, pi, tol)
@@ -228,8 +226,7 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL,
             if irreps[a].dim == irreps[b].dim and mor_dim(g, irreps[a], irreps[b]) > 0:
                 raise SchurError(f"irreps {a} and {b} are unitarily equivalent")
     total = sum(pi.dim ** 2 for pi in irreps)
-    complete = total == g.dim
-    if require_complete and not complete:
+    if total != g.dim:
         raise CompletenessError(f"sum of squared dimensions is {total}, expected {g.dim}")
 
     blocks = []
@@ -246,7 +243,7 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL,
             if overlap > tol:
                 raise InternalInconsistencyError(
                     f"coefficient blocks {a} and {b} are not orthogonal (overlap {overlap:.2e})")
-    return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks), complete=complete)
+    return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks))
 
 
 def pw_projector(g: FiniteQuantumGroup, irreps, subset, tol: float = GNS_TOL) -> np.ndarray:
@@ -270,8 +267,7 @@ class MultiplicativeUnitary:
     implementation_residual: float
 
 
-def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W",
-                           gns: GNSSpace | None = None, samples: int = 8,
+def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W", samples: int = 8,
                            seed: int = 0) -> MultiplicativeUnitary:
     """Dense multiplicative unitary with certificates of its defining identities.
 
@@ -281,7 +277,7 @@ def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W",
     """
     if side not in ("W", "V"):
         raise ValueError(f"side must be 'W' or 'V', got {side!r}")
-    gns = gns or gns_build(g)
+    gns = gns_build(g)
     n = g.dim
     d0 = g.rep.shape[1]
     acted = np.einsum("jpq,q->jp", gns.rep, gns.cyclic)      # pi(e_j) Lambda(1)

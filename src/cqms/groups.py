@@ -120,8 +120,8 @@ def check_metric(table, metric) -> None:
     if np.any(d < 0):
         g, h = np.argwhere(d < 0)[0]
         raise MetricError(f"negative distance at pair ({g}, {h})")
-    if not np.allclose(d, d.T, atol=1e-12):
-        g, h = np.argwhere(~np.isclose(d, d.T, atol=1e-12))[0]
+    if not np.allclose(d, d.T, rtol=0, atol=1e-12):
+        g, h = np.argwhere(~np.isclose(d, d.T, rtol=0, atol=1e-12))[0]
         raise MetricError(f"metric not symmetric at pair ({g}, {h})")
     if np.any(np.abs(np.diag(d)) > 1e-12):
         g = int(np.argmax(np.abs(np.diag(d))))
@@ -138,12 +138,12 @@ def check_metric(table, metric) -> None:
     # bi-invariance: d(gk, hk) = d(g, h) = d(kg, kh), exact loop over k
     for k in range(n):
         right = d[table[:, k][:, None], table[:, k][None, :]]
-        if not np.allclose(right, d, atol=1e-12):
-            g, h = np.argwhere(~np.isclose(right, d, atol=1e-12))[0]
+        if not np.allclose(right, d, rtol=0, atol=1e-12):
+            g, h = np.argwhere(~np.isclose(right, d, rtol=0, atol=1e-12))[0]
             raise MetricError(f"right invariance fails at triple ({g}, {h}, {k})")
         left = d[table[k][:, None], table[k][None, :]]
-        if not np.allclose(left, d, atol=1e-12):
-            g, h = np.argwhere(~np.isclose(left, d, atol=1e-12))[0]
+        if not np.allclose(left, d, rtol=0, atol=1e-12):
+            g, h = np.argwhere(~np.isclose(left, d, rtol=0, atol=1e-12))[0]
             raise MetricError(f"left invariance fails at triple ({g}, {h}, {k})")
 
 

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+HAAR_RANK_RTOL = 1e-10        # singular values below this fraction of the largest count as zero
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -220,11 +221,11 @@ def group_algebra(group_table, length=None) -> FiniteQuantumGroup:
     )
 
 
-def _solve_haar(comult, unit, n, rank_rtol=1e-10) -> np.ndarray:
+def _solve_haar(comult, unit, n) -> np.ndarray:
     """Unique normalized solution of the two-sided invariance system."""
     system = _invariance_system(comult, unit, n)
     _, sv, vh = np.linalg.svd(system)
-    null_dim = int(np.sum(sv <= rank_rtol * (sv[0] if len(sv) else 1.0)))
+    null_dim = int(np.sum(sv <= HAAR_RANK_RTOL * (sv[0] if len(sv) else 1.0)))
     if system.shape[1] > len(sv):
         null_dim += system.shape[1] - len(sv)
     if null_dim != 1:
@@ -243,9 +244,11 @@ def _invariance_system(comult, unit, n) -> np.ndarray:
 
 
 def haar_state(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> State:
-    """Re-solve the invariance system and certify the result as a state."""
-    h = _solve_haar(g.comult, g.unit, g.dim)
-    return certify_state(g, h, tol=tol)
+    """Certify the stored invariant state: two-sided invariance within tol, then as a state."""
+    residual = _maxabs(_invariance_system(g.comult, g.unit, g.dim) @ g.haar)
+    if residual > tol:
+        raise NotAQuantumGroupError(f"stored invariant state is not invariant (residual {residual:.2e})")
+    return certify_state(g, g.haar, tol=tol)
 
 
 def counit_state(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> State:

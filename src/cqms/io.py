@@ -8,8 +8,9 @@ Quantum-group file:
     { "dim": n, "mult": ..., "comult": ..., "unit": ..., "star": ...,
       "counit": ..., "antipode": ..., "rep": [...], "irreps": [...]? }
 
-Complex numbers appear as plain reals or two-element [re, im] arrays at the
-innermost level.
+A tensor is written either in plain reals or with every entry a two-element
+[re, im] array, i.e. with one more trailing axis of length 2; its known rank
+tells the two apart.
 """
 
 from __future__ import annotations
@@ -40,19 +41,18 @@ def _load_json(path: str):
         raise ParseError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _as_complex(node) -> np.ndarray:
-    """Nested lists with [re, im] leaves (or bare reals) to a complex array."""
-
-    def convert(x):
-        if isinstance(x, (int, float)):
-            return complex(x)
-        if isinstance(x, list):
-            if len(x) == 2 and all(isinstance(v, (int, float)) for v in x):
-                return complex(x[0], x[1])
-            return [convert(v) for v in x]
-        raise StructureError(f"cannot interpret {x!r} as a complex entry")
-
-    return np.asarray(convert(node), dtype=complex)
+def _as_complex(node, shape: tuple, name: str) -> np.ndarray:
+    """A complex tensor of this shape (None: any length) from reals or [re, im] pairs."""
+    try:
+        arr = np.ascontiguousarray(node, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"{name} is not a rectangular array of numbers") from exc
+    if arr.ndim == len(shape) + 1 and arr.shape[-1] == 2:
+        arr = arr.view(complex)[..., 0]
+    if arr.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, arr.shape)):
+        raise StructureError(f"{name} must have shape {shape} in reals or [re, im] pairs, "
+                             f"got {np.shape(node)}")
+    return arr.astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +109,12 @@ def _load_quantum_group(path: str, data: dict) -> LoadedInput:
     if missing:
         raise StructureError(f"{path}: quantum-group file is missing {missing}")
     n = int(data["dim"])
-    mult = _as_complex(data["mult"]).reshape(n, n, n)
-    comult = _as_complex(data["comult"]).reshape(n, n, n)
-    unit = _as_complex(data["unit"]).reshape(n)
-    star = _as_complex(data["star"]).reshape(n, n)
-    counit = _as_complex(data["counit"]).reshape(n)
-    antipode = _as_complex(data["antipode"]).reshape(n, n)
-    rep = _as_complex(data["rep"])
-    if rep.ndim != 3 or rep.shape[0] != n or rep.shape[1] != rep.shape[2]:
+    mult, comult, unit, star, counit, antipode = (
+        _as_complex(data[key], shape, f"{path}: '{key}'")
+        for key, shape in (("mult", (n, n, n)), ("comult", (n, n, n)), ("unit", (n,)),
+                           ("star", (n, n)), ("counit", (n,)), ("antipode", (n, n))))
+    rep = _as_complex(data["rep"], (n, None, None), f"{path}: 'rep'")
+    if rep.shape[1] != rep.shape[2]:
         raise StructureError(f"{path}: rep must be a list of n square matrices, got {rep.shape}")
     haar = _solve_haar(comult, unit, n)
     algebra = FiniteQuantumGroup(dim=n, mult=mult, unit=unit, star=star, comult=comult,
@@ -131,10 +129,11 @@ def _parse_irreps(path: str, data: dict, n: int) -> list:
     for k, node in enumerate(data["irreps"]):
         try:
             d = int(node["dim"])
-            u = _as_complex(node["matrices_over_A"]).reshape(d, d, n)
+            coeffs = node["matrices_over_A"]
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(
                 f"{path}: irrep {k} needs 'dim' and 'matrices_over_A' of shape (d, d, {n})") from exc
+        u = _as_complex(coeffs, (d, d, n), f"{path}: irrep {k} 'matrices_over_A'")
         out.append(Corepresentation(u=u, label=node.get("label", f"irrep_{k}")))
     return out
 

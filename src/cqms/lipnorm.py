@@ -251,19 +251,7 @@ def numerical_radius(m: np.ndarray, tol: float = W_TOL) -> float:
     Adaptive refinement over arcs of rotation angles; on each arc the support
     function bound through the two endpoint values certifies the error.
     """
-    return float(numerical_radius_many(np.asarray(m, dtype=complex)[None, :, :], tol)[0])
-
-
-def numerical_radius_many(stack: np.ndarray, tol: float = W_TOL) -> np.ndarray:
-    """Certified numerical radii of a stack of square matrices.
-
-    A matrix whose spectral radius is within tol of its norm is settled by
-    rho(M) <= w(M) <= ||M||; the rest run the adaptive arc refinement, with
-    all support values of one refinement wave batched into a single stacked
-    eigensolve across matrices.
-    """
-    lower, upper = _radius_brackets(stack, tol, None)
-    return (lower + upper) / 2
+    return max_numerical_radius(np.asarray(m, dtype=complex)[None, :, :], tol=tol)
 
 
 def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL, group_ids=None):

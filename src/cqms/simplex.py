@@ -16,6 +16,7 @@ import numpy as np
 from .errors import CertificationError
 
 FEAS_TOL = 1e-9
+MAX_ITERS = 200000
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +47,7 @@ class LPSolution:
             raise CertificationError(f"LP certificates exceed tolerance: {worst:.3e} > {tol:.1e}")
 
 
-def solve_lp(problem: LPProblem, tol: float = FEAS_TOL, max_iters: int = 200000) -> LPSolution:
+def solve_lp(problem: LPProblem, tol: float = FEAS_TOL) -> LPSolution:
     c = np.asarray(problem.objective, dtype=float)
     a = np.asarray(problem.inequalities, dtype=float)
     b = np.asarray(problem.bounds, dtype=float)
@@ -69,8 +70,8 @@ def solve_lp(problem: LPProblem, tol: float = FEAS_TOL, max_iters: int = 200000)
     basis_arr = np.array(basis)
     iters = 0
     while True:
-        if iters >= max_iters:
-            raise CertificationError(f"simplex exceeded {max_iters} iterations")
+        if iters >= MAX_ITERS:
+            raise CertificationError(f"simplex exceeded {MAX_ITERS} iterations")
         iters += 1
         eligible = np.nonzero(tab[m, :ncols] < -tol)[0]
         if len(eligible) == 0:

@@ -25,7 +25,7 @@ def test_length_chain(c_s3):
     chain = chains.length_chain(c_s3)
     assert chain[0] == (0,)
     assert chain[-1] == (0, 1, 2, 3, 4, 5)
-    chains.check_chain(chain, complete_size=6, require_full=True)
+    chains.check_chain(chain)
 
 
 def test_check_chain_rejections():
@@ -35,5 +35,3 @@ def test_check_chain_rejections():
         chains.check_chain([(0, 1), (0,)])
     with pytest.raises(ConfigError):
         chains.check_chain([(0,), (0,)])
-    with pytest.raises(ConfigError):
-        chains.check_chain([(0,)], complete_size=4, require_full=True)

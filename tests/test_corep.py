@@ -108,7 +108,7 @@ def test_pw_completeness_error(f_z4):
 def test_pw_duplicate_error(f_z4):
     irreps = corep.default_irreps(f_z4)
     with pytest.raises(SchurError):
-        corep.pw_decompose(f_z4, list(irreps) + [irreps[1]], require_complete=False)
+        corep.pw_decompose(f_z4, list(irreps) + [irreps[1]])
 
 
 def test_orthogonality_relations(f_s3):
@@ -145,8 +145,8 @@ def test_multiplicative_unitary_commutes_with_projectors(f_z4, c_s3):
         irreps = corep.default_irreps(g)
         dec = corep.pw_decompose(g, irreps)
         d0 = g.rep.shape[1]
-        w = corep.multiplicative_unitary(g, "W", gns=dec.gns)
-        v = corep.multiplicative_unitary(g, "V", gns=dec.gns)
+        w = corep.multiplicative_unitary(g, "W")
+        v = corep.multiplicative_unitary(g, "V")
         assert w.implementation_residual < 1e-11
         assert v.implementation_residual < 1e-11
         for subset in ([0], [0, 1], list(range(len(irreps)))):

@@ -41,6 +41,17 @@ def test_metric_errors_carry_witness():
         groups.check_metric(table, not_invariant)
 
 
+def test_metric_invariance_has_no_relative_slack():
+    # 5e-6 relative is far below numpy's default rtol of 1e-5, far above atol 1e-12
+    d = groups.arc_metric(8)
+    d[0, 1] = d[1, 0] = d[0, 1] * (1 + 5e-6)
+    with pytest.raises(MetricError, match="invariance"):
+        groups.check_metric(groups.cyclic_table(8), d)
+    d[1, 0] = groups.arc_metric(8)[1, 0]
+    with pytest.raises(MetricError, match="symmetric"):
+        groups.check_metric(groups.cyclic_table(8), d)
+
+
 def test_word_length_s3():
     ell = groups.symmetric_word_length(groups.s3_table(), groups.s3_word_generators())
     assert ell.tolist() == [0.0, 1.0, 1.0, 3.0, 2.0, 2.0]

@@ -96,6 +96,22 @@ def test_haar_trace_on_group_algebra(c_s3):
     assert np.allclose(state.coeffs, expected)
 
 
+@pytest.mark.parametrize("make", [lambda: hopf.function_algebra(groups.cyclic_table(12)),
+                                  lambda: hopf.group_algebra(groups.s3_table()),
+                                  lambda: build_kp8()[0]], ids=["F(Z_12)", "C*(S_3)", "kp8"])
+def test_haar_state_certifies_the_solved_state_without_changing_it(make):
+    g = make()
+    solved = hopf._solve_haar(g.comult, g.unit, g.dim)
+    assert hopf.haar_state(g).coeffs.tobytes() == solved.tobytes()
+
+
+def test_haar_state_rejects_a_stored_state_that_is_not_invariant(f_z4):
+    # the counit is a state, so only the invariance certificate can reject it
+    g = dataclasses.replace(f_z4, haar=f_z4.counit)
+    with pytest.raises(NotAQuantumGroupError, match="not invariant"):
+        hopf.haar_state(g)
+
+
 def test_haar_positive_definite(f_s3):
     rng = np.random.default_rng(11)
     for _ in range(20):

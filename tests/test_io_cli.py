@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def test_load_group_file_with_irreps(tmp_path, f_s3):
     assert loaded.irreps is not None
     assert [p.dim for p in loaded.irreps] == [1, 1, 2]
     dec = corep.pw_decompose(loaded.algebra, loaded.irreps)
-    assert dec.complete
+    assert sum(pi.dim ** 2 for pi in dec.irreps) == loaded.algebra.dim
 
 
 def test_load_quantum_group_file(tmp_path, f_z4):
@@ -79,7 +80,7 @@ def test_parse_error_carries_location(tmp_path):
 
 
 def test_cli_check_passes(z4_file, capsys):
-    code = cli.main(["check", "--input", z4_file, "--format", "text"])
+    code = cli.main(["check", "--input", z4_file])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "all axioms pass" in out
@@ -108,7 +109,7 @@ def test_cli_check_pw_incomplete(tmp_path, f_z4, capsys):
 
 
 def test_cli_truncate(z4_file, capsys):
-    code = cli.main(["truncate", "--input", z4_file, "--lambda", "0,1", "--format", "text"])
+    code = cli.main(["truncate", "--input", z4_file, "--lambda", "0,1"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "dim_sys 3" in out
@@ -152,7 +153,7 @@ def test_cli_sweep_csv(z8_file, tmp_path, capsys):
     bounds = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(bounds[k + 1] <= bounds[k] + 1e-9 for k in range(len(bounds) - 1))
     assert bounds[-1] == pytest.approx(0.0, abs=1e-8)
-    residuals = [float(line.split(",")[6]) for line in lines[1:]]
+    residuals = [float(line.split(",")[cli.CSV_COLUMNS.index("c1_max_residual")]) for line in lines[1:]]
     assert all(r <= 1e-8 for r in residuals)
 
 
@@ -174,7 +175,7 @@ def test_cli_sweep_c_s3(s3c_file, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     lines = out.strip().splitlines()
-    residuals = [float(line.split(",")[6]) for line in lines[1:]]
+    residuals = [float(line.split(",")[cli.CSV_COLUMNS.index("c1_max_residual")]) for line in lines[1:]]
     assert all(r <= 1e-8 for r in residuals)
     bounds = [float(line.split(",")[2]) for line in lines[1:]]
     assert bounds[-1] == pytest.approx(0.0, abs=1e-8)
@@ -188,7 +189,7 @@ def test_cli_sweep_bad_chain(z8_file, capsys):
 
 
 def test_cli_pw(s3c_file, capsys):
-    code = cli.main(["pw", "--input", s3c_file, "--format", "text"])
+    code = cli.main(["pw", "--input", s3c_file])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "complete" in out
@@ -240,22 +241,76 @@ def _strip_runtime(text):
     return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
 
 
-@pytest.mark.parametrize("command", [["bound", "--lambda", "0"], ["sweep"]])
+@pytest.mark.parametrize("command", [
+    ["bound", "--lambda", "0", "--tol", "1e-3"], ["sweep", "--tol", "1e-3"],
+    ["check", "--samples", "5"], ["check", "--format", "text"], ["pw", "--seed", "1"],
+    ["pw", "--samples", "5"], ["pw", "--format", "text"],
+    ["truncate", "--lambda", "0", "--format", "text"]])
 def test_cli_tol_is_rejected_where_unread(z8_file, command):
     with pytest.raises(SystemExit) as exc:
-        cli.main([command[0], "--input", z8_file, *command[1:], "--tol", "1e-3"])
+        cli.main([command[0], "--input", z8_file, *command[1:]])
     assert exc.value.code == 2
 
 
 def test_cli_bound_prints_the_one_level_sweep_row(z8_file, capsys):
-    code = cli.main(["bound", "--input", z8_file, "--lambda", "0,1,7", "--samples", "20",
-                     "--seed", "3"])
-    bound_out = capsys.readouterr().out
-    code2 = cli.main(["sweep", "--input", z8_file, "--chain", "0,1,7", "--samples", "20",
-                      "--seed", "3"])
-    sweep_out = capsys.readouterr().out
-    assert code == cli.EXIT_OK and code2 == cli.EXIT_OK
-    assert _strip_runtime(bound_out) == _strip_runtime(sweep_out)
+    for samples in ("20", "150"):      # --samples is used as given, not capped
+        code = cli.main(["bound", "--input", z8_file, "--lambda", "0,1,7", "--samples", samples,
+                         "--seed", "3"])
+        bound_out = capsys.readouterr().out
+        code2 = cli.main(["sweep", "--input", z8_file, "--chain", "0,1,7", "--samples", samples,
+                          "--seed", "3"])
+        sweep_out = capsys.readouterr().out
+        assert code == cli.EXIT_OK and code2 == cli.EXIT_OK
+        assert _strip_runtime(bound_out) == _strip_runtime(sweep_out)
+
+
+def test_cli_truncate_uses_tol_as_given(f_z4, tmp_path, capsys):
+    comult = np.array(f_z4.comult)
+    comult[1, 0, 1] += 3e-11
+    path = tmp_path / "bumped.json"
+    io.dump_quantum_group_file(str(path), dataclasses.replace(f_z4, comult=comult),
+                               corep.default_irreps(f_z4))
+    code = cli.main(["truncate", "--input", str(path), "--lambda", "0,1", "--tol", "1e-12"])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("certification error:")
+
+
+def _f_z2_payload(dim):
+    # F(Z_2) in bare reals: every innermost list has exactly two entries
+    g = hopf.function_algebra(groups.cyclic_table(2))
+    irreps = [{"dim": 1, "matrices_over_A": pi.u.real.tolist()} for pi in corep.default_irreps(g)]
+    return {"dim": dim, "irreps": irreps, **{key: getattr(g, key).real.tolist() for key in (
+        "mult", "comult", "unit", "star", "counit", "antipode", "rep")}}
+
+
+def test_quantum_group_file_in_bare_reals_is_read_by_rank(tmp_path, capsys):
+    path = tmp_path / "fz2.json"
+    path.write_text(json.dumps(_f_z2_payload(2)))
+    g = hopf.function_algebra(groups.cyclic_table(2))
+    loaded = io.load_input(str(path)).algebra
+    for key in ("mult", "comult", "unit", "star", "counit", "antipode", "rep", "haar"):
+        assert np.array_equal(getattr(loaded, key), getattr(g, key)), key
+    assert cli.main(["check", "--input", str(path), "--pw"]) == cli.EXIT_OK
+    assert "all axioms pass" in capsys.readouterr().out
+
+
+def test_quantum_group_file_of_the_wrong_dimension_exits_2(tmp_path, capsys):
+    path = tmp_path / "fz2_dim3.json"
+    path.write_text(json.dumps(_f_z2_payload(3)))
+    code = cli.main(["check", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and "'mult'" in err and "Traceback" not in err
+
+
+def test_cli_rejects_a_metric_off_by_a_relative_5e_6(tmp_path, capsys):
+    d = groups.arc_metric(8)
+    d[0, 1] = d[1, 0] = d[0, 1] * (1 + 5e-6)
+    path = tmp_path / "z8_bumped.json"
+    io.dump_group_file(path, groups.cyclic_table(8), metric=d)
+    code = cli.main(["check", "--input", str(path)])
+    assert code == cli.EXIT_VALIDATION
+    assert "invariance fails" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["bound", "--lambda", "0,1"], ["sweep"]])

@@ -66,7 +66,7 @@ def test_numerical_radius_matches_brute_force():
         assert w <= float(np.linalg.norm(m, 2)) + 1e-8
 
 
-def test_numerical_radius_many_dispatches_a_mixed_stack():
+def test_grouped_radius_dispatches_a_mixed_stack():
     rng = np.random.default_rng(6)
     tol = 1e-8
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -77,7 +77,7 @@ def test_numerical_radius_many_dispatches_a_mixed_stack():
     rand = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
     stack = np.concatenate([np.stack([np.zeros((4, 4)), h, diag, e12]), rand])
 
-    w = lipnorm.numerical_radius_many(stack, tol=tol)
+    w = lipnorm.max_numerical_radius(stack, tol=tol, group_ids=np.arange(len(stack)))
     assert w.shape == (len(stack),)
     assert w[0] == 0.0
     assert w[1] == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(h))), abs=tol)

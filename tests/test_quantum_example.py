@@ -36,7 +36,7 @@ def test_irreps_validate_and_complete(kp8):
     for p in irreps:
         r = corep.validate_corep(g, p)
         assert r.passed(1e-10) and r.irreducible
-    assert dec.complete
+    assert sum(pi.dim ** 2 for pi in dec.irreps) == g.dim
 
 
 def test_haar_is_tracial_delta(kp8):
@@ -56,8 +56,8 @@ def test_counit_support_projection(kp8):
 
 def test_multiplicative_unitaries(kp8):
     g, _, dec = kp8
-    w = corep.multiplicative_unitary(g, "W", gns=dec.gns, samples=5, seed=1)
-    v = corep.multiplicative_unitary(g, "V", gns=dec.gns, samples=5, seed=1)
+    w = corep.multiplicative_unitary(g, "W", samples=5, seed=1)
+    v = corep.multiplicative_unitary(g, "V", samples=5, seed=1)
     assert w.unitarity_residual < 1e-10 and w.implementation_residual < 1e-10
     assert v.unitarity_residual < 1e-10 and v.implementation_residual < 1e-10
     d0 = g.rep.shape[1]
@@ -70,7 +70,7 @@ def test_multiplicative_unitaries(kp8):
 def test_truncation_chain_certificates(kp8):
     g, irreps, dec = kp8
     chain = [(0,), (0, 4), (0, 1, 2, 3, 4)]
-    chains.check_chain(chain, complete_size=5, require_full=True)
+    chains.check_chain(chain)
     for lam in chain:
         ts = compress.truncate(g, irreps, lam, dec=dec)
         alpha = compress.induced_coaction(g, ts, "right")
@@ -134,13 +134,12 @@ def test_quantum_group_file_roundtrip_through_cli(kp8, tmp_path, capsys):
     g, irreps, _ = kp8
     path = tmp_path / "quantum8.json"
     io.dump_quantum_group_file(str(path), g, irreps=irreps)
-    code = cli.main(["check", "--input", str(path), "--pw", "--format", "text"])
+    code = cli.main(["check", "--input", str(path), "--pw"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "all axioms pass" in out
     assert "sum d^2 = 8" in out
-    code = cli.main(["truncate", "--input", str(path), "--lambda", "0,4",
-                     "--format", "text", "--samples", "15"])
+    code = cli.main(["truncate", "--input", str(path), "--lambda", "0,4", "--samples", "15"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "dim_sys 8" in out
