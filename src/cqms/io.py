@@ -55,6 +55,14 @@ def _as_complex(node, shape: tuple, name: str) -> np.ndarray:
     return arr.astype(complex)
 
 
+def _as_real(node, shape: tuple, name: str) -> np.ndarray:
+    """A real tensor read as ``_as_complex`` reads one; a nonzero imaginary part is an error."""
+    arr = _as_complex(node, shape, name)
+    if np.any(arr.imag):
+        raise StructureError(f"{name} must be real")
+    return arr.real.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class LoadedInput:
     algebra: FiniteQuantumGroup
@@ -87,8 +95,8 @@ def _load_group(path: str, data: dict, family: str) -> LoadedInput:
         raise StructureError(f"{path}: group files need integer 'order' and 'mult_table'") from exc
     if table.shape != (order, order):
         raise StructureError(f"{path}: mult_table must be {order}x{order}, got {table.shape}")
-    metric = np.asarray(data["metric"], dtype=float) if "metric" in data else None
-    length = np.asarray(data["length"], dtype=float) if "length" in data else None
+    metric = _as_real(data["metric"], (None, None), f"{path}: 'metric'") if "metric" in data else None
+    length = _as_real(data["length"], (None,), f"{path}: 'length'") if "length" in data else None
 
     if family == "auto":
         family = "group" if (length is not None and metric is None) else "function"
@@ -108,7 +116,10 @@ def _load_quantum_group(path: str, data: dict) -> LoadedInput:
     missing = [key for key in required if key not in data]
     if missing:
         raise StructureError(f"{path}: quantum-group file is missing {missing}")
-    n = int(data["dim"])
+    try:
+        n = int(data["dim"])
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"{path}: 'dim' must be an integer, got {data['dim']!r}") from exc
     mult, comult, unit, star, counit, antipode = (
         _as_complex(data[key], shape, f"{path}: '{key}'")
         for key, shape in (("mult", (n, n, n)), ("comult", (n, n, n)), ("unit", (n,)),

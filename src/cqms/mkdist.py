@@ -1,9 +1,12 @@
-"""Monge-Kantorovich distances by linear programming and the distance bounds.
+"""Monge-Kantorovich distances, exactly or by linear programming, and the distance bounds.
 
 d^L(mu, nu) = sup{|mu(x) - nu(x)| : L(x) <= 1} is solved over the self-adjoint
 part (enough, since L is *-invariant and mu - nu is hermitian) after fixing
-the free direction along the unit.  Real-valued family functionals give an
-exact polyhedral ball; complex-valued ones give disc constraints handled by
+the free direction along the unit.  When the unit ball is a product of
+intervals and discs in some linear coordinates, as for the coefficient
+Lip-norm on C*(G), the supremum is a closed-form sum with a certified
+optimizer and no LP.  Otherwise real-valued family functionals give an exact
+polyhedral ball, and complex-valued ones give disc constraints handled by
 certified outer tangent cuts refined until the bracket closes.
 
 Every Gromov-Hausdorff type output is a labeled bound: ``criterion_bound``
@@ -64,17 +67,30 @@ def sa_basis(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm) -> tuple[np.ndarray, ...]:
-    """(quotient, z, weights, cuts, bounds, owner): the unit ball {L <= 1} in quotient coordinates.
+    """(quotient, z, weights, product, radii, cuts, bounds, owner): the unit ball {L <= 1}.
 
-    Built from the family's LP rows (``reduce_family``), whose ball contains
-    the full family's and exceeds it by at most a factor 1 + 4 eps.  Row i of
-    ``z = functionals @ quotient.T`` bounds |z_i . t| <= weights[i].  The
-    starting outer polygon is ``cuts @ t <= bounds``: each row that is real up
-    to roundoff gives the cuts +-Re z_i, each other (disc) row i gives 16
-    tangent cuts Re(e^{-i theta} z_i) <= weights[i].  ``owner`` names the disc
-    row of each cut (-1 for real rows); cuts are grouped by increasing owner.
-    Checks the kernel and the unit once.  Cached per (algebra, family) pair,
-    as read-only arrays.
+    Built in quotient coordinates from the family's LP rows (``reduce_family``),
+    whose ball contains the full family's and exceeds it by at most a factor
+    1 + 4 eps.  Row i of ``z = functionals @ quotient.T`` bounds
+    |z_i . t| <= weights[i].  A row is real when its imaginary part is zero up
+    to roundoff, and a disc row otherwise.
+
+    Product ball: drop each disc row that is the complex conjugate of an
+    earlier disc row of equal weight (the same constraint), and stack
+    ``product = [Re z_real; Re z_disc; Im z_disc]``.  When that matrix is
+    square and well conditioned, s = product @ t is a change of coordinates in
+    which the ball is the product of the intervals |s_i| <= radii[i] and the
+    discs |(s_j, s_j')| <= radii[j], with ``radii = [w_real, w_disc]``.  This is
+    the coefficient family of C*(G), one row per g != e: an involution gives
+    an interval and a pair {g, g^-1} a disc.  Otherwise ``product`` is
+    (0, n - 1) and ``radii`` empty.
+
+    The outer polygon ``cuts @ t <= bounds`` serves the LP: each real row
+    gives the cuts +-Re z_i, each disc row i gives 16 tangent cuts
+    Re(e^{-i theta} z_i) <= weights[i].  ``owner`` names the disc row of each
+    cut (-1 for real rows); cuts are grouped by increasing owner.  Checks the
+    kernel and the unit once.  Cached per (algebra, family) pair, as
+    read-only arrays.
     """
     family = reduce_family(g, lip)[0]
     defect = family.kernel_rank_defect(g.dim)
@@ -85,14 +101,33 @@ def _unit_ball(g: FiniteQuantumGroup, lip: PolyhedralSeminorm) -> tuple[np.ndarr
         raise CertificationError(f"seminorm family does not kill the unit (residual {unit_res:.2e})")
     _, quotient = sa_basis(g)
     z, weights = family.functionals @ quotient.T, family.weights
-    real = np.max(np.abs(z.imag), axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(z), axis=1))
-    reals, discs = np.flatnonzero(real), np.flatnonzero(~real).repeat(16)
+    size = np.maximum(1.0, np.max(np.abs(z), axis=1))
+    real = np.max(np.abs(z.imag), axis=1) <= 1e-12 * size
+    reals, discs = np.flatnonzero(real), np.flatnonzero(~real)
+
+    # disc row i repeats an earlier disc row j when z_i = conj(z_j) and w_i = w_j
+    gap = np.max(np.abs(z[discs, None, :] - z[None, discs, :].conj()), axis=2)
+    repeat = (gap <= 1e-12 * size[discs, None]) & (weights[discs, None] == weights[None, discs])
+    kept = discs[~np.any(np.tril(repeat, -1), axis=1)]
+    product = np.vstack([z[reals].real, z[kept].real, z[kept].imag])
+    radii = np.concatenate([weights[reals], weights[kept]])
+    if product.shape[0] != quotient.shape[0] or not _well_conditioned(product):
+        product, radii = product[:0], radii[:0]
+
+    polygon = discs.repeat(16)
     signed = np.stack([z[reals].real, -z[reals].real], axis=1).reshape(2 * len(reals), z.shape[1])
-    start = np.tile(np.arange(16) * np.pi / 8, len(discs) // 16)
-    cuts = np.vstack([signed, _tangents(z[discs], start)])
-    bounds = np.concatenate([weights[reals].repeat(2), weights[discs]])
-    owner = np.concatenate([np.full(2 * len(reals), -1), discs])
-    return tuple(_readonly(np.array(a)) for a in (quotient, z, weights, cuts, bounds, owner))
+    start = np.tile(np.arange(16) * np.pi / 8, len(discs))
+    cuts = np.vstack([signed, _tangents(z[polygon], start)])
+    bounds = np.concatenate([weights[reals].repeat(2), weights[polygon]])
+    owner = np.concatenate([np.full(2 * len(reals), -1), polygon])
+    return tuple(_readonly(np.array(a)) for a in (quotient, z, weights, product, radii,
+                                                    cuts, bounds, owner))
+
+
+def _well_conditioned(square: np.ndarray) -> bool:
+    """Smallest singular value above 1e-8 of the largest."""
+    sv = np.linalg.svd(square, compute_uv=False)
+    return len(sv) > 0 and sv[-1] > 1e-8 * sv[0]
 
 
 def _tangents(rows: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -114,15 +149,25 @@ class MKResult:
 
 def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
                 lp_tol: float = LP_TOL, return_result: bool = False):
-    """sup{|mu(x) - nu(x)| : L(x) <= 1} up to lp_tol, by certified LP.
+    """sup{|mu(x) - nu(x)| : L(x) <= 1} up to lp_tol, exactly or by certified LP.
 
-    Purely polyhedral constraint families solve exactly (up to solver
-    roundoff); disc constraints report the outer-approximation optimum, which
-    never undershoots the supremum and exceeds it by at most a relative lp_tol.
+    On a product ball (see ``_unit_ball``) the supremum is exact and needs no
+    LP: solve product^T y = c once, and the value is the sum of
+    |y_i| radii[i] over the intervals and |(y_j, y_j')| radii[j] over the
+    discs, attained at t = product^-1 s* for the extreme point s* that y
+    picks.  The certificate scales t into the ball of every LP row,
+    max_i |z_i . t| / w_i <= 1, and requires c . t to match the value to
+    1e-12 max(1, value); ``lp_iterations`` and ``refinement_rounds`` are 0.
+    As the simplex does, an objective with max|c| <= lp_tol gives 0.
+
+    Otherwise the dense LP runs over the outer polygon.  Purely polyhedral
+    constraint families solve exactly (up to solver roundoff); disc
+    constraints report the outer-approximation optimum, which never
+    undershoots the supremum and exceeds it by at most a relative lp_tol.
     """
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
-    quotient, z, weights, cuts, bounds, owner = _unit_ball(g, lip)
+    quotient, z, weights, product, radii, cuts, bounds, owner = _unit_ball(g, lip)
     w = mu_c - nu_c
 
     objective = np.real(quotient @ w)
@@ -130,6 +175,46 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     if herm_res > 1e-8 * max(1.0, _maxabs(w)):
         raise CertificationError(f"mu - nu is not hermitian (imaginary part {herm_res:.2e})")
 
+    if len(radii):
+        value, t = _product_support(product, radii, z, weights, objective, lp_tol)
+        iterations = rounds = 0
+    else:
+        value, t, iterations, rounds = _refined_lp(z, weights, cuts, bounds, owner, objective,
+                                                   lp_tol)
+
+    element = quotient.T @ t
+    scale = lip.value(element)
+    if scale > 1.0 + 1e-9:
+        element = element / scale
+    if return_result:
+        return MKResult(value=value, element=element, lp_iterations=iterations,
+                        refinement_rounds=rounds)
+    return value
+
+
+def _product_support(product, radii, z, weights, objective, lp_tol) -> tuple[float, np.ndarray]:
+    """(value, t): the certified supremum of objective . t over a product ball, and its optimizer."""
+    if _maxabs(objective) <= lp_tol:
+        return 0.0, np.zeros(len(objective))
+    y = np.linalg.solve(product.T, objective)
+    discs = len(product) - len(radii)
+    reals = len(radii) - discs
+    planar = y[reals:].reshape(2, discs)
+    moduli = np.hypot(planar[0], planar[1])
+    value = float(np.abs(y[:reals]) @ radii[:reals] + moduli @ radii[reals:])
+    # the extreme point y picks: a sign per interval, the direction of y per disc
+    unit = np.divide(planar, moduli, out=np.zeros_like(planar), where=moduli > 0)
+    extreme = np.concatenate([np.sign(y[:reals]) * radii[:reals], (unit * radii[reals:]).ravel()])
+    t = np.linalg.solve(product, extreme)
+    t /= max(1.0, float(np.max(np.abs(z @ t) / weights)))
+    primal = float(objective @ t)
+    if abs(value - primal) > 1e-12 * max(1.0, value):
+        raise CertificationError(f"product-ball certificate fails: primal {primal!r}, dual {value!r}")
+    return value, t
+
+
+def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
+    """(value, t, iterations, rounds): the LP over the outer polygon, discs refined until closed."""
     # the rows that own cuts; np.unique would import numpy.ma (~1.8 MB resident)
     discs = np.flatnonzero(np.bincount(owner + 1, minlength=len(weights) + 1)[1:])
     rounds = 0
@@ -157,16 +242,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
         owner = np.concatenate([owner, touched])
         order = np.argsort(owner, kind="stable")
         cuts, bounds, owner = cuts[order], bounds[order], owner[order]
-
-    element = quotient.T @ t
-    scale = lip.value(element)
-    if scale > 1.0 + 1e-9:
-        element = element / scale
-    value = max(solution.value, 0.0)
-    if return_result:
-        return MKResult(value=value, element=element, lp_iterations=solution.iterations,
-                        refinement_rounds=rounds)
-    return value
+    return max(solution.value, 0.0), t, solution.iterations, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +344,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     vertex enumeration of the unit ball in low dimension and by the
     coordinate-wise dual-norm box containment otherwise.
     """
-    quotient, _, _, cuts, bounds, owner = _unit_ball(g, lip)
+    quotient, _, _, _, _, cuts, bounds, owner = _unit_ball(g, lip)
     rng = np.random.default_rng(seed)
     d0 = g.rep.shape[1]
     states: list[State] = [basis_vector_state(g, i) for i in range(min(d0, samples))]
@@ -310,7 +386,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
 
 
 def _support_lp(g, lip, objective, lp_tol) -> float:
-    _, _, _, cuts, bounds, _ = _unit_ball(g, lip)
+    cuts, bounds = _unit_ball(g, lip)[5:7]
     solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds), tol=lp_tol)
     if solution.status != "optimal":
         raise DegenerateKernelError("support LP unbounded; the seminorm is degenerate")

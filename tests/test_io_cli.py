@@ -303,6 +303,20 @@ def test_quantum_group_file_of_the_wrong_dimension_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "'mult'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["dim-not-an-integer", "ragged-metric", "ragged-length"])
+def test_cli_malformed_structure_files_exit_2(tmp_path, capsys, case):
+    group = {"order": 2, "mult_table": groups.cyclic_table(2).tolist()}
+    payload = {"dim-not-an-integer": {**_f_z2_payload(2), "dim": "x"},
+               "ragged-metric": {**group, "metric": [[0, 1], [1]]},
+               "ragged-length": {**group, "length": [0, [1]]}}[case]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["check", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_rejects_a_metric_off_by_a_relative_5e_6(tmp_path, capsys):
     d = groups.arc_metric(8)
     d[0, 1] = d[1, 0] = d[0, 1] * (1 + 5e-6)

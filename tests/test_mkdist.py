@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cqms import chains, compress, corep, groups, hopf, lipnorm, mkdist
-from cqms.errors import DegenerateKernelError
+from cqms.errors import CertificationError, DegenerateKernelError
 from cqms.sampling import basis_vector_state, random_matrix_state, random_state
 
 import oracles
@@ -117,7 +117,7 @@ def test_complex_disc_constraints_match_closed_form(s3c_setup):
         lp_val = mkdist.mk_distance(g, lip, mu, eps)
         closed = oracles.fourier_coefficient_distance(mu.coeffs - eps.coeffs,
                                                       np.asarray(g.length), inverse)
-        assert closed - 1e-10 <= lp_val <= closed + 1e-8
+        assert abs(lp_val - closed) <= 1e-12 * closed
 
 
 
@@ -125,10 +125,22 @@ def _lp_arrays(problem):
     return (problem.objective, problem.inequalities, problem.bounds)
 
 
+def _mixed_disc_family(g, lip):
+    """The C*(S_3) coefficient rows plus |x_(012) + x_(02)| <= 1: disc rows, but no product ball."""
+    mixed = np.zeros((1, g.dim), dtype=complex)
+    mixed[0, 4] = mixed[0, 3] = 1.0
+    family = lipnorm.PolyhedralSeminorm(functionals=np.vstack([lip.functionals, mixed]),
+                                        weights=np.append(lip.weights, 1.0))
+    assert len(mkdist._unit_ball(g, family)[4]) == 0
+    return family
+
+
 @pytest.mark.parametrize("name", ["C*(S_3)", "F(Z_8)"])
 def test_array_refinement_matches_the_angle_list_reference(name, s3c_setup, z8_setup, monkeypatch):
     # every LP and every result equal the dict-of-angles refinement's, bit for bit
     g, _, _, lip = s3c_setup if name == "C*(S_3)" else z8_setup
+    if name == "C*(S_3)":
+        lip = _mixed_disc_family(g, lip)
     solve, lps = mkdist.solve_lp, []
 
     def record(problem, tol):
@@ -158,6 +170,7 @@ def test_array_refinement_matches_the_angle_list_reference(name, s3c_setup, z8_s
 
 def test_refinement_leaves_the_cached_polygon_unchanged(s3c_setup):
     g, _, _, lip = s3c_setup
+    lip = _mixed_disc_family(g, lip)
     ball = mkdist._unit_ball(g, lip)
     before = [a.copy() for a in ball]
     owner = ball[-1]
@@ -173,6 +186,77 @@ def test_refinement_leaves_the_cached_polygon_unchanged(s3c_setup):
     for a, b, old in zip(ball, after, before):
         assert a is b and not a.flags.writeable
         assert a.dtype == old.dtype and a.tobytes() == old.tobytes()
+
+
+# -- product balls ------------------------------------------------------------
+
+def test_product_ball_only_for_square_interval_and_disc_families(s3c_setup, c_z4, z8_setup):
+    g, _, _, lip = s3c_setup
+    _, _, _, product, radii = mkdist._unit_ball(g, lip)[:5]
+    # (01), (12), (02) are intervals; the 3-cycles {(012), (021)} share one disc
+    assert product.shape == (5, 5) and np.array_equal(radii, 1 / g.length[[1, 2, 3, 4]])
+    _, _, _, product, radii = mkdist._unit_ball(c_z4, lipnorm.lip_fourier(c_z4))[:5]
+    assert product.shape == (3, 3) and np.array_equal(radii, [0.5, 1.0])
+    # a pair family of F(G) has more rows than dimensions, the mixed family a disc too many
+    for family_g, family in ((z8_setup[0], z8_setup[3]), (g, _mixed_disc_family(g, lip))):
+        _, _, _, product, radii = mkdist._unit_ball(family_g, family)[:5]
+        assert product.shape == (0, family_g.dim - 1) and radii.shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["C*(S_3)", "C*(Z_6)"])
+def test_product_ball_distance_is_the_closed_form(name, s3c_setup):
+    # C*(Z_6): the involution 3 is an interval, {1, 5} and {2, 4} are discs of different radii
+    g = s3c_setup[0] if name == "C*(S_3)" else hopf.group_algebra(
+        groups.cyclic_table(6), length=np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0]))
+    lip = lipnorm.lip_fourier(g)
+    assert len(mkdist._unit_ball(g, lip)[4]) == (4 if name == "C*(S_3)" else 3)
+    _, inverse = groups.validate_cayley(g.group_table)
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        mu, nu = random_state(g, rng), random_state(g, rng)
+        result = mkdist.mk_distance(g, lip, mu, nu, return_result=True)
+        closed = oracles.fourier_coefficient_distance(mu.coeffs - nu.coeffs,
+                                                      np.asarray(g.length), inverse)
+        assert abs(result.value - closed) <= 1e-13 * closed
+        assert (result.lp_iterations, result.refinement_rounds) == (0, 0)
+        # the optimizer lies in the unit ball and attains the value
+        assert lip.value(result.element) <= 1 + 1e-12
+        attained = np.dot(mu.coeffs - nu.coeffs, result.element)
+        assert abs(abs(attained) - result.value) <= 1e-12 * result.value
+
+
+def test_product_ball_distance_never_exceeds_the_lp(s3c_setup):
+    g, _, _, lip = s3c_setup
+    rng = np.random.default_rng(43)
+    for _ in range(24):
+        mu, nu = random_state(g, rng), random_state(g, rng)
+        exact = mkdist.mk_distance(g, lip, mu, nu)
+        lp_val = oracles.loop_mk_distance(g, lip, mu, nu).value
+        assert exact <= lp_val <= exact * (1 + mkdist.LP_TOL)
+
+
+def test_product_ball_certificate_rejects_a_wrong_ball(s3c_setup):
+    g, _, _, lip = s3c_setup
+    quotient, z, weights, product, radii = mkdist._unit_ball(g, lip)[:5]
+    mu, nu = random_state(g, np.random.default_rng(44)), hopf.counit_state(g)
+    objective = np.real(quotient @ (mu.coeffs - nu.coeffs))
+    assert mkdist._product_support(product, radii, z, weights, objective, mkdist.LP_TOL)[0] > 0
+    with pytest.raises(CertificationError, match="product-ball certificate"):
+        mkdist._product_support(product, radii * (1 + 1e-9), z, weights, objective, mkdist.LP_TOL)
+
+
+def test_product_ball_keeps_the_zero_objective_rule(s3c_setup):
+    g, irreps, dec, lip = s3c_setup
+    eps = hopf.counit_state(g)
+    tiny = eps.coeffs.copy()
+    tiny[[4, 5]] += 1e-11              # hermitian: the 3-cycles are each other's inverses
+    result = mkdist.mk_distance(g, lip, eps, tiny, return_result=True)
+    assert result.value == 0.0 and not np.any(result.element)
+    assert mkdist.mk_distance(g, lip, eps, tiny, lp_tol=1e-12) > 0
+    # the full level of the chain ends at exactly 0
+    ts = compress.truncate(g, irreps, range(len(irreps)), dec=dec)
+    density = compress.canonical_symbol_state(g, ts)
+    assert mkdist.truncation_bound(g, ts, lip, density, check_invariant=False) == 0.0
 
 
 # -- truncation bound ---------------------------------------------------------
@@ -215,7 +299,6 @@ def test_truncation_bound_rejects_non_invariant(f_z4):
     lopsided = lipnorm.PolyhedralSeminorm(functionals=funcs,
                                           weights=np.array([1.0, 10.0, 1.0]))
     density = compress.canonical_symbol_state(f_z4, ts)
-    from cqms.errors import CertificationError
     with pytest.raises((CertificationError, DegenerateKernelError)):
         mkdist.truncation_bound(f_z4, ts, lopsided, density)
 
