@@ -14,8 +14,9 @@ import numpy as np
 
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
-from .hopf import (FiniteQuantumGroup, State, _coaction_residual, _counit_residual, _maxabs,
-                   _podles_limit, _podles_residual, _rank, certify_state, counit_support_projection)
+from .hopf import (FiniteQuantumGroup, State, _coaction_certificates, _counit_residual, _maxabs,
+                   _podles_limit, _rank, certify_state, counit_support_projection)
+from .hopf import _podles_residual  # noqa: F401  (re-exported: the witness of a bare tensor)
 from .sampling import random_density
 
 RANK_RTOL = 1e-10
@@ -186,7 +187,8 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
     Well-definedness is certified by ker tau <= ker (tau (x) id) Delta; the
     coaction and counit identities are certified numerically, and Podles
-    density by an explicit inverse of x (x) a -> (1 (x) a) alpha(x).
+    density by an explicit inverse of x (x) a -> (1 (x) a) alpha(x), whose
+    witness is read off the product the coaction residual forms.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -203,9 +205,8 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
         deltas = deltas.transpose(0, 2, 1)         # compress Delta's second leg
     tensor = (basis.conj() @ ts.tau_matrix) @ deltas   # expand o tau on the carrier leg
 
-    coaction_res = _coaction_residual(g, tensor, side)
+    coaction_res, podles = _coaction_certificates(g, tensor, side)
     counit_res = _counit_residual(g, tensor)
-    podles = _podles_residual(g, tensor, side)
     worst = max(coaction_res, counit_res, podles)
     if worst > tol or podles > _podles_limit(g.dim, s):
         raise InternalInconsistencyError(

@@ -10,6 +10,7 @@ C*(G) of a finite group G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,10 +225,8 @@ def group_algebra(group_table, length=None) -> FiniteQuantumGroup:
 def _solve_haar(comult, unit, n) -> np.ndarray:
     """Unique normalized solution of the two-sided invariance system."""
     system = _invariance_system(comult, unit, n)
-    _, sv, vh = np.linalg.svd(system)
+    _, sv, vh = np.linalg.svd(system, full_matrices=False)     # 2n^2 >= n rows: vh is n x n
     null_dim = int(np.sum(sv <= HAAR_RANK_RTOL * (sv[0] if len(sv) else 1.0)))
-    if system.shape[1] > len(sv):
-        null_dim += system.shape[1] - len(sv)
     if null_dim != 1:
         raise NotAQuantumGroupError(f"invariance system has solution space of dimension {null_dim}, expected 1")
     h = vh[-1].conj()
@@ -311,34 +310,40 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     """
     n = g.dim
     right, left = g.comult, g.comult.transpose(0, 2, 1)
+    flat_mult = g.mult.reshape(n * n, n)
     res: dict[str, float] = {}
 
-    assoc = np.einsum("ijm,mkl->ijkl", g.mult, g.mult) - np.einsum("jkm,iml->ijkl", g.mult, g.mult)
-    res["associativity"] = _maxabs(assoc)
-    res["unit"] = max(_maxabs(np.einsum("i,ijk->jk", g.unit, g.mult) - np.eye(n)),
-                      _maxabs(np.einsum("j,ijk->ik", g.unit, g.mult) - np.eye(n)))
+    res["associativity"] = _associator_norms(g)[0]
+    res["unit"] = max(_maxabs((g.unit @ g.mult.reshape(n, n * n)).reshape(n, n) - np.eye(n)),
+                      _maxabs(g.unit @ g.mult - np.eye(n)))
 
-    res["coassociativity"] = _coaction_residual(g, right, "right")
+    coassoc_right, podles_right = _coaction_certificates(g, right, "right")
+    coassoc_left, podles_left = _coaction_certificates(g, left, "left")
+    res["coassociativity"] = max(coassoc_right, coassoc_left)
     res["counit"] = max(_counit_residual(g, right), _counit_residual(g, left))
 
     # Delta is a unital *-homomorphism
-    hom = np.einsum("ijl,lpq->ijpq", g.mult, g.comult).astype(complex)
+    hom = (flat_mult @ g.comult.reshape(n, n * n)).reshape(n, n, n, n)
     hom -= np.einsum("iab,jcd,acp,bdq->ijpq", g.comult, g.comult, g.mult, g.mult, optimize=True)
     res["comult_multiplicative"] = _maxabs(hom)
-    starhom = np.einsum("ij,jpq->ipq", g.star, g.comult)
-    starhom -= np.einsum("ipq,pa,qb->iab", np.conj(g.comult), g.star, g.star)
+    # [i, p, q]: coefficient of e_p (x) e_q in Delta(e_i^*) - (* (x) *)Delta(e_i)
+    starhom = (g.star @ g.comult.reshape(n, n * n)).reshape(n, n, n)
+    starhom -= g.star.T @ np.conj(g.comult) @ g.star
     res["comult_star"] = _maxabs(starhom)
-    res["comult_unital"] = _maxabs(np.einsum("i,ijk->jk", g.unit, g.comult) - np.outer(g.unit, g.unit))
+    res["comult_unital"] = _maxabs((g.unit @ g.comult.reshape(n, n * n)).reshape(n, n)
+                                   - np.outer(g.unit, g.unit))
 
-    # antipode relation m(S (x) id)Delta = counit(.) 1 = m(id (x) S)Delta
-    s_left = np.einsum("ijk,jp,pkq->iq", g.comult, g.antipode, g.mult)
-    s_right = np.einsum("ijk,kp,jpq->iq", g.comult, g.antipode, g.mult)
+    # antipode relation m(S (x) id)Delta = counit(.) 1 = m(id (x) S)Delta, with S applied
+    # to one leg of Delta(e_i) and the legs then multiplied
+    s_left = (g.antipode.T @ right).reshape(n, n * n) @ flat_mult
+    s_right = (right @ g.antipode).reshape(n, n * n) @ flat_mult
     target = np.outer(g.counit, g.unit)
     res["antipode"] = max(_maxabs(s_left - target), _maxabs(s_right - target))
 
     res["star_involutive"] = _maxabs(np.conj(g.star) @ g.star - np.eye(n))
-    anti = np.einsum("ijk,kp->ijp", np.conj(g.mult), g.star)
-    anti -= np.einsum("jb,ia,bap->ijp", g.star, g.star, g.mult)
+    # [i, j, p]: coefficient of e_p in (e_i e_j)^* - e_j^* e_i^*
+    anti = (np.conj(flat_mult) @ g.star).reshape(n, n, n)
+    anti -= (g.star @ (g.star @ g.mult.transpose(1, 0, 2)).reshape(n, n * n)).reshape(n, n, n)
     res["star_antimultiplicative"] = _maxabs(anti)
     res["star_unit"] = _maxabs(g.star.T @ np.conj(g.unit) - g.unit)
 
@@ -346,8 +351,7 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     res["rep_multiplicative"], res["rep_star"], res["rep_unital"] = _rep_residuals(g, g.rep)
     res["rep_faithful_rank_defect"] = float(n - _rank(g.rep.reshape(n, -1)))
 
-    res["podles_right"] = _podles_residual(g, right, "right")
-    res["podles_left"] = _podles_residual(g, left, "left")
+    res["podles_right"], res["podles_left"] = podles_right, podles_left
 
     # Haar state: invariance and faithfulness of the GNS form
     res["haar_invariance"] = _maxabs(_invariance_system(g.comult, g.unit, n) @ g.haar)
@@ -360,19 +364,81 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     return AxiomReport(residuals=res, tol=tol, dim=n)
 
 
-def _coaction_residual(g: FiniteQuantumGroup, tensor, side) -> float:
-    """max|(alpha (x) id)alpha - (id (x) Delta)alpha| for a carrier-first tensor, or on the
-    left max|(id (x) beta)beta - (Delta (x) id)beta|; for alpha = Delta, coassociativity."""
-    s, n = tensor.shape[0], g.dim
-    # [k, m, p, l]: coefficient of x_m (x) e_p (x) e_l in (id (x) Delta) alpha(x_k),
-    # or of e_p (x) e_l (x) x_m in (Delta (x) id) beta(x_k)
+def _coaction_certificates(g: FiniteQuantumGroup, tensor, side) -> tuple[float, float]:
+    """(coaction residual, Podles witness) of a carrier-first coaction tensor, from one product.
+
+    u[k, m, p, l] = sum_c tensor[k, c, l] tensor[c, m, p] is the coefficient of
+    x_m (x) e_p (x) e_l in (alpha (x) id)alpha(x_k), and on the left that of
+    e_l (x) e_p (x) x_m in (id (x) beta)beta(x_k).  The coaction residual is
+    max|u - (id (x) Delta)alpha| (left: against (Delta (x) id)beta, its last legs swapped).
+
+    Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
+    Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)); on the left Phi(a (x) x) = (a (x) 1)beta(x)
+    and Psi(a (x) x) = a S(x_(-1)) (x) x_(0).  Both are left A-module maps, so
+    D = Psi Phi - I has D(x (x) a) = a D(x (x) 1) and is fixed by its s columns
+    c_k = D(x_k (x) 1) = sum u[k, m, p, l] x_m (x) e_l S^-+1(e_p) - x_k (x) 1 (S^-1 on
+    the right, S on the left).  The witness is ||D||_F = sqrt(sum_k c_k* G c_k) through
+    the Gram matrix G of left multiplication, plus the terms of ``_podles_parts`` that
+    bound what the module identity misses when mult is not exactly associative and
+    unital; it bounds ||D||_2 from above.  A singular S gives inf.
+    """
+    n, s = g.dim, tensor.shape[0]
+    u = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s * s, n * n)
+    parts = _podles_parts(g, side)
+    if parts is None:
+        podles = np.inf
+    else:
+        w, gram, assoc_term, unit_term = parts
+        cols = u @ w                           # [(k, m), r]: coefficient of x_m (x) e_r
+        cols[::s + 1] -= g.unit
+        frobenius_sq = max(float(np.vdot(cols, cols @ gram.T).real), 0.0)
+        podles = (np.sqrt(frobenius_sq) + assoc_term * float(np.linalg.norm(u))
+                  + unit_term * np.sqrt(s))
     rhs = (tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)).reshape(s, s, n, n)
-    if side == "right":    # (alpha (x) id) alpha
-        lhs = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s, s, n, n)
-    else:                  # (id (x) beta) beta, computed as [k, p, m, l]
-        lhs = np.matmul(tensor.transpose(0, 2, 1), tensor.reshape(s, s * n))
-        lhs = lhs.reshape(s, n, s, n).swapaxes(1, 2)
-    return _maxabs(lhs - rhs)
+    u = u.reshape(s, s, n, n)
+    u -= rhs if side == "right" else rhs.swapaxes(2, 3)
+    return _maxabs(u), podles
+
+
+def _podles_residual(g: FiniteQuantumGroup, tensor, side) -> float:
+    """The Podles witness of ``_coaction_certificates`` alone."""
+    return _coaction_certificates(g, tensor, side)[1]
+
+
+@lru_cache(maxsize=32)
+def _podles_parts(g: FiniteQuantumGroup, side: str) -> tuple | None:
+    """(W, G, assoc_term, unit_term) for the Podles witness on one side; None for a singular S.
+
+    W[(p, l), r] is the coefficient of e_r in e_l S^-1(e_p) (left: e_l S(e_p)), and
+    G[p, q] = sum_{j, r} conj(mult[j, p, r]) mult[j, q, r] is the Hilbert-Schmidt Gram
+    matrix of left multiplication.  Psi Phi - I differs from its module extension
+    by the associator applied to (alpha (x) id)alpha (at most
+    ||u||_F ||S^-+1||_2 ||assoc||_F) and by e_j 1 - e_j on each of the s carrier
+    vectors (at most sqrt(s) ||e_j 1 - e_j||_F): assoc_term is ||S^-+1||_2 ||assoc||_F
+    and unit_term ||e_j 1 - e_j||_F.  Both are 0 when mult is exactly associative
+    and unital.  Cached per algebra object.
+    """
+    n = g.dim
+    try:
+        antipode = np.linalg.inv(g.antipode) if side == "right" else g.antipode
+    except np.linalg.LinAlgError:
+        return None
+    by_right = g.mult.transpose(1, 0, 2).reshape(n, n * n)      # [q, (l, r)] = mult[l, q, r]
+    w = (antipode @ by_right).reshape(n * n, n)
+    gram = by_right.conj() @ by_right.T
+    assoc_term = float(np.linalg.norm(antipode, 2)) * _associator_norms(g)[1]
+    unit_term = float(np.linalg.norm(g.unit @ g.mult - np.eye(n)))
+    return w, gram, assoc_term, unit_term
+
+
+@lru_cache(maxsize=32)
+def _associator_norms(g: FiniteQuantumGroup) -> tuple[float, float]:
+    """(max, Frobenius) of the associator (e_i e_j) e_k - e_i (e_j e_k); cached per algebra object."""
+    n = g.dim
+    flat = g.mult.reshape(n * n, n)
+    assoc = flat @ g.mult.reshape(n, n * n)                   # [(i, j), (k, l)]
+    assoc -= np.matmul(flat, g.mult).reshape(n * n, n * n)     # [i, (j, k), l] read the same way
+    return _maxabs(assoc), float(np.linalg.norm(assoc))
 
 
 def _counit_residual(g: FiniteQuantumGroup, tensor) -> float:
@@ -380,31 +446,8 @@ def _counit_residual(g: FiniteQuantumGroup, tensor) -> float:
     return _maxabs(tensor @ g.counit - np.eye(tensor.shape[0]))
 
 
-def _podles_residual(g: FiniteQuantumGroup, tensor, side) -> float:
-    """max|Psi Phi - I| for Phi(x (x) a) = (1 (x) a) alpha(x) and its inverse Psi.
-
-    On the right Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)); on the left, with
-    Phi(a (x) x) = (a (x) 1) beta(x), Psi(a (x) x) = a S(x_(-1)) (x) x_(0).
-    Both are one product each over the carrier-first tensor; a singular S gives inf.
-    """
-    n, s = g.dim, tensor.shape[0]
-    try:
-        antipode = np.linalg.inv(g.antipode) if side == "right" else g.antipode
-    except np.linalg.LinAlgError:
-        return np.inf
-    # phi_t[(j, k), (m, q)]: coefficient of x_m (x) e_q in Phi(x_k (x) e_j); on the left
-    # read e_q (x) x_m and e_j (x) x_k
-    phi_t = np.matmul(tensor.reshape(s * s, n), g.mult).reshape(n * s, s * n)
-    # psi_t[(k, j), (q, m)]: coefficient of x_m (x) e_q in Psi(x_k (x) e_j), same reading
-    mult_jq = g.mult.transpose(0, 2, 1).reshape(n * n, n)
-    psi_t = np.matmul(mult_jq, (tensor @ antipode).transpose(0, 2, 1)).reshape(s * n, n * s)
-    defect = phi_t @ psi_t                 # (Psi Phi)^T, both legs listed as (j, k)
-    defect.flat[::n * s + 1] -= 1.0
-    return _maxabs(defect)
-
-
 def _podles_limit(n: int, s: int) -> float:
-    """Entries of Psi Phi - I at most this give ||Psi Phi - I||_2 < 1: Phi is invertible."""
+    """A witness at most this (< 1) gives ||Psi Phi - I||_2 <= ||Psi Phi - I||_F < 1: Phi is invertible."""
     return 0.5 / (n * s)
 
 

@@ -347,3 +347,24 @@ def einsum_podles_witness(g, side):
         psi = np.einsum("kml,mp,jpq->qljk", g.comult, g.antipode, g.mult)
     phi, psi = phi.reshape(n * n, n * n), psi.reshape(n * n, n * n)
     return float(np.max(np.abs(psi @ phi - np.eye(n * n))))
+
+
+def dense_podles_frobenius(g, tensor, side):
+    """||Psi Phi - I||_F with Phi and Psi as dense (n s) x (n s) matrices.
+
+    ``tensor`` is a carrier-first coaction tensor.  On the right
+    Phi(x (x) a) = (1 (x) a)alpha(x) and Psi(x (x) a) = x_(0) (x) a S^-1(x_(1));
+    on the left Phi(a (x) x) = (a (x) 1)beta(x) and Psi(a (x) x) = a S(x_(-1)) (x) x_(0).
+    The reference for the column witness of ``hopf._coaction_certificates``.
+    """
+    n, s = g.dim, tensor.shape[0]
+    antipode = np.linalg.inv(g.antipode) if side == "right" else g.antipode
+    # phi_t[(j, k), (m, q)]: coefficient of x_m (x) e_q in Phi(x_k (x) e_j); on the left
+    # read e_q (x) x_m and e_j (x) x_k
+    phi_t = np.matmul(tensor.reshape(s * s, n), g.mult).reshape(n * s, s * n)
+    # psi_t[(k, j), (q, m)]: coefficient of x_m (x) e_q in Psi(x_k (x) e_j), same reading
+    mult_jq = g.mult.transpose(0, 2, 1).reshape(n * n, n)
+    psi_t = np.matmul(mult_jq, (tensor @ antipode).transpose(0, 2, 1)).reshape(s * n, n * s)
+    defect = phi_t @ psi_t                 # (Psi Phi)^T, both legs listed as (j, k)
+    defect.flat[::n * s + 1] -= 1.0
+    return float(np.linalg.norm(defect))

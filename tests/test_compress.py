@@ -90,6 +90,8 @@ def test_podles_witness_agrees_with_svd_rank(name, f_z8, f_s3, c_s3):
         for side in ("right", "left"):
             co = compress.induced_coaction(g, ts, side)
             assert co.podles_residual < 1e-12
+            assert co.podles_residual == pytest.approx(
+                oracles.dense_podles_frobenius(g, co.tensor, side), rel=1e-12, abs=1e-15)
             assert oracles.svd_podles_defect(g, co.tensor) == 0
             assert co.coaction_residual == pytest.approx(
                 oracles.einsum_coaction_residual(g, co.tensor, side), abs=1e-14)
@@ -103,6 +105,28 @@ def test_rank_deficient_tensor_fails_the_podles_witness(z8_setup, side):
     tensor[1] = tensor[0]                      # alpha(x_1) := alpha(x_0)
     assert oracles.svd_podles_defect(g, tensor) > 0
     assert compress._podles_residual(g, tensor, side) > 0.5 / (g.dim * ts.dim_sys)
+
+
+@pytest.mark.parametrize("name", ["F(Z_8)", "C*(S_3)", "kp8"])
+def test_podles_columns_give_the_dense_frobenius_norm_off_the_identity(name, f_z8, c_s3):
+    # perturbed tensors put Psi Phi - I well away from 0 at every truncation level
+    if name == "kp8":
+        g, irreps = build_kp8()
+    else:
+        g = {"F(Z_8)": f_z8, "C*(S_3)": c_s3}[name]
+        irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    last = len(irreps) - 1
+    rng = np.random.default_rng(13)
+    for subset in [(0, 1), (0, last), (0, 1, last), range(len(irreps))]:
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        for side in ("right", "left"):
+            tensor = compress.induced_coaction(g, ts, side).tensor
+            tensor = tensor + 1e-3 * (rng.normal(size=tensor.shape) + 1j * rng.normal(size=tensor.shape))
+            dense = oracles.dense_podles_frobenius(g, tensor, side)
+            assert dense > 1e-4
+            assert hopf._coaction_certificates(g, tensor, side)[1] == pytest.approx(
+                dense, rel=1e-10)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

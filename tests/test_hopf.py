@@ -105,6 +105,17 @@ def test_haar_state_certifies_the_solved_state_without_changing_it(make):
     assert hopf.haar_state(g).coeffs.tobytes() == solved.tobytes()
 
 
+@pytest.mark.parametrize("make", [lambda: hopf.function_algebra(groups.cyclic_table(8)),
+                                  lambda: hopf.function_algebra(groups.cyclic_table(24)),
+                                  lambda: hopf.group_algebra(groups.s3_table()),
+                                  lambda: build_kp8()[0]], ids=["F(Z_8)", "F(Z_24)", "C*(S_3)", "kp8"])
+def test_haar_from_the_reduced_svd_is_bit_identical_to_the_full_svd(make):
+    g = make()
+    vh = np.linalg.svd(hopf._invariance_system(g.comult, g.unit, g.dim))[2]
+    h = vh[-1].conj()
+    assert g.haar.tobytes() == (h / np.dot(h, g.unit)).tobytes()
+
+
 def test_haar_state_rejects_a_stored_state_that_is_not_invariant(f_z4):
     # the counit is a state, so only the invariance certificate can reject it
     g = dataclasses.replace(f_z4, haar=f_z4.counit)
@@ -207,12 +218,43 @@ def test_check_axioms_matches_the_einsum_reference(name, bump):
     assert set(got) - shared == {"podles_right", "podles_left"}
     for key in shared:
         assert abs(got[key] - reference[key]) <= 1e-12 * abs(reference[key]) + 1e-15, key
-    for side in ("right", "left"):
-        assert got[f"podles_{side}"] == pytest.approx(
-            oracles.einsum_podles_witness(g, side), rel=1e-12, abs=1e-15)
+    for side, tensor in (("right", g.comult), ("left", g.comult.transpose(0, 2, 1))):
+        witness, dense = got[f"podles_{side}"], oracles.dense_podles_frobenius(g, tensor, side)
+        assert witness >= oracles.einsum_podles_witness(g, side)
+        if bump == "mult":         # the associator term keeps the witness above ||Psi Phi - I||_F
+            assert witness >= dense
+        else:
+            assert witness == pytest.approx(dense, rel=1e-12, abs=1e-15)
     if bump is None:
         assert max(got["podles_right"], got["podles_left"]) <= 1e-12
         assert reference["podles_right_rank_defect"] == reference["podles_left_rank_defect"] == 0.0
+
+
+def test_podles_witness_bounds_a_unital_but_non_associative_mult(f_s3):
+    # the bump has zero row and column sums, so 1 stays a unit and only the
+    # associator term keeps the witness above ||Psi Phi - I||_F
+    mult = np.array(f_s3.mult)
+    for j, q, sign in ((1, 2, 1), (1, 3, -1), (2, 2, -1), (2, 3, 1)):
+        mult[j, q, 0] += sign * 1e-3
+    g = dataclasses.replace(f_s3, mult=mult)
+    got = hopf.check_axioms(g).residuals
+    assert got["unit"] == 0.0 and got["associativity"] >= 1e-3
+    for side, tensor in (("right", g.comult), ("left", g.comult.transpose(0, 2, 1))):
+        assert got[f"podles_{side}"] >= oracles.dense_podles_frobenius(g, tensor, side)
+
+
+def test_podles_parts_belong_to_the_algebra_object():
+    # the first replace frees the original, whose memory the second can reuse; parts
+    # cached on anything but the live object would serve the original's antipode
+    g = hopf.function_algebra(groups.cyclic_table(4))
+    assert hopf.check_axioms(g).residuals["podles_right"] == 0.0
+    for _ in range(2):
+        g = _bumped(g, "antipode")
+    got = hopf.check_axioms(g).residuals
+    for side, tensor in (("right", g.comult), ("left", g.comult.transpose(0, 2, 1))):
+        assert got[f"podles_{side}"] > 1e-3
+        assert got[f"podles_{side}"] == pytest.approx(
+            oracles.dense_podles_frobenius(g, tensor, side), rel=1e-12)
 
 
 def test_podles_witness_above_its_limit_never_passes(f_z4):
