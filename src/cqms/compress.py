@@ -20,6 +20,7 @@ from .hopf import _podles_residual  # noqa: F401  (re-exported: the witness of a
 from .sampling import random_density
 
 RANK_RTOL = 1e-10
+GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +92,8 @@ def truncate(g: FiniteQuantumGroup, irreps, subset, tol: float = 1e-10,
     tau_matrix = np.zeros((r * r, n), dtype=complex)
     for i in range(n):
         tau_matrix[:, i] = (frame.conj().T @ dec.gns.rep[i] @ frame).reshape(-1)
-    u, sv, vh = np.linalg.svd(tau_matrix, full_matrices=True)
+    # the kernel needs all n rows of vh, which the reduced SVD has only when r*r >= n
+    u, sv, vh = np.linalg.svd(tau_matrix, full_matrices=r * r < n)
     cutoff = RANK_RTOL * (sv[0] if len(sv) else 1.0)
     s = int(np.sum(sv > cutoff))
     sys_basis = u[:, :s].T.reshape(s, r, r)
@@ -431,19 +433,49 @@ def canonical_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem) -> np.nda
     return np.outer(xi, xi.conj())
 
 
+def duality_lower_bound(ts: TruncatedSystem, slicer) -> float:
+    """A lower bound on d^L(tau* rho, counit) that holds for every density rho.
+
+    For self-adjoint x with L(x) <= 1 (``slicer``, such as ``MKResult.element``)
+    d^L(tau* rho, eps) >= Re tr(rho tau(x)) - Re eps(x) >= lambda_min(H) - Re eps(x),
+    with H the hermitian part of tau(x).  The forward roundoff of forming
+    tau(x) and eps(x) (gamma_n |T| |x| entrywise, T the tau matrix) and of
+    eigvalsh (r eps ||H||_2) is subtracted, with a safety factor of 4.
+    """
+    x = np.asarray(slicer, dtype=complex)
+    tau_x = ts.tau(x)
+    eigs = np.linalg.eigvalsh((tau_x + tau_x.conj().T) / 2)
+    counit = ts.g.counit
+    formed = np.linalg.norm(np.abs(ts.tau_matrix) @ np.abs(x)) + np.abs(counit) @ np.abs(x)
+    size = formed + max(-eigs[0], eigs[-1])
+    roundoff = 4 * (ts.g.dim + ts.rank) * np.finfo(float).eps * size
+    return float(eigs[0] - np.dot(counit, x).real - roundoff)
+
+
 def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
                            seed: int = 0, starts: int = 4, iters: int = 60,
                            step: float = 0.25):
-    """Multi-start projected gradient over vector states minimizing ``distance``.
+    """Projected gradient over vector states minimizing ``distance``, stopped by a duality gap.
 
-    ``distance(density)`` must return (value, slicer) where slicer is the
-    optimizer of the distance LP as an element of A; the envelope gradient of
-    the value at a vector state xi is then tau(slicer) xi.  The result is a
-    best-found vector state, reported without an optimality certificate.
+    ``distance(density)`` must return (value, slicer) where slicer is a
+    self-adjoint optimizer of the distance with L(slicer) <= 1, such as
+    ``MKResult.element``; the envelope gradient of the value at a vector
+    state xi is then tau(slicer) xi.  The descent runs from the canonical
+    state and from ``starts - 1`` random vectors, up to ``iters`` steps each.
+    Every accepted value is checked against ``duality_lower_bound`` at its
+    slicer, which no density beats: once value - lower <= GAP_RTOL max(1,
+    value), no further step can gain more than that gap and the best state
+    found so far is returned.  Where no gap closes, the descent runs all its
+    starts.  Returns (density, value).
     """
+    def closed(value, slicer) -> bool:
+        return value - duality_lower_bound(ts, slicer) <= GAP_RTOL * max(1.0, value)
+
     rng = np.random.default_rng(seed)
     best_density = canonical_symbol_state(g, ts)
-    best_value, _ = distance(best_density)
+    best_value, slicer = distance(best_density)
+    if closed(best_value, slicer):
+        return best_density, best_value
     r = ts.rank
     seeds = [best_density] + [None] * (starts - 1)
     for start in seeds:
@@ -455,7 +487,10 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
         v = v / np.linalg.norm(v)
         eta = step
         value, slicer = distance(np.outer(v, v.conj()))
+        done = closed(value, slicer)
         for _ in range(iters):
+            if done:
+                break
             grad = ts.tau(slicer) @ v
             cand = v - eta * grad
             norm = np.linalg.norm(cand)
@@ -465,6 +500,7 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
             cand_value, cand_slicer = distance(np.outer(cand, cand.conj()))
             if cand_value < value - 1e-14:
                 v, value, slicer = cand, cand_value, cand_slicer
+                done = closed(value, slicer)
             else:
                 eta /= 2
                 if eta < 1e-6:
@@ -472,4 +508,6 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
         if value < best_value:
             best_value = value
             best_density = np.outer(v, v.conj())
+        if done:
+            break
     return best_density, best_value

@@ -164,6 +164,8 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     constraint families solve exactly (up to solver roundoff); disc
     constraints report the outer-approximation optimum, which never
     undershoots the supremum and exceeds it by at most a relative lp_tol.
+    Either way the optimizer is rescaled until ``lip.value(element) <= 1``;
+    rounding, and the LP's reduced family, can leave it a few ulps outside.
     """
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
@@ -184,8 +186,10 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
 
     element = quotient.T @ t
     scale = lip.value(element)
-    if scale > 1.0 + 1e-9:
+    if scale > 1.0:
         element = element / scale
+        while lip.value(element) > 1.0:       # the division rounds; step down by ulps
+            element = element * (1.0 - 2.0 ** -50)
     if return_result:
         return MKResult(value=value, element=element, lp_iterations=iterations,
                         refinement_rounds=rounds)

@@ -258,8 +258,10 @@ def loop_mk_distance(g, lip, mu, nu, lp_tol=1e-9):
                 disc_angles[i].append(float(np.angle(vals[i])))
     element = quotient.T @ t
     scale = lip.value(element)
-    if scale > 1.0 + 1e-9:
+    if scale > 1.0:
         element = element / scale
+        while lip.value(element) > 1.0:
+            element = element * (1.0 - 2.0 ** -50)
     return mkdist.MKResult(value=max(solution.value, 0.0), element=element,
                            lp_iterations=solution.iterations, refinement_rounds=rounds)
 

@@ -4,9 +4,9 @@ import types
 import numpy as np
 import pytest
 
-from cqms import compress, corep, groups, hopf, mkdist
+from cqms import chains, compress, corep, groups, hopf, mkdist
 from cqms.errors import InternalInconsistencyError, StateCertificationError
-from cqms.sampling import random_element
+from cqms.sampling import random_density, random_element
 
 import oracles
 from kp8_example import build_kp8
@@ -400,6 +400,52 @@ def test_optimized_symbol_state_not_worse(z8_setup):
     density, value = compress.optimized_symbol_state(g, ts, objective, seed=1, starts=3, iters=25)
     assert value <= base + 1e-12
     compress.certify_system_state(ts, density)
+
+
+def _counit_objective(g, ts, lip):
+    """The descent's objective, d^L(tau* rho, counit) with its slicer, counting its calls."""
+    eps = hopf.counit_state(g)
+
+    def objective(density):
+        objective.calls += 1
+        pulled = compress.pullback_state(ts, density)
+        result = mkdist.mk_distance(g, lip, pulled, eps, return_result=True)
+        return result.value, result.element
+
+    objective.calls = 0
+    return objective
+
+
+@pytest.mark.parametrize("name", ["C*(S_3)", "F(Z_8)"])
+def test_duality_lower_bound_is_below_every_density(name, s3c_setup, z8_setup):
+    g, irreps, dec, lip = s3c_setup if name == "C*(S_3)" else z8_setup
+    chain = chains.length_chain(g) if name == "C*(S_3)" else chains.frequency_chain(g.dim)
+    rng = np.random.default_rng(31)
+    for subset in chain:
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        objective = _counit_objective(g, ts, lip)
+        results = [objective(random_density(ts.rank, rng, parts)) for parts in (1, 2, 1, 3, 1, 2)]
+        lowers = [compress.duality_lower_bound(ts, slicer) for _, slicer in results]
+        # the slicer of every density bounds every density's distance from below
+        assert max(lowers) <= min(value for value, _ in results)
+
+
+def test_descent_stops_once_the_duality_gap_closes(s3c_setup):
+    g, irreps, dec, lip = s3c_setup
+    calls = []
+    for level, subset in enumerate(chains.length_chain(g)):
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        objective = _counit_objective(g, ts, lip)
+        density, value = compress.optimized_symbol_state(g, ts, objective, seed=level)
+        calls.append(objective.calls)
+        if ts.rank == 1 or ts.rank == g.dim:
+            assert objective.calls == 1
+            assert np.array_equal(density, compress.canonical_symbol_state(g, ts))
+        again, slicer = objective(density)
+        assert again == value
+        gap = value - compress.duality_lower_bound(ts, slicer)
+        assert 0.0 <= gap <= compress.GAP_RTOL * max(1.0, value)
+    assert sum(calls) <= 80
 
 
 def test_d4_function_algebra_pipeline():

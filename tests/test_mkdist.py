@@ -3,7 +3,7 @@ import pytest
 
 from cqms import chains, compress, corep, groups, hopf, lipnorm, mkdist
 from cqms.errors import CertificationError, DegenerateKernelError
-from cqms.sampling import basis_vector_state, random_matrix_state, random_state
+from cqms.sampling import basis_vector_state, random_density, random_matrix_state, random_state
 
 import oracles
 
@@ -223,6 +223,24 @@ def test_product_ball_distance_is_the_closed_form(name, s3c_setup):
         assert lip.value(result.element) <= 1 + 1e-12
         attained = np.dot(mu.coeffs - nu.coeffs, result.element)
         assert abs(abs(attained) - result.value) <= 1e-12 * result.value
+
+
+@pytest.mark.parametrize("name", ["C*(S_3)", "F(Z_8)"])
+def test_optimizer_lies_in_the_unit_ball(name, s3c_setup, z8_setup):
+    # C*(S_3) takes the product ball, F(Z_8) the LP over its pruned pair family
+    g, irreps, dec, lip = s3c_setup if name == "C*(S_3)" else z8_setup
+    assert len(mkdist._unit_ball(g, lip)[4]) == (4 if name == "C*(S_3)" else 0)
+    rng = np.random.default_rng(45)
+    eps = hopf.counit_state(g)
+    pairs = [(random_state(g, rng), random_state(g, rng)) for _ in range(40)]
+    chain = chains.length_chain(g) if name == "C*(S_3)" else chains.frequency_chain(g.dim)
+    for subset in chain:
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        pairs += [(compress.pullback_state(ts, random_density(ts.rank, rng)), eps)
+                  for _ in range(10)]
+    for mu, nu in pairs:
+        result = mkdist.mk_distance(g, lip, mu, nu, return_result=True)
+        assert lip.value(result.element) <= 1
 
 
 def test_product_ball_distance_never_exceeds_the_lp(s3c_setup):
