@@ -13,10 +13,8 @@ from .compress import (
     canonical_symbol_state,
     cocommutation_residual,
     comultiplication_coaction,
-    conditional_expectation,
     induced_coaction,
     isometry_witness_residual,
-    isotypical_projection,
     liftable_states,
     optimized_symbol_state,
     pullback_state,
@@ -31,12 +29,9 @@ from .corep import (
     corep_from_group_rep,
     default_irreps,
     gns_build,
-    matrix_coefficients,
     mor_dim,
     multiplicative_unitary,
     pw_decompose,
-    pw_projector,
-    trivial_corep,
     validate_corep,
 )
 from .hopf import (
@@ -52,32 +47,23 @@ from .hopf import (
     function_algebra,
     group_algebra,
     haar_state,
-    slice_map,
 )
 from .lipnorm import (
-    CommutatorSeminorm,
     LipValueBracket,
     PolyhedralSeminorm,
     check_invariance,
     group_case_seminorms,
     induced_lip,
     induced_lip_bi,
-    induced_lip_bracket,
     invariant_upgrade,
     lip_from_metric,
     lip_fourier,
     max_numerical_radius,
     numerical_radius,
-    sampled_state_lower_bound,
 )
 from .mkdist import (
-    CriterionInputs,
-    HausdorffEstimate,
     MKResult,
-    admissible_sum_lipnorm,
-    criterion_bound,
     diameter_bracket,
-    hausdorff_estimate,
     matrix_mk_lower_bound,
     mk_distance,
     sa_basis,

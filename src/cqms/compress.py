@@ -1,5 +1,5 @@
 """Peter-Weyl truncation: compression maps, induced coactions, symbol maps,
-conditional expectations, isotypical projections and liftable states.
+liftable states and the canonical and optimized symbol states.
 
 A truncated system stores the operator system P A P inside B(H_Lambda)
 together with a Hilbert-Schmidt orthonormal basis of its image and a fixed
@@ -16,11 +16,11 @@ from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
 from .hopf import (FiniteQuantumGroup, State, _coaction_certificates, _counit_residual, _maxabs,
                    _podles_limit, _rank, certify_state, counit_support_projection)
-from .hopf import _podles_residual  # noqa: F401  (re-exported: the witness of a bare tensor)
 from .sampling import random_density
 
 RANK_RTOL = 1e-10
 GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
+DESCENT_STEP = 0.25    # first step length of the projected gradient, halved on each rejection
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +53,6 @@ class TruncatedSystem:
     @property
     def dim_sys(self) -> int:
         return self.sys_basis.shape[0]
-
-    @property
-    def unit_coords(self) -> np.ndarray:
-        return self.expand(np.eye(self.rank, dtype=complex))
 
     def tau(self, a) -> np.ndarray:
         """Compression tau(a) = P pi(a) P as an r x r matrix on H_Lambda."""
@@ -139,11 +135,6 @@ class InducedCoaction:
     def carrier_dim(self) -> int:
         return self.tensor.shape[0]
 
-    def carrier_unit(self) -> np.ndarray:
-        if self.system is None:
-            return np.asarray(self.g.unit, dtype=complex)
-        return self.system.unit_coords
-
     def realize(self, coords) -> np.ndarray:
         """The carrier elements with these coordinate rows, as concrete matrices."""
         basis = self.g.rep if self.system is None else self.system.sys_basis
@@ -167,11 +158,6 @@ class InducedCoaction:
         or (k, m, s) for a (k, s) stack of coordinate rows.
         """
         return np.asarray(functionals) @ np.swapaxes(self.apply(coords), -1, -2)
-
-    def slice_carrier(self, coords, phi_values) -> np.ndarray:
-        """Carrier-leg slice (phi (x) id) alpha(x) (or (id (x) phi) beta(x)) as A-coefficients."""
-        return np.einsum("k,kml,m->l", np.asarray(coords, dtype=complex), self.tensor,
-                         phi_values)
 
 
 def comultiplication_coaction(g: FiniteQuantumGroup, side: str = "right") -> InducedCoaction:
@@ -286,7 +272,7 @@ def isometry_witness_residual(g: FiniteQuantumGroup, ts: TruncatedSystem, sample
 
 
 # ---------------------------------------------------------------------------
-# symbol maps, conditional expectation, isotypical projections
+# symbol maps
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -331,46 +317,6 @@ def symbol_map(ts: TruncatedSystem, alpha: InducedCoaction, density: np.ndarray,
     return SymbolMap(matrix=np.einsum("kml,m->lk", alpha.tensor, phi))
 
 
-@dataclass(frozen=True, eq=False)
-class ExpectationReport:
-    matrix: np.ndarray
-    idempotency_residual: float
-    invariant_state: np.ndarray | None    # functional on carrier coordinates, or None
-    invariance_residual: float
-
-
-def conditional_expectation(coaction: InducedCoaction, samples: int = 20,
-                            seed: int = 0) -> ExpectationReport:
-    """E(x) = (id (x) h) applied to the coaction; extracts the invariant state when ergodic."""
-    g = coaction.g
-    e = np.einsum("kml,l->mk", coaction.tensor, g.haar)
-    idem = _maxabs(e @ e - e)
-
-    invariant = None
-    inv_res = 0.0
-    if coaction.fixed_space_dim == 1:
-        unit = coaction.carrier_unit()
-        scale = float(np.vdot(unit, unit).real)
-        invariant = (unit.conj() @ e) / scale
-        inv_res = _maxabs(e - np.outer(unit, invariant))
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            mu = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
-            acted = np.einsum("kml,m,l->k", coaction.tensor, invariant, mu)
-            inv_res = max(inv_res, _maxabs(acted - np.dot(mu, g.unit) * invariant))
-    return ExpectationReport(matrix=e, idempotency_residual=idem,
-                             invariant_state=invariant, invariance_residual=inv_res)
-
-
-def isotypical_projection(coaction: InducedCoaction, gamma) -> np.ndarray:
-    """E_gamma(x) = d_gamma (id (x) h)((1 (x) chi*) . coaction(x)) on carrier coordinates."""
-    g = coaction.g
-    chi = gamma.u.trace(axis1=0, axis2=1)
-    chi_star = g.star_of(chi)
-    weights = np.einsum("p,plq,q->l", chi_star, g.mult, g.haar)
-    return gamma.dim * np.einsum("kml,l->mk", coaction.tensor, weights)
-
-
 # ---------------------------------------------------------------------------
 # states on truncations and their pullbacks
 # ---------------------------------------------------------------------------
@@ -382,9 +328,8 @@ def pullback_state(ts: TruncatedSystem, density: np.ndarray, tol: float = 1e-9) 
     return certify_state(ts.g, coeffs, tol=tol)
 
 
-def liftable_states(ts: TruncatedSystem, samples: int, seed: int, tol: float = 1e-9,
-                    return_densities: bool = False):
-    """Pull back randomly generated states of the truncated system.
+def liftable_states(ts: TruncatedSystem, samples: int, seed: int, tol: float = 1e-9):
+    """Pull back randomly generated states of the truncated system: (states, densities).
 
     Draws Haar-random vector states and Dirichlet-weighted convex mixtures of
     them; every pullback is certified as a state on A.
@@ -397,9 +342,7 @@ def liftable_states(ts: TruncatedSystem, samples: int, seed: int, tol: float = 1
         density = random_density(r, rng, parts)
         out.append(pullback_state(ts, density, tol))
         densities.append(density)
-    if return_densities:
-        return out, densities
-    return out
+    return out, densities
 
 
 def restrict_state(ts_small: TruncatedSystem, ts_big: TruncatedSystem,
@@ -453,8 +396,7 @@ def duality_lower_bound(ts: TruncatedSystem, slicer) -> float:
 
 
 def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
-                           seed: int = 0, starts: int = 4, iters: int = 60,
-                           step: float = 0.25):
+                           seed: int = 0, starts: int = 4, iters: int = 60):
     """Projected gradient over vector states minimizing ``distance``, stopped by a duality gap.
 
     ``distance(density)`` must return (value, slicer) where slicer is a
@@ -485,7 +427,7 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
             eigvals, eigvecs = np.linalg.eigh(start)
             v = eigvecs[:, -1]
         v = v / np.linalg.norm(v)
-        eta = step
+        eta = DESCENT_STEP
         value, slicer = distance(np.outer(v, v.conj()))
         done = closed(value, slicer)
         for _ in range(iters):

@@ -86,10 +86,6 @@ class Corepresentation:
         return self.u.shape[0]
 
 
-def trivial_corep(g: FiniteQuantumGroup) -> Corepresentation:
-    return Corepresentation(u=g.unit.reshape(1, 1, g.dim), label="trivial")
-
-
 def corep_from_group_rep(values, label: str = "") -> Corepresentation:
     """Corepresentation of F(G) from unitary representation values pi(g)_{ij}.
 
@@ -183,11 +179,6 @@ def mor_dim(g: FiniteQuantumGroup, pi: Corepresentation, rho: Corepresentation) 
     return int(dr * dp - _rank(m))
 
 
-def matrix_coefficients(g: FiniteQuantumGroup, pi: Corepresentation) -> list[np.ndarray]:
-    """All entries u_ij as elements of A."""
-    return [pi.u[i, j].copy() for i in range(pi.dim) for j in range(pi.dim)]
-
-
 @dataclass(frozen=True, eq=False)
 class PWDecomposition:
     """Orthogonal blocks of the GNS space spanned by matrix coefficients."""
@@ -244,15 +235,6 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecom
                 raise InternalInconsistencyError(
                     f"coefficient blocks {a} and {b} are not orthogonal (overlap {overlap:.2e})")
     return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks))
-
-
-def pw_projector(g: FiniteQuantumGroup, irreps, subset, tol: float = GNS_TOL) -> np.ndarray:
-    """Orthogonal projection onto the span of the GNS images of the chosen blocks."""
-    dec = pw_decompose(g, irreps, tol)
-    subset = sorted(set(int(k) for k in subset))
-    if any(k < 0 or k >= len(dec.irreps) for k in subset):
-        raise StructureError(f"subset {subset} out of range for {len(dec.irreps)} irreps")
-    return dec.projector(subset)
 
 
 # ---------------------------------------------------------------------------

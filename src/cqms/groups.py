@@ -97,18 +97,6 @@ def symmetric_word_length(table, generators) -> np.ndarray:
     return word_length(table, gens)
 
 
-def word_metric(table, generators) -> np.ndarray:
-    """d(g, h) = l(g h^-1) for the symmetrized word length.
-
-    Bi-invariant iff the generating set is closed under conjugation; callers
-    that need bi-invariance should validate (function_algebra does).
-    """
-    _, inverse = validate_cayley(table)
-    table = np.asarray(table)
-    length = symmetric_word_length(table, generators)
-    return length[table[:, inverse]]
-
-
 def check_metric(table, metric) -> None:
     """Validate symmetry, vanishing diagonal, positivity, triangle inequality
     and bi-invariance; raise MetricError naming a violating pair or triple."""
@@ -203,11 +191,6 @@ def _parity(p) -> int:
 def s3_word_generators() -> list[int]:
     """Adjacent transpositions (01) and (12)."""
     return [1, 2]
-
-
-def s3_transposition_metric() -> np.ndarray:
-    """Bi-invariant word metric from the conjugation-closed set of all transpositions."""
-    return word_metric(s3_table(), [1, 2, 3])
 
 
 def d4_table() -> np.ndarray:

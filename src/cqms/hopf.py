@@ -110,15 +110,8 @@ class FiniteQuantumGroup:
     def counit_of(self, a) -> complex:
         return complex(np.dot(self.counit, np.asarray(a, complex)))
 
-    def antipode_of(self, a) -> np.ndarray:
-        return self.antipode.T @ np.asarray(a, complex)
-
     def rho_of(self, a) -> np.ndarray:
         return np.einsum("i,ikl->kl", np.asarray(a, complex), self.rep)
-
-    def opnorm(self, a) -> float:
-        """Operator norm, always evaluated through the faithful representation."""
-        return float(np.linalg.norm(self.rho_of(a), 2))
 
 
 def _check_shapes(g: FiniteQuantumGroup) -> None:
@@ -400,11 +393,6 @@ def _coaction_certificates(g: FiniteQuantumGroup, tensor, side) -> tuple[float, 
     return _maxabs(u), podles
 
 
-def _podles_residual(g: FiniteQuantumGroup, tensor, side) -> float:
-    """The Podles witness of ``_coaction_certificates`` alone."""
-    return _coaction_certificates(g, tensor, side)[1]
-
-
 @lru_cache(maxsize=32)
 def _podles_parts(g: FiniteQuantumGroup, side: str) -> tuple | None:
     """(W, G, assoc_term, unit_term) for the Podles witness on one side; None for a singular S.
@@ -502,26 +490,13 @@ def _maxabs(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# convolution, slices, counit support
+# convolution, counit support
 # ---------------------------------------------------------------------------
 
 def convolve(mu: Functional, nu: Functional, g: FiniteQuantumGroup) -> Functional:
     """(mu * nu)(a) = (mu (x) nu) Delta(a)."""
     coeffs = np.einsum("ijk,j,k->i", g.comult, mu.coeffs, nu.coeffs)
     return Functional(coeffs=coeffs)
-
-
-def slice_map(side: str, phi: Functional, t: np.ndarray) -> np.ndarray:
-    """Slice a tensor t in A (x) A (an (n, n) coefficient matrix) to an element of A.
-
-    side "left" applies phi to the first leg, "right" to the second.
-    """
-    t = np.asarray(t, dtype=complex)
-    if side == "left":
-        return phi.coeffs @ t
-    if side == "right":
-        return t @ phi.coeffs
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def counit_support_projection(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> np.ndarray:

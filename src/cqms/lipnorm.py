@@ -1,11 +1,9 @@
 """Seminorm representations and Lip-norm computations.
 
-Two concrete seminorm families are supported.  Polyhedral seminorms
-L(a) = max_i |l_i(a)| / c_i carry all exact computations: the supremum over
+Seminorms are polyhedral, L(a) = max_i |l_i(a)| / c_i: the supremum over
 states that defines an induced Lip-norm reduces, after extending states to
 the containing matrix algebra, to a numerical radius per functional, which is
 certified by an adaptive eigenvalue maximization over rotation angles.
-Commutator seminorms ||[D, pi(a)]|| only admit certified brackets.
 """
 
 from __future__ import annotations
@@ -16,11 +14,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import groups
-from .compress import (InducedCoaction, TruncatedSystem, comultiplication_coaction,
-                       state_values_on_basis)
+from .compress import InducedCoaction, TruncatedSystem, comultiplication_coaction
 from .errors import LengthError, MetricError, UnsupportedSeminormError
 from .hopf import FiniteQuantumGroup, _maxabs, _rank
-from .sampling import random_density, random_state_density
+from .sampling import random_state_density
 
 W_TOL = 1e-6
 EPS = float(np.finfo(float).eps)
@@ -63,28 +60,6 @@ class PolyhedralSeminorm:
     def unit_residual(self, unit) -> float:
         return _maxabs(self.functionals @ np.asarray(unit, dtype=complex))
 
-    def star_closure_residual(self, g: FiniteQuantumGroup) -> float:
-        """How far the family is from being closed under l -> conj(l o *)."""
-        adj = np.conj(self.functionals @ g.star.T)
-        worst = 0.0
-        for i, f in enumerate(adj):
-            gaps = np.max(np.abs(self.functionals - f), axis=1) + np.abs(self.weights - self.weights[i])
-            worst = max(worst, float(np.min(gaps)))
-        return worst
-
-
-@dataclass(frozen=True, eq=False)
-class CommutatorSeminorm:
-    """L(a) = ||[D, pi(a)]|| with D Hermitian on the GNS space."""
-
-    d_operator: np.ndarray
-    gns_rep: np.ndarray          # (n, dim_H, dim_H)
-    label: str = ""
-
-    def value(self, a) -> float:
-        mat = np.einsum("i,ikl->kl", np.asarray(a, dtype=complex), self.gns_rep)
-        return float(np.linalg.norm(self.d_operator @ mat - mat @ self.d_operator, 2))
-
 
 @dataclass(frozen=True)
 class LipValueBracket:
@@ -95,9 +70,6 @@ class LipValueBracket:
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
             raise ValueError(f"bracket is inverted: [{self.lower}, {self.upper}]")
-
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +370,7 @@ def induced_lip_many(lip: PolyhedralSeminorm, coaction: InducedCoaction, rows,
     the one ``induced_lip`` returns for that row.
     """
     if not isinstance(lip, PolyhedralSeminorm):
-        raise UnsupportedSeminormError(
-            "exact induced values need a polyhedral seminorm; use induced_lip_bracket")
+        raise UnsupportedSeminormError("induced Lip-norms need a polyhedral seminorm")
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != coaction.carrier_dim:
         raise ValueError(f"expected (k, {coaction.carrier_dim}) coordinate rows, got {rows.shape}")
@@ -425,46 +396,6 @@ def _carrier_coords(coaction: InducedCoaction, x) -> np.ndarray:
             raise ValueError(f"matrix is not in the truncated system (residual {residual:.2e})")
         return coaction.system.expand(x)
     return x
-
-
-def sampled_state_lower_bound(lip, coaction: InducedCoaction, x, densities) -> float:
-    """max over supplied carrier states of L_A of the sliced element; a lower bound."""
-    coords = _carrier_coords(coaction, x)
-    best = 0.0
-    for density in densities:
-        density = np.asarray(density, dtype=complex)
-        if coaction.system is None:
-            phi = np.einsum("ab,iba->i", density, coaction.g.rep)
-        else:
-            phi = state_values_on_basis(coaction.system, density)
-        element = coaction.slice_carrier(coords, phi)
-        best = max(best, lip.value(element))
-    return best
-
-
-def induced_lip_bracket(lip: CommutatorSeminorm, coaction: InducedCoaction, x,
-                        samples: int = 64, seed: int = 0) -> LipValueBracket:
-    """Certified bracket on the induced value of a commutator seminorm.
-
-    lower: best sampled-state slice value.  upper: expand the slice over the
-    system basis; each basis coefficient is a state value bounded by the
-    numerical radius of the basis element.
-    """
-    if coaction.system is None:
-        raise UnsupportedSeminormError("brackets are computed on truncated systems")
-    ts = coaction.system
-    coords = _carrier_coords(coaction, x)
-    rng = np.random.default_rng(seed)
-    lower = 0.0
-    for _ in range(samples):
-        phi = state_values_on_basis(ts, random_density(ts.rank, rng))
-        lower = max(lower, lip.value(coaction.slice_carrier(coords, phi)))
-
-    slices = coaction.apply(coords)            # per basis index m: element of A
-    _, bounds = _radius_brackets(ts.sys_basis, 1e-8, None)
-    upper = float(sum(bounds[m] * lip.value(slices[m]) for m in range(ts.dim_sys)))
-    upper = max(upper, lower)
-    return LipValueBracket(lower=float(lower), upper=upper, method="sampled-states/basis-expansion")
 
 
 # ---------------------------------------------------------------------------

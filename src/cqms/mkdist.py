@@ -9,9 +9,9 @@ optimizer and no LP.  Otherwise real-valued family functionals give an exact
 polyhedral ball, and complex-valued ones give disc constraints handled by
 certified outer tangent cuts refined until the bracket closes.
 
-Every Gromov-Hausdorff type output is a labeled bound: ``criterion_bound``
-upper bounds, sampled quantities lower bounds.  Exact values of the distance
-infima are never claimed.
+Every Gromov-Hausdorff type output is a labeled bound: ``truncation_bound``
+is an upper bound, sampled quantities are lower bounds.  Exact values of the
+distance infima are never claimed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .compress import TruncatedSystem, pullback_state
 from .errors import CertificationError, DegenerateKernelError
 from .hopf import (FiniteQuantumGroup, Functional, State, _maxabs, _orthonormalize, _readonly,
                    counit_state)
-from .lipnorm import LipValueBracket, PolyhedralSeminorm, check_invariance, reduce_family
+from .lipnorm import EPS, LipValueBracket, PolyhedralSeminorm, check_invariance, reduce_family
 from .sampling import basis_vector_state, random_selfadjoint, random_state
 from .simplex import LPProblem, solve_lp
 
@@ -164,8 +164,11 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     constraint families solve exactly (up to solver roundoff); disc
     constraints report the outer-approximation optimum, which never
     undershoots the supremum and exceeds it by at most a relative lp_tol.
-    Either way the optimizer is rescaled until ``lip.value(element) <= 1``;
-    rounding, and the LP's reduced family, can leave it a few ulps outside.
+    Either way the optimizer is rescaled until ``lip.value(element)`` is at
+    most 1 - 4 (n + 2) eps max_i (|f_i| . |element|) / w_i, a bound on the
+    roundoff of ``lip.value``, so that L(element) <= 1 holds in exact
+    arithmetic; rounding, and the LP's reduced family, can leave the raw
+    optimizer a few ulps outside.
     """
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
@@ -185,10 +188,13 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
                                                    lp_tol)
 
     element = quotient.T @ t
+    # lip.value errs by less than 1 - limit, so a value <= limit gives L(element) <= 1 exactly
+    reach = np.abs(lip.functionals) @ np.abs(element) / lip.weights
+    limit = 1.0 - 4 * (g.dim + 2) * EPS * float(np.max(reach, initial=0.0))
     scale = lip.value(element)
-    if scale > 1.0:
-        element = element / scale
-        while lip.value(element) > 1.0:       # the division rounds; step down by ulps
+    if scale > limit:
+        element = element * (limit / scale)
+        while lip.value(element) > limit:       # the product rounds; step down by ulps
             element = element * (1.0 - 2.0 ** -50)
     if return_result:
         return MKResult(value=value, element=element, lp_iterations=iterations,
@@ -250,12 +256,11 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
 
 
 # ---------------------------------------------------------------------------
-# the truncation bound and the criterion
+# the truncation bound and the diameter
 # ---------------------------------------------------------------------------
 
 def truncation_bound(g: FiniteQuantumGroup, ts: TruncatedSystem, lip: PolyhedralSeminorm,
-                     density: np.ndarray, lp_tol: float = LP_TOL,
-                     check_invariant: bool = True, seed: int = 0) -> float:
+                     density: np.ndarray, check_invariant: bool = True, seed: int = 0) -> float:
     """B(Lambda, phi) = 2 d^L(tau* phi, counit), the certified truncation bound."""
     if check_invariant:
         violation = check_invariance(lip, g, side="bi", samples=12, seed=seed, tol=1e-7)
@@ -264,83 +269,11 @@ def truncation_bound(g: FiniteQuantumGroup, ts: TruncatedSystem, lip: Polyhedral
                 f"Lip-norm is not bi-invariant (sampled violation {violation:.2e})")
     pulled = pullback_state(ts, density)
     eps = counit_state(g)
-    return 2.0 * mk_distance(g, lip, pulled, eps, lp_tol=lp_tol)
-
-
-@dataclass(frozen=True)
-class CriterionInputs:
-    """Data of the two-morphism comparison criterion."""
-
-    diam_x: float
-    diam_y: float
-    c_phi: float
-    c_psi: float
-    eps_x: float
-    eps_y: float
-
-    def __post_init__(self):
-        vals = [self.diam_x, self.diam_y, self.c_phi, self.c_psi, self.eps_x, self.eps_y]
-        if any(v < 0 for v in vals):
-            raise ValueError("criterion inputs must be nonnegative")
-
-
-def criterion_bound(c: CriterionInputs) -> float:
-    """r = max over both sides of diam |1 - 1/C| + eps / C.
-
-    Upper bounds the complete Gromov-Hausdorff distance, hence also the
-    plain, quantum, matrix-level and operator distances.
-    """
-    if c.c_phi == 0 or c.c_psi == 0:
-        raise ValueError("contraction constants must be positive")
-    side_x = c.diam_x * abs(1 - 1 / c.c_phi) + c.eps_x / c.c_phi
-    side_y = c.diam_y * abs(1 - 1 / c.c_psi) + c.eps_y / c.c_psi
-    return max(side_x, side_y)
-
-
-def admissible_sum_lipnorm(lip_x, lip_y, phi_map, psi_map, r: float, norm_x, norm_y):
-    """Evaluator of L(x, y) = max{L_X(x), L_Y(y), ||y - Phi x|| / r, ||x - Psi y|| / r}."""
-    if r <= 0:
-        raise ValueError("the bridge parameter r must be positive")
-
-    def evaluate(x, y) -> float:
-        return max(
-            lip_x(x),
-            lip_y(y),
-            norm_y(np.asarray(y) - np.asarray(phi_map(x))) / r,
-            norm_x(np.asarray(x) - np.asarray(psi_map(y))) / r,
-        )
-
-    return evaluate
-
-
-# ---------------------------------------------------------------------------
-# Hausdorff estimates and diameter brackets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HausdorffEstimate:
-    exact: float                 # Hausdorff distance of the finite samples
-    map_bound: float | None      # max{sup d(a, f(a)), sup d(g(b), b)} when maps given
-
-
-def hausdorff_estimate(set_a, set_b, dist, f=None, g=None) -> HausdorffEstimate:
-    """Exact Hausdorff distance of two finite sets, plus the two-map upper bound."""
-    set_a, set_b = list(set_a), list(set_b)
-    if not set_a or not set_b:
-        raise ValueError("both point sets must be nonempty")
-    d_ab = max(min(dist(a, b) for b in set_b) for a in set_a)
-    d_ba = max(min(dist(a, b) for a in set_a) for b in set_b)
-    exact = max(d_ab, d_ba)
-    map_bound = None
-    if f is not None and g is not None:
-        forward = max(dist(a, f(a)) for a in set_a)
-        backward = max(dist(g(b), b) for b in set_b)
-        map_bound = max(forward, backward)
-    return HausdorffEstimate(exact=exact, map_bound=map_bound)
+    return 2.0 * mk_distance(g, lip, pulled, eps)
 
 
 def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: int = 20,
-                     seed: int = 0, lp_tol: float = LP_TOL) -> LipValueBracket:
+                     seed: int = 0) -> LipValueBracket:
     """Bracket on the diameter of the state space under d^L.
 
     lower: max distance over sampled state pairs (coordinate vector states
@@ -357,7 +290,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     lower = 0.0
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            lower = max(lower, mk_distance(g, lip, states[i], states[j], lp_tol=lp_tol))
+            lower = max(lower, mk_distance(g, lip, states[i], states[j]))
 
     q_dim = quotient.shape[0]
     upper = None
@@ -378,8 +311,8 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
         for k in range(q_dim):
             obj = np.zeros(q_dim)
             obj[k] = 1.0
-            hi = _support_lp(g, lip, obj, lp_tol)
-            lo = _support_lp(g, lip, -obj, lp_tol)
+            hi = _support_lp(g, lip, obj)
+            lo = _support_lp(g, lip, -obj)
             mat = g.rho_of(quotient[k])
             eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
             radius += max(hi, lo) * float(eigs[-1] - eigs[0]) / 2
@@ -389,9 +322,9 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     return LipValueBracket(lower=lower, upper=upper, method=method)
 
 
-def _support_lp(g, lip, objective, lp_tol) -> float:
+def _support_lp(g, lip, objective) -> float:
     cuts, bounds = _unit_ball(g, lip)[5:7]
-    solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds), tol=lp_tol)
+    solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds), tol=LP_TOL)
     if solution.status != "optimal":
         raise DegenerateKernelError("support LP unbounded; the seminorm is degenerate")
     solution.certify(tol=1e-7)

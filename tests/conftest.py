@@ -3,6 +3,8 @@ import pytest
 
 from cqms import compress, corep, groups, hopf, lipnorm
 
+import oracles
+
 
 @pytest.fixture(scope="session")
 def f_z4():
@@ -16,7 +18,7 @@ def f_z8():
 
 @pytest.fixture(scope="session")
 def f_s3():
-    return hopf.function_algebra(groups.s3_table(), metric=groups.s3_transposition_metric())
+    return hopf.function_algebra(groups.s3_table(), metric=oracles.s3_transposition_metric())
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ through scipy's LP, numerical ranges through dense sampling, convolutions
 through direct group sums.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -257,10 +259,12 @@ def loop_mk_distance(g, lip, mu, nu, lp_tol=1e-9):
             if abs(vals[i]) > weights[i] * (1 - 1e-12):
                 disc_angles[i].append(float(np.angle(vals[i])))
     element = quotient.T @ t
+    reach = np.abs(lip.functionals) @ np.abs(element) / lip.weights
+    limit = 1.0 - 4 * (g.dim + 2) * np.finfo(float).eps * float(np.max(reach))
     scale = lip.value(element)
-    if scale > 1.0:
-        element = element / scale
-        while lip.value(element) > 1.0:
+    if scale > limit:
+        element = element * (limit / scale)
+        while lip.value(element) > limit:
             element = element * (1.0 - 2.0 ** -50)
     return mkdist.MKResult(value=max(solution.value, 0.0), element=element,
                            lp_iterations=solution.iterations, refinement_rounds=rounds)
@@ -370,3 +374,105 @@ def dense_podles_frobenius(g, tensor, side):
     defect = phi_t @ psi_t                 # (Psi Phi)^T, both legs listed as (j, k)
     defect.flat[::n * s + 1] -= 1.0
     return float(np.linalg.norm(defect))
+
+
+def exact_in_unit_ball(lip, x):
+    """Whether |f_i . x| <= w_i holds for every row of a polyhedral family, in exact arithmetic.
+
+    Every float is a rational, so Re^2 + Im^2 <= w^2 is decided over fractions.
+    """
+    coords = [(Fraction(v.real), Fraction(v.imag)) for v in np.asarray(x, dtype=complex)]
+    for row, weight in zip(lip.functionals, lip.weights):
+        re = im = Fraction(0)
+        for c, (a, b) in zip(row, coords):
+            if c:
+                cr, ci = Fraction(c.real), Fraction(c.imag)
+                re += cr * a - ci * b
+                im += cr * b + ci * a
+        if re * re + im * im > Fraction(float(weight)) ** 2:
+            return False
+    return True
+
+
+def slice_map(side, phi, t):
+    """Slice a tensor t in A (x) A (an (n, n) coefficient matrix) by a functional phi.
+
+    side "left" applies phi to the first leg, "right" to the second.
+    """
+    t = np.asarray(t, dtype=complex)
+    return phi.coeffs @ t if side == "left" else t @ phi.coeffs
+
+
+def sampled_state_lower_bound(lip, coaction, x, densities):
+    """max over the given states phi of the truncation of L((phi (x) id) alpha(x)).
+
+    Every state gives a lower bound on the induced Lip-norm of x.
+    """
+    ts = coaction.system
+    coords = ts.expand(x)
+    best = 0.0
+    for density in densities:
+        phi = np.einsum("ba,kab->k", np.asarray(density, dtype=complex), ts.sys_basis)
+        best = max(best, lip.value(np.einsum("k,kml,m->l", coords, coaction.tensor, phi)))
+    return best
+
+
+def conditional_expectation(coaction, samples=20, seed=0):
+    """E = (id (x) h) applied to a coaction, on carrier coordinates.
+
+    Returns (E, max|E^2 - E|, invariant state, invariance residual); when the
+    fixed space is the scalars the invariant state is unit* E / |unit|^2,
+    checked against E and against sampled functionals, and otherwise None.
+    """
+    g = coaction.g
+    e = np.einsum("kml,l->mk", coaction.tensor, g.haar)
+    idem = float(np.max(np.abs(e @ e - e)))
+    invariant, inv_res = None, 0.0
+    if coaction.fixed_space_dim == 1:
+        ts = coaction.system
+        unit = g.unit.astype(complex) if ts is None else ts.expand(np.eye(ts.rank))
+        invariant = (unit.conj() @ e) / float(np.vdot(unit, unit).real)
+        inv_res = float(np.max(np.abs(e - np.outer(unit, invariant))))
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            mu = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
+            acted = np.einsum("kml,m,l->k", coaction.tensor, invariant, mu)
+            inv_res = max(inv_res, float(np.max(np.abs(acted - np.dot(mu, g.unit) * invariant))))
+    return e, idem, invariant, inv_res
+
+
+def isotypical_projection(coaction, gamma):
+    """E_gamma(x) = d_gamma (id (x) h)((1 (x) chi*) . coaction(x)) on carrier coordinates."""
+    g = coaction.g
+    chi_star = g.star_of(gamma.u.trace(axis1=0, axis2=1))
+    weights = np.einsum("p,plq,q->l", chi_star, g.mult, g.haar)
+    return gamma.dim * np.einsum("kml,l->mk", coaction.tensor, weights)
+
+
+def star_closure_residual(lip, g):
+    """How far a polyhedral family is from being closed under l -> conj(l o *)."""
+    adj = np.conj(lip.functionals @ g.star.T)
+    worst = 0.0
+    for i, f in enumerate(adj):
+        gaps = np.max(np.abs(lip.functionals - f), axis=1) + np.abs(lip.weights - lip.weights[i])
+        worst = max(worst, float(np.min(gaps)))
+    return worst
+
+
+def word_metric(table, generators):
+    """d(g, h) = l(g h^-1) for the symmetrized word length.
+
+    Bi-invariant iff the generating set is closed under conjugation.
+    """
+    from cqms import groups
+
+    table = np.asarray(table)
+    _, inverse = groups.validate_cayley(table)
+    return groups.symmetric_word_length(table, generators)[table[:, inverse]]
+
+
+def s3_transposition_metric():
+    """Bi-invariant word metric on S_3 from the conjugation-closed set of all transpositions."""
+    from cqms import groups
+
+    return word_metric(groups.s3_table(), [1, 2, 3])

@@ -170,7 +170,7 @@ def test_criterion_06_prop_c1_inequalities(s3c_bundle):
             bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=False)
             for _ in range(100):
                 a = random_element(g, rng)
-                lhs1 = g.opnorm(sym(ts.expand(ts.tau(a))) - a)
+                lhs1 = float(np.linalg.norm(g.rho_of(sym(ts.expand(ts.tau(a))) - a), 2))
                 worst = max(worst, lhs1 - bound * lip.value(a))
                 x = ts.tau(a)
                 lhs2 = float(np.linalg.norm(ts.tau(sym(ts.expand(x))) - x, 2))
@@ -209,7 +209,7 @@ def test_criterion_07_convergence_reproduction():
 
 def test_criterion_08_group_case_sandwich(z8_bundle):
     g8, irreps8, dec8, lip8 = z8_bundle
-    g3 = hopf.function_algebra(groups.s3_table(), metric=groups.s3_transposition_metric())
+    g3 = hopf.function_algebra(groups.s3_table(), metric=oracles.s3_transposition_metric())
     irreps3 = corep.default_irreps(g3)
     dec3 = corep.pw_decompose(g3, irreps3)
     lip3 = lipnorm.lip_from_metric(g3)
@@ -246,7 +246,7 @@ def test_criterion_09_liftable_state_density(z8_bundle):
         prev_min = np.inf
         for k, ts in enumerate(systems):
             states, densities = compress.liftable_states(
-                ts, samples=498, seed=9100 + 17 * t_idx + k, return_densities=True)
+                ts, samples=498, seed=9100 + 17 * t_idx + k)
             if prev_density is not None:
                 moved = compress.restrict_state(systems[k - 1], ts, prev_density)
                 states.append(compress.pullback_state(ts, moved))
@@ -277,7 +277,7 @@ def _sqrt_candidate(ts, mu):
 
 def test_criterion_10_lp_oracle_equivalence(z8_bundle):
     g8, _, _, lip8 = z8_bundle
-    g3 = hopf.function_algebra(groups.s3_table(), metric=groups.s3_transposition_metric())
+    g3 = hopf.function_algebra(groups.s3_table(), metric=oracles.s3_transposition_metric())
     lip3 = lipnorm.lip_from_metric(g3)
     rng = np.random.default_rng(101)
     worst = 0.0

@@ -38,7 +38,7 @@ def test_gns_residuals_match_the_einsum_reference(name, f_s3, c_s3):
 
 
 def test_validate_trivial_corep(f_z4):
-    report = corep.validate_corep(f_z4, corep.trivial_corep(f_z4))
+    report = corep.validate_corep(f_z4, corep.Corepresentation(u=f_z4.unit.reshape(1, 1, 4)))
     assert report.unitarity_residual < 1e-12
     assert report.corep_residual < 1e-12
     assert report.irreducible
@@ -71,20 +71,18 @@ def test_reducible_corep_detected(f_s3):
 
 
 def test_matrix_coefficients(f_z4, c_s3):
-    assert np.allclose(corep.matrix_coefficients(f_z4, corep.trivial_corep(f_z4)),
-                       [f_z4.unit])
-    chi1 = corep.default_irreps(f_z4)[1]
-    coeff = corep.matrix_coefficients(f_z4, chi1)[0]
-    assert np.allclose(coeff, np.exp(2j * np.pi * np.arange(4) / 4))
+    trivial, chi1 = corep.default_irreps(f_z4)[:2]
+    assert np.allclose(trivial.u[0, 0], f_z4.unit)
+    assert np.allclose(chi1.u[0, 0], np.exp(2j * np.pi * np.arange(4) / 4))
     lam = corep.default_irreps(c_s3)[3]
-    assert np.allclose(corep.matrix_coefficients(c_s3, lam)[0], np.eye(6)[3])
+    assert np.allclose(lam.u[0, 0], np.eye(6)[3])
 
 
 def test_pw_projector_full_and_trivial(f_z4):
-    irreps = corep.default_irreps(f_z4)
-    full = corep.pw_projector(f_z4, irreps, range(4))
+    dec = corep.pw_decompose(f_z4, corep.default_irreps(f_z4))
+    full = dec.projector(range(4))
     assert np.allclose(full, np.eye(4))
-    p0 = corep.pw_projector(f_z4, irreps, [0])
+    p0 = dec.projector([0])
     gns = corep.gns_build(f_z4)
     one = gns.vector(f_z4.unit)
     assert np.linalg.matrix_rank(p0) == 1
@@ -92,8 +90,7 @@ def test_pw_projector_full_and_trivial(f_z4):
 
 
 def test_pw_projector_diagonal_in_fourier_basis(f_z4):
-    irreps = corep.default_irreps(f_z4)
-    p = corep.pw_projector(f_z4, irreps, [0, 1])
+    p = corep.pw_decompose(f_z4, corep.default_irreps(f_z4)).projector([0, 1])
     fourier = np.array([np.exp(2j * np.pi * np.arange(4) * k / 4) / 2 for k in range(4)])
     diag = fourier.conj() @ p @ fourier.T
     assert np.allclose(diag, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)

@@ -44,7 +44,7 @@ def test_load_group_file_roundtrip(z4_file):
 def test_load_group_file_with_irreps(tmp_path, f_s3):
     irreps = corep.default_irreps(f_s3)
     path = tmp_path / "s3.json"
-    io.dump_group_file(path, groups.s3_table(), metric=groups.s3_transposition_metric(),
+    io.dump_group_file(path, groups.s3_table(), metric=oracles.s3_transposition_metric(),
                        irreps=irreps)
     loaded = io.load_input(str(path))
     assert loaded.irreps is not None

@@ -46,7 +46,7 @@ def test_agreement_with_transport_oracle(z8_setup, f_s3):
 
 def _metric_algebra(name):
     if name == "F(S_3)":
-        return hopf.function_algebra(groups.s3_table(), metric=groups.s3_transposition_metric())
+        return hopf.function_algebra(groups.s3_table(), metric=oracles.s3_transposition_metric())
     n = int(name[4:-1])
     return hopf.function_algebra(groups.cyclic_table(n), metric=groups.arc_metric(n))
 
@@ -241,6 +241,7 @@ def test_optimizer_lies_in_the_unit_ball(name, s3c_setup, z8_setup):
     for mu, nu in pairs:
         result = mkdist.mk_distance(g, lip, mu, nu, return_result=True)
         assert lip.value(result.element) <= 1
+        assert oracles.exact_in_unit_ball(lip, result.element)
 
 
 def test_product_ball_distance_never_exceeds_the_lp(s3c_setup):
@@ -321,104 +322,7 @@ def test_truncation_bound_rejects_non_invariant(f_z4):
         mkdist.truncation_bound(f_z4, ts, lopsided, density)
 
 
-# -- criterion ----------------------------------------------------------------
-
-def test_criterion_contractive_case():
-    c = mkdist.CriterionInputs(diam_x=5.0, diam_y=7.0, c_phi=1.0, c_psi=1.0,
-                               eps_x=0.25, eps_y=0.125)
-    assert mkdist.criterion_bound(c) == pytest.approx(0.25)
-
-
-def test_criterion_formula():
-    c = mkdist.CriterionInputs(diam_x=2.0, diam_y=2.0, c_phi=2.0, c_psi=2.0,
-                               eps_x=0.1, eps_y=0.1)
-    assert mkdist.criterion_bound(c) == pytest.approx(2.0 * 0.5 + 0.05)
-
-
-def test_criterion_symmetry_and_domain():
-    a = mkdist.CriterionInputs(diam_x=1.0, diam_y=2.0, c_phi=1.5, c_psi=3.0,
-                               eps_x=0.2, eps_y=0.4)
-    b = mkdist.CriterionInputs(diam_x=2.0, diam_y=1.0, c_phi=3.0, c_psi=1.5,
-                               eps_x=0.4, eps_y=0.2)
-    assert mkdist.criterion_bound(a) == pytest.approx(mkdist.criterion_bound(b))
-    with pytest.raises(ValueError):
-        mkdist.criterion_bound(mkdist.CriterionInputs(
-            diam_x=1.0, diam_y=1.0, c_phi=0.0, c_psi=1.0, eps_x=0.0, eps_y=0.0))
-
-
-def test_admissible_sum_lipnorm(z8_mid):
-    g, lip, ts, alpha, beta = z8_mid
-    density = compress.canonical_symbol_state(g, ts)
-    sym = compress.symbol_map(ts, alpha, density)
-    bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=False)
-    r = max(bound, 1e-6)
-
-    def lip_x(a):
-        return lip.value(a)
-
-    def lip_y(x):
-        return lipnorm.induced_lip_bi(lip, alpha, beta, x, tol=1e-7)
-
-    evaluator = mkdist.admissible_sum_lipnorm(
-        lip_x, lip_y, phi_map=lambda a: ts.tau(a), psi_map=lambda x: sym(ts.expand(x)),
-        r=r, norm_x=lambda a: g.opnorm(a), norm_y=lambda x: float(np.linalg.norm(x, 2)))
-
-    assert evaluator(g.unit, np.eye(ts.rank)) == pytest.approx(0.0, abs=1e-8)
-    rng = np.random.default_rng(5)
-    from cqms.sampling import random_element
-    for _ in range(8):
-        a = random_element(g, rng)
-        val = evaluator(a, ts.tau(a))
-        # bridge terms collapse on the graph of tau up to the criterion slack
-        cap = max(lip_x(a), lip_y(ts.tau(a)), bound * lip_x(a) / r)
-        assert val <= cap + 1e-7
-        assert val >= lip_x(a) - 1e-9
-    with pytest.raises(ValueError):
-        mkdist.admissible_sum_lipnorm(lip_x, lip_y, lambda a: a, lambda x: x, 0.0,
-                                      lambda a: 0.0, lambda x: 0.0)
-
-
-# -- hausdorff and diameter ---------------------------------------------------
-
-def test_hausdorff_basic_cases():
-    dist = lambda a, b: abs(a - b)
-    est = mkdist.hausdorff_estimate([0.0, 1.0], [0.0, 1.0], dist)
-    assert est.exact == 0.0
-    est2 = mkdist.hausdorff_estimate([0.0], [3.0], dist)
-    assert est2.exact == 3.0
-    with pytest.raises(ValueError):
-        mkdist.hausdorff_estimate([], [1.0], dist)
-
-
-def test_hausdorff_map_bound_dominates(z8_setup):
-    g, irreps, dec, lip = z8_setup
-    ts = compress.truncate(g, irreps, (0, 1, 7), dec=dec)
-    rng = np.random.default_rng(6)
-    sampled = [random_state(g, rng) for _ in range(6)]
-    lift_states, lift_densities = compress.liftable_states(ts, samples=6, seed=7,
-                                                           return_densities=True)
-    cache = {}
-
-    def dist(a, b):
-        key = (id(a), id(b))
-        if key not in cache:
-            cache[key] = mkdist.mk_distance(g, lip, a, b)
-        return cache[key]
-
-    by_id = {id(s): k for k, s in enumerate(sampled)}
-
-    def to_liftable(state):
-        vals = [mkdist.mk_distance(g, lip, state, t) for t in lift_states]
-        return lift_states[int(np.argmin(vals))]
-
-    def to_sampled(state):
-        vals = [mkdist.mk_distance(g, lip, state, t) for t in sampled]
-        return sampled[int(np.argmin(vals))]
-
-    est = mkdist.hausdorff_estimate(sampled, lift_states, dist, f=to_liftable, g=to_sampled)
-    assert est.map_bound is not None
-    assert est.map_bound >= est.exact - 1e-12
-
+# -- diameter -----------------------------------------------------------------
 
 def test_diameter_bracket_z2():
     g = hopf.function_algebra(groups.cyclic_table(2), metric=1.0 * (1 - np.eye(2)))
