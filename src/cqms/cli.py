@@ -147,7 +147,7 @@ def _seminorm(args, loaded: io.LoadedInput) -> lipnorm.PolyhedralSeminorm:
         data = io._load_json(path)
         try:
             funcs = io._as_complex(data["functionals"], (None, g.dim), f"{path}: 'functionals'")
-            weights = np.asarray(data["weights"], dtype=float)
+            weights = io._as_real(data["weights"], (None,), f"{path}: 'weights'")
             return lipnorm.PolyhedralSeminorm(functionals=funcs, weights=weights, label="custom")
         except (KeyError, TypeError, ValueError) as exc:
             raise io.ParseError(f"{path}: a seminorm file needs 'functionals' (m x n) and "

@@ -14,13 +14,14 @@ import numpy as np
 
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
-from .hopf import (FiniteQuantumGroup, State, _coaction_certificates, _counit_residual, _maxabs,
-                   _podles_limit, _rank, certify_state, counit_support_projection)
+from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _coaction_certificates,
+                   _counit_residual, _maxabs, _podles_limit, _rank, certify_state, counit_support_projection)
 from .sampling import random_density
 
-RANK_RTOL = 1e-10
 GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
 DESCENT_STEP = 0.25    # first step length of the projected gradient, halved on each rejection
+DESCENT_STARTS = 4     # the canonical state and three random vectors
+DESCENT_ITERS = 60     # gradient steps per start
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +74,10 @@ class TruncatedSystem:
         return _maxabs(self.combine(self.expand(x)) - np.asarray(x, dtype=complex))
 
 
-def truncate(g: FiniteQuantumGroup, irreps, subset, tol: float = 1e-10,
+def truncate(g: FiniteQuantumGroup, irreps, subset,
              dec: PWDecomposition | None = None) -> TruncatedSystem:
     """Build the truncated operator system for the given irrep subset."""
-    dec = dec if dec is not None else pw_decompose(g, irreps, tol)
+    dec = dec if dec is not None else pw_decompose(g, irreps)
     subset = tuple(sorted(set(int(k) for k in subset)))
     if any(k < 0 or k >= len(dec.irreps) for k in subset):
         raise StructureError(f"subset {subset} out of range for {len(dec.irreps)} irreps")
@@ -291,28 +292,27 @@ def state_values_on_basis(ts: TruncatedSystem, density: np.ndarray) -> np.ndarra
     return np.einsum("ba,kab->k", density, ts.sys_basis)
 
 
-def certify_system_state(ts: TruncatedSystem, density: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Certify a density matrix against the containing matrix algebra's cone."""
+def certify_system_state(ts: TruncatedSystem, density: np.ndarray) -> np.ndarray:
+    """Certify a density matrix against the containing matrix algebra's cone, within DEFAULT_TOL."""
     density = np.asarray(density, dtype=complex)
     if density.shape != (ts.rank, ts.rank):
         raise StateCertificationError(f"density must be {ts.rank} x {ts.rank}, got {density.shape}")
     herm = _maxabs(density - density.conj().T)
     eigs, vecs = np.linalg.eigh((density + density.conj().T) / 2)
-    if herm > tol or eigs[0] < -tol:
+    if herm > DEFAULT_TOL or eigs[0] < -DEFAULT_TOL:
         raise StateCertificationError(
             f"density fails positivity (hermitian residual {herm:.2e}, min eig {eigs[0]:.3e}) "
             f"at witness vector {np.round(vecs[:, 0], 4)}")
-    if abs(np.trace(density) - 1.0) > tol:
+    if abs(np.trace(density) - 1.0) > DEFAULT_TOL:
         raise StateCertificationError(f"density trace is {np.trace(density):.6f}, expected 1")
     return density
 
 
-def symbol_map(ts: TruncatedSystem, alpha: InducedCoaction, density: np.ndarray,
-               tol: float = 1e-9) -> SymbolMap:
+def symbol_map(ts: TruncatedSystem, alpha: InducedCoaction, density: np.ndarray) -> SymbolMap:
     """Slice the right coaction by a state of the truncated system."""
     if alpha.side != "right" or alpha.system is not ts:
         raise ValueError("symbol map needs the right coaction of the same truncated system")
-    density = certify_system_state(ts, density, tol)
+    density = certify_system_state(ts, density)
     phi = state_values_on_basis(ts, density)
     return SymbolMap(matrix=np.einsum("kml,m->lk", alpha.tensor, phi))
 
@@ -321,14 +321,14 @@ def symbol_map(ts: TruncatedSystem, alpha: InducedCoaction, density: np.ndarray,
 # states on truncations and their pullbacks
 # ---------------------------------------------------------------------------
 
-def pullback_state(ts: TruncatedSystem, density: np.ndarray, tol: float = 1e-9) -> State:
+def pullback_state(ts: TruncatedSystem, density: np.ndarray) -> State:
     """tau^* phi as a certified state on A."""
-    density = certify_system_state(ts, density, tol)
+    density = certify_system_state(ts, density)
     coeffs = np.array([np.trace(density @ ts.tau(e)) for e in np.eye(ts.g.dim, dtype=complex)])
-    return certify_state(ts.g, coeffs, tol=tol)
+    return certify_state(ts.g, coeffs)
 
 
-def liftable_states(ts: TruncatedSystem, samples: int, seed: int, tol: float = 1e-9):
+def liftable_states(ts: TruncatedSystem, samples: int, seed: int):
     """Pull back randomly generated states of the truncated system: (states, densities).
 
     Draws Haar-random vector states and Dirichlet-weighted convex mixtures of
@@ -340,7 +340,7 @@ def liftable_states(ts: TruncatedSystem, samples: int, seed: int, tol: float = 1
     for j in range(samples):
         parts = 1 if j % 2 == 0 or r == 1 else int(rng.integers(2, 5))
         density = random_density(r, rng, parts)
-        out.append(pullback_state(ts, density, tol))
+        out.append(pullback_state(ts, density))
         densities.append(density)
     return out, densities
 
@@ -395,15 +395,14 @@ def duality_lower_bound(ts: TruncatedSystem, slicer) -> float:
     return float(eigs[0] - np.dot(counit, x).real - roundoff)
 
 
-def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
-                           seed: int = 0, starts: int = 4, iters: int = 60):
+def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance, seed: int = 0):
     """Projected gradient over vector states minimizing ``distance``, stopped by a duality gap.
 
     ``distance(density)`` must return (value, slicer) where slicer is a
     self-adjoint optimizer of the distance with L(slicer) <= 1, such as
     ``MKResult.element``; the envelope gradient of the value at a vector
     state xi is then tau(slicer) xi.  The descent runs from the canonical
-    state and from ``starts - 1`` random vectors, up to ``iters`` steps each.
+    state and from DESCENT_STARTS - 1 random vectors, up to DESCENT_ITERS steps each.
     Every accepted value is checked against ``duality_lower_bound`` at its
     slicer, which no density beats: once value - lower <= GAP_RTOL max(1,
     value), no further step can gain more than that gap and the best state
@@ -419,7 +418,7 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
     if closed(best_value, slicer):
         return best_density, best_value
     r = ts.rank
-    seeds = [best_density] + [None] * (starts - 1)
+    seeds = [best_density] + [None] * (DESCENT_STARTS - 1)
     for start in seeds:
         if start is None:
             v = rng.normal(size=r) + 1j * rng.normal(size=r)
@@ -430,7 +429,7 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
         eta = DESCENT_STEP
         value, slicer = distance(np.outer(v, v.conj()))
         done = closed(value, slicer)
-        for _ in range(iters):
+        for _ in range(DESCENT_ITERS):
             if done:
                 break
             grad = ts.tau(slicer) @ v

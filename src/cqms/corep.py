@@ -18,6 +18,7 @@ from .hopf import (FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_wit
                    _rep_residuals, _unitarity_residual)
 
 GNS_TOL = 1e-10
+UNITARY_SAMPLES = 8      # random elements on which a multiplicative unitary must implement Delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +61,9 @@ def gns_build(g: FiniteQuantumGroup) -> GNSSpace:
     return space
 
 
-def _certify_gns(g: FiniteQuantumGroup, s: GNSSpace, tol: float = GNS_TOL) -> None:
+def _certify_gns(g: FiniteQuantumGroup, s: GNSSpace) -> None:
     worst = max(*_rep_residuals(g, s.rep), abs(np.linalg.norm(s.cyclic) - 1.0))
-    if worst > tol:
+    if worst > GNS_TOL:
         raise InternalInconsistencyError(f"GNS representation certificate failed (residual {worst:.3e})")
 
 
@@ -201,9 +202,14 @@ class PWDecomposition:
 
 
 def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecomposition:
-    """Validate a complete irreducible family and orthonormalize its coefficient blocks."""
+    """Validate a complete irreducible family and orthonormalize its coefficient blocks.
+
+    Blocks of inequivalent irreps are orthogonal (Schur), equivalent ones coincide:
+    one Gram matrix of all blocks certifies both.
+    """
     gns = gns_build(g)
     irreps = tuple(irreps)
+    blocks = []
     for k, pi in enumerate(irreps):
         report = validate_corep(g, pi, tol)
         if not report.passed(tol):
@@ -212,28 +218,25 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecom
                 f"corep {report.corep_residual:.2e})")
         if not report.irreducible:
             raise SchurError(f"irrep {k} is reducible (dim End = {report.end_dim})")
-    for a in range(len(irreps)):
-        for b in range(a + 1, len(irreps)):
-            if irreps[a].dim == irreps[b].dim and mor_dim(g, irreps[a], irreps[b]) > 0:
-                raise SchurError(f"irreps {a} and {b} are unitarily equivalent")
-    total = sum(pi.dim ** 2 for pi in irreps)
-    if total != g.dim:
-        raise CompletenessError(f"sum of squared dimensions is {total}, expected {g.dim}")
-
-    blocks = []
-    for pi in irreps:
         vecs = np.array([gns.vector(pi.u[i, j]) for i in range(pi.dim) for j in range(pi.dim)])
         q = _orthonormalize(vecs)
         if q.shape[0] != pi.dim ** 2:
             raise StructureError(
                 f"matrix coefficients of a d={pi.dim} irrep span rank {q.shape[0]}, expected {pi.dim ** 2}")
         blocks.append(q)
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            overlap = _maxabs(blocks[a].conj() @ blocks[b].T)
-            if overlap > tol:
-                raise InternalInconsistencyError(
-                    f"coefficient blocks {a} and {b} are not orthogonal (overlap {overlap:.2e})")
+
+    owner = np.repeat(np.arange(len(blocks)), [len(q) for q in blocks])
+    stacked = np.vstack(blocks) if blocks else np.zeros((0, g.dim), dtype=complex)
+    overlap = np.zeros((len(blocks), len(blocks)))     # max |<q, q'>| per pair of blocks
+    np.maximum.at(overlap, (owner[:, None], owner[None, :]), np.abs(stacked.conj() @ stacked.T))
+    pairs = np.argwhere(np.triu(overlap > tol, 1))
+    if len(pairs):
+        a, b = pairs[0]
+        raise SchurError(f"irreps {a} and {b} are equivalent: their coefficient blocks overlap "
+                         f"({overlap[a, b]:.2e})")
+    total = sum(pi.dim ** 2 for pi in irreps)
+    if total != g.dim:
+        raise CompletenessError(f"sum of squared dimensions is {total}, expected {g.dim}")
     return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks))
 
 
@@ -249,13 +252,12 @@ class MultiplicativeUnitary:
     implementation_residual: float
 
 
-def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W", samples: int = 8,
-                           seed: int = 0) -> MultiplicativeUnitary:
+def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W") -> MultiplicativeUnitary:
     """Dense multiplicative unitary with certificates of its defining identities.
 
     W(Lambda(a) (x) xi) = (pi (x) rho)(Delta a)(Lambda(1) (x) xi) on H (x) H0,
-    verified to implement the comultiplication by conjugation; V mirrors both
-    on H0 (x) H.
+    verified to implement the comultiplication by conjugation on
+    UNITARY_SAMPLES seeded random elements; V mirrors both on H0 (x) H.
     """
     if side not in ("W", "V"):
         raise ValueError(f"side must be 'W' or 'V', got {side!r}")
@@ -275,16 +277,16 @@ def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W", samples: int 
             cols = np.einsum("jl,jqk,lp->qpk", delta, g.rep, acted)
             mat[:, m::n] = cols.reshape(d0 * n, d0)
     unit_res = _unitarity_residual(mat)
-    impl_res = _implementation_residual(g, gns, mat, side, samples, seed)
+    impl_res = _implementation_residual(g, gns, mat, side)
     return MultiplicativeUnitary(side=side, matrix=mat, unitarity_residual=unit_res,
                                  implementation_residual=impl_res)
 
 
-def _implementation_residual(g, gns, mat, side, samples, seed) -> float:
-    rng = np.random.default_rng(seed)
+def _implementation_residual(g, gns, mat, side) -> float:
+    rng = np.random.default_rng(0)
     n, d0 = g.dim, g.rep.shape[1]
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(UNITARY_SAMPLES):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         delta = g.coproduct(a)
         if side == "W":

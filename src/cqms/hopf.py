@@ -23,7 +23,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-HAAR_RANK_RTOL = 1e-10        # singular values below this fraction of the largest count as zero
+RANK_RTOL = 1e-10             # singular values below this fraction of the largest count as zero
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -219,7 +219,7 @@ def _solve_haar(comult, unit, n) -> np.ndarray:
     """Unique normalized solution of the two-sided invariance system."""
     system = _invariance_system(comult, unit, n)
     _, sv, vh = np.linalg.svd(system, full_matrices=False)     # 2n^2 >= n rows: vh is n x n
-    null_dim = int(np.sum(sv <= HAAR_RANK_RTOL * (sv[0] if len(sv) else 1.0)))
+    null_dim = int(np.sum(sv <= RANK_RTOL * (sv[0] if len(sv) else 1.0)))
     if null_dim != 1:
         raise NotAQuantumGroupError(f"invariance system has solution space of dimension {null_dim}, expected 1")
     h = vh[-1].conj()
@@ -243,8 +243,8 @@ def haar_state(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> State:
     return certify_state(g, g.haar, tol=tol)
 
 
-def counit_state(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> State:
-    return certify_state(g, g.counit, tol=tol)
+def counit_state(g: FiniteQuantumGroup) -> State:
+    return certify_state(g, g.counit)
 
 
 def certify_state(g: FiniteQuantumGroup, coeffs, tol: float = DEFAULT_TOL) -> State:
@@ -280,7 +280,7 @@ class AxiomReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))     # unlike max(), keeps a NaN: fails
 
     @property
     def passed(self) -> bool:
@@ -462,12 +462,12 @@ def _unitarity_residual(u: np.ndarray) -> float:
     return max(_maxabs(u.conj().T @ u - np.eye(len(u))), _maxabs(u @ u.conj().T - np.eye(len(u))))
 
 
-def _rank(m: np.ndarray, rtol: float = 1e-10) -> int:
+def _rank(m: np.ndarray) -> int:
     sv = np.linalg.svd(m, compute_uv=False)
     # absolute floor so an all-zero matrix is not promoted to full rank by noise
     if len(sv) == 0 or sv[0] <= 1e-12:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
@@ -499,13 +499,13 @@ def convolve(mu: Functional, nu: Functional, g: FiniteQuantumGroup) -> Functiona
     return Functional(coeffs=coeffs)
 
 
-def counit_support_projection(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> np.ndarray:
+def counit_support_projection(g: FiniteQuantumGroup) -> np.ndarray:
     """The projection p with a p = counit(a) p for all a, normalized so p = p* = p^2."""
     n = g.dim
     mult_char = np.einsum("ijk,k->ij", g.mult, g.counit) - np.outer(g.counit, g.counit)
     star_char = g.star @ g.counit - np.conj(g.counit)
     # the defining system only makes sense when the counit is a *-character
-    if _maxabs(mult_char) > tol or _maxabs(star_char) > tol:
+    if _maxabs(mult_char) > DEFAULT_TOL or _maxabs(star_char) > DEFAULT_TOL:
         raise InternalInconsistencyError("counit is not a *-character; inputs are corrupt")
 
     system = np.concatenate([g.mult[i].T - g.counit[i] * np.eye(n) for i in range(n)], axis=0)
@@ -522,7 +522,7 @@ def counit_support_projection(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -
     p = p / scale
     idem = _maxabs(g.product(p, p) - p)
     selfadj = _maxabs(g.star_of(p) - p)
-    if idem > tol or selfadj > tol:
+    if idem > DEFAULT_TOL or selfadj > DEFAULT_TOL:
         raise InternalInconsistencyError(
             f"support candidate fails p^2 = p = p* (residuals {idem:.2e}, {selfadj:.2e})")
     return p

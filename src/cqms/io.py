@@ -42,11 +42,13 @@ def _load_json(path: str):
 
 
 def _as_complex(node, shape: tuple, name: str) -> np.ndarray:
-    """A complex tensor of this shape (None: any length) from reals or [re, im] pairs."""
+    """A finite complex tensor of this shape (None: any length) from reals or [re, im] pairs."""
     try:
         arr = np.ascontiguousarray(node, dtype=float)
     except (TypeError, ValueError) as exc:
         raise StructureError(f"{name} is not a rectangular array of numbers") from exc
+    if not np.all(np.isfinite(arr)):      # JSON as Python reads it admits NaN and Infinity
+        raise StructureError(f"{name} has non-finite entries")
     if arr.ndim == len(shape) + 1 and arr.shape[-1] == 2:
         arr = arr.view(complex)[..., 0]
     if arr.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, arr.shape)):
@@ -91,7 +93,7 @@ def _load_group(path: str, data: dict, family: str) -> LoadedInput:
     try:
         order = int(data["order"])
         table = np.asarray(data["mult_table"], dtype=int)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"{path}: group files need integer 'order' and 'mult_table'") from exc
     if table.shape != (order, order):
         raise StructureError(f"{path}: mult_table must be {order}x{order}, got {table.shape}")
@@ -118,7 +120,7 @@ def _load_quantum_group(path: str, data: dict) -> LoadedInput:
         raise StructureError(f"{path}: quantum-group file is missing {missing}")
     try:
         n = int(data["dim"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"{path}: 'dim' must be an integer, got {data['dim']!r}") from exc
     mult, comult, unit, star, counit, antipode = (
         _as_complex(data[key], shape, f"{path}: '{key}'")
@@ -141,7 +143,7 @@ def _parse_irreps(path: str, data: dict, n: int) -> list:
         try:
             d = int(node["dim"])
             coeffs = node["matrices_over_A"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StructureError(
                 f"{path}: irrep {k} needs 'dim' and 'matrices_over_A' of shape (d, d, {n})") from exc
         u = _as_complex(coeffs, (d, d, n), f"{path}: irrep {k} 'matrices_over_A'")

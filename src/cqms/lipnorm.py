@@ -76,18 +76,17 @@ class LipValueBracket:
 # constructors for the built-in families
 # ---------------------------------------------------------------------------
 
-def lip_from_metric(g: FiniteQuantumGroup, metric=None) -> PolyhedralSeminorm:
-    """Lipschitz constant of a bi-invariant metric on a function algebra.
+def lip_from_metric(g: FiniteQuantumGroup) -> PolyhedralSeminorm:
+    """Lipschitz constant of the bi-invariant metric stored on a function algebra.
 
     Family {(ev_g - ev_h, d(g, h))} over unordered pairs; the kernel is the
     constants by connectedness of the metric.
     """
     if g.kind != "function" or g.group_table is None:
         raise UnsupportedSeminormError("metric Lip-norms require a function algebra F(G)")
-    metric = g.metric if metric is None else metric
-    if metric is None:
-        raise MetricError("no metric stored on the algebra and none supplied")
-    groups.check_metric(g.group_table, metric)
+    if g.metric is None:
+        raise MetricError("no metric stored on the algebra")
+    groups.check_metric(g.group_table, g.metric)
     n = g.dim
     funcs, weights = [], []
     for a in range(n):
@@ -95,21 +94,20 @@ def lip_from_metric(g: FiniteQuantumGroup, metric=None) -> PolyhedralSeminorm:
             f = np.zeros(n, dtype=complex)
             f[a], f[b] = 1.0, -1.0
             funcs.append(f)
-            weights.append(float(metric[a, b]))
+            weights.append(float(g.metric[a, b]))
     return PolyhedralSeminorm(functionals=np.array(funcs), weights=np.array(weights),
                               label="metric-lip")
 
 
-def lip_fourier(g: FiniteQuantumGroup, length=None) -> PolyhedralSeminorm:
-    """Coefficient Lip-norm L(x) = max_{g != e} l(g) |h(lambda_g^* x)| on C*(G)."""
+def lip_fourier(g: FiniteQuantumGroup) -> PolyhedralSeminorm:
+    """Coefficient Lip-norm L(x) = max_{g != e} l(g) |h(lambda_g^* x)| on C*(G), l stored on g."""
     if g.kind != "group" or g.group_table is None:
         raise UnsupportedSeminormError("Fourier Lip-norms require a group algebra C*(G)")
-    length = g.length if length is None else length
-    if length is None:
-        raise LengthError("no length stored on the algebra and none supplied")
-    groups.check_length(g.group_table, length)
+    if g.length is None:
+        raise LengthError("no length stored on the algebra")
+    groups.check_length(g.group_table, g.length)
     identity, inverse = groups.validate_cayley(g.group_table)
-    ell = np.asarray(length, dtype=float)
+    ell = np.asarray(g.length, dtype=float)
     asym = np.max(np.abs(ell - ell[inverse]))
     if asym > 1e-12:
         raise LengthError(f"length must satisfy l(g) = l(g^-1) for a *-invariant seminorm "
@@ -255,11 +253,11 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     lower is attained: a support value, or |lambda| for an eigenvalue lambda.
     upper is ||M||_2 for a matrix settled by rho(M) <= w(M) <= ||M||_2, and
     otherwise bounds the support function on every arc, including arcs
-    dropped unrefined.  With ``prune_weights``, matrices that provably cannot
-    attain the max of w_i / weights_i over their group (``group_ids``, default
-    one group) stop refining early; their brackets stay valid but wider.
-    Refinement state lives in parallel per-arc arrays, so each wave is one
-    pass over the whole stack.
+    dropped unrefined.  A matrix that provably cannot attain the max of
+    w_i / prune_weights_i over its group (``group_ids``, default one group)
+    stops refining early, with a valid but wider bracket; a matrix alone in
+    its group refines until its own bracket closes.  Refinement state lives
+    in parallel per-arc arrays, so each wave is one pass over the whole stack.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or (stack.shape[0] and stack.shape[1] != stack.shape[2]):
@@ -291,11 +289,9 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
         cap = np.full(count, -np.inf)
         np.maximum.at(cap, owner, caps)
         upper[active] = cap[active]
-        done = cap - lower <= tols
-        if prune_weights is not None:      # cannot exceed its group's max; bracket stays valid
-            best = np.full(group_ids.max() + 1, -np.inf)
-            np.maximum.at(best, group_ids, lower / prune_weights)
-            done |= cap / prune_weights <= best[group_ids]
+        best = np.full(group_ids.max() + 1, -np.inf)
+        np.maximum.at(best, group_ids, lower / prune_weights)
+        done = (cap - lower <= tols) | (cap / prune_weights <= best[group_ids])
         active &= ~done
         live = active[owner]
         split = live & (caps > lower[owner] + tols[owner] / 2)
@@ -457,19 +453,18 @@ def check_invariance(lip: PolyhedralSeminorm, g: FiniteQuantumGroup, side: str =
 # group-case seminorms on truncations of F(G)
 # ---------------------------------------------------------------------------
 
-def group_case_seminorms(g: FiniteQuantumGroup, ts: TruncatedSystem, x,
-                         metric=None) -> tuple[float, float, float]:
+def group_case_seminorms(g: FiniteQuantumGroup, ts: TruncatedSystem, x) -> tuple[float, float, float]:
     """(||x||_lambda, ||x||_rho, max) for a truncation of a function algebra.
 
     ||x||_lambda takes the finite max over group elements of
     ||U_g x U_g^* - x|| / d(g, e) with U the compressed left regular
-    representation; ||x||_rho uses the right regular representation.
+    representation and d the metric stored on g; ||x||_rho uses the right
+    regular representation.
     """
     if g.kind != "function" or g.group_table is None:
         raise UnsupportedSeminormError("group-case seminorms require a function algebra F(G)")
-    metric = g.metric if metric is None else metric
-    if metric is None:
-        raise MetricError("no metric stored on the algebra and none supplied")
+    if g.metric is None:
+        raise MetricError("no metric stored on the algebra")
     table = np.asarray(g.group_table)
     identity, inverse = groups.validate_cayley(table)
     n = g.dim
@@ -493,7 +488,7 @@ def group_case_seminorms(g: FiniteQuantumGroup, ts: TruncatedSystem, x,
                 raise UnsupportedSeminormError(
                     f"regular representation does not preserve the truncation (residual {block_res:.2e})")
             moved = u_c @ x @ u_c.conj().T
-            val = float(np.linalg.norm(moved - x, 2)) / float(metric[k, identity])
+            val = float(np.linalg.norm(moved - x, 2)) / float(g.metric[k, identity])
             if acc == "lam":
                 lam_val = max(lam_val, val)
             else:

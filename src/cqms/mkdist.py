@@ -148,8 +148,8 @@ class MKResult:
 
 
 def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
-                lp_tol: float = LP_TOL, return_result: bool = False):
-    """sup{|mu(x) - nu(x)| : L(x) <= 1} up to lp_tol, exactly or by certified LP.
+                return_result: bool = False):
+    """sup{|mu(x) - nu(x)| : L(x) <= 1} up to LP_TOL, exactly or by certified LP.
 
     On a product ball (see ``_unit_ball``) the supremum is exact and needs no
     LP: solve product^T y = c once, and the value is the sum of
@@ -158,12 +158,12 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     picks.  The certificate scales t into the ball of every LP row,
     max_i |z_i . t| / w_i <= 1, and requires c . t to match the value to
     1e-12 max(1, value); ``lp_iterations`` and ``refinement_rounds`` are 0.
-    As the simplex does, an objective with max|c| <= lp_tol gives 0.
+    As the simplex does, an objective with max|c| <= LP_TOL gives 0.
 
     Otherwise the dense LP runs over the outer polygon.  Purely polyhedral
     constraint families solve exactly (up to solver roundoff); disc
     constraints report the outer-approximation optimum, which never
-    undershoots the supremum and exceeds it by at most a relative lp_tol.
+    undershoots the supremum and exceeds it by at most a relative LP_TOL.
     Either way the optimizer is rescaled until ``lip.value(element)`` is at
     most 1 - 4 (n + 2) eps max_i (|f_i| . |element|) / w_i, a bound on the
     roundoff of ``lip.value``, so that L(element) <= 1 holds in exact
@@ -181,11 +181,11 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
         raise CertificationError(f"mu - nu is not hermitian (imaginary part {herm_res:.2e})")
 
     if len(radii):
-        value, t = _product_support(product, radii, z, weights, objective, lp_tol)
+        value, t = _product_support(product, radii, z, weights, objective, LP_TOL)
         iterations = rounds = 0
     else:
         value, t, iterations, rounds = _refined_lp(z, weights, cuts, bounds, owner, objective,
-                                                   lp_tol)
+                                                   LP_TOL)
 
     element = quotient.T @ t
     # lip.value errs by less than 1 - limit, so a value <= limit gives L(element) <= 1 exactly

@@ -45,22 +45,22 @@ def random_state_density(g: FiniteQuantumGroup, rng: np.random.Generator) -> np.
     return random_density(g.rep.shape[1], rng)
 
 
-def state_from_density(g: FiniteQuantumGroup, density: np.ndarray, tol: float = 1e-9) -> State:
+def state_from_density(g: FiniteQuantumGroup, density: np.ndarray) -> State:
     """The state a -> tr(density rho(a)), certified."""
     coeffs = np.einsum("ab,iba->i", np.asarray(density, dtype=complex), g.rep)
-    return certify_state(g, coeffs, tol=tol)
+    return certify_state(g, coeffs)
 
 
-def random_state(g: FiniteQuantumGroup, rng: np.random.Generator, tol: float = 1e-9) -> State:
-    return state_from_density(g, random_state_density(g, rng), tol=tol)
+def random_state(g: FiniteQuantumGroup, rng: np.random.Generator) -> State:
+    return state_from_density(g, random_state_density(g, rng))
 
 
-def basis_vector_state(g: FiniteQuantumGroup, index: int, tol: float = 1e-9) -> State:
+def basis_vector_state(g: FiniteQuantumGroup, index: int) -> State:
     """Vector state at a coordinate vector of H0 (a point mass for F(G))."""
     d0 = g.rep.shape[1]
     density = np.zeros((d0, d0), dtype=complex)
     density[index, index] = 1.0
-    return state_from_density(g, density, tol=tol)
+    return state_from_density(g, density)
 
 
 def random_matrix_state(g: FiniteQuantumGroup, order: int, rng: np.random.Generator) -> np.ndarray:

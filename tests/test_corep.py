@@ -153,6 +153,6 @@ def test_multiplicative_unitary_commutes_with_projectors(f_z4, c_s3):
 
 
 def test_multiplicative_unitary_s3_nonabelian(f_s3):
-    w = corep.multiplicative_unitary(f_s3, "W", samples=5, seed=2)
+    w = corep.multiplicative_unitary(f_s3, "W")
     assert w.unitarity_residual < 1e-12
     assert w.implementation_residual < 1e-11

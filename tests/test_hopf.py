@@ -276,6 +276,15 @@ def test_singular_antipode_gives_an_infinite_witness(f_z4):
     assert not report.passed
 
 
+def test_a_nan_residual_fails_the_report(f_z4):
+    report = hopf.check_axioms(f_z4)
+    assert report.passed
+    nan_counit = dataclasses.replace(report, residuals={**report.residuals, "counit": np.nan})
+    assert np.isnan(nan_counit.max_residual)
+    assert not nan_counit.passed
+    assert "[FAIL]" in str(nan_counit)
+
+
 def test_counit_support_projection_function(f_z4):
     p = hopf.counit_support_projection(f_z4)
     assert np.allclose(p, np.eye(4)[0])

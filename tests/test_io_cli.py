@@ -317,6 +317,35 @@ def test_cli_malformed_structure_files_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["nan-weight", "nan-functional", "infinite-length", "nan-length",
+                                  "nan-counit", "infinite-dim"])
+def test_cli_non_finite_numbers_in_input_files_exit_2(z4_file, f_z4, tmp_path, capsys, case):
+    # Python's json reads NaN and Infinity; every input tensor must be finite
+    nan, inf = float("nan"), float("inf")
+    lip = lipnorm.lip_from_metric(f_z4)
+    funcs, weights = io._encode_complex(lip.functionals), np.asarray(lip.weights).tolist()
+    c3 = {"order": 3, "mult_table": groups.cyclic_table(3).tolist()}
+    command, payload = {
+        "nan-weight": (["bound", "--lambda", "0,1"], {"functionals": funcs, "weights": [nan] + weights[1:]}),
+        "nan-functional": (["bound", "--lambda", "0,1"],
+                           {"functionals": [[[nan, 0.0]] + funcs[0][1:]] + funcs[1:], "weights": weights}),
+        "infinite-length": (["sweep"], {**c3, "length": [0.0, inf, inf]}),
+        "nan-length": (["sweep"], {**c3, "length": [0.0, nan, nan]}),
+        "nan-counit": (["check"], {**_f_z2_payload(2), "counit": [1.0, nan]}),
+        "infinite-dim": (["check"], {**_f_z2_payload(2), "dim": inf}),
+    }[case]
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(payload))
+    if "functionals" in payload:
+        command = command + ["--input", z4_file, "--seminorm", f"file:{path}"]
+    else:
+        command = command + ["--input", str(path)]
+    code = cli.main(command + ([] if command[0] == "check" else ["--samples", "5"]))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_rejects_a_metric_off_by_a_relative_5e_6(tmp_path, capsys):
     d = groups.arc_metric(8)
     d[0, 1] = d[1, 0] = d[0, 1] * (1 + 5e-6)

@@ -100,7 +100,10 @@ def test_radius_brackets_match_the_loop_reference():
         stack[1::5] = 0.0
         weights = rng.uniform(0.5, 3.0, size=count) if trial % 2 else None
         tols = 1e-7 if weights is None else 1e-7 * weights
-        got = lipnorm._radius_brackets(stack, tols, weights)
+        if weights is None:      # each matrix its own group: the unpruned reference
+            got = lipnorm._radius_brackets(stack, tols, np.ones(count), np.arange(count))
+        else:
+            got = lipnorm._radius_brackets(stack, tols, weights)
         want = oracles.loop_radius_brackets(stack, tols, weights)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -109,7 +112,7 @@ def test_radius_brackets_contain_near_normal_and_tiny_radii():
     # w(I + e E12) = 1 + e/2 and w(e E12) = e/2: near-normal and below-tolerance matrices
     e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     for m, w in ((np.eye(2) + 3e-7 * e12, 1 + 1.5e-7), (1e-10 * e12, 5e-11)):
-        lower, upper = lipnorm._radius_brackets(m[None], 1e-9, None)
+        lower, upper = lipnorm._radius_brackets(m[None], 1e-9, np.ones(1), np.arange(1))
         assert lower[0] <= w <= upper[0]
         assert upper[0] - lower[0] <= 1e-9
 

@@ -264,14 +264,16 @@ def test_product_ball_certificate_rejects_a_wrong_ball(s3c_setup):
         mkdist._product_support(product, radii * (1 + 1e-9), z, weights, objective, mkdist.LP_TOL)
 
 
-def test_product_ball_keeps_the_zero_objective_rule(s3c_setup):
+def test_product_ball_keeps_the_zero_objective_rule(s3c_setup, monkeypatch):
     g, irreps, dec, lip = s3c_setup
     eps = hopf.counit_state(g)
     tiny = eps.coeffs.copy()
     tiny[[4, 5]] += 1e-11              # hermitian: the 3-cycles are each other's inverses
     result = mkdist.mk_distance(g, lip, eps, tiny, return_result=True)
     assert result.value == 0.0 and not np.any(result.element)
-    assert mkdist.mk_distance(g, lip, eps, tiny, lp_tol=1e-12) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(mkdist, "LP_TOL", 1e-12)
+        assert mkdist.mk_distance(g, lip, eps, tiny) > 0
     # the full level of the chain ends at exactly 0
     ts = compress.truncate(g, irreps, range(len(irreps)), dec=dec)
     density = compress.canonical_symbol_state(g, ts)

@@ -1,4 +1,4 @@
-"""Every definition in src/cqms is reached from the CLI, the demos or perfbench.
+"""Every definition and every option of src/cqms is used outside the tests.
 
 Reachability is by name: every identifier (a name, an attribute or a string
 that spells one) in ``cli.py``, ``demos/*.py``, ``perfbench/*.py`` and
@@ -7,6 +7,12 @@ a module-level definition of ``src/cqms`` that a root names is reached,
 together with every name its body references.  Names in type annotations do
 not count.  Matching by name over-approximates what runs, so a definition
 this test calls unreachable has no caller outside the tests.
+
+The option census asks the same of parameters with a default: one counts as
+set when a call in ``src/cqms``, ``demos/*.py`` or ``perfbench/*.py`` passes
+it a value.  Calls match definitions by name.  Passing through the
+same-named parameter of an enclosing function counts only when that
+parameter is itself set.  A parameter that no caller sets is a constant.
 """
 
 import ast
@@ -102,3 +108,98 @@ def unreachable_definitions() -> set[str]:
 
 def test_only_criterion_09_machinery_is_unreachable():
     assert unreachable_definitions() == CRITERION_09
+
+
+# Written as the group-file ``irreps`` field, which only the tests' own group
+# files carry; the demos and perfbench use the built-in irreducible families.
+TEST_ONLY_OPTIONS = {"io.dump_group_file(irreps)"}
+
+
+class _Census(ast.NodeVisitor):
+    """The defs of one file, keyed by qualified name, and its calls with their enclosing defs."""
+
+    def __init__(self, module: str):
+        self.prefix = [module]
+        self.scope: list[str] = []
+        self.defs: dict[str, tuple] = {}        # key -> (name, params as called, all, defaulted)
+        self.calls: list[tuple] = []            # (call, keys of the enclosing defs)
+        self.in_class = False
+
+    def visit_ClassDef(self, node):
+        self.prefix.append(node.name)
+        outer, self.in_class = self.in_class, True
+        self.generic_visit(node)
+        self.prefix.pop()
+        self.in_class = outer
+
+    def _visit_function(self, node):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        every = set(positional) | {a.arg for a in args.kwonlyargs}
+        called = positional[1:] if self.in_class else positional      # obj.method(...)
+        key = ".".join(self.prefix + [node.name])
+        self.defs[key] = (node.name, called, every, set(defaulted))
+        self.prefix.append(node.name)
+        self.scope.append(key)
+        outer, self.in_class = self.in_class, False
+        self.generic_visit(node)
+        self.in_class = outer
+        self.scope.pop()
+        self.prefix.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
+
+    def visit_Call(self, node):
+        self.calls.append((node, tuple(self.scope)))
+        self.generic_visit(node)
+
+
+def unset_options() -> set[str]:
+    """``module.function(param)`` for each defaulted parameter of src/cqms that no caller sets."""
+    defs: dict[str, tuple] = {}
+    calls: list[tuple] = []
+    package: set[str] = set()
+    callers = [*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    for path in callers:
+        census = _Census(path.stem if path.parent == PACKAGE else f"{path.parent.name}/{path.stem}")
+        census.visit(ast.parse(path.read_text(encoding="utf-8")))
+        defs.update(census.defs)
+        calls += census.calls
+        if path.parent == PACKAGE:
+            package.update(census.defs)
+    by_name: dict[str, list[str]] = {}
+    for key, (name, *_) in defs.items():
+        by_name.setdefault(name, []).append(key)
+
+    set_params: set[tuple] = set()
+    passes: list[tuple] = []        # (parameter, enclosing defaulted parameter it passes on)
+    for call, scope in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        for key in by_name.get(name, []):
+            _, called, _, defaulted = defs[key]
+            given = [*zip(called, call.args), *((k.arg, k.value) for k in call.keywords)]
+            for param, value in given:
+                if param not in defaulted:
+                    continue
+                owner = next((o for o in reversed(scope) if isinstance(value, ast.Name)
+                              and value.id == param and param in defs[o][2]), None)
+                if owner is not None and param in defs[owner][3]:
+                    passes.append(((key, param), (owner, param)))
+                else:
+                    set_params.add((key, param))
+    grown = True
+    while grown:
+        grown = False
+        for target, source in passes:
+            if source in set_params and target not in set_params:
+                set_params.add(target)
+                grown = True
+    return {f"{key}({param})" for key in package for param in defs[key][3]
+            if (key, param) not in set_params}
+
+
+def test_every_option_is_set_outside_the_tests():
+    assert unset_options() == TEST_ONLY_OPTIONS
