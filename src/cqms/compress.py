@@ -189,7 +189,9 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
     s = ts.dim_sys
     basis = ts.sys_basis.reshape(s, -1)
-    deltas = np.einsum("ik,ijl->kjl", ts.lift_matrix @ basis.T, g.comult)   # Delta(lift(x_k))
+    n = g.dim
+    lifts = (ts.lift_matrix @ basis.T).T             # lift(x_k) as rows
+    deltas = (lifts @ g.comult.reshape(n, n * n)).reshape(s, n, n)   # Delta(lift(x_k))
     if side == "left":
         deltas = deltas.transpose(0, 2, 1)         # compress Delta's second leg
     tensor = (basis.conj() @ ts.tau_matrix) @ deltas   # expand o tau on the carrier leg

@@ -54,7 +54,7 @@ def gns_build(g: FiniteQuantumGroup) -> GNSSpace:
     onb = chol.conj().T                      # coords v -> onb @ v carry the standard inner product
     onb_inv = np.linalg.inv(onb)
     left = g.mult.transpose(0, 2, 1)         # left[i] maps b-coords to (e_i b)-coords
-    rep = np.einsum("pk,ikl,lq->ipq", onb, left, onb_inv)
+    rep = onb @ left @ onb_inv
     cyclic = onb @ g.unit
     space = GNSSpace(gram=gram, onb=onb, onb_inv=onb_inv, rep=rep, cyclic=cyclic)
     _certify_gns(g, space)

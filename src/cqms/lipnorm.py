@@ -2,8 +2,11 @@
 
 Seminorms are polyhedral, L(a) = max_i |l_i(a)| / c_i: the supremum over
 states that defines an induced Lip-norm reduces, after extending states to
-the containing matrix algebra, to a numerical radius per functional, which is
-certified by an adaptive eigenvalue maximization over rotation angles.
+the containing matrix algebra, to a numerical radius per functional.  Each
+radius starts from Kittaneh's bracket ||M||/2 <= w(M) <= (||M|| +
+||M^2||^{1/2})/2, which settles square-zero matrices, and is otherwise
+certified by a cutting-plane maximization of the support function over
+rotation angles.
 """
 
 from __future__ import annotations
@@ -218,8 +221,9 @@ def _orbit_family(g: FiniteQuantumGroup, lp_family: PolyhedralSeminorm, ends) ->
 def numerical_radius(m: np.ndarray, tol: float = W_TOL) -> float:
     """w(M) = max over angles of lambda_max(Re(e^{i theta} M)), within tol.
 
-    Adaptive refinement over arcs of rotation angles; on each arc the support
-    function bound through the two endpoint values certifies the error.
+    Adaptive refinement over arcs of rotation angles; on each arc the
+    sinusoid through the two endpoint support lines bounds the support
+    function and certifies the error (see ``_radius_brackets``).
     """
     return max_numerical_radius(np.asarray(m, dtype=complex)[None, :, :], tol=tol)
 
@@ -250,14 +254,23 @@ def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL, gr
 def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     """Per-matrix brackets [lower, upper] with upper - lower <= tols[i].
 
-    lower is attained: a support value, or |lambda| for an eigenvalue lambda.
-    upper is ||M||_2 for a matrix settled by rho(M) <= w(M) <= ||M||_2, and
-    otherwise bounds the support function on every arc, including arcs
-    dropped unrefined.  A matrix that provably cannot attain the max of
-    w_i / prune_weights_i over its group (``group_ids``, default one group)
-    stops refining early, with a valid but wider bracket; a matrix alone in
-    its group refines until its own bracket closes.  Refinement state lives
-    in parallel per-arc arrays, so each wave is one pass over the whole stack.
+    Every matrix starts from Kittaneh's bracket (Studia Math. 158 (2003)
+    11-17), ||M||/2 <= w(M) <= ceiling = min(||M||, (||M|| + ||M^2||^{1/2})/2),
+    with ||M^2|| bounded by the Frobenius norm of the computed square plus
+    its roundoff, so square-zero matrices settle without an eigensolve.  A
+    matrix whose spectral radius is within tol of its norm also takes rho(M)
+    as lower end, from rho(M) <= w(M) <= ||M||.  Every other matrix is
+    refined over arcs of rotation angles, starting from 8 arcs: ``_arc_caps``
+    caps the support function on an arc, and a refined arc is split at the
+    peak of its dominating sinusoid, kept within the middle three quarters
+    of the arc.  lower is the largest of ||M||/2, rho(M) and the support
+    values; upper is the largest arc cap clipped at ceiling, including arcs
+    dropped unrefined, and never below lower.  A matrix that provably cannot
+    attain the max of w_i / prune_weights_i over its group (``group_ids``,
+    default one group) stops refining early, with a valid but wider bracket;
+    a matrix alone in its group refines until its own bracket closes.
+    Refinement state lives in parallel per-arc arrays, so each wave is one
+    pass over the whole stack.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or (stack.shape[0] and stack.shape[1] != stack.shape[2]):
@@ -268,24 +281,29 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     if not stack.size:
         return np.zeros(count), np.zeros(count)
     nrm = np.linalg.norm(stack, 2, axis=(1, 2))
-    lower, upper = np.zeros(count), nrm.copy()
+    frob = np.linalg.norm(stack, axis=(1, 2))
+    # ||fl(M M) - M M||_F <= d eps ||M||_F^2 bounds the roundoff of the square
+    square = np.linalg.norm(stack @ stack, axis=(1, 2)) + stack.shape[1] * EPS * frob ** 2
+    ceiling = np.minimum(nrm, (nrm + np.sqrt(square)) / 2)
+    lower, upper = nrm / 2, ceiling.copy()
     mh = stack.conj().transpose(0, 2, 1)
     drift = np.max(np.abs(stack @ mh - mh @ stack), axis=(1, 2))
     near = (nrm <= tols) | (drift <= 1e-13 * nrm ** 2)     # candidates for rho(M) ~ ||M||
-    lower[near] = np.max(np.abs(np.linalg.eigvals(stack[near])), axis=1)
-    active = ~near | (nrm - lower > tols)      # settled: rho(M) <= w(M) <= ||M|| within tol
+    lower[near] = np.maximum(lower[near], np.max(np.abs(np.linalg.eigvals(stack[near])), axis=1))
+    active = upper - lower > tols
 
-    grid = np.linspace(0.0, 2 * np.pi, 17)
+    grid = np.linspace(0.0, 2 * np.pi, 9)
     todo = np.flatnonzero(active)
-    vals = _support_values_batch(stack, np.repeat(todo, len(grid)),
-                                 np.tile(grid, len(todo))).reshape(len(todo), len(grid))
-    lower[todo] = np.max(vals, axis=1)
-    owner = np.repeat(todo, len(grid) - 1)
+    vals = _support_values_batch(stack, np.repeat(todo, 8),
+                                 np.tile(grid[:-1], len(todo))).reshape(len(todo), 8)
+    lower[todo] = np.maximum(lower[todo], np.max(vals, axis=1))
+    owner = np.repeat(todo, 8)
     lo, hi = np.tile(grid[:-1], len(todo)), np.tile(grid[1:], len(todo))
-    flo, fhi = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+    flo, fhi = vals.ravel(), np.roll(vals, -1, axis=1).ravel()      # f(2 pi) = f(0)
     dropped = np.full(count, -np.inf)      # bounds of arcs left unrefined
     while active.any():
-        caps = _arc_bounds(lo, hi, flo, fhi)
+        caps, peaks = _arc_caps(lo, hi, flo, fhi)
+        caps = np.minimum(caps, ceiling[owner])
         cap = np.full(count, -np.inf)
         np.maximum.at(cap, owner, caps)
         upper[active] = cap[active]
@@ -297,13 +315,14 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
         split = live & (caps > lower[owner] + tols[owner] / 2)
         np.maximum.at(dropped, owner[live & ~split], caps[live & ~split])
         owner, lo, hi, flo, fhi = owner[split], lo[split], hi[split], flo[split], fhi[split]
-        mid = (lo + hi) / 2
-        fmid = _support_values_batch(stack, owner, mid)
-        np.maximum.at(lower, owner, fmid)
+        margin = (hi - lo) / 8
+        cut = np.clip(peaks[split], lo + margin, hi - margin)
+        fcut = _support_values_batch(stack, owner, cut)
+        np.maximum.at(lower, owner, fcut)
         owner = np.concatenate([owner, owner])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
-    return lower, np.maximum(upper, dropped)
+        lo, hi = np.concatenate([lo, cut]), np.concatenate([cut, hi])
+        flo, fhi = np.concatenate([flo, fcut]), np.concatenate([fcut, fhi])
+    return lower, np.maximum(np.maximum(upper, dropped), lower)
 
 
 def _support_values_batch(stack, owners, thetas) -> np.ndarray:
@@ -324,22 +343,24 @@ def _support_values_batch(stack, owners, thetas) -> np.ndarray:
     return out
 
 
-def _arc_bounds(lo, hi, f_lo, f_hi) -> np.ndarray:
-    """Exact support-function bound for max f over each arc from endpoint values.
+def _arc_caps(lo, hi, f_lo, f_hi) -> tuple[np.ndarray, np.ndarray]:
+    """(cap, peak) per arc: a bound for max f over the arc, and where to split it.
 
-    f restricted to an arc is dominated by the sinusoid through the two
-    endpoint constraints; its amplitude over sin(width) is an upper bound.
+    The support lines at the two endpoints meet at an apex z*.  On an arc
+    narrower than pi, e^{i theta} is a nonnegative combination of the two
+    endpoint directions, so f(theta) <= Re(e^{i theta} z*) = |z*| cos(theta
+    - peak).  The cap is that sinusoid's maximum over the arc: |z*| when its
+    peak lies inside, else the larger endpoint value.  Arcs narrower than
+    about 1e-15 are capped by the larger endpoint value.
     """
     width = hi - lo
-    out = np.full(len(width), np.inf)
     sw = np.sin(width)
-    tiny = sw < 1e-15
-    narrow = (width < 0.9 * np.pi) & ~tiny
-    amp = np.hypot(f_lo * sw, f_hi - f_lo * np.cos(width))
+    rise = f_hi - f_lo * np.cos(width)
+    offset = np.arctan2(rise, f_lo * sw)      # peak - lo
+    inside = (offset >= 0) & (offset <= width) & (sw >= 1e-15)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[narrow] = (amp / sw)[narrow]
-    out[tiny] = np.maximum(f_lo, f_hi)[tiny]
-    return out
+        caps = np.where(inside, np.hypot(f_lo * sw, rise) / sw, np.maximum(f_lo, f_hi))
+    return caps, lo + offset
 
 
 # ---------------------------------------------------------------------------

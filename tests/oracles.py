@@ -100,50 +100,57 @@ def toeplitz_compression(f, n, window):
 def loop_radius_brackets(stack, tols, prune_weights):
     """The numerical-radius arc refinement with per-matrix Python arc lists.
 
-    Same waves, support values, arc bounds and decisions as
-    ``lipnorm._radius_brackets``, one matrix and one arc at a time, so the
-    batched bookkeeping must agree with it bit for bit.
+    Same Kittaneh bracket, 8-arc start, waves, support values, arc caps,
+    peak splits and decisions as ``lipnorm._radius_brackets``, one matrix and
+    one arc at a time, so the batched bookkeeping must agree with it bit for
+    bit.
     """
-    from cqms.lipnorm import _arc_bounds, _support_values_batch
+    from cqms.lipnorm import EPS, _arc_caps, _support_values_batch
 
     count = len(stack)
     tols = np.broadcast_to(np.asarray(tols, dtype=float), (count,))
     lower, upper, dropped = np.zeros(count), np.zeros(count), np.full(count, -np.inf)
-    grid = np.linspace(0.0, 2 * np.pi, 17)
+    ceiling = np.zeros(count)
+    grid = np.linspace(0.0, 2 * np.pi, 9)
     arcs = {}
     for b, m in enumerate(stack):
         nrm = float(np.linalg.norm(m, 2))
+        frob, sq = np.sqrt(np.sum((m.conj() * m).real)), m @ m
+        square = np.sqrt(np.sum((sq.conj() * sq).real)) + len(m) * EPS * frob ** 2
+        ceiling[b] = upper[b] = min(nrm, (nrm + np.sqrt(square)) / 2)    # Kittaneh
+        lower[b] = nrm / 2
         mh = m.conj().T
         if nrm <= tols[b] or np.max(np.abs(m @ mh - mh @ m)) <= 1e-13 * nrm ** 2:
-            rho = np.max(np.abs(np.linalg.eigvals(m)))
-            if nrm - rho <= tols[b]:             # rho(M) <= w(M) <= ||M||
-                lower[b], upper[b] = rho, nrm
-                continue
-        v = _support_values_batch(stack, [b] * len(grid), grid)
-        arcs[b] = [(grid[i], grid[i + 1], v[i], v[i + 1]) for i in range(len(grid) - 1)]
-        lower[b] = max(v)
+            lower[b] = max(lower[b], np.max(np.abs(np.linalg.eigvals(m))))    # rho(M) <= w(M)
+        if upper[b] - lower[b] <= tols[b]:
+            continue
+        v = _support_values_batch(stack, [b] * 8, grid[:-1])
+        arcs[b] = [(grid[i], grid[i + 1], v[i], v[(i + 1) % 8]) for i in range(8)]
+        lower[b] = max(lower[b], max(v))
     while arcs:
         best = None if prune_weights is None else max(lower / prune_weights)
         requests = []
         for b in sorted(arcs):
             arc_list = arcs.pop(b)
-            caps = _arc_bounds(*(np.array(col) for col in zip(*arc_list)))
+            caps, peaks = _arc_caps(*(np.array(col) for col in zip(*arc_list)))
+            caps = np.minimum(caps, ceiling[b])
             upper[b] = max(caps)
             if upper[b] - lower[b] <= tols[b]:
                 continue
             if best is not None and upper[b] / prune_weights[b] <= best:
                 continue
-            for arc, cap in zip(arc_list, caps):
+            for arc, cap, peak in zip(arc_list, caps, peaks):
                 if cap > lower[b] + tols[b] / 2:
-                    requests.append((b, arc))
+                    requests.append((b, arc, peak))
                 else:
                     dropped[b] = max(dropped[b], cap)
-        for b, (lo, hi, flo, fhi) in requests:
-            mid = (lo + hi) / 2
-            fmid = _support_values_batch(stack, [b], [mid])[0]
-            arcs.setdefault(b, []).extend([(lo, mid, flo, fmid), (mid, hi, fmid, fhi)])
-            lower[b] = max(lower[b], fmid)
-    return lower, np.maximum(upper, dropped)
+        for b, (lo, hi, flo, fhi), peak in requests:
+            margin = (hi - lo) / 8
+            cut = min(max(peak, lo + margin), hi - margin)
+            fcut = _support_values_batch(stack, [b], [cut])[0]
+            arcs.setdefault(b, []).extend([(lo, cut, flo, fcut), (cut, hi, fcut, fhi)])
+            lower[b] = max(lower[b], fcut)
+    return lower, np.maximum(np.maximum(upper, dropped), lower)
 
 
 def svd_podles_defect(g, tensor):

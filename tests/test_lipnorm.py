@@ -98,6 +98,9 @@ def test_radius_brackets_match_the_loop_reference():
         stack = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
         stack[::3] += np.conj(np.transpose(stack[::3], (0, 2, 1)))
         stack[1::5] = 0.0
+        for k in range(2, count, 7):     # square-zero u v*, v* u = 0: settled by Kittaneh's bound
+            q, _ = np.linalg.qr(stack[k])
+            stack[k] = stack[k, 0, 0] * np.outer(q[:, 0], q[:, -1].conj()) * (d > 1)
         weights = rng.uniform(0.5, 3.0, size=count) if trial % 2 else None
         tols = 1e-7 if weights is None else 1e-7 * weights
         if weights is None:      # each matrix its own group: the unpruned reference
@@ -115,6 +118,87 @@ def test_radius_brackets_contain_near_normal_and_tiny_radii():
         lower, upper = lipnorm._radius_brackets(m[None], 1e-9, np.ones(1), np.arange(1))
         assert lower[0] <= w <= upper[0]
         assert upper[0] - lower[0] <= 1e-9
+
+
+def _support(m, thetas):
+    """lambda_max(Re(e^{i theta} M)) at each angle, one eigvalsh per angle."""
+    rotated = np.exp(1j * np.asarray(thetas))[:, None, None] * m
+    return np.linalg.eigvalsh((rotated + np.conj(np.transpose(rotated, (0, 2, 1)))) / 2)[:, -1]
+
+
+def test_arc_caps_bound_the_support_function_on_the_arc():
+    rng = np.random.default_rng(30)
+    inside = outside = 0
+    for _ in range(40):
+        d = int(rng.integers(2, 7))
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m += rng.normal(size=2) @ [1, 1j] * np.eye(d)      # shift W(M) off the origin at times
+        lo = rng.uniform(0, 2 * np.pi, size=5)
+        hi = lo + rng.uniform(0.01, 0.95 * np.pi, size=5)
+        f_lo, f_hi = _support(m, lo), _support(m, hi)
+        caps, peaks = lipnorm._arc_caps(lo, hi, f_lo, f_hi)
+        for a, b, cap, peak, fa, fb in zip(lo, hi, caps, peaks, f_lo, f_hi):
+            sampled = _support(m, np.linspace(a, b, 2000))
+            assert cap >= np.max(sampled) - 1e-12 * np.linalg.norm(m, 2)
+            # never looser than the apex z* of the two endpoint support lines
+            apex = np.linalg.solve([[np.cos(a), -np.sin(a)], [np.cos(b), -np.sin(b)]], [fa, fb])
+            assert cap <= np.hypot(*apex) * (1 + 1e-12)
+            if a <= peak <= b:
+                inside += 1
+            else:
+                outside += 1
+                assert cap == max(fa, fb)
+    assert inside and outside
+
+
+def _unitary(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+def _counting_support(monkeypatch):
+    calls = []
+    original = lipnorm._support_values_batch
+
+    def counted(stack, owners, thetas):
+        calls.append(len(owners))
+        return original(stack, owners, thetas)
+
+    monkeypatch.setattr(lipnorm, "_support_values_batch", counted)
+    return calls
+
+
+def test_square_zero_slices_settle_without_an_eigensolve(monkeypatch):
+    # w(c J_2 (+) 0) = |c|/2 = ||M||/2, and Kittaneh's upper end is ||M||/2 up to roundoff
+    rng = np.random.default_rng(31)
+    calls = _counting_support(monkeypatch)
+    shift = np.zeros((3, 3))
+    shift[0, 1] = 1.0
+    for c in (1.0, 0.37 * np.exp(0.4j), 5.0 * np.exp(2.9j)):
+        u = _unitary(rng, 3)
+        m = c * u @ shift @ u.conj().T
+        lower, upper = lipnorm._radius_brackets(m[None], 1e-7, np.ones(1))
+        assert lower[0] <= abs(c) / 2 * (1 + 1e-12) and abs(c) / 2 <= upper[0]
+        assert upper[0] - lower[0] <= 1e-7
+        assert oracles.brute_numerical_radius(m, trials=300, seed=33) <= upper[0] * (1 + 1e-12)
+    assert sum(calls) == 0
+
+
+def test_triangle_slices_close_at_their_vertices(monkeypatch):
+    # W(C_3 (+) J_2) is the triangle of cube roots of unity, so w(c U (C_3 (+) J_2) U*) = |c|
+    rng = np.random.default_rng(32)
+    block = np.zeros((5, 5))
+    block[[1, 2, 0], [0, 1, 2]] = 1.0
+    block[3, 4] = 1.0
+    for c in (1.0, 0.8 * np.exp(0.3j), 2.5 * np.exp(-1.1j)):
+        calls = _counting_support(monkeypatch)
+        u = _unitary(rng, 5)
+        m = c * u @ block @ u.conj().T
+        lower, upper = lipnorm._radius_brackets(m[None], 1e-7, np.ones(1))
+        assert sum(calls) <= 32
+        assert lower[0] <= abs(c) * (1 + 1e-12) and abs(c) <= upper[0] * (1 + 1e-12)
+        assert upper[0] - lower[0] <= 1e-7
+        assert oracles.brute_numerical_radius(m, trials=300, seed=33) <= upper[0] * (1 + 1e-12)
 
 
 def test_kadison_sandwich_sampled():
