@@ -18,6 +18,7 @@ from cqms import (
     lip_from_metric,
     mk_distance,
     numerical_radius,
+    pw_decompose,
     truncate,
 )
 from cqms import groups
@@ -62,7 +63,7 @@ print()
 
 print("induced Lip-norms on a truncation vs the regular-representation seminorms:")
 irreps = default_irreps(g)
-ts = truncate(g, irreps, (0, 1, 7))
+ts = truncate(g, irreps, (0, 1, 7), dec=pw_decompose(g, irreps))
 alpha = induced_coaction(g, ts, "right")
 beta = induced_coaction(g, ts, "left")
 for _ in range(3):

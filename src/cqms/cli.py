@@ -324,9 +324,10 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
     lhs2 = np.linalg.norm(np.array([ts.tau(b) for b in images]).reshape(taus.shape) - taus,
                           2, axis=(1, 2))
     values = np.array([lip.value(a) for a in elements])
+    # the radii only enter multiplied by bound, which is 0 at the full level
+    radii = lipnorm.induced_lip_many(lip, beta, coords, tol=1e-7) if bound else np.zeros(k)
     c1 = max(np.max(lhs1 - bound * values, initial=-np.inf),
-             np.max(lhs2 - bound * lipnorm.induced_lip_many(lip, beta, coords, tol=1e-7),
-                    initial=-np.inf))
+             np.max(lhs2 - bound * radii, initial=-np.inf))
 
     smoothed = [sym(ts.expand(ts.tau(e))) for e in np.eye(g.dim, dtype=complex)]
     n1 = _hausdorff_lower(g, lip, smoothed, order=1, rng=rng, probes=3, samples=40)

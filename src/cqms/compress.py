@@ -14,8 +14,8 @@ import numpy as np
 
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
-from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _coaction_certificates,
-                   _counit_residual, _maxabs, _podles_limit, _rank, certify_state, counit_support_projection)
+from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _comult_bounds, _maxabs,
+                   _podles_limit, _rank, certify_state, counit_support_projection)
 from .sampling import random_density
 
 GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
@@ -32,6 +32,7 @@ class TruncatedSystem:
     sys_basis    (s, r, r) Hilbert-Schmidt orthonormal basis of tau(A)
     lift_matrix  (n, r*r) right inverse of tau, zero on the orthocomplement
     kernel       (n_ker, n) basis of ker tau in A-coordinates
+    singular_values  (s,) the nonzero singular values of tau_matrix, largest first
     """
 
     g: FiniteQuantumGroup
@@ -42,6 +43,7 @@ class TruncatedSystem:
     sys_basis: np.ndarray
     lift_matrix: np.ndarray
     kernel: np.ndarray
+    singular_values: np.ndarray
 
     @property
     def gns(self) -> GNSSpace:
@@ -98,7 +100,7 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
     kernel = vh[s:].conj()
     ts = TruncatedSystem(g=g, decomposition=dec, subset=subset, frame=frame,
                          tau_matrix=tau_matrix, sys_basis=sys_basis,
-                         lift_matrix=lift_matrix, kernel=kernel)
+                         lift_matrix=lift_matrix, kernel=kernel, singular_values=sv[:s])
     unit_res = _maxabs(ts.tau(g.unit) - np.eye(r))
     lift_res = max((_maxabs(ts.tau(ts.lift(m)) - m) for m in sys_basis), default=0.0)
     if unit_res > 1e-9 or lift_res > 1e-9:
@@ -174,14 +176,61 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
                      tol: float = 1e-9) -> InducedCoaction:
     """Push the comultiplication through the compression map.
 
-    Well-definedness is certified by ker tau <= ker (tau (x) id) Delta; the
-    coaction and counit identities are certified numerically, and Podles
-    density by an explicit inverse of x (x) a -> (1 (x) a) alpha(x), whose
-    witness is read off the product the coaction residual forms.
+    Well-definedness is certified by ker tau <= ker (tau (x) id) Delta, and the
+    counit identity directly, as max|T eps - I|.  The stored tensor is
+    T[k] = P Delta(L x_k), with P = E tau (s x n, E the system-basis
+    expansion) on the compressed leg and L x_k = lift(x_k), the k-th row of
+    Lam (s x n).  The coaction identity and Podles density are bounded without
+    forming (alpha (x) id)alpha, from Delta's own residuals (``hopf._comult_bounds``,
+    computed once per algebra) and from what the level already holds.  For
+    the exact product of the stored P and Lam (right side; the left reads
+    Delta's legs swapped)
+
+        (alpha (x) id)alpha(x_k) - (id (x) Delta)alpha(x_k)
+          = (P (x) id (x) id)[(Delta (x) id)Delta - (id (x) Delta)Delta](L x_k)
+            - ((P (x) id)Delta N (x) id)Delta(L x_k),   N = I - Lam^T P = pi_K - Xi,
+
+    pi_K the projector on ker tau (spanned by the kernel rows) and Xi read
+    off the stored matrices.  With d = ||Delta||_2, C the coassociator's
+    Frobenius norm, p = sigma_0 + dP >= ||P||_2 and
+
+        kappa = ||w||_2 / sqrt(lambda_min(G_rho)) + dP d + p d ||Xi||_F
+
+    (w the well-definedness residuals, rho-norms turned into coefficient norms
+    through rho's Gram matrix G_rho; its first two terms only where
+    ker tau != 0), the residual R_k at x_k has norm at most
+    (p C + kappa d) ||L x_k||, and ||R||_F at most (p C + kappa d) ||Lam||_F.
+
+    Forming T is charged entrywise, as in ``duality_lower_bound``, with
+    twice the complex inner-product constant gamma_{k+2} = (k + 2) eps / 2
+    (to first order) of sums over k terms: dP = (r^2 + 2) eps |||E| |tau|||_F
+    for the rounding of P, whose sums run over r^2 terms, and the last two
+    products, over n terms each, leave |T~ - T| <= gamma M with
+    gamma = (2n + 4) eps and M[k] = |P| |Delta(|L x_k|)|, |Delta| read
+    entrywise.  T~ - T enters the residual through three products (with T~,
+    T and Delta): entrywise they add at most gamma times products of the
+    largest slice norms of M, T~ and Delta (Cauchy-Schwarz over the summed
+    index), and in Frobenius norm at most f (||T~||_a + ||T~||_b + f + d),
+    f = gamma ||M||_F and ||T~||_a,b the spectral norms of T~ read as maps
+    from the summed index.  The coaction residual reported is the largest
+    entrywise bound.
+
+    Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
+    Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)) (left: S), and Psi Phi - I is fixed
+    by its columns c_k = (T eps - I)_k (x) 1 + T_k Z + R_k W, with W and the
+    Gram norm ||.||_G of ``hopf._podles_parts`` and Z Delta's residual of
+    b_(2) S^-1(b_(1)) = eps(b) 1 (left: b_(1) S(b_(2))).  The witness is at most
+
+        ||T eps - I||_F ||1||_G + ||T||_F ||Z||_G + ||R||_F ||W||_G
+          + assoc_term (||T||_F d + ||R||_F) + unit_term sqrt(s),
+
+    the last two 0 for an exactly associative and unital mult; it must stay
+    below ``hopf._podles_limit``.  A singular S gives inf.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    well = float(_kernel_frobenius(g, ts, side).max(initial=0.0))
+    well_norms = _kernel_frobenius(g, ts, side)
+    well = float(well_norms.max(initial=0.0))
     if well > tol:
         raise InternalInconsistencyError(
             f"kernel of tau is not contained in the sliced kernel (residual {well:.3e}); "
@@ -194,10 +243,13 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     deltas = (lifts @ g.comult.reshape(n, n * n)).reshape(s, n, n)   # Delta(lift(x_k))
     if side == "left":
         deltas = deltas.transpose(0, 2, 1)         # compress Delta's second leg
-    tensor = (basis.conj() @ ts.tau_matrix) @ deltas   # expand o tau on the carrier leg
+    expand = basis.conj() @ ts.tau_matrix          # expand o tau
+    tensor = expand @ deltas                       # on the carrier leg
 
-    coaction_res, podles = _coaction_certificates(g, tensor, side)
-    counit_res = _counit_residual(g, tensor)
+    counit_defect = tensor @ g.counit - np.eye(s)
+    counit_res = _maxabs(counit_defect)
+    coaction_res, podles = _derived_residuals(g, ts, side, expand, lifts, tensor,
+                                              counit_defect, well_norms)
     worst = max(coaction_res, counit_res, podles)
     if worst > tol or podles > _podles_limit(g.dim, s):
         raise InternalInconsistencyError(
@@ -207,6 +259,46 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
                            well_definedness_residual=well, coaction_residual=coaction_res,
                            counit_residual=counit_res, podles_residual=podles,
                            fixed_space_dim=_fixed_space_dim(tensor, g.unit))
+
+
+def _derived_residuals(g, ts, side, expand, lifts, tensor, counit_defect,
+                       well_norms) -> tuple[float, float]:
+    """(coaction bound, Podles bound) of an induced tensor; the terms are named in ``induced_coaction``."""
+    delta = _comult_bounds(g, side)
+    n, s, d = g.dim, ts.dim_sys, delta.norm
+    eps = np.finfo(float).eps
+    gamma = (2 * n + 4) * eps
+    expand_abs = np.abs(ts.sys_basis.reshape(s, -1)) @ np.abs(ts.tau_matrix)
+    slip = (ts.rank ** 2 + 2) * eps * np.linalg.norm(expand_abs)          # dP
+    p = ts.singular_values[0] + slip
+    xi = lifts.T @ expand + ts.kernel.T @ ts.kernel.conj()
+    xi[np.diag_indices_from(xi)] -= 1.0
+    kappa = p * d * np.linalg.norm(xi)
+    if len(ts.kernel):
+        kappa += (np.linalg.norm(well_norms) / np.sqrt(delta.rep_floor)
+                  if delta.rep_floor > 0 else np.inf) + slip * d
+    per_lift = p * delta.coassociator + kappa * d
+    lift_norms = np.linalg.norm(lifts, axis=1)
+
+    # |T~ - T| <= gamma M entrywise; the residual moves by the three products with T~ - T
+    reach = (np.abs(lifts) @ np.abs(g.comult).reshape(n, n * n)).reshape(s, n, n)
+    magnitude = np.abs(expand) @ (reach if side == "right" else reach.transpose(0, 2, 1))   # M
+    slices = [np.linalg.norm(magnitude, axis=a).max() for a in (0, 1, 2)]
+    entry = gamma * (slices[1] * np.linalg.norm(tensor, axis=0).max()
+                     + (np.linalg.norm(tensor, axis=1).max() + gamma * slices[1]) * slices[0]
+                     + slices[2] * np.linalg.norm(g.comult, axis=0).max())
+    coaction = float(per_lift * lift_norms.max() + entry)
+    if delta.podles is None:
+        return coaction, np.inf
+    f = gamma * np.linalg.norm(magnitude)
+    spectral = [np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0))
+                for m in (tensor.reshape(s, s * n).T, tensor.transpose(0, 2, 1).reshape(s * n, s))]
+    residual = per_lift * np.linalg.norm(lift_norms) + f * (sum(spectral) + f + d)
+    unit_norm, antipode_norm, column_norm, assoc_term, unit_term = delta.podles
+    size = np.linalg.norm(tensor)
+    podles = (np.linalg.norm(counit_defect) * unit_norm + size * antipode_norm + residual * column_norm
+              + assoc_term * (size * d + residual) + unit_term * np.sqrt(s))
+    return coaction, float(podles)
 
 
 def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str) -> np.ndarray:

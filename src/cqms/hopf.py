@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,8 +299,10 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     """Evaluate every Hopf *-algebra axiom numerically and report residuals.
 
     Delta is read as the coaction of A on itself, carrier leg first as in
-    ``compress.comultiplication_coaction``: coassociativity, the counit and
-    Podles density go through the residuals that certify induced coactions.
+    ``compress.comultiplication_coaction``: coassociativity and Podles density
+    come from the full product (Delta (x) id)Delta of ``_coaction_certificates``,
+    cached per algebra, which the derived bounds of ``compress.induced_coaction``
+    reuse.
     """
     n = g.dim
     right, left = g.comult, g.comult.transpose(0, 2, 1)
@@ -310,14 +313,20 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     res["unit"] = max(_maxabs((g.unit @ g.mult.reshape(n, n * n)).reshape(n, n) - np.eye(n)),
                       _maxabs(g.unit @ g.mult - np.eye(n)))
 
-    coassoc_right, podles_right = _coaction_certificates(g, right, "right")
-    coassoc_left, podles_left = _coaction_certificates(g, left, "left")
+    coassoc_right, podles_right = _comult_certificates(g, "right")
+    coassoc_left, podles_left = _comult_certificates(g, "left")
     res["coassociativity"] = max(coassoc_right, coassoc_left)
     res["counit"] = max(_counit_residual(g, right), _counit_residual(g, left))
 
-    # Delta is a unital *-homomorphism
+    # Delta is a unital *-homomorphism.  [i, j, p, q]: coefficient of e_p (x) e_q in
+    # Delta(e_i e_j) - Delta(e_i) Delta(e_j), the product summed as
+    # sum_{b, c} (sum_a Delta[i, a, b] mult[a, c, p]) (sum_d Delta[j, c, d] mult[b, d, q])
     hom = (flat_mult @ g.comult.reshape(n, n * n)).reshape(n, n, n, n)
-    hom -= np.einsum("iab,jcd,acp,bdq->ijpq", g.comult, g.comult, g.mult, g.mult, optimize=True)
+    first = (left.reshape(n * n, n) @ g.mult.reshape(n, n * n)).reshape(n, n, n, n)      # [i, b, c, p]
+    second = (g.comult.reshape(n * n, n) @ g.mult.transpose(1, 0, 2).reshape(n, n * n))  # [(j, c), (b, q)]
+    second = second.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n)     # [(b, c), (j, q)]
+    prod = first.transpose(0, 3, 1, 2).reshape(n * n, n * n) @ second                    # [(i, p), (j, q)]
+    hom -= prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
     res["comult_multiplicative"] = _maxabs(hom)
     # [i, p, q]: coefficient of e_p (x) e_q in Delta(e_i^*) - (* (x) *)Delta(e_i)
     starhom = (g.star @ g.comult.reshape(n, n * n)).reshape(n, n, n)
@@ -391,6 +400,64 @@ def _coaction_certificates(g: FiniteQuantumGroup, tensor, side) -> tuple[float, 
     u = u.reshape(s, s, n, n)
     u -= rhs if side == "right" else rhs.swapaxes(2, 3)
     return _maxabs(u), podles
+
+
+@lru_cache(maxsize=32)
+def _comult_certificates(g: FiniteQuantumGroup, side: str) -> tuple[float, float]:
+    """Delta's own (coaction residual, Podles witness) as a coaction of A on itself.
+
+    Cached per algebra object: ``check_axioms`` and every induced coaction share it.
+    """
+    return _coaction_certificates(g, g.comult if side == "right" else g.comult.transpose(0, 2, 1), side)
+
+
+class _ComultBounds(NamedTuple):
+    """Norms of Delta and of its own residuals on one side, for ``compress.induced_coaction``.
+
+    ``podles`` is (||1||_G, ||Z||_G, ||W||_G, assoc_term, unit_term) with W, G and
+    the two terms of ``_podles_parts``, ||y||_G = max over unit x of ||y^T x||_G
+    for a matrix y of rows, and Z[q] = sum_{p, l} Delta[q, p, l] W[(p, l)] - eps(e_q) 1,
+    the residual of b_(2) S^-1(b_(1)) = eps(b) 1 (left: b_(1) S(b_(2)) = eps(b) 1,
+    read with the legs of Delta swapped); None for a singular S.
+    """
+
+    coassociator: float     # ||(Delta (x) id)Delta - (id (x) Delta)Delta||_F
+    norm: float             # ||Delta||_2 as a map A -> A (x) A
+    carrier_norm: float     # ||Delta||_2 as a map from the compressed leg j to the pairs (i, l)
+    abs_norm: float         # || |Delta| ||_2 of the entrywise moduli, as a map A -> A (x) A
+    rep_floor: float        # smallest eigenvalue of rho's Hilbert-Schmidt Gram matrix
+    podles: tuple | None
+
+
+@lru_cache(maxsize=32)
+def _comult_bounds(g: FiniteQuantumGroup, side: str) -> _ComultBounds:
+    """Delta's bounds on one side; cached per algebra object.
+
+    The coassociator's Frobenius norm is charged as n^2 times the largest
+    entry, from Delta's own coaction residual.
+    """
+    n = g.dim
+    tensor = g.comult if side == "right" else g.comult.transpose(0, 2, 1)   # compressed leg second
+    flat = g.comult.reshape(n, n * n)
+    reps = g.rep.reshape(n, -1)
+    norms = [float(np.linalg.svd(m, compute_uv=False)[0])
+             for m in (flat, tensor.transpose(0, 2, 1).reshape(n * n, n), np.abs(flat))]
+    podles = None
+    parts = _podles_parts(g, side)
+    if parts is not None:
+        w, gram, assoc_term, unit_term = parts
+        lam, vec = np.linalg.eigh(gram)
+        root = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.conj().T
+
+        def gram_norm(y):
+            return float(np.sqrt(max(np.linalg.eigvalsh(root @ (y.T @ y.conj()) @ root)[-1], 0.0)))
+
+        antipode = tensor.reshape(n, n * n) @ w - np.outer(g.counit, g.unit)
+        unit_norm = float(np.sqrt(max(np.vdot(g.unit, gram @ g.unit).real, 0.0)))
+        podles = (unit_norm, gram_norm(antipode), gram_norm(w), assoc_term, unit_term)
+    return _ComultBounds(coassociator=n * n * _comult_certificates(g, side)[0],
+                         norm=norms[0], carrier_norm=norms[1], abs_norm=norms[2],
+                         rep_floor=float(np.linalg.eigvalsh(reps.conj() @ reps.T)[0]), podles=podles)
 
 
 @lru_cache(maxsize=32)
@@ -499,8 +566,12 @@ def convolve(mu: Functional, nu: Functional, g: FiniteQuantumGroup) -> Functiona
     return Functional(coeffs=coeffs)
 
 
+@lru_cache(maxsize=32)
 def counit_support_projection(g: FiniteQuantumGroup) -> np.ndarray:
-    """The projection p with a p = counit(a) p for all a, normalized so p = p* = p^2."""
+    """The projection p with a p = counit(a) p for all a, normalized so p = p* = p^2.
+
+    Cached per algebra object, so the array is read-only.
+    """
     n = g.dim
     mult_char = np.einsum("ijk,k->ij", g.mult, g.counit) - np.outer(g.counit, g.counit)
     star_char = g.star @ g.counit - np.conj(g.counit)
@@ -525,4 +596,4 @@ def counit_support_projection(g: FiniteQuantumGroup) -> np.ndarray:
     if idem > DEFAULT_TOL or selfadj > DEFAULT_TOL:
         raise InternalInconsistencyError(
             f"support candidate fails p^2 = p = p* (residuals {idem:.2e}, {selfadj:.2e})")
-    return p
+    return _readonly(p)

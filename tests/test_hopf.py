@@ -230,6 +230,17 @@ def test_check_axioms_matches_the_einsum_reference(name, bump):
         assert reference["podles_right_rank_defect"] == reference["podles_left_rank_defect"] == 0.0
 
 
+@pytest.mark.parametrize("name", ["F(Z_8)", "C*(S_3)", "kp8", "F(Z_8) bumped"])
+def test_comult_multiplicative_matmuls_match_the_einsum(name, f_z8, c_s3):
+    g = build_kp8()[0] if name == "kp8" else c_s3 if name == "C*(S_3)" else f_z8
+    if name.endswith("bumped"):
+        g = _bumped(g, "comult")
+    want = float(np.max(np.abs(oracles.einsum_comult_multiplicative(g))))
+    got = hopf.check_axioms(g).residuals["comult_multiplicative"]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert (want >= 1e-3) == name.endswith("bumped")
+
+
 def test_podles_witness_bounds_a_unital_but_non_associative_mult(f_s3):
     # the bump has zero row and column sums, so 1 stays a unit and only the
     # associator term keeps the witness above ||Psi Phi - I||_F
@@ -289,6 +300,12 @@ def test_counit_support_projection_function(f_z4):
     p = hopf.counit_support_projection(f_z4)
     assert np.allclose(p, np.eye(4)[0])
     assert abs(f_z4.counit_of(p) - 1.0) < 1e-12
+
+
+def test_counit_support_projection_is_cached_and_read_only(f_z4):
+    p = hopf.counit_support_projection(f_z4)
+    assert p is hopf.counit_support_projection(f_z4)
+    assert not p.flags.writeable
 
 
 def test_counit_support_projection_group(c_s3):

@@ -237,6 +237,42 @@ def test_run_sweep_config_roundtrip(z8_file):
     assert rows[0]["dim_sys"] == 1
 
 
+def test_full_level_row_skips_the_c1_radii(z8_file, monkeypatch):
+    # bound_B = 0 at the full level, so c1 = max(lhs1, lhs2) needs no induced Lip-norm
+    from types import SimpleNamespace
+
+    from cqms import compress, sampling
+
+    loaded = io.load_input(z8_file)
+    g, irreps = loaded.algebra, loaded.irreps_or_default()
+    lip = lipnorm.lip_from_metric(g)
+    config = cli.SweepConfig(loaded=loaded, irreps=irreps, seminorm=lip,
+                             chain=[(0, 1, 7), tuple(range(8))], state_mode="canonical",
+                             explicit_vector=None, seed=3, samples=8)
+    dec = corep.pw_decompose(g, irreps, tol=1e-10)
+    diam = SimpleNamespace(lower=0.0, upper=1.0)
+    original, calls = lipnorm.induced_lip_many, []
+    monkeypatch.setattr(lipnorm, "induced_lip_many",
+                        lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    assert cli._bound_row(config, 0, dec, diam)["bound_B"] > 0 and len(calls) == 1
+    row = cli._bound_row(config, 1, dec, diam)
+    assert row["bound_B"] == 0.0 and len(calls) == 1
+    # the formula with the radii, on the row's own samples (seed 3 + 1)
+    ts = compress.truncate(g, irreps, range(8), dec=dec)
+    alpha, beta = compress.induced_coaction(g, ts, "right"), compress.induced_coaction(g, ts, "left")
+    sym = compress.symbol_map(ts, alpha, compress.canonical_symbol_state(g, ts))
+    rng = np.random.default_rng(4)
+    elements = np.array([sampling.random_element(g, rng) for _ in range(8)])
+    taus = np.array([ts.tau(a) for a in elements])
+    coords = np.array([ts.expand(x) for x in taus])
+    images = np.array([sym(c) for c in coords])
+    lhs1 = np.linalg.norm(np.einsum("ki,ipq->kpq", images - elements, g.rep), 2, axis=(1, 2))
+    lhs2 = np.linalg.norm(np.array([ts.tau(b) for b in images]) - taus, 2, axis=(1, 2))
+    values = np.array([lip.value(a) for a in elements])
+    radii = original(lip, beta, coords, tol=1e-7)
+    assert row["c1_max_residual"] == max(np.max(lhs1 - 0.0 * values), np.max(lhs2 - 0.0 * radii))
+
+
 def _strip_runtime(text):
     return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
 
