@@ -22,6 +22,10 @@ GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the 
 DESCENT_STEP = 0.25    # first step length of the projected gradient, halved on each rejection
 DESCENT_STARTS = 4     # the canonical state and three random vectors
 DESCENT_ITERS = 60     # gradient steps per start
+SUM_BLOCK = 8          # terms per block of the blocked sums that bound an induced tensor's rounding
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_ROUND_UP = 1 + 4 * _UNIT_ROUNDOFF     # |a - b| <= _ROUND_UP |fl(a - b)| for complex a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +36,6 @@ class TruncatedSystem:
     sys_basis    (s, r, r) Hilbert-Schmidt orthonormal basis of tau(A)
     lift_matrix  (n, r*r) right inverse of tau, zero on the orthocomplement
     kernel       (n_ker, n) basis of ker tau in A-coordinates
-    singular_values  (s,) the nonzero singular values of tau_matrix, largest first
     """
 
     g: FiniteQuantumGroup
@@ -43,7 +46,6 @@ class TruncatedSystem:
     sys_basis: np.ndarray
     lift_matrix: np.ndarray
     kernel: np.ndarray
-    singular_values: np.ndarray
 
     @property
     def gns(self) -> GNSSpace:
@@ -100,7 +102,7 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
     kernel = vh[s:].conj()
     ts = TruncatedSystem(g=g, decomposition=dec, subset=subset, frame=frame,
                          tau_matrix=tau_matrix, sys_basis=sys_basis,
-                         lift_matrix=lift_matrix, kernel=kernel, singular_values=sv[:s])
+                         lift_matrix=lift_matrix, kernel=kernel)
     unit_res = _maxabs(ts.tau(g.unit) - np.eye(r))
     lift_res = max((_maxabs(ts.tau(ts.lift(m)) - m) for m in sys_basis), default=0.0)
     if unit_res > 1e-9 or lift_res > 1e-9:
@@ -178,13 +180,13 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
     Well-definedness is certified by ker tau <= ker (tau (x) id) Delta, and the
     counit identity directly, as max|T eps - I|.  The stored tensor is
-    T[k] = P Delta(L x_k), with P = E tau (s x n, E the system-basis
-    expansion) on the compressed leg and L x_k = lift(x_k), the k-th row of
-    Lam (s x n).  The coaction identity and Podles density are bounded without
-    forming (alpha (x) id)alpha, from Delta's own residuals (``hopf._comult_bounds``,
+    T~ = fl(P Delta(Lam)): P = fl(E tau) (s x n, E the system-basis expansion)
+    on the compressed leg, and Lam (s x n) has the lifts L x_k as rows.  The
+    coaction identity and Podles density of T~ are bounded without forming
+    (alpha (x) id)alpha, from Delta's own residuals (``hopf._comult_bounds``,
     computed once per algebra) and from what the level already holds.  For
-    the exact product of the stored P and Lam (right side; the left reads
-    Delta's legs swapped)
+    the exact product T = P Delta(Lam) of the stored P and Lam (right side;
+    the left reads Delta's legs swapped)
 
         (alpha (x) id)alpha(x_k) - (id (x) Delta)alpha(x_k)
           = (P (x) id (x) id)[(Delta (x) id)Delta - (id (x) Delta)Delta](L x_k)
@@ -192,28 +194,32 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
     pi_K the projector on ker tau (spanned by the kernel rows) and Xi read
     off the stored matrices.  With d = ||Delta||_2, C the coassociator's
-    Frobenius norm, p = sigma_0 + dP >= ||P||_2 and
+    Frobenius norm, p = ||P||_2 and
 
         kappa = ||w||_2 / sqrt(lambda_min(G_rho)) + dP d + p d ||Xi||_F
 
     (w the well-definedness residuals, rho-norms turned into coefficient norms
-    through rho's Gram matrix G_rho; its first two terms only where
-    ker tau != 0), the residual R_k at x_k has norm at most
+    through rho's Gram matrix G_rho, and dP >= ||P - E tau||_2; the first two
+    terms only where ker tau != 0), the residual R_k at x_k has norm at most
     (p C + kappa d) ||L x_k||, and ||R||_F at most (p C + kappa d) ||Lam||_F.
 
-    Forming T is charged entrywise, as in ``duality_lower_bound``, with
-    twice the complex inner-product constant gamma_{k+2} = (k + 2) eps / 2
-    (to first order) of sums over k terms: dP = (r^2 + 2) eps |||E| |tau|||_F
-    for the rounding of P, whose sums run over r^2 terms, and the last two
-    products, over n terms each, leave |T~ - T| <= gamma M with
-    gamma = (2n + 4) eps and M[k] = |P| |Delta(|L x_k|)|, |Delta| read
-    entrywise.  T~ - T enters the residual through three products (with T~,
-    T and Delta): entrywise they add at most gamma times products of the
-    largest slice norms of M, T~ and Delta (Cauchy-Schwarz over the summed
-    index), and in Frobenius norm at most f (||T~||_a + ||T~||_b + f + d),
-    f = gamma ||M||_F and ||T~||_a,b the spectral norms of T~ read as maps
-    from the summed index.  The coaction residual reported is the largest
-    entrywise bound.
+    Rounding.  P and T~ are each checked against a recomputation that cuts
+    every inner sum into blocks of ``SUM_BLOCK`` terms and adds the block
+    sums pairwise, so its roundoff is at most g |a||b| entrywise with
+    g = sqrt(2) gamma_{2 SUM_BLOCK + ceil(log2 blocks)} (``_blocked_matmul``)
+    instead of the gamma of the whole sum.  That gives entrywise bounds
+    |P - E tau| <= |P - P^| + g_P |E||tau| (dP its Frobenius norm) and
+
+        |T~ - T| <= F = |T~ - T^| + |P| (g_T |Delta(Lam)~| + g_D |Delta|(|Lam|)),
+
+    g_D = sqrt(2) gamma_{2 m} for the sums of Delta(Lam), m the most nonzero
+    entries of Delta that one of them meets.  T~ - T enters the residual
+    through three products (with T~, T and Delta): entrywise they add at
+    most products of the largest slice norms of F, T~ and Delta
+    (Cauchy-Schwarz over the summed index), and in Frobenius norm at most
+    f (||T~||_a + ||T~||_b + f + d), f = ||F||_F and ||T~||_a,b the spectral
+    norms of T~ read as maps from the summed index.  The coaction residual
+    reported is the largest entrywise bound.
 
     Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
     Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)) (left: S), and Psi Phi - I is fixed
@@ -226,6 +232,10 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
     the last two 0 for an exactly associative and unital mult; it must stay
     below ``hopf._podles_limit``.  A singular S gives inf.
+
+    What enters as computed: the residuals w, Xi, C, Z and T eps - I, whose
+    own rounding is of the order of their values, and the norms and sums that
+    assemble the bounds, whose rounding is relative, O(n eps).
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -248,7 +258,7 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
     counit_defect = tensor @ g.counit - np.eye(s)
     counit_res = _maxabs(counit_defect)
-    coaction_res, podles = _derived_residuals(g, ts, side, expand, lifts, tensor,
+    coaction_res, podles = _derived_residuals(g, ts, side, expand, lifts, deltas, tensor,
                                               counit_defect, well_norms)
     worst = max(coaction_res, counit_res, podles)
     if worst > tol or podles > _podles_limit(g.dim, s):
@@ -261,16 +271,14 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
                            fixed_space_dim=_fixed_space_dim(tensor, g.unit))
 
 
-def _derived_residuals(g, ts, side, expand, lifts, tensor, counit_defect,
+def _derived_residuals(g, ts, side, expand, lifts, deltas, tensor, counit_defect,
                        well_norms) -> tuple[float, float]:
     """(coaction bound, Podles bound) of an induced tensor; the terms are named in ``induced_coaction``."""
     delta = _comult_bounds(g, side)
     n, s, d = g.dim, ts.dim_sys, delta.norm
-    eps = np.finfo(float).eps
-    gamma = (2 * n + 4) * eps
-    expand_abs = np.abs(ts.sys_basis.reshape(s, -1)) @ np.abs(ts.tau_matrix)
-    slip = (ts.rank ** 2 + 2) * eps * np.linalg.norm(expand_abs)          # dP
-    p = ts.singular_values[0] + slip
+    basis = ts.sys_basis.reshape(s, -1).conj()
+    slip = np.linalg.norm(_rounding_bound(expand, basis, ts.tau_matrix))          # dP
+    p = np.sqrt(max(np.linalg.eigvalsh(expand @ expand.conj().T)[-1], 0.0))
     xi = lifts.T @ expand + ts.kernel.T @ ts.kernel.conj()
     xi[np.diag_indices_from(xi)] -= 1.0
     kappa = p * d * np.linalg.norm(xi)
@@ -280,17 +288,23 @@ def _derived_residuals(g, ts, side, expand, lifts, tensor, counit_defect,
     per_lift = p * delta.coassociator + kappa * d
     lift_norms = np.linalg.norm(lifts, axis=1)
 
-    # |T~ - T| <= gamma M entrywise; the residual moves by the three products with T~ - T
-    reach = (np.abs(lifts) @ np.abs(g.comult).reshape(n, n * n)).reshape(s, n, n)
-    magnitude = np.abs(expand) @ (reach if side == "right" else reach.transpose(0, 2, 1))   # M
-    slices = [np.linalg.norm(magnitude, axis=a).max() for a in (0, 1, 2)]
-    entry = gamma * (slices[1] * np.linalg.norm(tensor, axis=0).max()
-                     + (np.linalg.norm(tensor, axis=1).max() + gamma * slices[1]) * slices[0]
-                     + slices[2] * np.linalg.norm(g.comult, axis=0).max())
+    # |T~ - T| <= F entrywise; the residual moves by the three products with T~ - T
+    stacked = deltas.transpose(1, 0, 2).reshape(n, s * n)                 # [i, (k, l)]
+    formed = _rounding_bound(tensor.transpose(1, 0, 2).reshape(s, s * n), expand, stacked)
+    meets = int(np.count_nonzero(g.comult.reshape(n, n * n), axis=0).max(initial=0))
+    reach = (np.abs(lifts) @ np.abs(g.comult).reshape(n, n * n)).reshape(s, n, n)   # |Delta|(|Lam|)
+    if side == "left":
+        reach = reach.transpose(0, 2, 1)
+    formed += _complex_gamma(2 * meets) * (np.abs(expand) @ reach.transpose(1, 0, 2).reshape(n, s * n))
+    formed = formed.reshape(s, s, n).transpose(1, 0, 2)                       # F
+    slices = [np.linalg.norm(formed, axis=a).max() for a in (0, 1, 2)]
+    entry = (slices[1] * np.linalg.norm(tensor, axis=0).max()
+             + (np.linalg.norm(tensor, axis=1).max() + slices[1]) * slices[0]
+             + slices[2] * np.linalg.norm(g.comult, axis=0).max())
     coaction = float(per_lift * lift_norms.max() + entry)
     if delta.podles is None:
         return coaction, np.inf
-    f = gamma * np.linalg.norm(magnitude)
+    f = np.linalg.norm(formed)
     spectral = [np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0))
                 for m in (tensor.reshape(s, s * n).T, tensor.transpose(0, 2, 1).reshape(s * n, s))]
     residual = per_lift * np.linalg.norm(lift_norms) + f * (sum(spectral) + f + d)
@@ -299,6 +313,43 @@ def _derived_residuals(g, ts, side, expand, lifts, tensor, counit_defect,
     podles = (np.linalg.norm(counit_defect) * unit_norm + size * antipode_norm + residual * column_norm
               + assoc_term * (size * d + residual) + unit_term * np.sqrt(s))
     return coaction, float(podles)
+
+
+def _complex_gamma(roundings: int) -> float:
+    """sqrt(2) gamma_m, gamma_m = m u / (1 - m u): a complex sum whose real and imaginary
+    parts each pass every real term through at most m roundings errs by at most this
+    times the sum of the terms' moduli, in any order of operations."""
+    m = roundings * _UNIT_ROUNDOFF
+    return float(np.sqrt(2) * m / (1 - m))
+
+
+def _blocked_matmul(a, b) -> tuple[np.ndarray, float]:
+    """a @ b with each inner sum cut into blocks of ``SUM_BLOCK`` terms whose sums are
+    then added pairwise, and g with |result - a b| <= g |a||b| entrywise.
+
+    Within a block each real product meets 2 SUM_BLOCK roundings at most, then one
+    per level of the pairwise tree.
+    """
+    (m, k), p = a.shape, b.shape[1]
+    blocks = -(-k // SUM_BLOCK)
+    a_blocks = np.zeros((m, blocks * SUM_BLOCK), dtype=complex)
+    b_blocks = np.zeros((blocks * SUM_BLOCK, p), dtype=complex)
+    a_blocks[:, :k], b_blocks[:k] = a, b
+    parts = (a_blocks.reshape(m, blocks, SUM_BLOCK).transpose(1, 0, 2)
+             @ b_blocks.reshape(blocks, SUM_BLOCK, p))                 # (blocks, m, p)
+    depth = 0
+    while len(parts) > 1:
+        half = len(parts) // 2
+        parts = np.concatenate([parts[:half] + parts[half:2 * half], parts[2 * half:]])
+        depth += 1
+    return parts[0], _complex_gamma(2 * SUM_BLOCK + depth)
+
+
+def _rounding_bound(product, a, b) -> np.ndarray:
+    """An entrywise bound on |product - a b| for a product formed in floating point:
+    its distance from the blocked recomputation plus that one's roundoff."""
+    refined, g = _blocked_matmul(a, b)
+    return _ROUND_UP * np.abs(product - refined) + g * (np.abs(a) @ np.abs(b))
 
 
 def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str) -> np.ndarray:

@@ -423,8 +423,6 @@ class _ComultBounds(NamedTuple):
 
     coassociator: float     # ||(Delta (x) id)Delta - (id (x) Delta)Delta||_F
     norm: float             # ||Delta||_2 as a map A -> A (x) A
-    carrier_norm: float     # ||Delta||_2 as a map from the compressed leg j to the pairs (i, l)
-    abs_norm: float         # || |Delta| ||_2 of the entrywise moduli, as a map A -> A (x) A
     rep_floor: float        # smallest eigenvalue of rho's Hilbert-Schmidt Gram matrix
     podles: tuple | None
 
@@ -438,10 +436,7 @@ def _comult_bounds(g: FiniteQuantumGroup, side: str) -> _ComultBounds:
     """
     n = g.dim
     tensor = g.comult if side == "right" else g.comult.transpose(0, 2, 1)   # compressed leg second
-    flat = g.comult.reshape(n, n * n)
     reps = g.rep.reshape(n, -1)
-    norms = [float(np.linalg.svd(m, compute_uv=False)[0])
-             for m in (flat, tensor.transpose(0, 2, 1).reshape(n * n, n), np.abs(flat))]
     podles = None
     parts = _podles_parts(g, side)
     if parts is not None:
@@ -456,7 +451,7 @@ def _comult_bounds(g: FiniteQuantumGroup, side: str) -> _ComultBounds:
         unit_norm = float(np.sqrt(max(np.vdot(g.unit, gram @ g.unit).real, 0.0)))
         podles = (unit_norm, gram_norm(antipode), gram_norm(w), assoc_term, unit_term)
     return _ComultBounds(coassociator=n * n * _comult_certificates(g, side)[0],
-                         norm=norms[0], carrier_norm=norms[1], abs_norm=norms[2],
+                         norm=float(np.linalg.norm(g.comult.reshape(n, n * n), 2)),
                          rep_floor=float(np.linalg.eigvalsh(reps.conj() @ reps.T)[0]), podles=podles)
 
 

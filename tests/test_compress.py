@@ -122,6 +122,53 @@ def test_derived_bounds_dominate_the_dense_residuals_on_every_chain_level(name, 
             assert co.podles_residual < hopf._podles_limit(g.dim, ts.dim_sys)
 
 
+def test_derived_bounds_stay_below_tol_on_the_f_z64_chain():
+    # the rounding charges grow with n; F(Z_64) is the largest cyclic chain whose dense
+    # (s, s, n, n) products stay affordable (one such array of F(Z_128) takes 4.3 GB),
+    # so the dense oracles run only on its small levels
+    g = hopf.function_algebra(groups.cyclic_table(64), metric=groups.arc_metric(64))
+    irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    for subset in chains.frequency_chain(64):
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        for side in ("right", "left"):
+            co = compress.induced_coaction(g, ts, side)
+            assert max(co.coaction_residual, co.podles_residual) < 1e-9
+            if ts.dim_sys <= 9:
+                assert oracles.einsum_coaction_residual(g, co.tensor, side) <= co.coaction_residual
+                assert oracles.dense_podles_frobenius(g, co.tensor, side) <= co.podles_residual
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 7), (9, 100, 4), (2, 8, 1), (4, 1, 3)])
+def test_blocked_matmul_stays_within_its_rounding_constant(shape):
+    m, k, p = shape
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    b = rng.normal(size=(k, p)) + 1j * rng.normal(size=(k, p))
+    product, g = compress._blocked_matmul(a, b)
+    exact = a.astype(np.clongdouble) @ b.astype(np.clongdouble)
+    assert np.all(np.abs(product - exact) <= g * (np.abs(a) @ np.abs(b)))
+    assert g < 30 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["F(Z_8)", "kp8"])
+def test_rounding_bound_covers_the_stored_expansion_and_tensor(name, f_z8, c_s3):
+    g, irreps, chain = _chain_algebra(name, f_z8, c_s3)
+    dec = corep.pw_decompose(g, irreps)
+    n = g.dim
+    for subset in chain:
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        s = ts.dim_sys
+        basis = ts.sys_basis.reshape(s, -1).conj()
+        expand = basis @ ts.tau_matrix
+        exact = basis.astype(np.clongdouble) @ ts.tau_matrix.astype(np.clongdouble)
+        assert np.all(np.abs(expand - exact) <= compress._rounding_bound(expand, basis, ts.tau_matrix))
+        stacked = np.random.default_rng(s).normal(size=(n, s * n)) + 0j
+        product = expand @ stacked
+        exact = expand.astype(np.clongdouble) @ stacked.astype(np.clongdouble)
+        assert np.all(np.abs(product - exact) <= compress._rounding_bound(product, expand, stacked))
+
+
 def _failed_certificate(exc, name) -> float:
     return float(re.search(rf"{name} (\S+?)[,)]", str(exc.value)).group(1))
 
