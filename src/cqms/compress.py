@@ -14,18 +14,18 @@ import numpy as np
 
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
-from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _comult_bounds, _maxabs,
-                   _podles_limit, _rank, certify_state, counit_support_projection)
+from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _co_opposite, _comult_bounds,
+                   _comult_certificates, _counit_residual, _maxabs, _podles_limit, certify_state,
+                   counit_support_projection)
 from .sampling import random_density
 
 GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
 DESCENT_STEP = 0.25    # first step length of the projected gradient, halved on each rejection
 DESCENT_STARTS = 4     # the canonical state and three random vectors
 DESCENT_ITERS = 60     # gradient steps per start
-SUM_BLOCK = 8          # terms per block of the blocked sums that bound an induced tensor's rounding
+SUM_BLOCK = 8          # terms per block of the blocked sums that form an induced tensor
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
-_ROUND_UP = 1 + 4 * _UNIT_ROUNDOFF     # |a - b| <= _ROUND_UP |fl(a - b)| for complex a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +122,8 @@ class InducedCoaction:
     Both sides store the carrier leg first: tensor[k, m, l] is the coefficient
     of x_m (x) e_l in alpha(x_k) on the right and of e_l (x) x_m in beta(x_k)
     on the left, so applying and slicing read the tensor the same way on both
-    sides; only the coaction identity depends on the side.  The carrier is
-    either a TruncatedSystem or the algebra itself.
+    sides; ``g`` is A on both.  The carrier is either a TruncatedSystem or the
+    algebra itself.
     """
 
     side: str
@@ -134,11 +134,16 @@ class InducedCoaction:
     coaction_residual: float
     counit_residual: float
     podles_residual: float
-    fixed_space_dim: int
 
     @property
     def carrier_dim(self) -> int:
         return self.tensor.shape[0]
+
+    @property
+    def fixed_space_dim(self) -> int:
+        """dim {x : alpha(x) = x (x) 1} (1 (x) x on the left): the trace of
+        E = (id (x) h)alpha, an idempotent onto that space because h is invariant."""
+        return round(float(np.einsum("kkl,l->", self.tensor, self.g.haar).real))
 
     def realize(self, coords) -> np.ndarray:
         """The carrier elements with these coordinate rows, as concrete matrices."""
@@ -166,17 +171,20 @@ class InducedCoaction:
 
 
 def comultiplication_coaction(g: FiniteQuantumGroup, side: str = "right") -> InducedCoaction:
-    """The comultiplication viewed as the (right or left) coaction of A on itself."""
-    tensor = g.comult.copy() if side == "right" else g.comult.transpose(0, 2, 1).copy()
-    return InducedCoaction(side=side, tensor=tensor, g=g, system=None,
-                           well_definedness_residual=0.0, coaction_residual=0.0,
-                           counit_residual=0.0, podles_residual=0.0,
-                           fixed_space_dim=_fixed_space_dim(tensor, g.unit))
+    """The comultiplication viewed as the (right or left) coaction of A on itself, with its own residuals."""
+    alg = g if side == "right" else _co_opposite(g)
+    coaction_res, podles = _comult_certificates(alg)
+    return InducedCoaction(side=side, tensor=alg.comult, g=g, system=None,
+                           well_definedness_residual=0.0, coaction_residual=coaction_res,
+                           counit_residual=_counit_residual(alg), podles_residual=podles)
 
 
 def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "right",
                      tol: float = 1e-9) -> InducedCoaction:
     """Push the comultiplication through the compression map.
+
+    Written for the right side: a left coaction of A is a right coaction of
+    A^cop, so the left side runs on ``hopf._co_opposite(g)``.
 
     Well-definedness is certified by ker tau <= ker (tau (x) id) Delta, and the
     counit identity directly, as max|T eps - I|.  The stored tensor is
@@ -185,8 +193,7 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     coaction identity and Podles density of T~ are bounded without forming
     (alpha (x) id)alpha, from Delta's own residuals (``hopf._comult_bounds``,
     computed once per algebra) and from what the level already holds.  For
-    the exact product T = P Delta(Lam) of the stored P and Lam (right side;
-    the left reads Delta's legs swapped)
+    the exact product T = P Delta(Lam) of the stored P and Lam
 
         (alpha (x) id)alpha(x_k) - (id (x) Delta)alpha(x_k)
           = (P (x) id (x) id)[(Delta (x) id)Delta - (id (x) Delta)Delta](L x_k)
@@ -203,14 +210,14 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     terms only where ker tau != 0), the residual R_k at x_k has norm at most
     (p C + kappa d) ||L x_k||, and ||R||_F at most (p C + kappa d) ||Lam||_F.
 
-    Rounding.  P and T~ are each checked against a recomputation that cuts
-    every inner sum into blocks of ``SUM_BLOCK`` terms and adds the block
-    sums pairwise, so its roundoff is at most g |a||b| entrywise with
-    g = sqrt(2) gamma_{2 SUM_BLOCK + ceil(log2 blocks)} (``_blocked_matmul``)
-    instead of the gamma of the whole sum.  That gives entrywise bounds
-    |P - E tau| <= |P - P^| + g_P |E||tau| (dP its Frobenius norm) and
+    Rounding.  P and T~ are formed by ``_blocked_matmul``, which cuts every
+    inner sum into blocks of ``SUM_BLOCK`` terms and adds the block sums
+    pairwise, so its roundoff is at most g |a||b| entrywise with
+    g = sqrt(2) gamma_{2 SUM_BLOCK + ceil(log2 blocks)}, far below the gamma
+    of the whole sum.  That gives |P - E tau| <= g_P |E||tau| (dP its
+    Frobenius norm) and
 
-        |T~ - T| <= F = |T~ - T^| + |P| (g_T |Delta(Lam)~| + g_D |Delta|(|Lam|)),
+        |T~ - T| <= F = |P| (g_T |Delta(Lam)~| + g_D |Delta|(|Lam|)),
 
     g_D = sqrt(2) gamma_{2 m} for the sums of Delta(Lam), m the most nonzero
     entries of Delta that one of them meets.  T~ - T enters the residual
@@ -222,16 +229,16 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     reported is the largest entrywise bound.
 
     Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
-    Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)) (left: S), and Psi Phi - I is fixed
+    Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)), and Psi Phi - I is fixed
     by its columns c_k = (T eps - I)_k (x) 1 + T_k Z + R_k W, with W and the
     Gram norm ||.||_G of ``hopf._podles_parts`` and Z Delta's residual of
-    b_(2) S^-1(b_(1)) = eps(b) 1 (left: b_(1) S(b_(2))).  The witness is at most
+    b_(2) S^-1(b_(1)) = eps(b) 1.  The witness is at most
 
         ||T eps - I||_F ||1||_G + ||T||_F ||Z||_G + ||R||_F ||W||_G
           + assoc_term (||T||_F d + ||R||_F) + unit_term sqrt(s),
 
     the last two 0 for an exactly associative and unital mult; it must stay
-    below ``hopf._podles_limit``.  A singular S gives inf.
+    below ``hopf._podles_limit``.  A singular S gives inf on both sides.
 
     What enters as computed: the residuals w, Xi, C, Z and T eps - I, whose
     own rounding is of the order of their values, and the norms and sums that
@@ -239,7 +246,8 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    well_norms = _kernel_frobenius(g, ts, side)
+    alg = g if side == "right" else _co_opposite(g)
+    well_norms = _kernel_frobenius(alg, ts)
     well = float(well_norms.max(initial=0.0))
     if well > tol:
         raise InternalInconsistencyError(
@@ -250,16 +258,16 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     basis = ts.sys_basis.reshape(s, -1)
     n = g.dim
     lifts = (ts.lift_matrix @ basis.T).T             # lift(x_k) as rows
-    deltas = (lifts @ g.comult.reshape(n, n * n)).reshape(s, n, n)   # Delta(lift(x_k))
-    if side == "left":
-        deltas = deltas.transpose(0, 2, 1)         # compress Delta's second leg
-    expand = basis.conj() @ ts.tau_matrix          # expand o tau
-    tensor = expand @ deltas                       # on the carrier leg
+    deltas = (lifts @ alg.comult.reshape(n, n * n)).reshape(s, n, n)   # Delta(lift(x_k))
+    stacked = deltas.transpose(1, 0, 2).reshape(n, s * n)              # [i, (k, l)]
+    expand, expand_gamma = _blocked_matmul(basis.conj(), ts.tau_matrix)    # P = E tau
+    product, tensor_gamma = _blocked_matmul(expand, stacked)               # on the carrier leg
+    tensor = np.ascontiguousarray(product.reshape(s, s, n).transpose(1, 0, 2))
 
     counit_defect = tensor @ g.counit - np.eye(s)
     counit_res = _maxabs(counit_defect)
-    coaction_res, podles = _derived_residuals(g, ts, side, expand, lifts, deltas, tensor,
-                                              counit_defect, well_norms)
+    coaction_res, podles = _derived_residuals(alg, ts, expand, lifts, stacked, tensor, counit_defect,
+                                              well_norms, (expand_gamma, tensor_gamma))
     worst = max(coaction_res, counit_res, podles)
     if worst > tol or podles > _podles_limit(g.dim, s):
         raise InternalInconsistencyError(
@@ -267,17 +275,17 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
             f"counit {counit_res:.2e}, Podles {podles:.2e})")
     return InducedCoaction(side=side, tensor=tensor, g=g, system=ts,
                            well_definedness_residual=well, coaction_residual=coaction_res,
-                           counit_residual=counit_res, podles_residual=podles,
-                           fixed_space_dim=_fixed_space_dim(tensor, g.unit))
+                           counit_residual=counit_res, podles_residual=podles)
 
 
-def _derived_residuals(g, ts, side, expand, lifts, deltas, tensor, counit_defect,
-                       well_norms) -> tuple[float, float]:
-    """(coaction bound, Podles bound) of an induced tensor; the terms are named in ``induced_coaction``."""
-    delta = _comult_bounds(g, side)
+def _derived_residuals(g, ts, expand, lifts, stacked, tensor, counit_defect, well_norms,
+                       gammas) -> tuple[float, float]:
+    """(coaction bound, Podles bound) of an induced right coaction tensor; the terms are named
+    in ``induced_coaction``, and ``gammas`` are the rounding constants (g_P, g_T) of P and T~."""
+    delta = _comult_bounds(g)
     n, s, d = g.dim, ts.dim_sys, delta.norm
-    basis = ts.sys_basis.reshape(s, -1).conj()
-    slip = np.linalg.norm(_rounding_bound(expand, basis, ts.tau_matrix))          # dP
+    basis = ts.sys_basis.reshape(s, -1)
+    slip = gammas[0] * np.linalg.norm(np.abs(basis) @ np.abs(ts.tau_matrix))        # dP
     p = np.sqrt(max(np.linalg.eigvalsh(expand @ expand.conj().T)[-1], 0.0))
     xi = lifts.T @ expand + ts.kernel.T @ ts.kernel.conj()
     xi[np.diag_indices_from(xi)] -= 1.0
@@ -289,14 +297,11 @@ def _derived_residuals(g, ts, side, expand, lifts, deltas, tensor, counit_defect
     lift_norms = np.linalg.norm(lifts, axis=1)
 
     # |T~ - T| <= F entrywise; the residual moves by the three products with T~ - T
-    stacked = deltas.transpose(1, 0, 2).reshape(n, s * n)                 # [i, (k, l)]
-    formed = _rounding_bound(tensor.transpose(1, 0, 2).reshape(s, s * n), expand, stacked)
     meets = int(np.count_nonzero(g.comult.reshape(n, n * n), axis=0).max(initial=0))
     reach = (np.abs(lifts) @ np.abs(g.comult).reshape(n, n * n)).reshape(s, n, n)   # |Delta|(|Lam|)
-    if side == "left":
-        reach = reach.transpose(0, 2, 1)
-    formed += _complex_gamma(2 * meets) * (np.abs(expand) @ reach.transpose(1, 0, 2).reshape(n, s * n))
-    formed = formed.reshape(s, s, n).transpose(1, 0, 2)                       # F
+    charged = (gammas[1] * np.abs(stacked)
+               + _complex_gamma(2 * meets) * reach.transpose(1, 0, 2).reshape(n, s * n))
+    formed = (np.abs(expand) @ charged).reshape(s, s, n).transpose(1, 0, 2)     # F
     slices = [np.linalg.norm(formed, axis=a).max() for a in (0, 1, 2)]
     entry = (slices[1] * np.linalg.norm(tensor, axis=0).max()
              + (np.linalg.norm(tensor, axis=1).max() + slices[1]) * slices[0]
@@ -345,15 +350,8 @@ def _blocked_matmul(a, b) -> tuple[np.ndarray, float]:
     return parts[0], _complex_gamma(2 * SUM_BLOCK + depth)
 
 
-def _rounding_bound(product, a, b) -> np.ndarray:
-    """An entrywise bound on |product - a b| for a product formed in floating point:
-    its distance from the blocked recomputation plus that one's roundoff."""
-    refined, g = _blocked_matmul(a, b)
-    return _ROUND_UP * np.abs(product - refined) + g * (np.abs(a) @ np.abs(b))
-
-
-def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str) -> np.ndarray:
-    """Frobenius norms of (tau (x) rho)Delta(v) (or (rho (x) tau)Delta(v)) for v in ker tau.
+def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem) -> np.ndarray:
+    """Frobenius norms of (tau (x) rho)Delta(v) for v in ker tau.
 
     Each bounds the operator norm from above.  With W[ab, l] the compressed
     coefficient of e_l, ||sum_l W_l (x) rho(e_l)||_F^2 = sum W*_l W_l' G[l, l']
@@ -361,8 +359,6 @@ def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str) -> 
     """
     n = g.dim
     deltas = (ts.kernel @ g.comult.reshape(n, n * n)).reshape(-1, n, n)
-    if side == "left":
-        deltas = deltas.swapaxes(1, 2)             # compress Delta's second leg
     taus = ts.tau_matrix @ deltas                  # (n_ker, r*r, n)
     reps = g.rep.reshape(n, -1)
     gram = reps.conj() @ reps.T
@@ -380,13 +376,6 @@ def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float
     taus = (ts.tau_matrix @ delta).reshape(p, p, r, r, g.dim)
     big = np.einsum("pqabl,lcd->pacqbd", taus, g.rep).reshape(p * r * d0, p * r * d0)
     return float(np.linalg.norm(big, 2))
-
-
-def _fixed_space_dim(tensor, algebra_unit) -> int:
-    """Dimension of {x : coaction(x) = x (x) 1_A} (or 1_A (x) x on the left)."""
-    s = tensor.shape[0]
-    system = tensor - np.einsum("km,l->kml", np.eye(s), algebra_unit)
-    return int(s - _rank(system.transpose(1, 2, 0).reshape(-1, s)))
 
 
 def cocommutation_residual(alpha: InducedCoaction, beta: InducedCoaction) -> float:
@@ -560,19 +549,16 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
     rng = np.random.default_rng(seed)
     best_density = canonical_symbol_state(g, ts)
     best_value, slicer = distance(best_density)
-    if closed(best_value, slicer):
-        return best_density, best_value
     r = ts.rank
-    seeds = [best_density] + [None] * (DESCENT_STARTS - 1)
-    for start in seeds:
-        if start is None:
+    for start in range(DESCENT_STARTS):
+        if start:
             v = rng.normal(size=r) + 1j * rng.normal(size=r)
-        else:
-            eigvals, eigvecs = np.linalg.eigh(start)
-            v = eigvecs[:, -1]
-        v = v / np.linalg.norm(v)
+            v = v / np.linalg.norm(v)
+            value, slicer = distance(np.outer(v, v.conj()))
+        else:                  # the canonical state, already evaluated
+            v = np.linalg.eigh(best_density)[1][:, -1]
+            v, value = v / np.linalg.norm(v), best_value
         eta = DESCENT_STEP
-        value, slicer = distance(np.outer(v, v.conj()))
         done = closed(value, slicer)
         for _ in range(DESCENT_ITERS):
             if done:

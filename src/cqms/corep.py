@@ -14,8 +14,8 @@ import numpy as np
 
 from . import groups
 from .errors import CompletenessError, InternalInconsistencyError, SchurError, StructureError
-from .hopf import (FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness, _rank,
-                   _rep_residuals, _unitarity_residual)
+from .hopf import (FiniteQuantumGroup, _co_opposite, _maxabs, _orthonormalize, _positivity_witness,
+                   _rank, _rep_residuals, _unitarity_residual)
 
 GNS_TOL = 1e-10
 UNITARY_SAMPLES = 8      # random elements on which a multiplicative unitary must implement Delta
@@ -257,44 +257,39 @@ def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W") -> Multiplica
 
     W(Lambda(a) (x) xi) = (pi (x) rho)(Delta a)(Lambda(1) (x) xi) on H (x) H0,
     verified to implement the comultiplication by conjugation on
-    UNITARY_SAMPLES seeded random elements; V mirrors both on H0 (x) H.
+    UNITARY_SAMPLES seeded random elements.  V on H0 (x) H is W of A^cop
+    (``hopf._co_opposite``, Delta's legs swapped) with both legs flipped.
     """
     if side not in ("W", "V"):
         raise ValueError(f"side must be 'W' or 'V', got {side!r}")
-    gns = gns_build(g)
+    alg = g if side == "W" else _co_opposite(g)
+    gns = gns_build(alg)
     n = g.dim
     d0 = g.rep.shape[1]
     acted = np.einsum("jpq,q->jp", gns.rep, gns.cyclic)      # pi(e_j) Lambda(1)
     mat = np.zeros((n * d0, n * d0), dtype=complex)
     for m in range(n):
-        delta = g.coproduct(gns.onb_inv[:, m])
-        if side == "W":
-            # column (m, k): sum_{j,l} delta[j,l] (pi(e_j) cyclic) (x) (rho(e_l) e_k)
-            cols = np.einsum("jl,jp,lqk->pqk", delta, acted, g.rep)
-            mat[:, m * d0:(m + 1) * d0] = cols.reshape(n * d0, d0)
-        else:
-            # column (k, m): sum_{j,l} delta[j,l] (rho(e_j) e_k) (x) (pi(e_l) cyclic)
-            cols = np.einsum("jl,jqk,lp->qpk", delta, g.rep, acted)
-            mat[:, m::n] = cols.reshape(d0 * n, d0)
+        delta = alg.coproduct(gns.onb_inv[:, m])
+        # column (m, k): sum_{j,l} delta[j,l] (pi(e_j) cyclic) (x) (rho(e_l) e_k)
+        cols = np.einsum("jl,jp,lqk->pqk", delta, acted, g.rep)
+        mat[:, m * d0:(m + 1) * d0] = cols.reshape(n * d0, d0)
     unit_res = _unitarity_residual(mat)
-    impl_res = _implementation_residual(g, gns, mat, side)
+    impl_res = _implementation_residual(alg, gns, mat)
+    if side == "V":
+        mat = mat.reshape(n, d0, n, d0).transpose(1, 0, 3, 2).reshape(d0 * n, d0 * n)
     return MultiplicativeUnitary(side=side, matrix=mat, unitarity_residual=unit_res,
                                  implementation_residual=impl_res)
 
 
-def _implementation_residual(g, gns, mat, side) -> float:
+def _implementation_residual(g, gns, mat) -> float:
     rng = np.random.default_rng(0)
     n, d0 = g.dim, g.rep.shape[1]
     worst = 0.0
     for _ in range(UNITARY_SAMPLES):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         delta = g.coproduct(a)
-        if side == "W":
-            lhs = mat @ np.kron(gns.act(a), np.eye(d0)) @ mat.conj().T
-            rhs = np.einsum("jl,jpq,lab->paqb", delta, gns.rep, g.rep).reshape(n * d0, n * d0)
-        else:
-            lhs = mat @ np.kron(np.eye(d0), gns.act(a)) @ mat.conj().T
-            rhs = np.einsum("jl,jab,lpq->apbq", delta, g.rep, gns.rep).reshape(d0 * n, d0 * n)
+        lhs = mat @ np.kron(gns.act(a), np.eye(d0)) @ mat.conj().T
+        rhs = np.einsum("jl,jpq,lab->paqb", delta, gns.rep, g.rep).reshape(n * d0, n * d0)
         worst = max(worst, _maxabs(lhs - rhs) / max(1.0, _maxabs(a)))
     return worst
 

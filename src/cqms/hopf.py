@@ -302,10 +302,11 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     ``compress.comultiplication_coaction``: coassociativity and Podles density
     come from the full product (Delta (x) id)Delta of ``_coaction_certificates``,
     cached per algebra, which the derived bounds of ``compress.induced_coaction``
-    reuse.
+    reuse.  The left-side residuals are the right-side ones of A^cop
+    (``_co_opposite``).
     """
     n = g.dim
-    right, left = g.comult, g.comult.transpose(0, 2, 1)
+    cop = _co_opposite(g)
     flat_mult = g.mult.reshape(n * n, n)
     res: dict[str, float] = {}
 
@@ -313,16 +314,16 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     res["unit"] = max(_maxabs((g.unit @ g.mult.reshape(n, n * n)).reshape(n, n) - np.eye(n)),
                       _maxabs(g.unit @ g.mult - np.eye(n)))
 
-    coassoc_right, podles_right = _comult_certificates(g, "right")
-    coassoc_left, podles_left = _comult_certificates(g, "left")
+    coassoc_right, podles_right = _comult_certificates(g)
+    coassoc_left, podles_left = _comult_certificates(cop)
     res["coassociativity"] = max(coassoc_right, coassoc_left)
-    res["counit"] = max(_counit_residual(g, right), _counit_residual(g, left))
+    res["counit"] = max(_counit_residual(g), _counit_residual(cop))
 
     # Delta is a unital *-homomorphism.  [i, j, p, q]: coefficient of e_p (x) e_q in
     # Delta(e_i e_j) - Delta(e_i) Delta(e_j), the product summed as
     # sum_{b, c} (sum_a Delta[i, a, b] mult[a, c, p]) (sum_d Delta[j, c, d] mult[b, d, q])
     hom = (flat_mult @ g.comult.reshape(n, n * n)).reshape(n, n, n, n)
-    first = (left.reshape(n * n, n) @ g.mult.reshape(n, n * n)).reshape(n, n, n, n)      # [i, b, c, p]
+    first = (cop.comult.reshape(n * n, n) @ g.mult.reshape(n, n * n)).reshape(n, n, n, n)  # [i, b, c, p]
     second = (g.comult.reshape(n * n, n) @ g.mult.transpose(1, 0, 2).reshape(n, n * n))  # [(j, c), (b, q)]
     second = second.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n)     # [(b, c), (j, q)]
     prod = first.transpose(0, 3, 1, 2).reshape(n * n, n * n) @ second                    # [(i, p), (j, q)]
@@ -337,8 +338,8 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
 
     # antipode relation m(S (x) id)Delta = counit(.) 1 = m(id (x) S)Delta, with S applied
     # to one leg of Delta(e_i) and the legs then multiplied
-    s_left = (g.antipode.T @ right).reshape(n, n * n) @ flat_mult
-    s_right = (right @ g.antipode).reshape(n, n * n) @ flat_mult
+    s_left = (g.antipode.T @ g.comult).reshape(n, n * n) @ flat_mult
+    s_right = (g.comult @ g.antipode).reshape(n, n * n) @ flat_mult
     target = np.outer(g.counit, g.unit)
     res["antipode"] = max(_maxabs(s_left - target), _maxabs(s_right - target))
 
@@ -366,27 +367,44 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     return AxiomReport(residuals=res, tol=tol, dim=n)
 
 
-def _coaction_certificates(g: FiniteQuantumGroup, tensor, side) -> tuple[float, float]:
-    """(coaction residual, Podles witness) of a carrier-first coaction tensor, from one product.
+@lru_cache(maxsize=32)
+def _co_opposite(g: FiniteQuantumGroup) -> FiniteQuantumGroup:
+    """A^cop: the same algebra with Delta's legs swapped and S^-1 as antipode.
+
+    A left coaction of A is a right coaction of A^cop, so certificates are
+    written for the right side only.  The other structure arrays are g's own,
+    and no group data is carried, so nothing reads it as F(G^op).  A singular
+    S gets the zero matrix as stand-in: both Podles witnesses read inf.
+    Cached per algebra object.
+    """
+    try:
+        antipode = np.linalg.inv(g.antipode)
+    except np.linalg.LinAlgError:
+        antipode = np.zeros_like(g.antipode)
+    return FiniteQuantumGroup(dim=g.dim, mult=g.mult, unit=g.unit, star=g.star,
+                              comult=g.comult.transpose(0, 2, 1), counit=g.counit,
+                              antipode=antipode, rep=g.rep, haar=g.haar)
+
+
+def _coaction_certificates(g: FiniteQuantumGroup, tensor) -> tuple[float, float]:
+    """(coaction residual, Podles witness) of a carrier-first right coaction tensor, from one product.
 
     u[k, m, p, l] = sum_c tensor[k, c, l] tensor[c, m, p] is the coefficient of
-    x_m (x) e_p (x) e_l in (alpha (x) id)alpha(x_k), and on the left that of
-    e_l (x) e_p (x) x_m in (id (x) beta)beta(x_k).  The coaction residual is
-    max|u - (id (x) Delta)alpha| (left: against (Delta (x) id)beta, its last legs swapped).
+    x_m (x) e_p (x) e_l in (alpha (x) id)alpha(x_k).  The coaction residual is
+    max|u - (id (x) Delta)alpha|.
 
     Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
-    Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)); on the left Phi(a (x) x) = (a (x) 1)beta(x)
-    and Psi(a (x) x) = a S(x_(-1)) (x) x_(0).  Both are left A-module maps, so
+    Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)).  Both are left A-module maps, so
     D = Psi Phi - I has D(x (x) a) = a D(x (x) 1) and is fixed by its s columns
-    c_k = D(x_k (x) 1) = sum u[k, m, p, l] x_m (x) e_l S^-+1(e_p) - x_k (x) 1 (S^-1 on
-    the right, S on the left).  The witness is ||D||_F = sqrt(sum_k c_k* G c_k) through
-    the Gram matrix G of left multiplication, plus the terms of ``_podles_parts`` that
-    bound what the module identity misses when mult is not exactly associative and
-    unital; it bounds ||D||_2 from above.  A singular S gives inf.
+    c_k = D(x_k (x) 1) = sum u[k, m, p, l] x_m (x) e_l S^-1(e_p) - x_k (x) 1.  The
+    witness is ||D||_F = sqrt(sum_k c_k* G c_k) through the Gram matrix G of left
+    multiplication, plus the terms of ``_podles_parts`` that bound what the module
+    identity misses when mult is not exactly associative and unital; it bounds
+    ||D||_2 from above.  A singular S gives inf.
     """
     n, s = g.dim, tensor.shape[0]
     u = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s * s, n * n)
-    parts = _podles_parts(g, side)
+    parts = _podles_parts(g)
     if parts is None:
         podles = np.inf
     else:
@@ -396,29 +414,26 @@ def _coaction_certificates(g: FiniteQuantumGroup, tensor, side) -> tuple[float, 
         frobenius_sq = max(float(np.vdot(cols, cols @ gram.T).real), 0.0)
         podles = (np.sqrt(frobenius_sq) + assoc_term * float(np.linalg.norm(u))
                   + unit_term * np.sqrt(s))
-    rhs = (tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)).reshape(s, s, n, n)
-    u = u.reshape(s, s, n, n)
-    u -= rhs if side == "right" else rhs.swapaxes(2, 3)
+    u -= tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)
     return _maxabs(u), podles
 
 
 @lru_cache(maxsize=32)
-def _comult_certificates(g: FiniteQuantumGroup, side: str) -> tuple[float, float]:
-    """Delta's own (coaction residual, Podles witness) as a coaction of A on itself.
+def _comult_certificates(g: FiniteQuantumGroup) -> tuple[float, float]:
+    """Delta's own (coaction residual, Podles witness) as the right coaction of A on itself.
 
     Cached per algebra object: ``check_axioms`` and every induced coaction share it.
     """
-    return _coaction_certificates(g, g.comult if side == "right" else g.comult.transpose(0, 2, 1), side)
+    return _coaction_certificates(g, g.comult)
 
 
 class _ComultBounds(NamedTuple):
-    """Norms of Delta and of its own residuals on one side, for ``compress.induced_coaction``.
+    """Norms of Delta and of its own residuals, for ``compress.induced_coaction``.
 
     ``podles`` is (||1||_G, ||Z||_G, ||W||_G, assoc_term, unit_term) with W, G and
     the two terms of ``_podles_parts``, ||y||_G = max over unit x of ||y^T x||_G
     for a matrix y of rows, and Z[q] = sum_{p, l} Delta[q, p, l] W[(p, l)] - eps(e_q) 1,
-    the residual of b_(2) S^-1(b_(1)) = eps(b) 1 (left: b_(1) S(b_(2)) = eps(b) 1,
-    read with the legs of Delta swapped); None for a singular S.
+    the residual of b_(2) S^-1(b_(1)) = eps(b) 1; None for a singular S.
     """
 
     coassociator: float     # ||(Delta (x) id)Delta - (id (x) Delta)Delta||_F
@@ -428,17 +443,16 @@ class _ComultBounds(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _comult_bounds(g: FiniteQuantumGroup, side: str) -> _ComultBounds:
-    """Delta's bounds on one side; cached per algebra object.
+def _comult_bounds(g: FiniteQuantumGroup) -> _ComultBounds:
+    """Delta's bounds; cached per algebra object.
 
     The coassociator's Frobenius norm is charged as n^2 times the largest
     entry, from Delta's own coaction residual.
     """
     n = g.dim
-    tensor = g.comult if side == "right" else g.comult.transpose(0, 2, 1)   # compressed leg second
     reps = g.rep.reshape(n, -1)
     podles = None
-    parts = _podles_parts(g, side)
+    parts = _podles_parts(g)
     if parts is not None:
         w, gram, assoc_term, unit_term = parts
         lam, vec = np.linalg.eigh(gram)
@@ -447,30 +461,30 @@ def _comult_bounds(g: FiniteQuantumGroup, side: str) -> _ComultBounds:
         def gram_norm(y):
             return float(np.sqrt(max(np.linalg.eigvalsh(root @ (y.T @ y.conj()) @ root)[-1], 0.0)))
 
-        antipode = tensor.reshape(n, n * n) @ w - np.outer(g.counit, g.unit)
+        antipode = g.comult.reshape(n, n * n) @ w - np.outer(g.counit, g.unit)
         unit_norm = float(np.sqrt(max(np.vdot(g.unit, gram @ g.unit).real, 0.0)))
         podles = (unit_norm, gram_norm(antipode), gram_norm(w), assoc_term, unit_term)
-    return _ComultBounds(coassociator=n * n * _comult_certificates(g, side)[0],
+    return _ComultBounds(coassociator=n * n * _comult_certificates(g)[0],
                          norm=float(np.linalg.norm(g.comult.reshape(n, n * n), 2)),
                          rep_floor=float(np.linalg.eigvalsh(reps.conj() @ reps.T)[0]), podles=podles)
 
 
 @lru_cache(maxsize=32)
-def _podles_parts(g: FiniteQuantumGroup, side: str) -> tuple | None:
-    """(W, G, assoc_term, unit_term) for the Podles witness on one side; None for a singular S.
+def _podles_parts(g: FiniteQuantumGroup) -> tuple | None:
+    """(W, G, assoc_term, unit_term) for the Podles witness; None for a singular S.
 
-    W[(p, l), r] is the coefficient of e_r in e_l S^-1(e_p) (left: e_l S(e_p)), and
+    W[(p, l), r] is the coefficient of e_r in e_l S^-1(e_p), and
     G[p, q] = sum_{j, r} conj(mult[j, p, r]) mult[j, q, r] is the Hilbert-Schmidt Gram
     matrix of left multiplication.  Psi Phi - I differs from its module extension
     by the associator applied to (alpha (x) id)alpha (at most
-    ||u||_F ||S^-+1||_2 ||assoc||_F) and by e_j 1 - e_j on each of the s carrier
-    vectors (at most sqrt(s) ||e_j 1 - e_j||_F): assoc_term is ||S^-+1||_2 ||assoc||_F
+    ||u||_F ||S^-1||_2 ||assoc||_F) and by e_j 1 - e_j on each of the s carrier
+    vectors (at most sqrt(s) ||e_j 1 - e_j||_F): assoc_term is ||S^-1||_2 ||assoc||_F
     and unit_term ||e_j 1 - e_j||_F.  Both are 0 when mult is exactly associative
     and unital.  Cached per algebra object.
     """
     n = g.dim
     try:
-        antipode = np.linalg.inv(g.antipode) if side == "right" else g.antipode
+        antipode = np.linalg.inv(g.antipode)
     except np.linalg.LinAlgError:
         return None
     by_right = g.mult.transpose(1, 0, 2).reshape(n, n * n)      # [q, (l, r)] = mult[l, q, r]
@@ -491,9 +505,9 @@ def _associator_norms(g: FiniteQuantumGroup) -> tuple[float, float]:
     return _maxabs(assoc), float(np.linalg.norm(assoc))
 
 
-def _counit_residual(g: FiniteQuantumGroup, tensor) -> float:
-    """max|(id (x) eps)alpha - id| (left: (eps (x) id)beta) for a carrier-first tensor."""
-    return _maxabs(tensor @ g.counit - np.eye(tensor.shape[0]))
+def _counit_residual(g: FiniteQuantumGroup) -> float:
+    """max|(id (x) eps)Delta - id|, Delta read as the right coaction of A on itself."""
+    return _maxabs(g.comult @ g.counit - np.eye(g.dim))
 
 
 def _podles_limit(n: int, s: int) -> float:

@@ -166,6 +166,15 @@ def svd_podles_defect(g, tensor):
     return int(s * n - np.sum(sv > 1e-10 * sv[0]))
 
 
+def svd_fixed_space_dim(tensor, algebra_unit):
+    """dim {x : coaction(x) = x (x) 1} of a carrier-first tensor, by the rank of an SVD;
+    the reference for the trace form of ``InducedCoaction.fixed_space_dim``."""
+    s = tensor.shape[0]
+    system = tensor - np.einsum("km,l->kml", np.eye(s), algebra_unit)
+    sv = np.linalg.svd(system.transpose(1, 2, 0).reshape(-1, s), compute_uv=False)
+    return int(s - np.sum(sv > 1e-10 * sv[0])) if sv[0] > 1e-12 else s
+
+
 def einsum_coaction_residual(g, tensor, side):
     """The coaction-identity residual of a carrier-first tensor, by explicit einsums.
 

@@ -254,6 +254,24 @@ def test_podles_witness_bounds_a_unital_but_non_associative_mult(f_s3):
         assert got[f"podles_{side}"] >= oracles.dense_podles_frobenius(g, tensor, side)
 
 
+@pytest.mark.parametrize("name", ["F(S_3)", "C*(S_3)", "kp8", "F(S_3) bumped"])
+def test_left_residuals_are_the_right_residuals_of_the_co_opposite(name):
+    g = REFERENCE_ALGEBRAS[name.split()[0]]()
+    if name.endswith("bumped"):
+        g = _bumped(g, "comult")
+    cop = hopf._co_opposite(g)
+    assert cop is hopf._co_opposite(g)
+    assert all(getattr(cop, t) is getattr(g, t) for t in ("mult", "unit", "star", "counit", "rep", "haar"))
+    assert np.array_equal(cop.comult, g.comult.transpose(0, 2, 1))
+    assert np.allclose(cop.antipode @ g.antipode, np.eye(g.dim), atol=1e-12)
+    assert (cop.kind, cop.group_table, cop.metric, cop.length) == ("custom", None, None, None)
+    got, mirrored = hopf.check_axioms(g).residuals, hopf.check_axioms(cop).residuals
+    assert got["podles_left"] == mirrored["podles_right"]
+    assert mirrored["podles_left"] == pytest.approx(got["podles_right"], rel=1e-9, abs=1e-15)
+    for key in ("coassociativity", "counit"):          # the larger of the two sides on both
+        assert got[key] == pytest.approx(mirrored[key], rel=1e-12, abs=1e-15)
+
+
 def test_podles_parts_belong_to_the_algebra_object():
     # the first replace frees the original, whose memory the second can reuse; parts
     # cached on anything but the live object would serve the original's antipode
@@ -283,7 +301,7 @@ def test_singular_antipode_gives_an_infinite_witness(f_z4):
     antipode = np.array(f_z4.antipode)
     antipode[1] = 0.0
     report = hopf.check_axioms(dataclasses.replace(f_z4, antipode=antipode))
-    assert report.residuals["podles_right"] == np.inf
+    assert report.residuals["podles_right"] == report.residuals["podles_left"] == np.inf
     assert not report.passed
 
 

@@ -516,6 +516,7 @@ def test_cli_singular_antipode_fails_without_a_traceback(f_z4, tmp_path, capsys,
     assert "Traceback" not in captured.err
     if expected == cli.EXIT_VALIDATION:
         assert "podles_right                 inf" in captured.out
+        assert "podles_left                  inf" in captured.out
         assert "axioms FAIL" in captured.out
     else:
         assert captured.err.startswith("certification error:") and captured.err.count("\n") == 1

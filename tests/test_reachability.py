@@ -203,3 +203,16 @@ def unset_options() -> set[str]:
 
 def test_every_option_is_set_outside_the_tests():
     assert unset_options() == TEST_ONLY_OPTIONS
+
+
+def test_no_private_definition_takes_a_side():
+    # a left coaction of A is a right coaction of A^cop: private code is written for one
+    # side, and each public entry picks A or hopf._co_opposite(A) once
+    sided = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+                args = node.args
+                if "side" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                    sided.append(f"{path.stem}.{node.name}")
+    assert sided == []
