@@ -542,6 +542,15 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
     value), no further step can gain more than that gap and the best state
     found so far is returned.  Where no gap closes, the descent runs all its
     starts.  Returns (density, value).
+
+    Before the descent, when the canonical state's gap is open, the bottom
+    eigenvector of the hermitian part of tau(slicer) is tried: it is the
+    density that attains ``duality_lower_bound`` for that slicer.  If its gap
+    closes below the canonical value it is returned; otherwise the descent
+    runs as if it had not been tried.  On F(G) with a pair family every
+    state's slicer is sp(., e) (``mkdist.mk_distance``), so the distance is
+    linear in the density and this closes the gap at 2 lambda_min(K),
+    K = tau(sp(., e)), with no descent.
     """
     def closed(value, slicer) -> bool:
         return value - duality_lower_bound(ts, slicer) <= GAP_RTOL * max(1.0, value)
@@ -549,6 +558,13 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
     rng = np.random.default_rng(seed)
     best_density = canonical_symbol_state(g, ts)
     best_value, slicer = distance(best_density)
+    if not closed(best_value, slicer):
+        tau_x = ts.tau(slicer)
+        bottom = np.linalg.eigh((tau_x + tau_x.conj().T) / 2)[1][:, 0]
+        density = np.outer(bottom, bottom.conj())
+        value, bottom_slicer = distance(density)
+        if value < best_value and closed(value, bottom_slicer):
+            return density, value
     r = ts.rank
     for start in range(DESCENT_STARTS):
         if start:

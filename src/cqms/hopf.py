@@ -310,7 +310,7 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     flat_mult = g.mult.reshape(n * n, n)
     res: dict[str, float] = {}
 
-    res["associativity"] = _associator_norms(g)[0]
+    res["associativity"] = _mult_parts(_ByIdentity(g.mult))[0]
     res["unit"] = max(_maxabs((g.unit @ g.mult.reshape(n, n * n)).reshape(n, n) - np.eye(n)),
                       _maxabs(g.unit @ g.mult - np.eye(n)))
 
@@ -480,29 +480,56 @@ def _podles_parts(g: FiniteQuantumGroup) -> tuple | None:
     ||u||_F ||S^-1||_2 ||assoc||_F) and by e_j 1 - e_j on each of the s carrier
     vectors (at most sqrt(s) ||e_j 1 - e_j||_F): assoc_term is ||S^-1||_2 ||assoc||_F
     and unit_term ||e_j 1 - e_j||_F.  Both are 0 when mult is exactly associative
-    and unital.  Cached per algebra object.
+    and unital.  Cached per algebra object; G and the associator are formed once
+    per ``mult`` array (``_mult_parts``), which A and A^cop share.
     """
     n = g.dim
     try:
         antipode = np.linalg.inv(g.antipode)
     except np.linalg.LinAlgError:
         return None
+    _, assoc_frobenius, gram = _mult_parts(_ByIdentity(g.mult))
     by_right = g.mult.transpose(1, 0, 2).reshape(n, n * n)      # [q, (l, r)] = mult[l, q, r]
     w = (antipode @ by_right).reshape(n * n, n)
-    gram = by_right.conj() @ by_right.T
-    assoc_term = float(np.linalg.norm(antipode, 2)) * _associator_norms(g)[1]
+    assoc_term = float(np.linalg.norm(antipode, 2)) * assoc_frobenius
     unit_term = float(np.linalg.norm(g.unit @ g.mult - np.eye(n)))
     return w, gram, assoc_term, unit_term
 
 
+class _ByIdentity:
+    """A cache key that hashes and compares an object (such as an array) by identity.
+
+    It holds the object, so no other object can take its id while a cache keeps the key.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _ByIdentity) and other.obj is self.obj
+
+
 @lru_cache(maxsize=32)
-def _associator_norms(g: FiniteQuantumGroup) -> tuple[float, float]:
-    """(max, Frobenius) of the associator (e_i e_j) e_k - e_i (e_j e_k); cached per algebra object."""
-    n = g.dim
-    flat = g.mult.reshape(n * n, n)
-    assoc = flat @ g.mult.reshape(n, n * n)                   # [(i, j), (k, l)]
-    assoc -= np.matmul(flat, g.mult).reshape(n * n, n * n)     # [i, (j, k), l] read the same way
-    return _maxabs(assoc), float(np.linalg.norm(assoc))
+def _mult_parts(key: _ByIdentity) -> tuple[float, float, np.ndarray]:
+    """(max, Frobenius) of the associator (e_i e_j) e_k - e_i (e_j e_k), and the Gram matrix G.
+
+    G is ``_podles_parts``'s.  Both read only the multiplication tensor
+    ``key.obj``, so they are cached per array: A and A^cop (``_co_opposite``)
+    share theirs.
+    """
+    mult = key.obj
+    n = mult.shape[0]
+    flat = mult.reshape(n * n, n)
+    assoc = flat @ mult.reshape(n, n * n)                   # [(i, j), (k, l)]
+    assoc -= np.matmul(flat, mult).reshape(n * n, n * n)     # [i, (j, k), l] read the same way
+    by_right = mult.transpose(1, 0, 2).reshape(n, n * n)
+    gram = _readonly(by_right.conj() @ by_right.T)
+    return _maxabs(assoc), float(np.linalg.norm(assoc)), gram
 
 
 def _counit_residual(g: FiniteQuantumGroup) -> float:

@@ -19,12 +19,13 @@ import numpy as np
 from . import groups
 from .compress import InducedCoaction, TruncatedSystem, comultiplication_coaction
 from .errors import LengthError, MetricError, UnsupportedSeminormError
-from .hopf import FiniteQuantumGroup, _maxabs, _rank
+from .hopf import FiniteQuantumGroup, _maxabs, _rank, _readonly
 from .sampling import random_state_density
 
 W_TOL = 1e-6
 EPS = float(np.finfo(float).eps)
 RADIUS_BLOCK = 1 << 13         # complex entries per stacked eigensolve of the support values
+ORBIT_RTOL = 1e-12             # translation drift up to which a pair family counts as bi-invariant
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +135,8 @@ def lip_fourier(g: FiniteQuantumGroup) -> PolyhedralSeminorm:
 
 @lru_cache(maxsize=32)
 def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
-                  ) -> tuple[PolyhedralSeminorm, PolyhedralSeminorm]:
-    """(lp_family, radius_family): the rows each consumer needs, built once.
+                  ) -> tuple[PolyhedralSeminorm, PolyhedralSeminorm, np.ndarray | None]:
+    """(lp_family, radius_family, metric): the rows each consumer needs, built once.
 
     A pair row is a row equal to +-(e_a - e_b).  The LP family drops a pair
     row when the pair rows kept so far, taken in order of increasing weight,
@@ -149,20 +150,27 @@ def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
 
     The radius family serves induced_lip.  On F(G) with a pure pair family
     whose kept pairs and weights are invariant under left and right
-    translation it is the kept rows through the identity, one per {k, k^-1}:
-    translations act on P A P by unitaries (P projects onto Peter-Weyl
-    summands), so the slice at (a, b) is a unitary conjugate of the slice at
-    (e, a^-1 b) on the right and at (e, b a^-1) on the left, and the
-    numerical radius does not see the conjugation.  Otherwise it is the LP
-    family.  The invariance gate reads only the LP family, since the radius
-    family assumes the invariance the gate checks.  Cached per (algebra,
-    family) pair.
+    translation (``_translation_drift``) it is the kept rows through the
+    identity, one per {k, k^-1}: translations act on P A P by unitaries (P
+    projects onto Peter-Weyl summands), so the slice at (a, b) is a unitary
+    conjugate of the slice at (e, a^-1 b) on the right and at (e, b a^-1) on
+    the left, and the numerical radius does not see the conjugation.
+    Otherwise it is the LP family.  The invariance gate reads only the LP
+    family, since the radius family assumes the invariance the gate checks.
+
+    ``metric`` is the (n, n) read-only matrix of shortest kept-path weights
+    when the LP family is a pure pair family on F(G), else None.  Its unit
+    ball is then exactly the set of functions that are 1-Lipschitz for this
+    metric, which ``mkdist`` turns into closed forms.  The matrix is the one
+    the pruning builds, with the rounding bound of ``_triangle_kept``.
+    Cached per (algebra, family) pair.
     """
     ends = _pair_ends(lip.functionals)
-    keep = _triangle_kept(ends, lip.weights, g.dim)
+    keep, path = _triangle_kept(ends, lip.weights, g.dim)
     lp_family = lip if keep.all() else PolyhedralSeminorm(
         functionals=lip.functionals[keep], weights=lip.weights[keep], label=lip.label)
-    return lp_family, _orbit_family(g, lp_family, ends[keep])
+    pure = g.kind == "function" and keep.any() and np.all(ends[keep] >= 0)
+    return lp_family, _orbit_family(g, lp_family), _readonly(path) if pure else None
 
 
 def _pair_ends(functionals) -> np.ndarray:
@@ -175,10 +183,18 @@ def _pair_ends(functionals) -> np.ndarray:
     return ends
 
 
-def _triangle_kept(ends, weights, n: int) -> np.ndarray:
-    """Mask of the rows to keep: every pair row not joined by a shorter kept path."""
+def _triangle_kept(ends, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, path): the rows to keep, every pair row not joined by a shorter kept path,
+    and the shortest kept-path weight between every two points (inf if none).
+
+    Each kept row relaxes ``path`` twice, and each relaxation adds three
+    nonnegative terms, so an entry is a floating sum along a walk of kept rows
+    with at most 4 m roundings (m kept rows): it is at least (1 - u)^{4m} times
+    that walk's exact weight, and so at least that factor times the exact
+    shortest kept path (u = eps / 2).
+    """
     keep = np.ones(len(weights), dtype=bool)
-    path = np.full((n, n), np.inf)         # shortest kept path between two points
+    path = np.full((n, n), np.inf)
     np.fill_diagonal(path, 0.0)
     for i in np.argsort(weights, kind="stable"):
         a, b = ends[i]
@@ -190,20 +206,43 @@ def _triangle_kept(ends, weights, n: int) -> np.ndarray:
             continue
         np.minimum(path, path[:, [a]] + w + path[[b], :], out=path)
         np.minimum(path, path[:, [b]] + w + path[[a], :], out=path)
-    return keep
+    return keep, path
 
 
-def _orbit_family(g: FiniteQuantumGroup, lp_family: PolyhedralSeminorm, ends) -> PolyhedralSeminorm:
-    """One row per translation orbit of a bi-invariant pair family on F(G), else the family."""
+def _translation_drift(g: FiniteQuantumGroup, family: PolyhedralSeminorm) -> float:
+    """The largest relative change of a pair family's weights under translation of F(G).
+
+    On F(G), every row e_a - e_b, each translation h -> kh and h -> hk
+    permutes the pairs, and drift = max |w(ka, kb) - w(a, b)| / w(a, b) over
+    kept pairs and both sides (inf if some translate of a kept pair is not
+    kept).  Then L(T a) <= (1 + drift) L(a) for every translate T a, and a
+    slice (id (x) mu)Delta a or (mu (x) id)Delta a by a state mu is a convex
+    combination of translates, so L(slice) <= (1 + drift) L(a): Li's
+    bi-invariance up to the relative violation drift.  Exactly invariant
+    weights, such as ``groups.arc_metric`` or a word length, give 0.  inf
+    when the family is not a pure pair family on a function algebra.
+    """
+    ends = _pair_ends(family.functionals)
     if g.kind != "function" or g.group_table is None or not len(ends) or np.any(ends < 0):
-        return lp_family
+        return np.inf
     table = np.asarray(g.group_table)
-    identity, inverse = groups.validate_cayley(table)
+    groups.validate_cayley(table)
     weight = np.zeros((g.dim, g.dim))
-    weight[ends[:, 0], ends[:, 1]] = weight[ends[:, 1], ends[:, 0]] = lp_family.weights
-    for perm in np.concatenate([table, table.T]):       # h -> kh, then h -> hk
-        if np.any(np.abs(weight[np.ix_(perm, perm)] - weight) > 1e-12 * weight):
-            return lp_family
+    weight[ends[:, 0], ends[:, 1]] = weight[ends[:, 1], ends[:, 0]] = family.weights
+    drift = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for perm in np.concatenate([table, table.T]):       # h -> kh, then h -> hk
+            moved = np.abs(weight[np.ix_(perm, perm)] - weight)
+            drift = max(drift, float(np.max(np.where(moved > 0, moved / weight, 0.0))))
+    return drift
+
+
+def _orbit_family(g: FiniteQuantumGroup, lp_family: PolyhedralSeminorm) -> PolyhedralSeminorm:
+    """One row per translation orbit of a bi-invariant pair family on F(G), else the family."""
+    if _translation_drift(g, lp_family) > ORBIT_RTOL:
+        return lp_family
+    ends = _pair_ends(lp_family.functionals)
+    identity, inverse = groups.validate_cayley(np.asarray(g.group_table))
     rows, seen = [], set()
     for i in np.flatnonzero(np.any(ends == identity, axis=1)):
         k = int(ends[i].sum()) - identity

@@ -2,12 +2,22 @@
 
 d^L(mu, nu) = sup{|mu(x) - nu(x)| : L(x) <= 1} is solved over the self-adjoint
 part (enough, since L is *-invariant and mu - nu is hermitian) after fixing
-the free direction along the unit.  When the unit ball is a product of
-intervals and discs in some linear coordinates, as for the coefficient
-Lip-norm on C*(G), the supremum is a closed-form sum with a certified
-optimizer and no LP.  Otherwise real-valued family functionals give an exact
-polyhedral ball, and complex-valued ones give disc constraints handled by
-certified outer tangent cuts refined until the bracket closes.
+the free direction along the unit.  Three unit balls have closed forms with
+no LP:
+
+- a pure pair family on F(G), every row e_a - e_b: the ball is the set of
+  functions that are 1-Lipschitz for the shortest-path metric sp of the row
+  graph (``reduce_family``), so by Kantorovich duality the distance from a
+  measure mu to a point mass delta_b is sum_a |mu(a)| sp(a, b) and the
+  diameter of the state space is max sp, each with a forward roundoff charge;
+- a product of intervals and discs in some linear coordinates, as for the
+  coefficient Lip-norm on C*(G): the supremum is a closed-form sum with a
+  certified optimizer, and the box containment of the diameter takes it too.
+
+Otherwise (two general measures on F(G), ``file:`` and mixed families)
+real-valued family functionals give an exact polyhedral ball, and
+complex-valued ones give disc constraints handled by certified outer tangent
+cuts refined until the bracket closes.
 
 Every Gromov-Hausdorff type output is a labeled bound: ``truncation_bound``
 is an upper bound, sampled quantities are lower bounds.  Exact values of the
@@ -16,6 +26,7 @@ distance infima are never claimed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +36,8 @@ from .compress import TruncatedSystem, pullback_state
 from .errors import CertificationError, DegenerateKernelError
 from .hopf import (FiniteQuantumGroup, Functional, State, _maxabs, _orthonormalize, _readonly,
                    counit_state)
-from .lipnorm import EPS, LipValueBracket, PolyhedralSeminorm, check_invariance, reduce_family
+from .lipnorm import (EPS, ORBIT_RTOL, LipValueBracket, PolyhedralSeminorm, _translation_drift,
+                      check_invariance, reduce_family)
 from .sampling import basis_vector_state, random_selfadjoint, random_state
 from .simplex import LPProblem, solve_lp
 
@@ -151,28 +163,37 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
                 return_result: bool = False):
     """sup{|mu(x) - nu(x)| : L(x) <= 1} up to LP_TOL, exactly or by certified LP.
 
-    On a product ball (see ``_unit_ball``) the supremum is exact and needs no
-    LP: solve product^T y = c once, and the value is the sum of
-    |y_i| radii[i] over the intervals and |(y_j, y_j')| radii[j] over the
-    discs, attained at t = product^-1 s* for the extreme point s* that y
-    picks.  The certificate scales t into the ball of every LP row,
-    max_i |z_i . t| / w_i <= 1, and requires c . t to match the value to
-    1e-12 max(1, value); ``lp_iterations`` and ``refinement_rounds`` are 0.
-    As the simplex does, an objective with max|c| <= LP_TOL gives 0.
+    As the simplex does, an objective with max|c| <= LP_TOL gives 0, so the
+    full level of a chain reads exactly 0.  ``lp_iterations`` and
+    ``refinement_rounds`` are 0 unless the LP runs.
+
+    Point mass on F(G): when the LP family (``reduce_family``) is a pure pair
+    family on a function algebra and one argument is a point mass delta_b,
+    the value is ``_transport_to_point``'s, attained at sp(., b).
+
+    Product ball (see ``_unit_ball``): solve product^T y = c once, and the
+    value is the sum of |y_i| radii[i] over the intervals and
+    |(y_j, y_j')| radii[j] over the discs, attained at t = product^-1 s* for
+    the extreme point s* that y picks.  The certificate scales t into the
+    ball of every LP row, max_i |z_i . t| / w_i <= 1, and requires c . t to
+    match the value to 1e-12 max(1, value).
 
     Otherwise the dense LP runs over the outer polygon.  Purely polyhedral
     constraint families solve exactly (up to solver roundoff); disc
     constraints report the outer-approximation optimum, which never
     undershoots the supremum and exceeds it by at most a relative LP_TOL.
-    Either way the optimizer is rescaled until ``lip.value(element)`` is at
-    most 1 - 4 (n + 2) eps max_i (|f_i| . |element|) / w_i, a bound on the
+    Every optimizer is rescaled until ``lip.value(element)`` is at most
+    1 - 4 (n + 2) eps max_i (|f_i| . |element|) / w_i, a bound on the
     roundoff of ``lip.value``, so that L(element) <= 1 holds in exact
     arithmetic; rounding, and the LP's reduced family, can leave the raw
-    optimizer a few ulps outside.
+    optimizer a few ulps outside.  The last steps shrink the optimizer by a
+    relative 2^-50, doubling each time: a fixed ulp step can leave the
+    difference of two large, nearly equal entries (as in sp(., b)) unchanged.
     """
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
     quotient, z, weights, product, radii, cuts, bounds, owner = _unit_ball(g, lip)
+    family, _, metric = reduce_family(g, lip)
     w = mu_c - nu_c
 
     objective = np.real(quotient @ w)
@@ -180,32 +201,72 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     if herm_res > 1e-8 * max(1.0, _maxabs(w)):
         raise CertificationError(f"mu - nu is not hermitian (imaginary part {herm_res:.2e})")
 
-    if len(radii):
-        value, t = _product_support(product, radii, z, weights, objective, LP_TOL)
-        iterations = rounds = 0
+    iterations = rounds = 0
+    point = -1 if metric is None else max(_point_mass(nu_c), _point_mass(mu_c))
+    if _maxabs(objective) <= LP_TOL:
+        element = np.zeros(g.dim, dtype=complex)
+        value = 0.0
+    elif point >= 0:
+        value = _transport_to_point(metric, len(family.weights), w, point)
+        element = metric[:, point].astype(complex)
     else:
-        value, t, iterations, rounds = _refined_lp(z, weights, cuts, bounds, owner, objective,
-                                                   LP_TOL)
+        if len(radii):
+            value, t = _product_support(product, radii, z, weights, objective)
+        else:
+            value, t, iterations, rounds = _refined_lp(z, weights, cuts, bounds, owner, objective,
+                                                       LP_TOL)
+        element = quotient.T @ t
 
-    element = quotient.T @ t
     # lip.value errs by less than 1 - limit, so a value <= limit gives L(element) <= 1 exactly
     reach = np.abs(lip.functionals) @ np.abs(element) / lip.weights
     limit = 1.0 - 4 * (g.dim + 2) * EPS * float(np.max(reach, initial=0.0))
     scale = lip.value(element)
     if scale > limit:
         element = element * (limit / scale)
-        while lip.value(element) > limit:       # the product rounds; step down by ulps
-            element = element * (1.0 - 2.0 ** -50)
+        step = 2.0 ** -50
+        while lip.value(element) > limit:       # the product rounds; step down, doubling the step
+            element = element * (1.0 - step)
+            step *= 2
     if return_result:
         return MKResult(value=value, element=element, lp_iterations=iterations,
                         refinement_rounds=rounds)
     return value
 
 
-def _product_support(product, radii, z, weights, objective, lp_tol) -> tuple[float, np.ndarray]:
+def _point_mass(coeffs) -> int:
+    """b when coeffs is exactly the point mass delta_b (e_b), else -1."""
+    support = np.flatnonzero(coeffs)
+    return int(support[0]) if len(support) == 1 and coeffs[support[0]] == 1 else -1
+
+
+def _transport_to_point(metric, edges: int, w, b: int) -> float:
+    """A certified upper end of sup{|w . f| : f 1-Lipschitz for the exact metric, h(f) = 0}.
+
+    ``w`` is mu - delta_b, ``metric`` the computed shortest kept-path matrix
+    over ``edges`` pair rows, and h the invariant state.  Writing
+    f = (f - f(b)) + f(b), with |f(a) - f(b)| <= sp(a, b) and
+    |f(b)| = |f(b) - h(f)| <= max_a sp(a, b), gives
+
+        |w . f| <= sum_{a != b} |mu(a)| sp(a, b) + |sum_a w_a| max_a sp(a, b),
+
+    attained by f = sp(., b) when mu >= 0 has mass 1 (Kantorovich duality).
+    |mu| covers the tiny negative masses of a computed pullback.  Roundoff:
+    a computed entry is at least (1 - u)^{4 edges} times the exact sp
+    (``lipnorm._triangle_kept``), the n products and their sum of
+    nonnegative terms add gamma_{n+1}, and ``math.fsum`` rounds the mass
+    once; the sum is charged (n + 4 edges + 4) eps of itself, which covers
+    these with a factor above 2 (u = eps / 2).
+    """
+    column = metric[:, b]
+    mass = np.abs(w)
+    mass[b] = 0.0
+    defect = abs(math.fsum(w.real)) + abs(math.fsum(w.imag))
+    total = float(mass @ column) + defect * float(np.max(column))
+    return total * (1.0 + (len(w) + 4 * edges + 4) * EPS)
+
+
+def _product_support(product, radii, z, weights, objective) -> tuple[float, np.ndarray]:
     """(value, t): the certified supremum of objective . t over a product ball, and its optimizer."""
-    if _maxabs(objective) <= lp_tol:
-        return 0.0, np.zeros(len(objective))
     y = np.linalg.solve(product.T, objective)
     discs = len(product) - len(radii)
     reals = len(radii) - discs
@@ -261,9 +322,17 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
 
 def truncation_bound(g: FiniteQuantumGroup, ts: TruncatedSystem, lip: PolyhedralSeminorm,
                      density: np.ndarray, check_invariant: bool = True, seed: int = 0) -> float:
-    """B(Lambda, phi) = 2 d^L(tau* phi, counit), the certified truncation bound."""
+    """B(Lambda, phi) = 2 d^L(tau* phi, counit), the certified truncation bound.
+
+    The bi-invariance gate first takes the bound that the translation test
+    proves (``lipnorm._translation_drift``, 0 for exactly invariant pair
+    weights on F(G)); a family that fails that test is checked by sampling
+    (``check_invariance``).
+    """
     if check_invariant:
-        violation = check_invariance(lip, g, side="bi", samples=12, seed=seed, tol=1e-7)
+        violation = _translation_drift(g, reduce_family(g, lip)[0])
+        if violation > ORBIT_RTOL:
+            violation = check_invariance(lip, g, side="bi", samples=12, seed=seed, tol=1e-7)
         if violation > 1e-6:
             raise CertificationError(
                 f"Lip-norm is not bi-invariant (sampled violation {violation:.2e})")
@@ -276,12 +345,28 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
                      seed: int = 0) -> LipValueBracket:
     """Bracket on the diameter of the state space under d^L.
 
-    lower: max distance over sampled state pairs (coordinate vector states
-    first, then random states).  upper: twice a certified radius bound, by
-    vertex enumeration of the unit ball in low dimension and by the
-    coordinate-wise dual-norm box containment otherwise.
+    Pure pair family on F(G): point masses are the extreme states and
+    d^L(delta_a, delta_b) = sp(a, b), so the diameter is max sp.  The bracket
+    is the computed maximum scaled by 1 -+ (4 m + 8) eps, for m kept pair
+    rows: an entry of ``reduce_family``'s metric is within a factor
+    (1 +- u)^{4m} of a kept path's exact weight (``lipnorm._triangle_kept``),
+    and the kept rows' ball exceeds the full family's by at most a factor
+    1 + 4 eps.
+
+    Otherwise, lower: max distance over sampled state pairs (coordinate
+    vector states first, then random states).  upper: twice a certified
+    radius bound, by vertex enumeration of the unit ball in low dimension and
+    by the coordinate-wise dual-norm box containment otherwise, whose support
+    along each coordinate is ``_product_support``'s closed form on a product
+    ball and an LP over the outer polygon elsewhere.
     """
-    quotient, _, _, _, _, cuts, bounds, owner = _unit_ball(g, lip)
+    quotient, z, weights, product, radii, cuts, bounds, owner = _unit_ball(g, lip)
+    family, _, metric = reduce_family(g, lip)
+    if metric is not None:
+        diameter = float(np.max(metric))
+        charge = (4 * len(family.weights) + 8) * EPS
+        return LipValueBracket(lower=diameter * (1 - charge), upper=diameter * (1 + charge),
+                               method="exact/shortest-path")
     rng = np.random.default_rng(seed)
     d0 = g.rep.shape[1]
     states: list[State] = [basis_vector_state(g, i) for i in range(min(d0, samples))]
@@ -311,11 +396,13 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
         for k in range(q_dim):
             obj = np.zeros(q_dim)
             obj[k] = 1.0
-            hi = _support_lp(g, lip, obj)
-            lo = _support_lp(g, lip, -obj)
+            if len(radii):      # the product ball is symmetric: one support per coordinate
+                reach = _product_support(product, radii, z, weights, obj)[0]
+            else:
+                reach = max(_support_lp(g, lip, obj), _support_lp(g, lip, -obj))
             mat = g.rho_of(quotient[k])
             eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-            radius += max(hi, lo) * float(eigs[-1] - eigs[0]) / 2
+            radius += reach * float(eigs[-1] - eigs[0]) / 2
         upper = 2 * radius
         method = "sampled-pairs/dual-norm-box"
     upper = max(upper, lower)

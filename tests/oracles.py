@@ -280,8 +280,10 @@ def loop_mk_distance(g, lip, mu, nu, lp_tol=1e-9):
     scale = lip.value(element)
     if scale > limit:
         element = element * (limit / scale)
+        step = 2.0 ** -50
         while lip.value(element) > limit:
-            element = element * (1.0 - 2.0 ** -50)
+            element = element * (1.0 - step)
+            step *= 2
     return mkdist.MKResult(value=max(solution.value, 0.0), element=element,
                            lp_iterations=solution.iterations, refinement_rounds=rounds)
 

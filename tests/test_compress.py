@@ -621,6 +621,29 @@ def test_descent_stops_once_the_duality_gap_closes(s3c_setup):
     assert sum(calls) <= 80
 
 
+def test_bottom_eigenvector_closes_the_gap_on_a_function_algebra():
+    # on F(G) every slicer is sp(., e), so the distance is linear in the density: the bottom
+    # eigenvector of K = tau(sp(., e)) is optimal, found with at most one evaluation past the start
+    from cqms import lipnorm
+    g = hopf.function_algebra(groups.cyclic_table(12), metric=groups.arc_metric(12))
+    lip = lipnorm.lip_from_metric(g)
+    irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    sp = lipnorm.reduce_family(g, lip)[2][:, groups.validate_cayley(g.group_table)[0]]
+    for level, subset in enumerate(chains.frequency_chain(g.dim)):
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        objective = _counit_objective(g, ts, lip)
+        density, value = compress.optimized_symbol_state(g, ts, objective, seed=level)
+        assert objective.calls <= 2
+        again, slicer = objective(density)
+        assert again == value
+        assert 0.0 <= value - compress.duality_lower_bound(ts, slicer) <= 1e-12 * max(1.0, value)
+        exact = np.linalg.eigvalsh(ts.tau(sp))[0]
+        assert abs(value - max(exact, 0.0)) <= 1e-12 * max(1.0, value)
+        canonical = objective(compress.canonical_symbol_state(g, ts))[0]
+        assert value <= canonical
+
+
 def test_d4_function_algebra_pipeline():
     # bi-invariant word metric from the conjugation-closed set of reflections
     table = groups.d4_table()

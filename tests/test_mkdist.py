@@ -1,7 +1,11 @@
+import collections
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from cqms import chains, compress, corep, groups, hopf, lipnorm, mkdist
+from cqms import chains, cli, compress, corep, groups, hopf, io, lipnorm, mkdist
 from cqms.errors import CertificationError, DegenerateKernelError
 from cqms.sampling import basis_vector_state, random_density, random_matrix_state, random_state
 
@@ -51,6 +55,11 @@ def _metric_algebra(name):
     return hopf.function_algebra(groups.cyclic_table(n), metric=groups.arc_metric(n))
 
 
+def _default_chain(g, irreps):
+    return (chains.frequency_chain(g.dim) if groups.is_cyclic_canonical(g.group_table)
+            else chains.prefix_chain(len(irreps)))
+
+
 @pytest.mark.parametrize("name", ["F(Z_8)", "F(S_3)", "F(Z_24)", "F(Z_4) lopsided"])
 def test_pruned_lp_family_matches_the_full_family(name):
     # the LP runs over the triangle-pruned rows; every full-family row is a constraint of the oracle
@@ -69,10 +78,8 @@ def test_pruned_lp_family_matches_the_full_family(name):
 
     irreps = corep.default_irreps(g)
     dec = corep.pw_decompose(g, irreps)
-    chain = (chains.frequency_chain(g.dim) if groups.is_cyclic_canonical(g.group_table)
-             else chains.prefix_chain(len(irreps)))
     eps = hopf.counit_state(g)
-    for subset in chain:
+    for subset in _default_chain(g, irreps):
         ts = compress.truncate(g, irreps, subset, dec=dec)
         density = compress.canonical_symbol_state(g, ts)
         bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=False)
@@ -259,9 +266,9 @@ def test_product_ball_certificate_rejects_a_wrong_ball(s3c_setup):
     quotient, z, weights, product, radii = mkdist._unit_ball(g, lip)[:5]
     mu, nu = random_state(g, np.random.default_rng(44)), hopf.counit_state(g)
     objective = np.real(quotient @ (mu.coeffs - nu.coeffs))
-    assert mkdist._product_support(product, radii, z, weights, objective, mkdist.LP_TOL)[0] > 0
+    assert mkdist._product_support(product, radii, z, weights, objective)[0] > 0
     with pytest.raises(CertificationError, match="product-ball certificate"):
-        mkdist._product_support(product, radii * (1 + 1e-9), z, weights, objective, mkdist.LP_TOL)
+        mkdist._product_support(product, radii * (1 + 1e-9), z, weights, objective)
 
 
 def test_product_ball_keeps_the_zero_objective_rule(s3c_setup, monkeypatch):
@@ -341,12 +348,213 @@ def test_diameter_bracket_point_masses_realize(f_z4):
     assert bracket.upper >= bracket.lower - 1e-12
 
 
-def test_diameter_bracket_box_fallback(z8_setup):
-    g, _, _, lip = z8_setup
-    bracket = mkdist.diameter_bracket(g, lip, samples=10, seed=10)
+def _loose_metric_family(g):
+    """The arc-metric rows plus |x_0 + x_1 - x_2 - x_3| <= 100: neither a pure pair family nor
+    a product ball.  The extra row never binds a 1-Lipschitz function, so the diameter is pi."""
+    lip = lipnorm.lip_from_metric(g)
+    extra = np.zeros((1, g.dim), dtype=complex)
+    extra[0, :4] = [1.0, 1.0, -1.0, -1.0]
+    family = lipnorm.PolyhedralSeminorm(functionals=np.vstack([lip.functionals, extra]),
+                                        weights=np.append(lip.weights, 100.0))
+    assert lipnorm.reduce_family(g, family)[2] is None
+    assert len(mkdist._unit_ball(g, family)[4]) == 0
+    return family
+
+
+def _counting_lps(monkeypatch) -> list:
+    solve, calls = mkdist.solve_lp, []
+    monkeypatch.setattr(mkdist, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+def test_diameter_bracket_box_fallback(z8_setup, monkeypatch):
+    g = z8_setup[0]
+    family = _loose_metric_family(g)
+    calls = _counting_lps(monkeypatch)
+    bracket = mkdist.diameter_bracket(g, family, samples=10, seed=10)
     assert bracket.lower <= bracket.upper
     assert bracket.lower == pytest.approx(np.pi, abs=1e-8)
-    assert "box" in bracket.method or "vertex" in bracket.method
+    assert bracket.method == "sampled-pairs/dual-norm-box"
+    assert len(calls) == 45 + 2 * 7          # the 45 sampled pairs and two LPs per coordinate
+
+
+def test_diameter_bracket_vertex_fallback(f_z4, monkeypatch):
+    # three quotient dimensions and no disc: the vertices of the ball give the exact radius
+    family = _loose_metric_family(f_z4)
+    calls = _counting_lps(monkeypatch)
+    bracket = mkdist.diameter_bracket(f_z4, family, samples=6, seed=11)
+    assert bracket.method == "sampled-pairs/vertex-enumeration"
+    assert bracket.lower == pytest.approx(np.pi, abs=1e-8)
+    assert bracket.upper == pytest.approx(np.pi, abs=1e-8)
+    assert len(calls) == 15                  # the sampled pairs only
+
+
+# -- closed forms on F(G) -------------------------------------------------------
+
+def _no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP ran")
+    monkeypatch.setattr(mkdist, "solve_lp", refuse)
+
+
+@pytest.mark.parametrize("name", ["F(Z_8)", "F(Z_24)", "F(S_3)"])
+def test_distance_to_a_point_mass_is_the_transport_cost(name, monkeypatch):
+    g = _metric_algebra(name)
+    lip = lipnorm.lip_from_metric(g)
+    _no_lp(monkeypatch)
+    rng = np.random.default_rng(50)
+    for _ in range(8):
+        mu, point = random_state(g, rng), basis_vector_state(g, int(rng.integers(g.dim)))
+        oracle = oracles.transport_distance(mu.coeffs.real, point.coeffs.real, g.metric)
+        for pair in ((mu, point), (point, mu)):
+            result = mkdist.mk_distance(g, lip, *pair, return_result=True)
+            assert abs(result.value - oracle) <= 1e-12 * oracle
+            assert (result.lp_iterations, result.refinement_rounds) == (0, 0)
+            # the optimizer is sp(., b), scaled into the unit ball, and attains the value
+            assert oracles.exact_in_unit_ball(lip, result.element)
+            attained = abs(np.dot(pair[0].coeffs - pair[1].coeffs, result.element))
+            assert abs(attained - result.value) <= 1e-12 * result.value
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_closed_form_matches_the_lp_on_the_canonical_chain(n):
+    g = _metric_algebra(f"F(Z_{n})")
+    lip = lipnorm.lip_from_metric(g)
+    irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    eps = hopf.counit_state(g)
+    quotient, z, weights, _, _, cuts, bounds, owner = mkdist._unit_ball(g, lip)
+    for subset in chains.frequency_chain(n):
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        pulled = compress.pullback_state(ts, compress.canonical_symbol_state(g, ts))
+        result = mkdist.mk_distance(g, lip, pulled, eps, return_result=True)
+        assert result.lp_iterations == 0
+        if len(subset) == n:        # the full level reads exactly 0
+            assert result.value == 0.0 and not np.any(result.element)
+            continue
+        objective = np.real(quotient @ (pulled.coeffs - eps.coeffs))
+        lp_value = mkdist._refined_lp(z, weights, cuts, bounds, owner, objective, mkdist.LP_TOL)[0]
+        assert lp_value <= result.value <= lp_value * (1 + 1e-12)
+
+
+def _exact_shortest_paths(family, n):
+    """Floyd-Warshall over the pair rows of a family, in fractions."""
+    path = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for (a, b), w in zip(lipnorm._pair_ends(family.functionals), family.weights):
+        path[a][b] = path[b][a] = min(p for p in (path[a][b], Fraction(float(w))) if p is not None)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if path[i][k] is not None and path[k][j] is not None:
+                    via = path[i][k] + path[k][j]
+                    if path[i][j] is None or via < path[i][j]:
+                        path[i][j] = via
+    return path
+
+
+def test_point_mass_distance_is_never_below_its_exact_value():
+    # the exact value over the kept rows' ball is at most
+    # sum_{a != b} |w_a| sp(a, b) + |sum_a w_a| max_a sp(a, b), with w = mu - delta_b;
+    # the certified value is at least that, and without its roundoff charge it is not
+    uncharged_below = 0
+    for name in ("F(Z_8)", "F(Z_24)", "F(S_3)"):
+        g = _metric_algebra(name)
+        lip = lipnorm.lip_from_metric(g)
+        family, _, metric = lipnorm.reduce_family(g, lip)
+        exact = _exact_shortest_paths(family, g.dim)
+        irreps = corep.default_irreps(g)
+        dec = corep.pw_decompose(g, irreps)
+        rng = np.random.default_rng(51)
+        measures = [random_state(g, rng).coeffs.real for _ in range(4)]
+        for subset in _default_chain(g, irreps):
+            ts = compress.truncate(g, irreps, subset, dec=dec)
+            density = random_density(ts.rank, rng, 2)
+            measures.append(compress.pullback_state(ts, density).coeffs.real)
+        for mu in measures:
+            for b in range(g.dim):
+                w = mu - np.eye(g.dim)[b]
+                value = mkdist.mk_distance(g, lip, mu, np.eye(g.dim)[b])
+                reach = max(exact[a][b] for a in range(g.dim))
+                bound = (sum(abs(Fraction(w[a])) * exact[a][b] for a in range(g.dim) if a != b)
+                         + abs(sum(Fraction(x) for x in w)) * reach)
+                assert Fraction(value) >= bound
+                mass = np.abs(w)
+                mass[b] = 0.0
+                uncharged = float(mass @ metric[:, b]) + abs(math.fsum(w)) * np.max(metric[:, b])
+                uncharged_below += Fraction(uncharged) < bound
+    assert uncharged_below > 0
+
+
+@pytest.mark.parametrize("n", [7, 8, 24])
+def test_exact_diameter_on_cyclic_groups(n, monkeypatch):
+    g = _metric_algebra(f"F(Z_{n})")
+    _no_lp(monkeypatch)
+    bracket = mkdist.diameter_bracket(g, lipnorm.lip_from_metric(g))
+    exact = Fraction(2 * (n // 2), n) * Fraction(np.pi)       # max arc distance, pi for even n
+    assert bracket.method == "exact/shortest-path"
+    assert Fraction(bracket.lower) <= exact <= Fraction(bracket.upper)
+    assert bracket.upper - bracket.lower <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 - 1e-11, 1 - 1e-13])
+def test_perturbed_pair_weight_keeps_the_sampled_invariance_check(scale, z8_setup, monkeypatch):
+    # one weight of the F(Z_8) metric scaled: the kept rows stay the nearest neighbours, but
+    # translation moves the short pair, so only a drift within ORBIT_RTOL skips the sampling
+    g, irreps, dec, lip = z8_setup
+    weights = np.array(lip.weights)
+    weights[0] *= scale                                # the pair (0, 1)
+    family = lipnorm.PolyhedralSeminorm(functionals=lip.functionals, weights=weights)
+    lp_family = lipnorm.reduce_family(g, family)[0]
+    drift = lipnorm._translation_drift(g, lp_family)
+    assert len(lp_family.weights) == 8 and drift == pytest.approx((1 - scale) / scale, rel=1e-2)
+    sampled = []
+    check = mkdist.check_invariance
+    monkeypatch.setattr(mkdist, "check_invariance",
+                        lambda *a, **k: sampled.append(1) or check(*a, **k))
+    ts = compress.truncate(g, irreps, (0, 1, 7), dec=dec)
+    density = compress.canonical_symbol_state(g, ts)
+    if scale < 1 - 1e-6:
+        with pytest.raises(CertificationError, match="not bi-invariant"):
+            mkdist.truncation_bound(g, ts, family, density)
+    else:
+        assert mkdist.truncation_bound(g, ts, family, density) > 0
+    assert len(sampled) == (drift > lipnorm.ORBIT_RTOL)
+
+
+def test_pair_families_and_product_balls_run_no_lp(tmp_path, monkeypatch):
+    counts = collections.Counter()
+
+    def counting(name, func):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mkdist, "solve_lp", counting("lp", mkdist.solve_lp))
+    monkeypatch.setattr(lipnorm, "max_numerical_radius",
+                        counting("radius", lipnorm.max_numerical_radius))
+    z8, s3 = str(tmp_path / "z8.json"), str(tmp_path / "s3.json")
+    io.dump_group_file(z8, groups.cyclic_table(8), metric=groups.arc_metric(8))
+    table = groups.s3_table()
+    io.dump_group_file(s3, table, length=groups.symmetric_word_length(table, groups.s3_word_generators()))
+    out = str(tmp_path / "out.csv")
+    for argv in (["--input", z8], ["--input", s3], ["--input", s3, "--state", "optimized"]):
+        assert cli.main(["sweep", *argv, "--samples", "5", "--output", out]) == 0
+    assert counts["lp"] == 0
+
+    # the certified chain of F(Z_24), the bi-invariance gate at level 0: no LP and no radius
+    counts.clear()
+    g = _metric_algebra("F(Z_24)")
+    lip = lipnorm.lip_from_metric(g)
+    irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    bounds = []
+    for level, subset in enumerate(chains.frequency_chain(24)):
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        density = compress.canonical_symbol_state(g, ts)
+        bounds.append(mkdist.truncation_bound(g, ts, lip, density, check_invariant=level == 0))
+    assert bounds[0] == pytest.approx(np.pi, rel=1e-12) and bounds[-1] == 0.0
+    assert counts == {}
 
 
 # -- matrix states ------------------------------------------------------------
