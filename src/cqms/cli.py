@@ -314,20 +314,16 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
 
     rng = np.random.default_rng(seed)
     sym = compress.symbol_map(ts, alpha, density)
-    # draw the whole row first (only random_element draws), then stack its norms and radii
-    k = config.samples
-    elements = np.array([sampling.random_element(g, rng) for _ in range(k)]).reshape(k, g.dim)
-    taus = np.array([ts.tau(a) for a in elements]).reshape(k, ts.rank, ts.rank)
-    coords = np.array([ts.expand(x) for x in taus]).reshape(k, ts.dim_sys)
-    images = np.array([sym(c) for c in coords]).reshape(k, g.dim)
+    elements = sampling.random_elements(g, rng, config.samples)
+    taus = ts.tau(elements)
+    coords = ts.expand(taus)
+    images = sym(coords)
     lhs1 = np.linalg.norm(np.einsum("ki,ipq->kpq", images - elements, g.rep), 2, axis=(1, 2))
-    lhs2 = np.linalg.norm(np.array([ts.tau(b) for b in images]).reshape(taus.shape) - taus,
-                          2, axis=(1, 2))
-    values = np.array([lip.value(a) for a in elements])
+    lhs2 = np.linalg.norm(ts.tau(images) - taus, 2, axis=(1, 2))
     # the radii only enter multiplied by bound, which is 0 at the full level
-    radii = lipnorm.induced_lip_many(lip, beta, coords, tol=1e-7) if bound else np.zeros(k)
-    c1 = max(np.max(lhs1 - bound * values, initial=-np.inf),
-             np.max(lhs2 - bound * radii, initial=-np.inf))
+    excess = (lipnorm.induced_lip_excess(lip, beta, coords, lhs2, bound, tol=1e-7) if bound
+              else np.max(lhs2))
+    c1 = max(np.max(lhs1 - bound * lip.value(elements)), excess)
 
     smoothed = [sym(ts.expand(ts.tau(e))) for e in np.eye(g.dim, dtype=complex)]
     n1 = _hausdorff_lower(g, lip, smoothed, order=1, rng=rng, probes=3, samples=40)

@@ -60,16 +60,24 @@ class TruncatedSystem:
         return self.sys_basis.shape[0]
 
     def tau(self, a) -> np.ndarray:
-        """Compression tau(a) = P pi(a) P as an r x r matrix on H_Lambda."""
-        return (self.tau_matrix @ np.asarray(a, dtype=complex)).reshape(self.rank, self.rank)
+        """Compression tau(a) = P pi(a) P as an r x r matrix on H_Lambda.
+
+        A (k, n) stack of elements gives the (k, r, r) stack, by one product.
+        """
+        a = np.asarray(a, dtype=complex)
+        return (self.tau_matrix @ a.T).T.reshape(a.shape[:-1] + (self.rank, self.rank))
 
     def lift(self, x) -> np.ndarray:
         return self.lift_matrix @ np.asarray(x, dtype=complex).reshape(-1)
 
     def expand(self, x) -> np.ndarray:
-        """Coordinates of x in the system basis (valid for x in tau(A))."""
-        flat = np.asarray(x, dtype=complex).reshape(-1)
-        return self.sys_basis.reshape(self.dim_sys, -1).conj() @ flat
+        """Coordinates of x in the system basis (valid for x in tau(A)).
+
+        A (k, r, r) stack gives the (k, s) coordinate rows, by one product.
+        """
+        x = np.asarray(x, dtype=complex)
+        flat = x.reshape(x.shape[:-2] + (-1,))
+        return (self.sys_basis.reshape(self.dim_sys, -1).conj() @ flat.T).T
 
     def combine(self, coords) -> np.ndarray:
         return np.einsum("k,kab->ab", np.asarray(coords, dtype=complex), self.sys_basis)
@@ -417,7 +425,8 @@ class SymbolMap:
     matrix: np.ndarray           # (n, s)
 
     def __call__(self, coords) -> np.ndarray:
-        return self.matrix @ np.asarray(coords, dtype=complex)
+        """sigma of a coordinate vector, or the (k, n) images of (k, s) coordinate rows."""
+        return (self.matrix @ np.asarray(coords, dtype=complex).T).T
 
 
 def state_values_on_basis(ts: TruncatedSystem, density: np.ndarray) -> np.ndarray:
@@ -458,8 +467,8 @@ def symbol_map(ts: TruncatedSystem, alpha: InducedCoaction, density: np.ndarray)
 def pullback_state(ts: TruncatedSystem, density: np.ndarray) -> State:
     """tau^* phi as a certified state on A."""
     density = certify_system_state(ts, density)
-    coeffs = np.array([np.trace(density @ ts.tau(e)) for e in np.eye(ts.g.dim, dtype=complex)])
-    return certify_state(ts.g, coeffs)
+    # tr(rho tau(e_i)) = sum_ab rho_ab tau(e_i)_ba = (T^t vec(rho^t))_i, T the tau matrix
+    return certify_state(ts.g, ts.tau_matrix.T @ density.T.reshape(-1))
 
 
 def liftable_states(ts: TruncatedSystem, samples: int, seed: int):

@@ -52,9 +52,10 @@ class PolyhedralSeminorm:
         object.__setattr__(self, "functionals", f)
         object.__setattr__(self, "weights", w)
 
-    def value(self, a) -> float:
-        vals = np.abs(self.functionals @ np.asarray(a, dtype=complex)) / self.weights
-        return float(np.max(vals)) if len(vals) else 0.0
+    def value(self, a):
+        """L(a), or the (k,) values of a (k, n) stack of elements."""
+        a = np.asarray(a, dtype=complex)
+        return np.max(np.abs(self.functionals @ a.T).T / self.weights, axis=-1, initial=0.0)
 
     def kernel_rank_defect(self, n: int | None = None) -> int:
         """0 iff ker L = C 1 (given that every functional kills the unit)."""
@@ -267,7 +268,8 @@ def numerical_radius(m: np.ndarray, tol: float = W_TOL) -> float:
     return max_numerical_radius(np.asarray(m, dtype=complex)[None, :, :], tol=tol)
 
 
-def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL, group_ids=None):
+def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL, group_ids=None,
+                         offsets=None, scale: float = 0.0):
     """max_i w(stack[i]) / weights[i] within tol.
 
     Refinement prunes every matrix whose certified upper bound already falls
@@ -275,22 +277,41 @@ def max_numerical_radius(stack: np.ndarray, weights=None, tol: float = W_TOL, gr
     With ``group_ids`` (one index in 0..k-1 per matrix, every index used) the
     maximum is taken per group and returned as a (k,) array; a group prunes
     only its own matrices, so each value is the one its own call returns.
+    With ``group_ids`` and ``offsets`` (one per group) it returns the float
+    max_k (offsets[k] - scale * value_k), scale >= 0, and resolves only the
+    groups that can attain it (``_radius_brackets``): the value is the max of
+    offsets - scale * (midpoint of each group's bracket), within scale * tol / 2
+    of the true maximum and within scale * tol of the one from the (k,) values.
     """
     stack = np.asarray(stack, dtype=complex)
     if group_ids is None and stack.shape[0] == 0:
         return 0.0
     weights = np.ones(stack.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    lower, upper = _radius_brackets(stack, tol * weights, weights, group_ids)
+    if offsets is not None:
+        offsets = np.asarray(offsets, dtype=float)
+    lower, upper = _radius_brackets(stack, tol * weights, weights, group_ids, offsets, scale)
     if group_ids is None:
         return float((np.max(lower / weights) + np.max(upper / weights)) / 2)
+    values = _group_mid(lower / weights, upper / weights, group_ids)
+    if offsets is None:
+        return values
+    return float(np.max(offsets - scale * values, initial=-np.inf))
+
+
+def _group_max(values, group_ids, count: int) -> np.ndarray:
+    """The largest value of each group 0..count-1 (-inf for a group with no member)."""
+    best = np.full(count, -np.inf)
+    np.maximum.at(best, group_ids, values)
+    return best
+
+
+def _group_mid(lower, upper, group_ids) -> np.ndarray:
+    """The midpoint of each group's bracket [max lower, max upper]."""
     count = int(np.max(group_ids, initial=-1)) + 1
-    best_lower, best_upper = np.full(count, -np.inf), np.full(count, -np.inf)
-    np.maximum.at(best_lower, group_ids, lower / weights)
-    np.maximum.at(best_upper, group_ids, upper / weights)
-    return (best_lower + best_upper) / 2
+    return (_group_max(lower, group_ids, count) + _group_max(upper, group_ids, count)) / 2
 
 
-def _radius_brackets(stack, tols, prune_weights, group_ids=None):
+def _radius_brackets(stack, tols, prune_weights, group_ids=None, offsets=None, scale=0.0):
     """Per-matrix brackets [lower, upper] with upper - lower <= tols[i].
 
     Every matrix starts from Kittaneh's bracket (Studia Math. 158 (2003)
@@ -299,17 +320,29 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     its roundoff, so square-zero matrices settle without an eigensolve.  A
     matrix whose spectral radius is within tol of its norm also takes rho(M)
     as lower end, from rho(M) <= w(M) <= ||M||.  Every other matrix is
-    refined over arcs of rotation angles, starting from 8 arcs: ``_arc_caps``
-    caps the support function on an arc, and a refined arc is split at the
-    peak of its dominating sinusoid, kept within the middle three quarters
-    of the arc.  lower is the largest of ||M||/2, rho(M) and the support
-    values; upper is the largest arc cap clipped at ceiling, including arcs
-    dropped unrefined, and never below lower.  A matrix that provably cannot
-    attain the max of w_i / prune_weights_i over its group (``group_ids``,
-    default one group) stops refining early, with a valid but wider bracket;
-    a matrix alone in its group refines until its own bracket closes.
-    Refinement state lives in parallel per-arc arrays, so each wave is one
-    pass over the whole stack.
+    refined over arcs of rotation angles.  The first wave has the 4 arcs
+    between 0, pi/2, pi and 3 pi/2; every matrix still live after it takes
+    the 4 odd multiples of pi/4, which gives 8 arcs of width pi/4.  Support
+    values come in antipodal pairs, f(theta) and f(theta + pi) from one
+    eigensolve (``_support_values_batch``), so that grid costs 4.  After it
+    ``_arc_caps`` caps the support function on an arc, and a refined arc is
+    split at the peak of its dominating sinusoid, kept within the middle
+    three quarters of the arc.  lower is the largest of ||M||/2, rho(M) and
+    the support values; upper is the largest arc cap clipped at ceiling,
+    including arcs dropped unrefined, and never below lower.
+
+    Pruning stops a matrix early, with a valid but wider bracket.  Within a
+    group (``group_ids``, default one group) a matrix stops once it provably
+    cannot attain the max of v_i = w_i / prune_weights_i over its group; a
+    matrix alone in its group refines until its own bracket closes.  With
+    ``offsets`` (one per group) the brackets serve max_k (offsets[k] -
+    scale V_k), V_k the max of v_i over group k, scale >= 0: from Kittaneh's
+    bracket on, and after every wave, group k stops once offsets[k] - scale
+    (max lower v over k) falls below max_j (offsets[j] - scale (max upper v
+    over j)), since it cannot attain that maximum (``_outranked``).  The
+    group that attains it is never stopped this way, so its bracket closes
+    as without offsets.  Refinement state lives in parallel per-arc arrays,
+    so each wave is one pass over the whole stack.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or (stack.shape[0] and stack.shape[1] != stack.shape[2]):
@@ -319,6 +352,7 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     group_ids = np.zeros(count, dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
     if not stack.size:
         return np.zeros(count), np.zeros(count)
+    groups_count = int(group_ids.max()) + 1
     nrm = np.linalg.norm(stack, 2, axis=(1, 2))
     frob = np.linalg.norm(stack, axis=(1, 2))
     # ||fl(M M) - M M||_F <= d eps ||M||_F^2 bounds the roundoff of the square
@@ -330,33 +364,42 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     near = (nrm <= tols) | (drift <= 1e-13 * nrm ** 2)     # candidates for rho(M) ~ ||M||
     lower[near] = np.maximum(lower[near], np.max(np.abs(np.linalg.eigvals(stack[near])), axis=1))
     active = upper - lower > tols
+    if offsets is not None:
+        active &= ~_outranked(lower, upper, prune_weights, group_ids, offsets, scale)
 
     grid = np.linspace(0.0, 2 * np.pi, 9)
     todo = np.flatnonzero(active)
-    vals = _support_values_batch(stack, np.repeat(todo, 8),
-                                 np.tile(grid[:-1], len(todo))).reshape(len(todo), 8)
+    vals = _grid_values(stack, todo, grid[[0, 2]])       # f at 0, pi/2, pi, 3 pi/2
     lower[todo] = np.maximum(lower[todo], np.max(vals, axis=1))
-    owner = np.repeat(todo, 8)
-    lo, hi = np.tile(grid[:-1], len(todo)), np.tile(grid[1:], len(todo))
+    owner = np.repeat(todo, 4)
+    lo, hi = np.tile(grid[:-1:2], len(todo)), np.tile(grid[2::2], len(todo))
     flo, fhi = vals.ravel(), np.roll(vals, -1, axis=1).ravel()      # f(2 pi) = f(0)
     dropped = np.full(count, -np.inf)      # bounds of arcs left unrefined
+    coarse = True                          # the arcs are the pi/2 grid
     while active.any():
         caps, peaks = _arc_caps(lo, hi, flo, fhi)
         caps = np.minimum(caps, ceiling[owner])
-        cap = np.full(count, -np.inf)
-        np.maximum.at(cap, owner, caps)
+        cap = _group_max(caps, owner, count)
         upper[active] = cap[active]
-        best = np.full(group_ids.max() + 1, -np.inf)
-        np.maximum.at(best, group_ids, lower / prune_weights)
+        best = _group_max(lower / prune_weights, group_ids, groups_count)
         done = (cap - lower <= tols) | (cap / prune_weights <= best[group_ids])
+        if offsets is not None:
+            done |= _outranked(lower, np.maximum(upper, dropped), prune_weights, group_ids,
+                               offsets, scale)
         active &= ~done
         live = active[owner]
-        split = live & (caps > lower[owner] + tols[owner] / 2)
-        np.maximum.at(dropped, owner[live & ~split], caps[live & ~split])
+        if coarse:              # a live matrix splits all 4 arcs at the odd multiples of pi/4
+            split, coarse = live, False
+            mats = owner[split][::4]
+            cut = np.tile(grid[1::2], len(mats))
+            fcut = _grid_values(stack, mats, grid[[1, 3]]).ravel()
+        else:
+            split = live & (caps > lower[owner] + tols[owner] / 2)
+            np.maximum.at(dropped, owner[live & ~split], caps[live & ~split])
+            margin = (hi[split] - lo[split]) / 8
+            cut = np.clip(peaks[split], lo[split] + margin, hi[split] - margin)
+            fcut = _support_values_batch(stack, owner[split], cut)[:, 0]
         owner, lo, hi, flo, fhi = owner[split], lo[split], hi[split], flo[split], fhi[split]
-        margin = (hi - lo) / 8
-        cut = np.clip(peaks[split], lo + margin, hi - margin)
-        fcut = _support_values_batch(stack, owner, cut)
         np.maximum.at(lower, owner, fcut)
         owner = np.concatenate([owner, owner])
         lo, hi = np.concatenate([lo, cut]), np.concatenate([cut, hi])
@@ -364,21 +407,40 @@ def _radius_brackets(stack, tols, prune_weights, group_ids=None):
     return lower, np.maximum(np.maximum(upper, dropped), lower)
 
 
-def _support_values_batch(stack, owners, thetas) -> np.ndarray:
-    """f(theta) = lambda_max(Re(e^{i theta} M_owner)) for paired (owner, theta).
+def _outranked(lower, upper, prune_weights, group_ids, offsets, scale) -> np.ndarray:
+    """Per matrix: whether its group k provably cannot attain max_k (offsets[k] - scale V_k),
+    V_k the max of w_i / prune_weights_i over group k, from brackets [lower, upper] on each w_i."""
+    count = len(offsets)
+    reach = offsets - scale * _group_max(lower / prune_weights, group_ids, count)
+    floor = np.max(offsets - scale * _group_max(upper / prune_weights, group_ids, count))
+    return (reach < floor)[group_ids]
 
-    Evaluated in blocks of RADIUS_BLOCK matrix entries, so the temporaries
-    stay small however many arcs a wave refines.
+
+def _grid_values(stack, mats, thetas) -> np.ndarray:
+    """(len(mats), 2 len(thetas)): f at thetas, then at thetas + pi, for each listed matrix."""
+    k, t = len(mats), len(thetas)
+    pairs = _support_values_batch(stack, np.repeat(mats, t), np.tile(thetas, k))
+    return pairs.reshape(k, t, 2).transpose(0, 2, 1).reshape(k, 2 * t)
+
+
+def _support_values_batch(stack, owners, thetas) -> np.ndarray:
+    """(f(theta), f(theta + pi)) for paired (owner, theta), as a (len, 2) array.
+
+    f(theta) = lambda_max(Re(e^{i theta} M_owner)).  Re(e^{i (theta + pi)} M)
+    = -Re(e^{i theta} M), so f(theta + pi) = -lambda_min, from the same
+    eigensolve.  Evaluated in blocks of RADIUS_BLOCK matrix entries, so the
+    temporaries stay small however many arcs a wave refines.
     """
     owners = np.asarray(owners, dtype=int)
     phases = np.exp(1j * np.asarray(thetas, dtype=float))
-    out = np.empty(len(owners))
+    out = np.empty((len(owners), 2))
     step = max(1, RADIUS_BLOCK // max(1, stack.shape[-1] ** 2))
     for start in range(0, len(owners), step):
         part = slice(start, start + step)
         rotated = phases[part, None, None] * stack[owners[part]]
         hs = 0.5 * (rotated + np.conj(np.transpose(rotated, (0, 2, 1))))
-        out[part] = np.linalg.eigvalsh(hs)[:, -1]
+        eigs = np.linalg.eigvalsh(hs)
+        out[part, 0], out[part, 1] = eigs[:, -1], -eigs[:, 0]
     return out
 
 
@@ -425,6 +487,26 @@ def induced_lip_many(lip: PolyhedralSeminorm, coaction: InducedCoaction, rows,
     ``max_numerical_radius`` call with one group per row, so each value is
     the one ``induced_lip`` returns for that row.
     """
+    mats, weights, group_ids = _row_slices(lip, coaction, rows)
+    return max_numerical_radius(mats, weights, tol, group_ids=group_ids)
+
+
+def induced_lip_excess(lip: PolyhedralSeminorm, coaction: InducedCoaction, rows, offsets,
+                       scale: float, tol: float = W_TOL) -> float:
+    """max_k (offsets[k] - scale * induced_lip(rows[k])), within scale * tol; scale >= 0.
+
+    All slices go to one ``max_numerical_radius`` call with one group per
+    row and these offsets, so a row stops refining once it provably cannot
+    attain the maximum.  The row that attains it is resolved to tol, so the
+    value is within scale * tol of the one ``induced_lip_many`` gives.
+    """
+    mats, weights, group_ids = _row_slices(lip, coaction, rows)
+    return max_numerical_radius(mats, weights, tol, group_ids, offsets, scale)
+
+
+def _row_slices(lip: PolyhedralSeminorm, coaction: InducedCoaction, rows):
+    """(matrices, weights, group_ids): the radius-family slices of each coordinate row,
+    realized as matrices, with one group per row."""
     if not isinstance(lip, PolyhedralSeminorm):
         raise UnsupportedSeminormError("induced Lip-norms need a polyhedral seminorm")
     rows = np.asarray(rows, dtype=complex)
@@ -434,8 +516,7 @@ def induced_lip_many(lip: PolyhedralSeminorm, coaction: InducedCoaction, rows,
     m = len(family.weights)
     sliced = coaction.slice_states(rows, family.functionals)       # (k, m, s)
     mats = coaction.realize(sliced.reshape(-1, coaction.carrier_dim))
-    return max_numerical_radius(mats, np.tile(family.weights, len(rows)), tol,
-                                group_ids=np.repeat(np.arange(len(rows)), m))
+    return mats, np.tile(family.weights, len(rows)), np.repeat(np.arange(len(rows)), m)
 
 
 def induced_lip_bi(lip: PolyhedralSeminorm, alpha: InducedCoaction, beta: InducedCoaction,

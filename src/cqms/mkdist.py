@@ -38,7 +38,7 @@ from .hopf import (FiniteQuantumGroup, Functional, State, _maxabs, _orthonormali
                    counit_state)
 from .lipnorm import (EPS, ORBIT_RTOL, LipValueBracket, PolyhedralSeminorm, _translation_drift,
                       check_invariance, reduce_family)
-from .sampling import basis_vector_state, random_selfadjoint, random_state
+from .sampling import basis_vector_state, random_elements, random_state
 from .simplex import LPProblem, solve_lp
 
 LP_TOL = 1e-9
@@ -449,8 +449,9 @@ def matrix_mk_lower_bound(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, order:
         raise ValueError("matrix order must be at least 1")
     gap_blocks = np.asarray(mu_blocks, dtype=complex) - np.asarray(nu_blocks, dtype=complex)
     rng = np.random.default_rng(seed)
-    xs = np.array([random_selfadjoint(g, rng) for _ in range(samples)]).reshape(-1, g.dim)
-    lx = np.max(np.abs(xs @ lip.functionals.T) / lip.weights, axis=1, initial=0.0)
+    draws = random_elements(g, rng, samples)
+    xs = (draws + draws.conj() @ g.star) / 2          # the self-adjoint parts, a* = star^t conj(a)
+    lx = lip.value(xs)
     keep = lx >= 1e-12
     gaps = np.einsum("si,iab->sab", xs[keep], gap_blocks)
     return float(np.max(np.linalg.norm(gaps, 2, axis=(1, 2)) / lx[keep], initial=0.0))

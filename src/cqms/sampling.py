@@ -11,13 +11,14 @@ import numpy as np
 from .hopf import FiniteQuantumGroup, State, certify_state
 
 
-def random_element(g: FiniteQuantumGroup, rng: np.random.Generator) -> np.ndarray:
-    return rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
+def random_elements(g: FiniteQuantumGroup, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, n) elements with standard normal real and imaginary coefficients.
 
-
-def random_selfadjoint(g: FiniteQuantumGroup, rng: np.random.Generator) -> np.ndarray:
-    a = random_element(g, rng)
-    return (a + g.star_of(a)) / 2
+    One (count, 2, n) draw consumes the generator exactly as count pairs of
+    size-n draws would (real parts, then imaginary parts, element by element).
+    """
+    parts = rng.normal(size=(count, 2, g.dim))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -100,7 +100,8 @@ def toeplitz_compression(f, n, window):
 def loop_radius_brackets(stack, tols, prune_weights):
     """The numerical-radius arc refinement with per-matrix Python arc lists.
 
-    Same Kittaneh bracket, 8-arc start, waves, support values, arc caps,
+    Same Kittaneh bracket, staged grid (the pi/2 arcs, then their midpoints
+    for every matrix still live), antipodal support pairs, waves, arc caps,
     peak splits and decisions as ``lipnorm._radius_brackets``, one matrix and
     one arc at a time, so the batched bookkeeping must agree with it bit for
     bit.
@@ -124,9 +125,11 @@ def loop_radius_brackets(stack, tols, prune_weights):
             lower[b] = max(lower[b], np.max(np.abs(np.linalg.eigvals(m))))    # rho(M) <= w(M)
         if upper[b] - lower[b] <= tols[b]:
             continue
-        v = _support_values_batch(stack, [b] * 8, grid[:-1])
-        arcs[b] = [(grid[i], grid[i + 1], v[i], v[(i + 1) % 8]) for i in range(8)]
+        (f0, f180), (f90, f270) = _support_values_batch(stack, [b, b], grid[[0, 2]])
+        v = [f0, f90, f180, f270]           # f(theta + pi) from the eigensolve at theta
+        arcs[b] = [(grid[2 * i], grid[2 * i + 2], v[i], v[(i + 1) % 4]) for i in range(4)]
         lower[b] = max(lower[b], max(v))
+    coarse = True
     while arcs:
         best = None if prune_weights is None else max(lower / prune_weights)
         requests = []
@@ -139,15 +142,21 @@ def loop_radius_brackets(stack, tols, prune_weights):
                 continue
             if best is not None and upper[b] / prune_weights[b] <= best:
                 continue
+            if coarse:       # the odd multiples of pi/4 split all 4 arcs
+                (f45, f225), (f135, f315) = _support_values_batch(stack, [b, b], grid[[1, 3]])
+                for arc, cut, fcut in zip(arc_list, grid[1::2], (f45, f135, f225, f315)):
+                    requests.append((b, arc, cut, fcut))
+                continue
             for arc, cap, peak in zip(arc_list, caps, peaks):
                 if cap > lower[b] + tols[b] / 2:
-                    requests.append((b, arc, peak))
+                    lo, hi = arc[:2]
+                    margin = (hi - lo) / 8
+                    cut = min(max(peak, lo + margin), hi - margin)
+                    requests.append((b, arc, cut, _support_values_batch(stack, [b], [cut])[0, 0]))
                 else:
                     dropped[b] = max(dropped[b], cap)
-        for b, (lo, hi, flo, fhi), peak in requests:
-            margin = (hi - lo) / 8
-            cut = min(max(peak, lo + margin), hi - margin)
-            fcut = _support_values_batch(stack, [b], [cut])[0]
+        coarse = False
+        for b, (lo, hi, flo, fhi), cut, fcut in requests:
             arcs.setdefault(b, []).extend([(lo, cut, flo, fcut), (cut, hi, fcut, fhi)])
             lower[b] = max(lower[b], fcut)
     return lower, np.maximum(np.maximum(upper, dropped), lower)

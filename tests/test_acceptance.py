@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cqms import chains, compress, corep, groups, hopf, lipnorm, mkdist
-from cqms.sampling import random_element, random_state
+from cqms.sampling import random_elements, random_state
 
 import oracles
 
@@ -115,11 +115,11 @@ def test_criterion_04_morphism_contractivity(z8_bundle, s3c_bundle):
         density = compress.canonical_symbol_state(g, ts)
         sym = compress.symbol_map(ts, alpha, density)
         for _ in range(100):
-            a = random_element(g, rng)
+            a = random_elements(g, rng, 1)[0]
             worst_tau = max(worst_tau,
                             lipnorm.induced_lip(lip, alpha, ts.tau(a), tol=1e-8)
                             - lip.value(a))
-            x = ts.tau(random_element(g, rng))
+            x = ts.tau(random_elements(g, rng, 1)[0])
             worst_sigma = max(worst_sigma,
                               lip.value(sym(ts.expand(x)))
                               - lipnorm.induced_lip(lip, alpha, x, tol=1e-8))
@@ -136,7 +136,7 @@ def test_criterion_05_slice_map_estimate(z8_bundle, s3c_bundle):
         ts = compress.truncate(g, irreps, lam, dec=dec)
         alpha = compress.induced_coaction(g, ts, "right")
         for _ in range(count):
-            x = ts.tau(random_element(g, rng))
+            x = ts.tau(random_elements(g, rng, 1)[0])
             mu = random_state(g, rng)
             nu = random_state(g, rng)
             coords = ts.expand(x)
@@ -169,7 +169,7 @@ def test_criterion_06_prop_c1_inequalities(s3c_bundle):
             sym = compress.symbol_map(ts, alpha, density)
             bound = mkdist.truncation_bound(g, ts, lip, density, check_invariant=False)
             for _ in range(100):
-                a = random_element(g, rng)
+                a = random_elements(g, rng, 1)[0]
                 lhs1 = float(np.linalg.norm(g.rho_of(sym(ts.expand(ts.tau(a))) - a), 2))
                 worst = max(worst, lhs1 - bound * lip.value(a))
                 x = ts.tau(a)
@@ -222,7 +222,7 @@ def test_criterion_08_group_case_sandwich(z8_bundle):
         alpha = compress.induced_coaction(g, ts, "right")
         beta = compress.induced_coaction(g, ts, "left")
         for _ in range(count):
-            x = ts.tau(random_element(g, rng))
+            x = ts.tau(random_elements(g, rng, 1)[0])
             value = lipnorm.induced_lip_bi(lip, alpha, beta, x, tol=1e-7)
             _, _, both = lipnorm.group_case_seminorms(g, ts, x)
             worst_low = max(worst_low, 0.5 * both - value)

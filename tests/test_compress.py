@@ -8,7 +8,7 @@ import pytest
 
 from cqms import chains, compress, corep, groups, hopf, mkdist
 from cqms.errors import InternalInconsistencyError, StateCertificationError
-from cqms.sampling import random_density, random_element
+from cqms.sampling import random_density, random_elements
 
 import oracles
 from kp8_example import build_kp8
@@ -25,7 +25,7 @@ def test_full_truncation_is_isomorphic(z8_setup):
     assert ts.dim_sys == 8
     assert len(ts.kernel) == 0
     rng = np.random.default_rng(0)
-    a = random_element(g, rng)
+    a = random_elements(g, rng, 1)[0]
     assert np.allclose(ts.lift(ts.tau(a)), a, atol=1e-10)
 
 
@@ -43,7 +43,7 @@ def test_trivial_truncation_is_haar(f_z4):
     irreps = corep.default_irreps(f_z4)
     ts = compress.truncate(f_z4, irreps, (0,))
     rng = np.random.default_rng(2)
-    a = random_element(f_z4, rng)
+    a = random_elements(f_z4, rng, 1)[0]
     assert np.allclose(ts.tau(a), np.dot(f_z4.haar, a), atol=1e-12)
     assert ts.dim_sys == 1
 
@@ -61,7 +61,7 @@ def test_full_coaction_is_comultiplication(f_z4, f_s3, side):
         irreps = corep.default_irreps(g)
         ts = compress.truncate(g, irreps, range(len(irreps)))
         co = compress.induced_coaction(g, ts, side)
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         sliced = co.apply(ts.expand(ts.tau(a)))
         delta = g.coproduct(a)
         legs = [delta[:, l] if side == "right" else delta[l, :] for l in range(g.dim)]
@@ -371,7 +371,7 @@ def test_symbol_map_identity_at_full(f_z4):
     density = compress.canonical_symbol_state(f_z4, ts)
     sym = compress.symbol_map(ts, alpha, density)
     rng = np.random.default_rng(5)
-    a = random_element(f_z4, rng)
+    a = random_elements(f_z4, rng, 1)[0]
     assert np.allclose(sym(ts.expand(ts.tau(a))), a, atol=1e-10)
 
 
@@ -422,7 +422,7 @@ def test_down_up_and_up_down_identities(z8_mid):
     sym = compress.symbol_map(ts, alpha, density)
     pulled = compress.pullback_state(ts, density)
     for _ in range(5):
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         down_up = sym(ts.expand(ts.tau(a)))
         direct = oracles.slice_map("left", pulled, g.coproduct(a))
         assert np.allclose(down_up, direct, atol=1e-10)
@@ -453,7 +453,7 @@ def test_conditional_expectation_truncated(f_z4):
     # faithfulness on the positive cone: h_X(tau(a* a)) > 0 for a != 0
     rng = np.random.default_rng(10)
     for _ in range(10):
-        a = random_element(f_z4, rng)
+        a = random_elements(f_z4, rng, 1)[0]
         x = ts.tau(f_z4.product(a, f_z4.star_of(a)))
         val = np.dot(invariant, ts.expand(x)).real
         assert val > 1e-10
@@ -541,7 +541,7 @@ def test_positivity_of_tau_and_symbol(z8_mid):
     v /= np.linalg.norm(v)
     sym = compress.symbol_map(ts, alpha, np.outer(v, v.conj()))
     for _ in range(10):
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         pos = g.product(a, g.star_of(a))
         tau_pos = ts.tau(pos)
         assert np.linalg.eigvalsh((tau_pos + tau_pos.conj().T) / 2)[0] > -1e-10
@@ -661,7 +661,7 @@ def test_d4_function_algebra_pipeline():
     lip = lipnorm.lip_from_metric(g)
     rng = np.random.default_rng(23)
     for _ in range(5):
-        x = ts.tau(random_element(g, rng))
+        x = ts.tau(random_elements(g, rng, 1)[0])
         value = lipnorm.induced_lip_bi(lip, alpha, beta, x, tol=1e-7)
         _, _, both = lipnorm.group_case_seminorms(g, ts, x)
         assert 0.5 * both - 1e-5 <= value <= both + 1e-5

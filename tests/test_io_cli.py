@@ -251,26 +251,30 @@ def test_full_level_row_skips_the_c1_radii(z8_file, monkeypatch):
                              explicit_vector=None, seed=3, samples=8)
     dec = corep.pw_decompose(g, irreps, tol=1e-10)
     diam = SimpleNamespace(lower=0.0, upper=1.0)
-    original, calls = lipnorm.induced_lip_many, []
-    monkeypatch.setattr(lipnorm, "induced_lip_many",
-                        lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    brackets, calls = lipnorm._radius_brackets, []
+    monkeypatch.setattr(lipnorm, "_radius_brackets",
+                        lambda *args, **kw: calls.append(1) or brackets(*args, **kw))
     assert cli._bound_row(config, 0, dec, diam)["bound_B"] > 0 and len(calls) == 1
     row = cli._bound_row(config, 1, dec, diam)
     assert row["bound_B"] == 0.0 and len(calls) == 1
-    # the formula with the radii, on the row's own samples (seed 3 + 1)
+    # the batched formula with the radius term, on the row's own samples (seed 3 + 1)
     ts = compress.truncate(g, irreps, range(8), dec=dec)
     alpha, beta = compress.induced_coaction(g, ts, "right"), compress.induced_coaction(g, ts, "left")
     sym = compress.symbol_map(ts, alpha, compress.canonical_symbol_state(g, ts))
-    rng = np.random.default_rng(4)
-    elements = np.array([sampling.random_element(g, rng) for _ in range(8)])
-    taus = np.array([ts.tau(a) for a in elements])
-    coords = np.array([ts.expand(x) for x in taus])
-    images = np.array([sym(c) for c in coords])
+    elements = sampling.random_elements(g, np.random.default_rng(4), 8)
+    taus = ts.tau(elements)
+    coords = ts.expand(taus)
+    images = sym(coords)
     lhs1 = np.linalg.norm(np.einsum("ki,ipq->kpq", images - elements, g.rep), 2, axis=(1, 2))
-    lhs2 = np.linalg.norm(np.array([ts.tau(b) for b in images]) - taus, 2, axis=(1, 2))
-    values = np.array([lip.value(a) for a in elements])
-    radii = original(lip, beta, coords, tol=1e-7)
-    assert row["c1_max_residual"] == max(np.max(lhs1 - 0.0 * values), np.max(lhs2 - 0.0 * radii))
+    lhs2 = np.linalg.norm(ts.tau(images) - taus, 2, axis=(1, 2))
+    excess = lipnorm.induced_lip_excess(lip, beta, coords, lhs2, 0.0, tol=1e-7)
+    assert excess == np.max(lhs2)
+    assert row["c1_max_residual"] == max(np.max(lhs1 - 0.0 * lip.value(elements)), excess)
+    # the stacks are the per-sample maps, stacked
+    for a, x, c, b in zip(elements, taus, coords, images):
+        np.testing.assert_allclose(x, ts.tau(a), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(c, ts.expand(ts.tau(a)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b, sym(ts.expand(ts.tau(a))), rtol=0, atol=1e-14)
 
 
 def _strip_runtime(text):
@@ -521,3 +525,33 @@ def test_cli_singular_antipode_fails_without_a_traceback(f_z4, tmp_path, capsys,
     else:
         assert captured.err.startswith("certification error:") and captured.err.count("\n") == 1
         assert "Podles inf" in captured.err
+
+
+def test_sweep_resolves_few_c1_samples(z8_file, tmp_path, monkeypatch):
+    # each Hermitian eigensolve counted once, stacked or not; 9,364 before the c1 samples
+    # were pruned across the row and the arc grid was staged
+    original, solves = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kw):
+        a = np.asarray(a)
+        solves.append(int(np.prod(a.shape[:-2], dtype=int)))
+        return original(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--input", z8_file, "--seed", "1", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 6
+    assert 0 < sum(solves) <= 2000
+
+
+def test_batched_draws_consume_the_generator_like_single_draws(z8_file):
+    # one (k, 2, n) draw gives the same elements, and leaves the generator in the same state,
+    # as k pairs of size-n draws; the sweep rows' later draws depend on it
+    from cqms import sampling
+
+    g = io.load_input(z8_file).algebra
+    batched, single = np.random.default_rng(5), np.random.default_rng(5)
+    elements = sampling.random_elements(g, batched, 7)
+    for a in elements:
+        assert np.array_equal(a, single.normal(size=8) + 1j * single.normal(size=8))
+    assert batched.normal() == single.normal()

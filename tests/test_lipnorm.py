@@ -3,7 +3,7 @@ import pytest
 
 from cqms import compress, corep, groups, hopf, lipnorm
 from cqms.errors import LengthError, UnsupportedSeminormError
-from cqms.sampling import random_density, random_element
+from cqms.sampling import random_density, random_elements
 
 import oracles
 
@@ -216,7 +216,7 @@ def test_selfadjoint_state_sup_equals_norm(f_s3):
     # for hermitian elements the sampled state supremum approaches the norm
     rng = np.random.default_rng(5)
     for _ in range(5):
-        a = random_element(f_s3, rng)
+        a = random_elements(f_s3, rng, 1)[0]
         x = (a + f_s3.star_of(a)) / 2
         mat = f_s3.rho_of(x)
         w = lipnorm.numerical_radius(mat, tol=1e-9)
@@ -238,7 +238,7 @@ def test_induced_lip_full_equals_original(z8_setup):
     beta = compress.induced_coaction(g, ts, "left")
     rng = np.random.default_rng(6)
     for _ in range(10):
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         value = lipnorm.induced_lip_bi(lip, alpha, beta, ts.tau(a), tol=1e-8)
         assert value == pytest.approx(lip.value(a), abs=1e-6)
 
@@ -248,7 +248,7 @@ def test_induced_lip_dominates_sampled_states(z8_mid):
     rng = np.random.default_rng(7)
     densities = [random_density(ts.rank, rng) for _ in range(60)]
     for _ in range(8):
-        x = ts.tau(random_element(g, rng))
+        x = ts.tau(random_elements(g, rng, 1)[0])
         exact = lipnorm.induced_lip(lip, alpha, x, tol=1e-7)
         lower = oracles.sampled_state_lower_bound(lip, alpha, x, densities)
         assert lower <= exact + 2e-7
@@ -277,7 +277,7 @@ def test_upgrade_of_invariant_is_identity(z8_setup):
     upgrade = lipnorm.invariant_upgrade(lip, g, "bi", tol=1e-8)
     rng = np.random.default_rng(12)
     for _ in range(10):
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         assert upgrade(a) == pytest.approx(lip.value(a), abs=1e-6)
     assert upgrade(g.unit) < 1e-8
 
@@ -291,7 +291,7 @@ def test_upgrade_is_right_invariant(f_z4):
     upgraded = lipnorm.invariant_upgrade(lip, f_z4, "right", tol=1e-8)
     rng = np.random.default_rng(13)
     for _ in range(20):
-        a = random_element(f_z4, rng)
+        a = random_elements(f_z4, rng, 1)[0]
         base = upgraded(a)
         density = random_density(4, rng)
         mu = np.einsum("ab,iba->i", density, f_z4.rep)
@@ -313,7 +313,7 @@ def test_counit_slice_contributes_zero(z8_setup):
     g, _, _, lip = z8_setup
     rng = np.random.default_rng(16)
     for _ in range(5):
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         sliced = g.coproduct(a) @ g.counit
         assert lip.value(sliced) == pytest.approx(lip.value(a), abs=1e-12)
 
@@ -361,7 +361,7 @@ def test_sandwich_on_z8_and_s3(z8_setup, f_s3):
         alpha = compress.induced_coaction(g, ts, "right")
         beta = compress.induced_coaction(g, ts, "left")
         for _ in range(10):
-            x = ts.tau(random_element(g, rng))
+            x = ts.tau(random_elements(g, rng, 1)[0])
             value = lipnorm.induced_lip_bi(lip, alpha, beta, x, tol=1e-7)
             _, _, both = lipnorm.group_case_seminorms(g, ts, x)
             assert 0.5 * both - 1e-5 <= value <= both + 1e-5
@@ -373,10 +373,10 @@ def test_compression_and_symbol_contractivity(z8_mid):
     density = compress.canonical_symbol_state(g, ts)
     sym = compress.symbol_map(ts, alpha, density)
     for _ in range(10):
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         tau_a = ts.tau(a)
         assert lipnorm.induced_lip(lip, alpha, tau_a, tol=1e-7) <= lip.value(a) + 1e-6
-        x = ts.tau(random_element(g, rng))
+        x = ts.tau(random_elements(g, rng, 1)[0])
         assert lip.value(sym(ts.expand(x))) <= lipnorm.induced_lip(lip, alpha, x, tol=1e-7) + 1e-6
 
 
@@ -386,7 +386,7 @@ def test_induced_lip_two_sided_against_state_oracle(z8_mid):
     g, lip, ts, alpha, _ = z8_mid
     rng = np.random.default_rng(20)
     for _ in range(4):
-        x = ts.tau(random_element(g, rng))
+        x = ts.tau(random_elements(g, rng, 1)[0])
         coords = ts.expand(x)
         sliced = alpha.slice_states(coords, lip.functionals)
         mats = np.array([ts.combine(row) for row in sliced])
@@ -410,7 +410,7 @@ def test_induced_on_comultiplication_matches_upgrade(z8_setup, s3c_setup, f_s3):
             upgrade = lipnorm.invariant_upgrade(lip, g, side, tol=1e-8)
             co = compress.comultiplication_coaction(g, view)
             for _ in range(5):
-                a = random_element(g, rng)
+                a = random_elements(g, rng, 1)[0]
                 delta = g.coproduct(a)
                 sliced = lip.functionals @ (delta if side == "right" else delta.T)
                 mats = np.einsum("il,lpq->ipq", sliced, g.rep)
@@ -488,7 +488,7 @@ def test_orbit_radius_family_matches_the_full_family(name, subsets):
         coactions += [compress.induced_coaction(g, ts, side) for side in ("right", "left")]
     for co in coactions:
         for _ in range(3):
-            a = random_element(g, rng)
+            a = random_elements(g, rng, 1)[0]
             x = a if co.system is None else co.system.tau(a)
             coords = x if co.system is None else co.system.expand(x)
             full = oracles.full_family_induced_lip(lip, co, coords, tol)
@@ -504,7 +504,7 @@ def test_induced_lip_many_matches_single_calls(setup, request):
         ts = compress.truncate(g, irreps, (0, 1), dec=dec)
         beta = compress.induced_coaction(g, ts, "left")
     rng = np.random.default_rng(24)
-    rows = np.array([ts.expand(ts.tau(random_element(g, rng))) for _ in range(12)])
+    rows = ts.expand(ts.tau(random_elements(g, rng, 12)))
     rows[3] = 0.0
     many = lipnorm.induced_lip_many(lip, beta, rows, tol=1e-7)
     single = np.array([lipnorm.induced_lip(lip, beta, row, tol=1e-7) for row in rows])
@@ -529,3 +529,75 @@ def test_radius_brackets_prune_per_group():
     maxima = lipnorm.max_numerical_radius(stack, weights, 1e-7, group_ids=group_ids)
     assert maxima.tolist() == [lipnorm.max_numerical_radius(stack[:6], weights[:6], 1e-7),
                                lipnorm.max_numerical_radius(stack[6:], weights[6:], 1e-7)]
+
+
+def _group_brackets(lower, upper, weights, group_ids, count):
+    best_lower, best_upper = np.full(count, -np.inf), np.full(count, -np.inf)
+    np.maximum.at(best_lower, group_ids, lower / weights)
+    np.maximum.at(best_upper, group_ids, upper / weights)
+    return best_lower, best_upper
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_outranked_groups_keep_the_objective(monkeypatch, ties):
+    # max_k (offsets_k - B V_k) over groups of m > 1 matrices: pruned across groups and not
+    rng = np.random.default_rng(40 + ties)
+    tol, scale, groups_count, m, d = 1e-7, 0.7, 40, 3, 4
+    shape = (groups_count * m, d, d)
+    for _ in range(5):
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        weights = rng.uniform(0.5, 2.0, size=len(stack))
+        group_ids = np.repeat(np.arange(groups_count), m)
+        values = lipnorm.max_numerical_radius(stack, weights, tol, group_ids=group_ids)
+        offsets = rng.uniform(0.0, 1.0, size=groups_count)
+        if ties:     # a third of the groups tie closer than B tol, the rest fall short
+            offsets = scale * values + np.where(np.arange(groups_count) % 3 == 0,
+                                                rng.uniform(0, scale * tol / 4, size=groups_count),
+                                                -rng.uniform(0.01, 0.5, size=groups_count))
+        unpruned = np.max(offsets - scale * values)
+        calls = _counting_support(monkeypatch)
+        lower, upper = lipnorm._radius_brackets(stack, tol * weights, weights, group_ids,
+                                                offsets, scale)
+        monkeypatch.undo()
+        low, up = _group_brackets(lower, upper, weights, group_ids, groups_count)
+        terms = offsets - scale * (low + up) / 2
+        assert abs(np.max(terms) - unpruned) <= scale * tol
+        # the group brackets stay valid: low <= V <= up, and V is within tol / 2 of values
+        assert np.all(low <= up) and np.all(low <= values + tol) and np.all(up >= values - tol)
+        resolved = up - low <= tol * (1 + 1e-9)
+        assert resolved[np.argmax(terms)]
+        # a group left unresolved provably falls below some other group's term
+        assert np.all(offsets[~resolved] - scale * low[~resolved]
+                      < np.max(offsets - scale * up))
+        if not ties:
+            assert resolved.sum() < groups_count / 4
+            assert sum(calls) < 4 * len(stack)
+
+
+@pytest.mark.parametrize("setup", ["z8_mid", "s3c_setup"])
+def test_induced_lip_excess_matches_the_resolved_rows(setup, request):
+    if setup == "z8_mid":
+        g, lip, ts, _, beta = request.getfixturevalue(setup)
+    else:   # the 5-row Fourier family: several matrices per row
+        g, irreps, dec, lip = request.getfixturevalue(setup)
+        ts = compress.truncate(g, irreps, (0, 1), dec=dec)
+        beta = compress.induced_coaction(g, ts, "left")
+    rng = np.random.default_rng(41)
+    rows = ts.expand(ts.tau(random_elements(g, rng, 60)))
+    tol = 1e-7
+    many = lipnorm.induced_lip_many(lip, beta, rows, tol=tol)
+    for scale in (0.0, 0.3, 2.0):
+        offsets = rng.uniform(0.0, 1.0, size=len(rows))
+        excess = lipnorm.induced_lip_excess(lip, beta, rows, offsets, scale, tol=tol)
+        assert abs(excess - np.max(offsets - scale * many)) <= scale * tol
+    assert lipnorm.induced_lip_excess(lip, beta, rows[:0], np.zeros(0), 1.0, tol=tol) == -np.inf
+
+
+def test_grid_pairs_are_the_antipodal_support_values():
+    rng = np.random.default_rng(42)
+    stack = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    thetas = rng.uniform(0, 2 * np.pi, size=3)
+    pairs = lipnorm._support_values_batch(stack, np.arange(3), thetas)
+    for m, theta, (f, antipode) in zip(stack, thetas, pairs):
+        assert f == _support(m, [theta])[0]
+        assert antipode == pytest.approx(_support(m, [theta + np.pi])[0], abs=1e-13)

@@ -568,14 +568,15 @@ def test_matrix_lower_bound_zero_for_equal(z8_setup):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_matrix_lower_bound_matches_the_per_sample_loop(z8_setup, s3c_setup, order):
-    from cqms.sampling import random_selfadjoint
+    from cqms.sampling import random_elements
     for g, lip in (z8_setup[0], z8_setup[3]), (s3c_setup[0], s3c_setup[3]):
         rng = np.random.default_rng(17 + order)
         mu, nu = random_matrix_state(g, order, rng), random_matrix_state(g, order, rng)
         lower = mkdist.matrix_mk_lower_bound(g, lip, order, mu, nu, samples=40, seed=18)
         sample_rng, best = np.random.default_rng(18), 0.0
         for _ in range(40):          # the same draws, one SVD and one L(x) at a time
-            x = random_selfadjoint(g, sample_rng)
+            a = random_elements(g, sample_rng, 1)[0]
+            x = (a + g.star_of(a)) / 2
             gap = np.einsum("i,iab->ab", x, mu - nu)
             best = max(best, float(np.linalg.norm(gap, 2)) / lip.value(x))
         assert lower > 0 and abs(lower - best) <= 1e-12 * best

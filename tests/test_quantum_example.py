@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cqms import chains, compress, corep, hopf
-from cqms.sampling import random_element
+from cqms.sampling import random_elements
 
 import oracles
 from kp8_example import build_kp8
@@ -103,7 +103,7 @@ def test_symbol_identities(kp8):
     rng = np.random.default_rng(4)
     assert np.allclose(sym(ts.expand(np.eye(ts.rank))), g.unit, atol=1e-10)
     for _ in range(5):
-        a = random_element(g, rng)
+        a = random_elements(g, rng, 1)[0]
         down_up = sym(ts.expand(ts.tau(a)))
         direct = oracles.slice_map("left", pulled, g.coproduct(a))
         assert np.allclose(down_up, direct, atol=1e-10)
