@@ -318,14 +318,14 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
     taus = ts.tau(elements)
     coords = ts.expand(taus)
     images = sym(coords)
-    lhs1 = np.linalg.norm(np.einsum("ki,ipq->kpq", images - elements, g.rep), 2, axis=(1, 2))
-    lhs2 = np.linalg.norm(ts.tau(images) - taus, 2, axis=(1, 2))
+    lhs1 = hopf.element_norms(g, images - elements)
+    lhs2 = hopf.spectral_norms(ts.tau(images) - taus)
     # the radii only enter multiplied by bound, which is 0 at the full level
     excess = (lipnorm.induced_lip_excess(lip, beta, coords, lhs2, bound, tol=1e-7) if bound
               else np.max(lhs2))
     c1 = max(np.max(lhs1 - bound * lip.value(elements)), excess)
 
-    smoothed = [sym(ts.expand(ts.tau(e))) for e in np.eye(g.dim, dtype=complex)]
+    smoothed = sym(ts.expand(ts.tau(np.eye(g.dim, dtype=complex))))
     n1 = _hausdorff_lower(g, lip, smoothed, order=1, rng=rng, probes=3, samples=40)
     n2 = _hausdorff_lower(g, lip, smoothed, order=2, rng=rng, probes=3, samples=40)
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -342,12 +342,13 @@ def _hausdorff_lower(g, lip, smoothed, order, rng, probes, samples) -> float:
 
     For sampled matrix states on A, pair each with its liftable image through
     the symbol map and report the largest certified pairwise lower bound.
-    ``smoothed[i]`` is the symbol-map image of the i-th basis element of A.
+    Row i of the (n, n) array ``smoothed`` is the symbol-map image of the
+    i-th basis element of A.
     """
     worst = 0.0
     for _ in range(probes):
         blocks = sampling.random_matrix_state(g, order, rng)
-        composed = np.stack([np.einsum("i,iab->ab", s, blocks) for s in smoothed])
+        composed = (smoothed @ blocks.reshape(g.dim, -1)).reshape(blocks.shape)
         val = mkdist.matrix_mk_lower_bound(g, lip, order, blocks, composed,
                                            samples=samples, seed=int(rng.integers(2 ** 31)))
         worst = max(worst, val)

@@ -98,9 +98,7 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
     frame = dec.frame(subset)
     n = g.dim
     r = frame.shape[1]
-    tau_matrix = np.zeros((r * r, n), dtype=complex)
-    for i in range(n):
-        tau_matrix[:, i] = (frame.conj().T @ dec.gns.rep[i] @ frame).reshape(-1)
+    tau_matrix = np.ascontiguousarray((frame.conj().T @ dec.gns.rep @ frame).reshape(n, r * r).T)
     # the kernel needs all n rows of vh, which the reduced SVD has only when r*r >= n
     u, sv, vh = np.linalg.svd(tau_matrix, full_matrices=r * r < n)
     cutoff = RANK_RTOL * (sv[0] if len(sv) else 1.0)
@@ -112,7 +110,8 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
                          tau_matrix=tau_matrix, sys_basis=sys_basis,
                          lift_matrix=lift_matrix, kernel=kernel)
     unit_res = _maxabs(ts.tau(g.unit) - np.eye(r))
-    lift_res = max((_maxabs(ts.tau(ts.lift(m)) - m) for m in sys_basis), default=0.0)
+    basis = sys_basis.reshape(s, r * r)
+    lift_res = _maxabs(tau_matrix @ (lift_matrix @ basis.T) - basis.T)
     if unit_res > 1e-9 or lift_res > 1e-9:
         raise InternalInconsistencyError(
             f"truncation certificates failed (unit {unit_res:.2e}, lift {lift_res:.2e})")

@@ -592,6 +592,69 @@ def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
+def spectral_norms(stack) -> np.ndarray:
+    """||M_k||_2 for a (k, d, d) stack, from the top eigenvalue of the Gram matrix H = M^* M.
+
+    Each matrix is first divided by a power of two near its largest entry
+    modulus, which is exact and keeps H clear of overflow and underflow (a
+    zero matrix gives 0).  d = 1 gives |m|; d = 2 takes the closed form
+    (h11 + h22)/2 + hypot((h11 - h22)/2, |h12|), a sum of nonnegative terms;
+    larger d takes eigvalsh.  The rounding is O(d eps) relative, as an SVD's.
+    """
+    stack = np.asarray(stack)
+    d = stack.shape[-1]
+    if d == 1 or not stack.size:
+        return np.abs(stack).max(axis=(1, 2), initial=0.0)
+    _, exponent = np.frexp(np.abs(stack).max(axis=(1, 2)))
+    scale = np.ldexp(1.0, exponent)
+    m = stack / scale[:, None, None]
+    if d == 2:
+        col = (m.real ** 2 + m.imag ** 2).sum(axis=1)
+        h12 = np.abs((m[:, :, 0].conj() * m[:, :, 1]).sum(axis=1))
+        top = (col[:, 0] + col[:, 1]) / 2 + np.hypot((col[:, 0] - col[:, 1]) / 2, h12)
+    else:
+        top = np.linalg.eigvalsh(m.conj().transpose(0, 2, 1) @ m)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0)) * scale
+
+
+@lru_cache(maxsize=32)
+def _rep_blocks(g: FiniteQuantumGroup) -> tuple:
+    """rho's diagonal blocks, one read-only (count, b) index array per block size b.
+
+    The blocks are the connected components of the exact nonzero pattern of
+    sum_i |rho(e_i)|, so rho(y) is their direct sum for every y.  Cached per
+    algebra object.
+    """
+    d = g.rep.shape[1]
+    pattern = np.any(g.rep != 0, axis=0)
+    reach = pattern | pattern.T | np.eye(d, dtype=bool)
+    while True:                      # transitive closure by repeated squaring
+        step = (reach.astype(np.int64) @ reach) > 0
+        if np.array_equal(step, reach):
+            break
+        reach = step
+    comps = {}
+    for first in np.flatnonzero(reach.argmax(axis=1) == np.arange(d)):    # each component's least index
+        comp = np.flatnonzero(reach[first])
+        comps.setdefault(len(comp), []).append(comp)
+    return tuple(_readonly(np.array(members)) for _, members in sorted(comps.items()))
+
+
+def element_norms(g: FiniteQuantumGroup, coeffs) -> np.ndarray:
+    """||rho(y_k)|| for a (k, n) stack of coefficient rows: the max of rho's block norms.
+
+    On F(G) every block is 1 x 1, so this is the abs-max of one (k, n) product.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    norms = []
+    for idx in _rep_blocks(g):
+        b = idx.shape[1]
+        gathered = g.rep[:, idx[:, :, None], idx[:, None, :]].reshape(g.dim, -1)   # row i: rho(e_i)'s blocks
+        blocks = (coeffs @ gathered).reshape(-1, b, b)
+        norms.append(spectral_norms(blocks).reshape(len(coeffs), -1).max(axis=1))
+    return np.max(norms, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # convolution, counit support
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 from .compress import TruncatedSystem, pullback_state
 from .errors import CertificationError, DegenerateKernelError
 from .hopf import (FiniteQuantumGroup, Functional, State, _maxabs, _orthonormalize, _readonly,
-                   counit_state)
+                   counit_state, spectral_norms)
 from .lipnorm import (EPS, ORBIT_RTOL, LipValueBracket, PolyhedralSeminorm, _translation_drift,
                       check_invariance, reduce_family)
 from .sampling import basis_vector_state, random_elements, random_state
@@ -453,5 +453,5 @@ def matrix_mk_lower_bound(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, order:
     xs = (draws + draws.conj() @ g.star) / 2          # the self-adjoint parts, a* = star^t conj(a)
     lx = lip.value(xs)
     keep = lx >= 1e-12
-    gaps = np.einsum("si,iab->sab", xs[keep], gap_blocks)
-    return float(np.max(np.linalg.norm(gaps, 2, axis=(1, 2)) / lx[keep], initial=0.0))
+    gaps = (xs[keep] @ gap_blocks.reshape(len(gap_blocks), -1)).reshape((-1,) + gap_blocks.shape[1:])
+    return float(np.max(spectral_norms(gaps) / lx[keep], initial=0.0))

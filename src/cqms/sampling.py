@@ -71,5 +71,5 @@ def random_matrix_state(g: FiniteQuantumGroup, order: int, rng: np.random.Genera
         raise ValueError(f"matrix state order {order} exceeds representation dimension {d0}")
     raw = rng.normal(size=(d0, order)) + 1j * rng.normal(size=(d0, order))
     q, _ = np.linalg.qr(raw)
-    return np.einsum("pa,ipq,qb->iab", q.conj(), g.rep, q)
+    return q.conj().T @ g.rep @ q
 

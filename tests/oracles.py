@@ -104,8 +104,10 @@ def loop_radius_brackets(stack, tols, prune_weights):
     for every matrix still live), antipodal support pairs, waves, arc caps,
     peak splits and decisions as ``lipnorm._radius_brackets``, one matrix and
     one arc at a time, so the batched bookkeeping must agree with it bit for
-    bit.
+    bit.  ||M|| comes from the engine's kernel ``hopf.spectral_norms``, which
+    ``test_spectral_norms_match_the_svd`` checks against the SVD.
     """
+    from cqms.hopf import spectral_norms
     from cqms.lipnorm import EPS, _arc_caps, _support_values_batch
 
     count = len(stack)
@@ -115,7 +117,7 @@ def loop_radius_brackets(stack, tols, prune_weights):
     grid = np.linspace(0.0, 2 * np.pi, 9)
     arcs = {}
     for b, m in enumerate(stack):
-        nrm = float(np.linalg.norm(m, 2))
+        nrm = float(spectral_norms(m[None])[0])
         frob, sq = np.sqrt(np.sum((m.conj() * m).real)), m @ m
         square = np.sqrt(np.sum((sq.conj() * sq).real)) + len(m) * EPS * frob ** 2
         ceiling[b] = upper[b] = min(nrm, (nrm + np.sqrt(square)) / 2)    # Kittaneh
@@ -511,3 +513,33 @@ def s3_transposition_metric():
     from cqms import groups
 
     return word_metric(groups.s3_table(), [1, 2, 3])
+
+
+def loop_check_invariance(lip, g, side, samples, seed, tol):
+    """``lipnorm.check_invariance`` one sample at a time: per-sample state
+    coefficients, coproduct and one ``max_numerical_radius`` call per view and
+    sample, in the same draw order."""
+    from cqms import lipnorm
+    from cqms.compress import comultiplication_coaction
+    from cqms.sampling import random_state_density
+
+    rng = np.random.default_rng(seed)
+    n = g.dim
+    views = [comultiplication_coaction(g, view) for view in
+             {"right": ("left",), "left": ("right",), "bi": ("left", "right")}[side]]
+    lip = lipnorm.reduce_family(g, lip)[0]
+    worst = 0.0
+    for _ in range(samples):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        base = lip.value(a)
+        density = random_state_density(g, rng)
+        mu = np.array([np.trace(density @ g.rep[i]) for i in range(n)])
+        delta = g.coproduct(a)
+        if side in ("right", "bi"):
+            worst = max(worst, lip.value(delta @ mu) - base)
+        if side in ("left", "bi"):
+            worst = max(worst, lip.value(mu @ delta) - base)
+        upgrade = max(lipnorm.max_numerical_radius(co.realize(co.slice_states(a, lip.functionals)),
+                                                   lip.weights, tol) for co in views)
+        worst = max(worst, upgrade - base - 2 * tol)
+    return float(worst)

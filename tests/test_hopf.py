@@ -358,3 +358,75 @@ def test_rep_is_star_homomorphism(c_s3):
                            c_s3.rho_of(a) @ c_s3.rho_of(b), atol=1e-12)
         assert np.allclose(c_s3.rho_of(c_s3.star_of(a)),
                            c_s3.rho_of(a).conj().T, atol=1e-12)
+
+
+def _norm_stacks(d, rng):
+    """Stacks that stress a spectral-norm kernel at size d."""
+    k = 20
+    dense = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    rank_one = rng.normal(size=(k, d, 1)) @ (rng.normal(size=(k, 1, d)) + 1j * rng.normal(size=(k, 1, d)))
+    unitary = np.linalg.qr(dense)[0] * np.exp(rng.normal(size=(k, 1, 1)))    # equal singular values
+    stacks = [dense, rank_one, unitary, np.zeros((3, d, d)), np.zeros((0, d, d)),
+              dense * 1e150, dense * 1e-150, rng.normal(size=(k, d, d))]
+    if d == 2:
+        stacks.append(np.array([[[1.0, 3e-7], [0.0, 1.0]]]))             # I + 3e-7 E12
+    return stacks
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_spectral_norms_match_the_svd(d):
+    rng = np.random.default_rng(60 + d)
+    for stack in _norm_stacks(d, rng):
+        want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        got = hopf.spectral_norms(stack)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 8 * d * np.finfo(float).eps * want)
+
+
+def _interleaved_s3():
+    """C*(S_3) on the regular representation plus the sign and trivial ones, the
+    8 coordinates shuffled so that the three blocks interleave."""
+    g = hopf.group_algebra(groups.s3_table())
+    sign = np.round(np.linalg.det(g.rep.real))
+    rep = np.zeros((6, 8, 8), dtype=complex)
+    rep[:, :6, :6] = g.rep
+    rep[:, 6, 6], rep[:, 7, 7] = sign, 1.0
+    perm = np.random.default_rng(4).permutation(8)
+    assert not np.array_equal(perm[:6], np.arange(6))
+    return dataclasses.replace(g, rep=rep[:, perm][:, :, perm])
+
+
+@pytest.mark.parametrize("make", [lambda: hopf.function_algebra(groups.cyclic_table(8)),
+                                  lambda: hopf.group_algebra(groups.s3_table()),
+                                  lambda: build_kp8()[0], _interleaved_s3],
+                         ids=["F(Z_8)", "C*(S_3)", "kp8", "interleaved"])
+def test_element_norms_match_the_dense_representation(make):
+    g = make()
+    rng = np.random.default_rng(61)
+    coeffs = rng.normal(size=(30, g.dim)) + 1j * rng.normal(size=(30, g.dim))
+    want = np.array([np.linalg.norm(g.rho_of(c), 2) for c in coeffs])
+    assert np.allclose(hopf.element_norms(g, coeffs), want, rtol=1e-13, atol=0)
+    sizes = sorted(idx.shape[1] for idx in hopf._rep_blocks(g) for _ in idx)
+    assert sum(sizes) == g.rep.shape[1]
+    if make is _interleaved_s3:
+        assert sizes == [1, 1, 6]
+
+
+def test_no_batched_two_norm_outside_the_spectral_kernel():
+    # every stacked spectral norm goes through hopf.spectral_norms: no
+    # np.linalg.norm(..., 2, axis=...) or ord=2 with an axis anywhere in the package
+    import ast
+    from pathlib import Path
+
+    offenders = []
+    for path in sorted(Path(hopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "norm" and ast.unparse(node.func.value) in ("np.linalg", "linalg")):
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            order = node.args[1] if len(node.args) > 1 else keywords.get("ord")
+            has_axis = len(node.args) > 2 or "axis" in keywords
+            if has_axis and isinstance(order, ast.Constant) and order.value == 2:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders

@@ -6,6 +6,7 @@ from cqms.errors import LengthError, UnsupportedSeminormError
 from cqms.sampling import random_density, random_elements
 
 import oracles
+from kp8_example import build_kp8
 
 
 # -- constructors -----------------------------------------------------------
@@ -601,3 +602,31 @@ def test_grid_pairs_are_the_antipodal_support_values():
     for m, theta, (f, antipode) in zip(stack, thetas, pairs):
         assert f == _support(m, [theta])[0]
         assert antipode == pytest.approx(_support(m, [theta + np.pi])[0], abs=1e-13)
+
+
+def _gate_cases(s3c_setup):
+    g6 = hopf.function_algebra(groups.cyclic_table(6))
+    points = np.array([0.0, 1.0, 3.0, 4.0, 7.0, 9.0])        # a line metric: not translation invariant
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    funcs = np.zeros((len(pairs), 6), dtype=complex)
+    for row, (a, b) in enumerate(pairs):
+        funcs[row, a], funcs[row, b] = 1.0, -1.0
+    line = lipnorm.PolyhedralSeminorm(functionals=funcs,
+                                      weights=np.array([points[b] - points[a] for a, b in pairs]))
+    kp8 = build_kp8()[0]
+    rows = np.flatnonzero(kp8.unit == 0)
+    coefficients = lipnorm.PolyhedralSeminorm(functionals=np.eye(8, dtype=complex)[rows],
+                                              weights=1.0 + np.arange(len(rows)) / 4)
+    return {"C*(S_3)": (s3c_setup[0], s3c_setup[3]), "kp8": (kp8, coefficients), "F(Z_6) line": (g6, line)}
+
+
+@pytest.mark.parametrize("side", ["right", "left", "bi"])
+def test_batched_invariance_gate_equals_the_sample_loop(s3c_setup, side):
+    for name, (g, lip) in _gate_cases(s3c_setup).items():
+        got = lipnorm.check_invariance(lip, g, side, samples=12, seed=5, tol=1e-7)
+        assert got == oracles.loop_check_invariance(lip, g, side, 12, 5, 1e-7), name
+        if name == "F(Z_6) line":
+            assert got > 0.1
+        upgrade = lipnorm.invariant_upgrade(lip, g, side, tol=1e-7)
+        elements = random_elements(g, np.random.default_rng(6), 7)
+        assert np.array_equal(upgrade(elements), [upgrade(a) for a in elements]), name
