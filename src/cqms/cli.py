@@ -279,6 +279,9 @@ def cmd_truncate(args, out) -> int:
     print(f"lambda {_lambda_id(subset)}: rank {ts.rank}, dim_sys {ts.dim_sys}", file=out)
     print(f"coaction residuals: right {alpha.coaction_residual:.2e}, "
           f"left {beta.coaction_residual:.2e}, cocommutation {cocom:.2e}", file=out)
+    print(f"counit residuals: right {alpha.counit_residual:.2e}, left {beta.counit_residual:.2e}; "
+          f"Podles witnesses: right {alpha.podles_residual:.2e}, left {beta.podles_residual:.2e}",
+          file=out)
     print(f"well-definedness {max(alpha.well_definedness_residual, beta.well_definedness_residual):.2e}, "
           f"fixed-point dims {alpha.fixed_space_dim}/{beta.fixed_space_dim}, "
           f"isometry witness {witness:.2e}", file=out)
@@ -345,14 +348,13 @@ def _hausdorff_lower(g, lip, smoothed, order, rng, probes, samples) -> float:
     Row i of the (n, n) array ``smoothed`` is the symbol-map image of the
     i-th basis element of A.
     """
-    worst = 0.0
-    for _ in range(probes):
-        blocks = sampling.random_matrix_state(g, order, rng)
-        composed = (smoothed @ blocks.reshape(g.dim, -1)).reshape(blocks.shape)
-        val = mkdist.matrix_mk_lower_bound(g, lip, order, blocks, composed,
-                                           samples=samples, seed=int(rng.integers(2 ** 31)))
-        worst = max(worst, val)
-    return worst
+    states, seeds = [], []
+    for _ in range(probes):                  # each probe's state, then its seed, as drawn one by one
+        states.append(sampling.random_matrix_state(g, order, rng))
+        seeds.append(int(rng.integers(2 ** 31)))
+    blocks = np.stack(states)
+    composed = (smoothed @ blocks.reshape(probes, g.dim, -1)).reshape(blocks.shape)
+    return mkdist.matrix_mk_lower_bound(g, lip, order, blocks, composed, samples=samples, seed=seeds)
 
 
 def cmd_bound(args, out) -> int:

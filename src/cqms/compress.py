@@ -9,23 +9,21 @@ linear right inverse of the compression map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
-from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _co_opposite, _comult_bounds,
-                   _comult_certificates, _counit_residual, _maxabs, _podles_limit, certify_state,
-                   counit_support_projection)
+from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _co_opposite, _coaction_parts,
+                   _comult_certificates, _counit_residual, _maxabs, _podles_limit, _podles_parts,
+                   _podles_witness, _readonly, certify_state, counit_support_projection)
 from .sampling import random_density
 
 GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
 DESCENT_STEP = 0.25    # first step length of the projected gradient, halved on each rejection
 DESCENT_STARTS = 4     # the canonical state and three random vectors
 DESCENT_ITERS = 60     # gradient steps per start
-SUM_BLOCK = 8          # terms per block of the blocked sums that form an induced tensor
-
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,9 +31,11 @@ class TruncatedSystem:
     """The operator system tau(A) = P A P restricted to H_Lambda.
 
     frame        (n, r) orthonormal columns spanning H_Lambda in GNS coordinates
-    sys_basis    (s, r, r) Hilbert-Schmidt orthonormal basis of tau(A)
+    kept         the irreps sigma whose coefficient block tau keeps, in order
+    sys_basis    (s, r, r) Hilbert-Schmidt orthonormal basis of tau(A): the
+                 images tau(u^sigma_ij) / c_sigma of the kept blocks, in (sigma, i, j) order
     lift_matrix  (n, r*r) right inverse of tau, zero on the orthocomplement
-    kernel       (n_ker, n) basis of ker tau in A-coordinates
+    kernel       (n_ker, n) orthonormal basis of ker tau in A-coordinates
     """
 
     g: FiniteQuantumGroup
@@ -43,6 +43,7 @@ class TruncatedSystem:
     subset: tuple
     frame: np.ndarray
     tau_matrix: np.ndarray      # (r*r, n): a-coords -> vec(tau(a))
+    kept: tuple
     sys_basis: np.ndarray
     lift_matrix: np.ndarray
     kernel: np.ndarray
@@ -88,7 +89,15 @@ class TruncatedSystem:
 
 def truncate(g: FiniteQuantumGroup, irreps, subset,
              dec: PWDecomposition | None = None) -> TruncatedSystem:
-    """Build the truncated operator system for the given irrep subset."""
+    """Build the truncated operator system for the given irrep subset, in isotypic coordinates.
+
+    ker tau is a sub-bicomodule and each coefficient block A_sigma = span{u^sigma_ij}
+    a simple one, so tau is zero or injective on A_sigma; on a kept block the
+    images tau(u^sigma_ij) are Hilbert-Schmidt orthogonal with one norm c_sigma.
+    A block is dropped when its norm is below RANK_RTOL of the largest.  The
+    normalized kept images are the system basis, certified by max|B B^* - I|
+    together with tau(1) = 1 and tau L = id on the basis.
+    """
     dec = dec if dec is not None else pw_decompose(g, irreps)
     subset = tuple(sorted(set(int(k) for k in subset)))
     if any(k < 0 or k >= len(dec.irreps) for k in subset):
@@ -99,22 +108,27 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
     n = g.dim
     r = frame.shape[1]
     tau_matrix = np.ascontiguousarray((frame.conj().T @ dec.gns.rep @ frame).reshape(n, r * r).T)
-    # the kernel needs all n rows of vh, which the reduced SVD has only when r*r >= n
-    u, sv, vh = np.linalg.svd(tau_matrix, full_matrices=r * r < n)
-    cutoff = RANK_RTOL * (sv[0] if len(sv) else 1.0)
-    s = int(np.sum(sv > cutoff))
-    sys_basis = u[:, :s].T.reshape(s, r, r)
-    lift_matrix = vh[:s].conj().T @ np.diag(1.0 / sv[:s]) @ u[:, :s].conj().T
-    kernel = vh[s:].conj()
-    ts = TruncatedSystem(g=g, decomposition=dec, subset=subset, frame=frame,
-                         tau_matrix=tau_matrix, sys_basis=sys_basis,
-                         lift_matrix=lift_matrix, kernel=kernel)
+    dims = np.array([pi.dim for pi in dec.irreps])
+    owner = np.repeat(np.arange(len(dims)), dims ** 2)              # the irrep of each row below
+    coeffs = np.vstack([pi.u.reshape(pi.dim ** 2, n) for pi in dec.irreps])     # rows u^sigma_ij
+    images = (tau_matrix @ coeffs.T).T                              # rows vec tau(u^sigma_ij)
+    norms = np.sqrt(np.bincount(owner, np.sum(np.abs(images) ** 2, axis=1)) / dims ** 2)   # c_sigma
+    keep = norms > RANK_RTOL * norms.max()
+    rows = keep[owner]
+    kept = tuple(int(k) for k in np.flatnonzero(keep))
+    basis = images[rows] / norms[owner[rows], None]
+    lift_matrix = (coeffs[rows] / norms[owner[rows], None]).T @ basis.conj()
+    kernel = np.linalg.qr(coeffs[~rows].T)[0].T if np.any(~rows) else np.zeros((0, n), dtype=complex)
+    ts = TruncatedSystem(g=g, decomposition=dec, subset=subset, frame=frame, tau_matrix=tau_matrix,
+                         kept=kept, sys_basis=basis.reshape(-1, r, r), lift_matrix=lift_matrix,
+                         kernel=kernel)
     unit_res = _maxabs(ts.tau(g.unit) - np.eye(r))
-    basis = sys_basis.reshape(s, r * r)
     lift_res = _maxabs(tau_matrix @ (lift_matrix @ basis.T) - basis.T)
-    if unit_res > 1e-9 or lift_res > 1e-9:
+    basis_res = _maxabs(basis @ basis.conj().T - np.eye(len(basis)))
+    if max(unit_res, lift_res, basis_res) > 1e-9:
         raise InternalInconsistencyError(
-            f"truncation certificates failed (unit {unit_res:.2e}, lift {lift_res:.2e})")
+            f"truncation certificates failed (unit {unit_res:.2e}, lift {lift_res:.2e}, "
+            f"basis {basis_res:.2e})")
     return ts
 
 
@@ -191,65 +205,23 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     """Push the comultiplication through the compression map.
 
     Written for the right side: a left coaction of A is a right coaction of
-    A^cop, so the left side runs on ``hopf._co_opposite(g)``.
+    A^cop, so the left side runs on ``hopf._co_opposite(g)``, whose unitary
+    corepresentations are the transposes u^T.  In the basis b_ij = tau(u_ij) / c
+    of ``truncate``, Delta(u_ij) = sum_k u_ik (x) u_kj makes the coaction the
+    irreps' own coefficients, relabelled: alpha(b_ij) = sum_k b_ik (x) u_kj on
+    the right and beta(b_ij) = sum_k u_ik (x) b_kj on the left.  So the tensor
+    is scattered, with no arithmetic, and its carrier is a direct sum of d
+    copies of each kept irrep's (d, d, n) tensor.
 
-    Well-definedness is certified by ker tau <= ker (tau (x) id) Delta, and the
-    counit identity directly, as max|T eps - I|.  The stored tensor is
-    T~ = fl(P Delta(Lam)): P = fl(E tau) (s x n, E the system-basis expansion)
-    on the compressed leg, and Lam (s x n) has the lifts L x_k as rows.  The
-    coaction identity and Podles density of T~ are bounded without forming
-    (alpha (x) id)alpha, from Delta's own residuals (``hopf._comult_bounds``,
-    computed once per algebra) and from what the level already holds.  For
-    the exact product T = P Delta(Lam) of the stored P and Lam
-
-        (alpha (x) id)alpha(x_k) - (id (x) Delta)alpha(x_k)
-          = (P (x) id (x) id)[(Delta (x) id)Delta - (id (x) Delta)Delta](L x_k)
-            - ((P (x) id)Delta N (x) id)Delta(L x_k),   N = I - Lam^T P = pi_K - Xi,
-
-    pi_K the projector on ker tau (spanned by the kernel rows) and Xi read
-    off the stored matrices.  With d = ||Delta||_2, C the coassociator's
-    Frobenius norm, p = ||P||_2 and
-
-        kappa = ||w||_2 / sqrt(lambda_min(G_rho)) + dP d + p d ||Xi||_F
-
-    (w the well-definedness residuals, rho-norms turned into coefficient norms
-    through rho's Gram matrix G_rho, and dP >= ||P - E tau||_2; the first two
-    terms only where ker tau != 0), the residual R_k at x_k has norm at most
-    (p C + kappa d) ||L x_k||, and ||R||_F at most (p C + kappa d) ||Lam||_F.
-
-    Rounding.  P and T~ are formed by ``_blocked_matmul``, which cuts every
-    inner sum into blocks of ``SUM_BLOCK`` terms and adds the block sums
-    pairwise, so its roundoff is at most g |a||b| entrywise with
-    g = sqrt(2) gamma_{2 SUM_BLOCK + ceil(log2 blocks)}, far below the gamma
-    of the whole sum.  That gives |P - E tau| <= g_P |E||tau| (dP its
-    Frobenius norm) and
-
-        |T~ - T| <= F = |P| (g_T |Delta(Lam)~| + g_D |Delta|(|Lam|)),
-
-    g_D = sqrt(2) gamma_{2 m} for the sums of Delta(Lam), m the most nonzero
-    entries of Delta that one of them meets.  T~ - T enters the residual
-    through three products (with T~, T and Delta): entrywise they add at
-    most products of the largest slice norms of F, T~ and Delta
-    (Cauchy-Schwarz over the summed index), and in Frobenius norm at most
-    f (||T~||_a + ||T~||_b + f + d), f = ||F||_F and ||T~||_a,b the spectral
-    norms of T~ read as maps from the summed index.  The coaction residual
-    reported is the largest entrywise bound.
-
-    Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
-    Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)), and Psi Phi - I is fixed
-    by its columns c_k = (T eps - I)_k (x) 1 + T_k Z + R_k W, with W and the
-    Gram norm ||.||_G of ``hopf._podles_parts`` and Z Delta's residual of
-    b_(2) S^-1(b_(1)) = eps(b) 1.  The witness is at most
-
-        ||T eps - I||_F ||1||_G + ||T||_F ||Z||_G + ||R||_F ||W||_G
-          + assoc_term (||T||_F d + ||R||_F) + unit_term sqrt(s),
-
-    the last two 0 for an exactly associative and unital mult; it must stay
-    below ``hopf._podles_limit``.  A singular S gives inf on both sides.
-
-    What enters as computed: the residuals w, Xi, C, Z and T eps - I, whose
-    own rounding is of the order of their values, and the norms and sums that
-    assemble the bounds, whose rounding is relative, O(n eps).
+    Certificates:
+      well-definedness  ker tau <= ker (tau (x) id) Delta, by ``_kernel_frobenius``;
+      counit            max|T eps - I| of the level's tensor;
+      coaction          the largest of the kept irreps' residuals, each from
+                        ``hopf._coaction_parts`` of its own tensor against this algebra;
+      Podles            the witness of ``hopf._podles_witness``, whose Frobenius
+                        parts add over the summands as sqrt(sum_sigma d_sigma w_sigma^2),
+                        each w_sigma charged with the rounding of its column sums.
+    It must stay below ``hopf._podles_limit``; a singular S gives inf on both sides.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -261,20 +233,25 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
             f"kernel of tau is not contained in the sliced kernel (residual {well:.3e}); "
             "input tensors are corrupt")
 
-    s = ts.dim_sys
-    basis = ts.sys_basis.reshape(s, -1)
-    n = g.dim
-    lifts = (ts.lift_matrix @ basis.T).T             # lift(x_k) as rows
-    deltas = (lifts @ alg.comult.reshape(n, n * n)).reshape(s, n, n)   # Delta(lift(x_k))
-    stacked = deltas.transpose(1, 0, 2).reshape(n, s * n)              # [i, (k, l)]
-    expand, expand_gamma = _blocked_matmul(basis.conj(), ts.tau_matrix)    # P = E tau
-    product, tensor_gamma = _blocked_matmul(expand, stacked)               # on the carrier leg
-    tensor = np.ascontiguousarray(product.reshape(s, s, n).transpose(1, 0, 2))
-
-    counit_defect = tensor @ g.counit - np.eye(s)
-    counit_res = _maxabs(counit_defect)
-    coaction_res, podles = _derived_residuals(alg, ts, expand, lifts, stacked, tensor, counit_defect,
-                                              well_norms, (expand_gamma, tensor_gamma))
+    flip = alg is _co_opposite(ts.g)          # corepresentations of A^cop: u^T
+    s, n = ts.dim_sys, g.dim
+    tensor = np.zeros((s, s, n), dtype=complex)
+    offset = 0
+    for k in ts.kept:
+        pi = ts.decomposition.irreps[k]
+        d = pi.dim
+        block = np.zeros((d, d, d, d, n), dtype=complex)      # [i, j, i', k]: t[j, k] if i = i'
+        block[np.arange(d), :, np.arange(d)] = pi.u if flip else pi.u.transpose(1, 0, 2)
+        if flip:                                               # b_ij is the A^cop coefficient (j, i)
+            block = block.transpose(1, 0, 3, 2, 4)
+        tensor[offset:offset + d * d, offset:offset + d * d] = block.reshape(d * d, d * d, n)
+        offset += d * d
+    copies, residual, frobenius, size = _summand_certificates(
+        alg, ts.decomposition.irreps, flip)[list(ts.kept)].T
+    coaction_res = float(residual.max())
+    podles = _podles_witness(alg, float(np.sqrt(copies @ frobenius ** 2)),
+                             float(np.sqrt(copies @ size ** 2)), s)
+    counit_res = _maxabs(tensor @ g.counit - np.eye(s))
     worst = max(coaction_res, counit_res, podles)
     if worst > tol or podles > _podles_limit(g.dim, s):
         raise InternalInconsistencyError(
@@ -285,76 +262,35 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
                            counit_residual=counit_res, podles_residual=podles)
 
 
-def _derived_residuals(g, ts, expand, lifts, stacked, tensor, counit_defect, well_norms,
-                       gammas) -> tuple[float, float]:
-    """(coaction bound, Podles bound) of an induced right coaction tensor; the terms are named
-    in ``induced_coaction``, and ``gammas`` are the rounding constants (g_P, g_T) of P and T~."""
-    delta = _comult_bounds(g)
-    n, s, d = g.dim, ts.dim_sys, delta.norm
-    basis = ts.sys_basis.reshape(s, -1)
-    slip = gammas[0] * np.linalg.norm(np.abs(basis) @ np.abs(ts.tau_matrix))        # dP
-    p = np.sqrt(max(np.linalg.eigvalsh(expand @ expand.conj().T)[-1], 0.0))
-    xi = lifts.T @ expand + ts.kernel.T @ ts.kernel.conj()
-    xi[np.diag_indices_from(xi)] -= 1.0
-    kappa = p * d * np.linalg.norm(xi)
-    if len(ts.kernel):
-        kappa += (np.linalg.norm(well_norms) / np.sqrt(delta.rep_floor)
-                  if delta.rep_floor > 0 else np.inf) + slip * d
-    per_lift = p * delta.coassociator + kappa * d
-    lift_norms = np.linalg.norm(lifts, axis=1)
+@lru_cache(maxsize=32)
+def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) -> np.ndarray:
+    """Rows (d, coaction residual, charged Frobenius part, ||u||_F), one per irrep's summand.
 
-    # |T~ - T| <= F entrywise; the residual moves by the three products with T~ - T
-    meets = int(np.count_nonzero(g.comult.reshape(n, n * n), axis=0).max(initial=0))
-    reach = (np.abs(lifts) @ np.abs(g.comult).reshape(n, n * n)).reshape(s, n, n)   # |Delta|(|Lam|)
-    charged = (gammas[1] * np.abs(stacked)
-               + _complex_gamma(2 * meets) * reach.transpose(1, 0, 2).reshape(n, s * n))
-    formed = (np.abs(expand) @ charged).reshape(s, s, n).transpose(1, 0, 2)     # F
-    slices = [np.linalg.norm(formed, axis=a).max() for a in (0, 1, 2)]
-    entry = (slices[1] * np.linalg.norm(tensor, axis=0).max()
-             + (np.linalg.norm(tensor, axis=1).max() + slices[1]) * slices[0]
-             + slices[2] * np.linalg.norm(g.comult, axis=0).max())
-    coaction = float(per_lift * lift_norms.max() + entry)
-    if delta.podles is None:
-        return coaction, np.inf
-    f = np.linalg.norm(formed)
-    spectral = [np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0))
-                for m in (tensor.reshape(s, s * n).T, tensor.transpose(0, 2, 1).reshape(s * n, s))]
-    residual = per_lift * np.linalg.norm(lift_norms) + f * (sum(spectral) + f + d)
-    unit_norm, antipode_norm, column_norm, assoc_term, unit_term = delta.podles
-    size = np.linalg.norm(tensor)
-    podles = (np.linalg.norm(counit_defect) * unit_norm + size * antipode_norm + residual * column_norm
-              + assoc_term * (size * d + residual) + unit_term * np.sqrt(s))
-    return coaction, float(podles)
-
-
-def _complex_gamma(roundings: int) -> float:
-    """sqrt(2) gamma_m, gamma_m = m u / (1 - m u): a complex sum whose real and imaginary
-    parts each pass every real term through at most m roundings errs by at most this
-    times the sum of the terms' moduli, in any order of operations."""
-    m = roundings * _UNIT_ROUNDOFF
-    return float(np.sqrt(2) * m / (1 - m))
-
-
-def _blocked_matmul(a, b) -> tuple[np.ndarray, float]:
-    """a @ b with each inner sum cut into blocks of ``SUM_BLOCK`` terms whose sums are
-    then added pairwise, and g with |result - a b| <= g |a||b| entrywise.
-
-    Within a block each real product meets 2 SUM_BLOCK roundings at most, then one
-    per level of the pairwise tree.
+    The summand's tensor is t[j, k] = u_kj (u_jk for A^cop); ``hopf._coaction_parts``
+    gives its residuals against ``alg``.  The Frobenius part is charged with the
+    forward roundoff of its column sums, as ``duality_lower_bound`` charges its own:
+    4 m eps sqrt(||G||) ||F||_F, F = (|t||t|)|W| + |1| on the diagonal columns, with
+    m = d + (nonzeros in a column of W) + 2 roundings and ||G|| bounded by its
+    largest absolute row sum.  Cached per (oriented algebra, irreps), so every level
+    reads the same rows.
     """
-    (m, k), p = a.shape, b.shape[1]
-    blocks = -(-k // SUM_BLOCK)
-    a_blocks = np.zeros((m, blocks * SUM_BLOCK), dtype=complex)
-    b_blocks = np.zeros((blocks * SUM_BLOCK, p), dtype=complex)
-    a_blocks[:, :k], b_blocks[:k] = a, b
-    parts = (a_blocks.reshape(m, blocks, SUM_BLOCK).transpose(1, 0, 2)
-             @ b_blocks.reshape(blocks, SUM_BLOCK, p))                 # (blocks, m, p)
-    depth = 0
-    while len(parts) > 1:
-        half = len(parts) // 2
-        parts = np.concatenate([parts[:half] + parts[half:2 * half], parts[2 * half:]])
-        depth += 1
-    return parts[0], _complex_gamma(2 * SUM_BLOCK + depth)
+    parts, n = _podles_parts(alg), alg.dim
+    if parts is not None:
+        w, gram = parts[:2]
+        abs_w = np.abs(w)
+        scale = 4 * np.finfo(float).eps * np.sqrt(np.abs(gram).sum(axis=1).max())
+        terms = int(np.count_nonzero(w, axis=0).max()) + 2
+    rows = []
+    for pi in irreps:
+        tensor, d = (pi.u if flip else pi.u.transpose(1, 0, 2)), pi.dim
+        residual, frobenius, size = _coaction_parts(alg, tensor)
+        if parts is not None:
+            grown = np.abs(tensor)
+            formed = np.matmul(grown.reshape(d, d * n).T, grown).reshape(d * d, n * n) @ abs_w
+            formed[::d + 1] += np.abs(alg.unit)
+            frobenius += (d + terms) * scale * np.linalg.norm(formed)
+        rows.append((d, residual, frobenius, size))
+    return _readonly(np.array(rows))
 
 
 def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem) -> np.ndarray:

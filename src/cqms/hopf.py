@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -301,8 +300,7 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     Delta is read as the coaction of A on itself, carrier leg first as in
     ``compress.comultiplication_coaction``: coassociativity and Podles density
     come from the full product (Delta (x) id)Delta of ``_coaction_certificates``,
-    cached per algebra, which the derived bounds of ``compress.induced_coaction``
-    reuse.  The left-side residuals are the right-side ones of A^cop
+    cached per algebra.  The left-side residuals are the right-side ones of A^cop
     (``_co_opposite``).
     """
     n = g.dim
@@ -387,7 +385,13 @@ def _co_opposite(g: FiniteQuantumGroup) -> FiniteQuantumGroup:
 
 
 def _coaction_certificates(g: FiniteQuantumGroup, tensor) -> tuple[float, float]:
-    """(coaction residual, Podles witness) of a carrier-first right coaction tensor, from one product.
+    """(coaction residual, Podles witness) of a carrier-first right coaction tensor, from one product."""
+    residual, frobenius, size = _coaction_parts(g, tensor)
+    return residual, _podles_witness(g, frobenius, size, tensor.shape[0])
+
+
+def _coaction_parts(g: FiniteQuantumGroup, tensor) -> tuple[float, float, float]:
+    """(coaction residual, ||D||_F, ||u||_F) of a carrier-first right coaction tensor.
 
     u[k, m, p, l] = sum_c tensor[k, c, l] tensor[c, m, p] is the coefficient of
     x_m (x) e_p (x) e_l in (alpha (x) id)alpha(x_k).  The coaction residual is
@@ -396,77 +400,42 @@ def _coaction_certificates(g: FiniteQuantumGroup, tensor) -> tuple[float, float]
     Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
     Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)).  Both are left A-module maps, so
     D = Psi Phi - I has D(x (x) a) = a D(x (x) 1) and is fixed by its s columns
-    c_k = D(x_k (x) 1) = sum u[k, m, p, l] x_m (x) e_l S^-1(e_p) - x_k (x) 1.  The
-    witness is ||D||_F = sqrt(sum_k c_k* G c_k) through the Gram matrix G of left
-    multiplication, plus the terms of ``_podles_parts`` that bound what the module
-    identity misses when mult is not exactly associative and unital; it bounds
-    ||D||_2 from above.  A singular S gives inf.
+    c_k = D(x_k (x) 1) = sum u[k, m, p, l] x_m (x) e_l S^-1(e_p) - x_k (x) 1, and
+    ||D||_F = sqrt(sum_k c_k* G c_k) through the Gram matrix G of left
+    multiplication; inf for a singular S.
     """
     n, s = g.dim, tensor.shape[0]
     u = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s * s, n * n)
     parts = _podles_parts(g)
-    if parts is None:
-        podles = np.inf
-    else:
-        w, gram, assoc_term, unit_term = parts
+    frobenius = np.inf
+    if parts is not None:
+        w, gram = parts[:2]
         cols = u @ w                           # [(k, m), r]: coefficient of x_m (x) e_r
         cols[::s + 1] -= g.unit
-        frobenius_sq = max(float(np.vdot(cols, cols @ gram.T).real), 0.0)
-        podles = (np.sqrt(frobenius_sq) + assoc_term * float(np.linalg.norm(u))
-                  + unit_term * np.sqrt(s))
+        frobenius = np.sqrt(max(float(np.vdot(cols, cols @ gram.T).real), 0.0))
+    size = float(np.linalg.norm(u))
     u -= tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)
-    return _maxabs(u), podles
+    return _maxabs(u), frobenius, size
+
+
+def _podles_witness(g: FiniteQuantumGroup, frobenius: float, size: float, s: int) -> float:
+    """||D||_F plus the terms of ``_podles_parts`` that bound what the module identity misses
+    when mult is not exactly associative and unital, for a carrier of dimension s whose
+    (alpha (x) id)alpha has Frobenius norm ``size``.  It bounds ||D||_2 from above; inf for a
+    singular S."""
+    parts = _podles_parts(g)
+    if parts is None:
+        return np.inf
+    return frobenius + parts[2] * size + parts[3] * np.sqrt(s)
 
 
 @lru_cache(maxsize=32)
 def _comult_certificates(g: FiniteQuantumGroup) -> tuple[float, float]:
     """Delta's own (coaction residual, Podles witness) as the right coaction of A on itself.
 
-    Cached per algebra object: ``check_axioms`` and every induced coaction share it.
+    Cached per algebra object: ``check_axioms`` and ``compress.comultiplication_coaction`` share it.
     """
     return _coaction_certificates(g, g.comult)
-
-
-class _ComultBounds(NamedTuple):
-    """Norms of Delta and of its own residuals, for ``compress.induced_coaction``.
-
-    ``podles`` is (||1||_G, ||Z||_G, ||W||_G, assoc_term, unit_term) with W, G and
-    the two terms of ``_podles_parts``, ||y||_G = max over unit x of ||y^T x||_G
-    for a matrix y of rows, and Z[q] = sum_{p, l} Delta[q, p, l] W[(p, l)] - eps(e_q) 1,
-    the residual of b_(2) S^-1(b_(1)) = eps(b) 1; None for a singular S.
-    """
-
-    coassociator: float     # ||(Delta (x) id)Delta - (id (x) Delta)Delta||_F
-    norm: float             # ||Delta||_2 as a map A -> A (x) A
-    rep_floor: float        # smallest eigenvalue of rho's Hilbert-Schmidt Gram matrix
-    podles: tuple | None
-
-
-@lru_cache(maxsize=32)
-def _comult_bounds(g: FiniteQuantumGroup) -> _ComultBounds:
-    """Delta's bounds; cached per algebra object.
-
-    The coassociator's Frobenius norm is charged as n^2 times the largest
-    entry, from Delta's own coaction residual.
-    """
-    n = g.dim
-    reps = g.rep.reshape(n, -1)
-    podles = None
-    parts = _podles_parts(g)
-    if parts is not None:
-        w, gram, assoc_term, unit_term = parts
-        lam, vec = np.linalg.eigh(gram)
-        root = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.conj().T
-
-        def gram_norm(y):
-            return float(np.sqrt(max(np.linalg.eigvalsh(root @ (y.T @ y.conj()) @ root)[-1], 0.0)))
-
-        antipode = g.comult.reshape(n, n * n) @ w - np.outer(g.counit, g.unit)
-        unit_norm = float(np.sqrt(max(np.vdot(g.unit, gram @ g.unit).real, 0.0)))
-        podles = (unit_norm, gram_norm(antipode), gram_norm(w), assoc_term, unit_term)
-    return _ComultBounds(coassociator=n * n * _comult_certificates(g)[0],
-                         norm=float(np.linalg.norm(g.comult.reshape(n, n * n), 2)),
-                         rep_floor=float(np.linalg.eigvalsh(reps.conj() @ reps.T)[0]), podles=podles)
 
 
 @lru_cache(maxsize=32)

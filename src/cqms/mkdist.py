@@ -439,19 +439,22 @@ def _enumerate_vertices(rows: np.ndarray, rhs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def matrix_mk_lower_bound(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, order: int,
-                          mu_blocks, nu_blocks, samples: int = 100, seed: int = 0) -> float:
+                          mu_blocks, nu_blocks, samples: int = 100, seed=0) -> float:
     """Sampled lower bound of the matrix-state distance d^{L, order}.
 
-    mu_blocks, nu_blocks: (n, order, order) arrays of the values on the basis.
-    Returns max ||mu(x) - nu(x)|| / L(x) over sampled self-adjoint elements.
+    mu_blocks, nu_blocks: (n, order, order) arrays of the values on the basis,
+    or (k, n, order, order) stacks of k pairs with one seed each in ``seed``.
+    Returns max ||mu(x) - nu(x)|| / L(x) over ``samples`` self-adjoint
+    elements drawn for each pair from its own seed, over all pairs.
     """
     if order < 1:
         raise ValueError("matrix order must be at least 1")
-    gap_blocks = np.asarray(mu_blocks, dtype=complex) - np.asarray(nu_blocks, dtype=complex)
-    rng = np.random.default_rng(seed)
-    draws = random_elements(g, rng, samples)
+    seeds = np.atleast_1d(seed)
+    gap_blocks = (np.asarray(mu_blocks, dtype=complex) - np.asarray(nu_blocks, dtype=complex)).reshape(
+        len(seeds), g.dim, order * order)
+    draws = np.stack([random_elements(g, np.random.default_rng(s), samples) for s in seeds])
     xs = (draws + draws.conj() @ g.star) / 2          # the self-adjoint parts, a* = star^t conj(a)
-    lx = lip.value(xs)
+    lx = lip.value(xs.reshape(-1, g.dim)).reshape(xs.shape[:2])
     keep = lx >= 1e-12
-    gaps = (xs[keep] @ gap_blocks.reshape(len(gap_blocks), -1)).reshape((-1,) + gap_blocks.shape[1:])
+    gaps = (xs @ gap_blocks)[keep].reshape(-1, order, order)
     return float(np.max(spectral_norms(gaps) / lx[keep], initial=0.0))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -110,10 +111,14 @@ def test_cli_check_pw_incomplete(tmp_path, f_z4, capsys):
 
 
 def test_cli_truncate(z4_file, capsys):
-    code = cli.main(["truncate", "--input", z4_file, "--lambda", "0,1"])
+    code = cli.main(["truncate", "--input", z4_file, "--lambda", "0,1", "--tol", "1e-11"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "dim_sys 3" in out
+    # both sides' counit and Podles residuals are printed, below the tolerance given
+    found = re.search(r"counit residuals: right (\S+), left (\S+); "
+                      r"Podles witnesses: right (\S+), left (\S+)$", out, re.MULTILINE)
+    assert found and all(float(value) < 1e-11 for value in found.groups())
 
 
 def test_cli_bound_closed_form(z4_file, capsys):
