@@ -2,8 +2,7 @@
 liftable states and the canonical and optimized symbol states.
 
 A truncated system stores the operator system P A P inside B(H_Lambda)
-together with a Hilbert-Schmidt orthonormal basis of its image and a fixed
-linear right inverse of the compression map.
+together with a Hilbert-Schmidt orthonormal basis of its image.
 """
 
 from __future__ import annotations
@@ -32,21 +31,18 @@ class TruncatedSystem:
 
     frame        (n, r) orthonormal columns spanning H_Lambda in GNS coordinates
     kept         the irreps sigma whose coefficient block tau keeps, in order
+    norms        c_sigma = ||tau(u^sigma)||_F / d_sigma for every irrep, kept or dropped
     sys_basis    (s, r, r) Hilbert-Schmidt orthonormal basis of tau(A): the
                  images tau(u^sigma_ij) / c_sigma of the kept blocks, in (sigma, i, j) order
-    lift_matrix  (n, r*r) right inverse of tau, zero on the orthocomplement
-    kernel       (n_ker, n) orthonormal basis of ker tau in A-coordinates
     """
 
     g: FiniteQuantumGroup
     decomposition: PWDecomposition
-    subset: tuple
     frame: np.ndarray
     tau_matrix: np.ndarray      # (r*r, n): a-coords -> vec(tau(a))
     kept: tuple
+    norms: np.ndarray
     sys_basis: np.ndarray
-    lift_matrix: np.ndarray
-    kernel: np.ndarray
 
     @property
     def gns(self) -> GNSSpace:
@@ -67,9 +63,6 @@ class TruncatedSystem:
         """
         a = np.asarray(a, dtype=complex)
         return (self.tau_matrix @ a.T).T.reshape(a.shape[:-1] + (self.rank, self.rank))
-
-    def lift(self, x) -> np.ndarray:
-        return self.lift_matrix @ np.asarray(x, dtype=complex).reshape(-1)
 
     def expand(self, x) -> np.ndarray:
         """Coordinates of x in the system basis (valid for x in tau(A)).
@@ -94,9 +87,9 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
     ker tau is a sub-bicomodule and each coefficient block A_sigma = span{u^sigma_ij}
     a simple one, so tau is zero or injective on A_sigma; on a kept block the
     images tau(u^sigma_ij) are Hilbert-Schmidt orthogonal with one norm c_sigma.
-    A block is dropped when its norm is below RANK_RTOL of the largest.  The
-    normalized kept images are the system basis, certified by max|B B^* - I|
-    together with tau(1) = 1 and tau L = id on the basis.
+    A block is dropped when its norm is below RANK_RTOL of the largest, and the
+    dropped blocks span ker tau.  The normalized kept images are the system
+    basis, certified by max|B B^* - I| together with tau(1) = 1.
     """
     dec = dec if dec is not None else pw_decompose(g, irreps)
     subset = tuple(sorted(set(int(k) for k in subset)))
@@ -115,20 +108,15 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
     norms = np.sqrt(np.bincount(owner, np.sum(np.abs(images) ** 2, axis=1)) / dims ** 2)   # c_sigma
     keep = norms > RANK_RTOL * norms.max()
     rows = keep[owner]
-    kept = tuple(int(k) for k in np.flatnonzero(keep))
     basis = images[rows] / norms[owner[rows], None]
-    lift_matrix = (coeffs[rows] / norms[owner[rows], None]).T @ basis.conj()
-    kernel = np.linalg.qr(coeffs[~rows].T)[0].T if np.any(~rows) else np.zeros((0, n), dtype=complex)
-    ts = TruncatedSystem(g=g, decomposition=dec, subset=subset, frame=frame, tau_matrix=tau_matrix,
-                         kept=kept, sys_basis=basis.reshape(-1, r, r), lift_matrix=lift_matrix,
-                         kernel=kernel)
+    ts = TruncatedSystem(g=g, decomposition=dec, frame=frame, tau_matrix=tau_matrix,
+                         kept=tuple(int(k) for k in np.flatnonzero(keep)), norms=_readonly(norms),
+                         sys_basis=basis.reshape(-1, r, r))
     unit_res = _maxabs(ts.tau(g.unit) - np.eye(r))
-    lift_res = _maxabs(tau_matrix @ (lift_matrix @ basis.T) - basis.T)
     basis_res = _maxabs(basis @ basis.conj().T - np.eye(len(basis)))
-    if max(unit_res, lift_res, basis_res) > 1e-9:
+    if max(unit_res, basis_res) > 1e-9:
         raise InternalInconsistencyError(
-            f"truncation certificates failed (unit {unit_res:.2e}, lift {lift_res:.2e}, "
-            f"basis {basis_res:.2e})")
+            f"truncation certificates failed (unit {unit_res:.2e}, basis {basis_res:.2e})")
     return ts
 
 
@@ -214,7 +202,11 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     copies of each kept irrep's (d, d, n) tensor.
 
     Certificates:
-      well-definedness  ker tau <= ker (tau (x) id) Delta, by ``_kernel_frobenius``;
+      well-definedness  ker tau <= ker (tau (x) id) Delta over the dropped coefficients u_ij,
+                        which span ker tau: with E_ij = Delta(u_ij) - sum_k u_ik (x) u_kj,
+                        ||(tau (x) rho)Delta(u_ij)||_F <= sqrt(d) d c_sigma max_kj ||rho(u_kj)||_F
+                        + ||T||_F ||R||_2 ||E_ij||_F, T the tau matrix and R rho's (n, d0^2)
+                        matrix; d c_sigma = ||tau(u)||_F is charged 4 n eps ||T||_F ||U_sigma||_F;
       counit            max|T eps - I| of the level's tensor;
       coaction          the largest of the kept irreps' residuals, each from
                         ``hopf._coaction_parts`` of its own tensor against this algebra;
@@ -226,14 +218,18 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     alg = g if side == "right" else _co_opposite(g)
-    well_norms = _kernel_frobenius(alg, ts)
-    well = float(well_norms.max(initial=0.0))
+    flip = alg is _co_opposite(ts.g)          # corepresentations of A^cop: u^T
+    table = _summand_certificates(alg, ts.decomposition.irreps, flip)
+    dims, rho_norms, defects, sizes = table[:, [0, 4, 5, 6]].T
+    tau_norm = float(np.linalg.norm(ts.tau_matrix))
+    images = dims * ts.norms + 4 * g.dim * np.finfo(float).eps * tau_norm * sizes
+    bounds = np.sqrt(dims) * images * rho_norms + tau_norm * defects
+    well = float(np.delete(bounds, ts.kept).max(initial=0.0))
     if well > tol:
         raise InternalInconsistencyError(
             f"kernel of tau is not contained in the sliced kernel (residual {well:.3e}); "
             "input tensors are corrupt")
 
-    flip = alg is _co_opposite(ts.g)          # corepresentations of A^cop: u^T
     s, n = ts.dim_sys, g.dim
     tensor = np.zeros((s, s, n), dtype=complex)
     offset = 0
@@ -246,8 +242,7 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
             block = block.transpose(1, 0, 3, 2, 4)
         tensor[offset:offset + d * d, offset:offset + d * d] = block.reshape(d * d, d * d, n)
         offset += d * d
-    copies, residual, frobenius, size = _summand_certificates(
-        alg, ts.decomposition.irreps, flip)[list(ts.kept)].T
+    copies, residual, frobenius, size = table[list(ts.kept), :4].T
     coaction_res = float(residual.max())
     podles = _podles_witness(alg, float(np.sqrt(copies @ frobenius ** 2)),
                              float(np.sqrt(copies @ size ** 2)), s)
@@ -264,49 +259,45 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
 
 @lru_cache(maxsize=32)
 def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) -> np.ndarray:
-    """Rows (d, coaction residual, charged Frobenius part, ||u||_F), one per irrep's summand.
+    """Rows (d, coaction residual, charged Frobenius part, ||(alpha (x) id)alpha||_F,
+    max_kj ||rho(u_kj)||_F, ||R||_2 max_ij ||E_ij||_F charged, ||U_sigma||_F), one per irrep.
 
     The summand's tensor is t[j, k] = u_kj (u_jk for A^cop); ``hopf._coaction_parts``
-    gives its residuals against ``alg``.  The Frobenius part is charged with the
+    gives its residuals against ``alg``, E among them.  The Frobenius part is charged with the
     forward roundoff of its column sums, as ``duality_lower_bound`` charges its own:
     4 m eps sqrt(||G||) ||F||_F, F = (|t||t|)|W| + |1| on the diagonal columns, with
     m = d + (nonzeros in a column of W) + 2 roundings and ||G|| bounded by its
-    largest absolute row sum.  Cached per (oriented algebra, irreps), so every level
-    reads the same rows.
+    largest absolute row sum.  E is charged 4 eps ((d + 2) |t||t| + (k + 2) |t||Delta|) at
+    its largest rows, k the most nonzeros in a column of Delta.  Cached per (oriented
+    algebra, irreps), so every level reads the same rows.
     """
     parts, n = _podles_parts(alg), alg.dim
+    eps = np.finfo(float).eps
     if parts is not None:
         w, gram = parts[:2]
         abs_w = np.abs(w)
-        scale = 4 * np.finfo(float).eps * np.sqrt(np.abs(gram).sum(axis=1).max())
+        scale = 4 * eps * np.sqrt(np.abs(gram).sum(axis=1).max())
         terms = int(np.count_nonzero(w, axis=0).max()) + 2
+    reps = alg.rep.reshape(n, -1)
+    rep_norm = float(np.linalg.norm(reps, 2))
+    abs_comult = np.abs(alg.comult).reshape(n, n * n)
+    comult_terms = int(np.count_nonzero(abs_comult, axis=0).max()) + 2
     rows = []
     for pi in irreps:
         tensor, d = (pi.u if flip else pi.u.transpose(1, 0, 2)), pi.dim
-        residual, frobenius, size = _coaction_parts(alg, tensor)
+        residual, frobenius, size, defect = _coaction_parts(alg, tensor)
+        grown = np.abs(tensor)
+        products = np.matmul(grown.reshape(d, d * n).T, grown).reshape(d * d, n * n)
+        through = grown.reshape(d * d, n) @ abs_comult
+        defect += 4 * eps * ((d + 2) * np.linalg.norm(products, axis=1).max()
+                             + comult_terms * np.linalg.norm(through, axis=1).max())
         if parts is not None:
-            grown = np.abs(tensor)
-            formed = np.matmul(grown.reshape(d, d * n).T, grown).reshape(d * d, n * n) @ abs_w
+            formed = products @ abs_w
             formed[::d + 1] += np.abs(alg.unit)
             frobenius += (d + terms) * scale * np.linalg.norm(formed)
-        rows.append((d, residual, frobenius, size))
+        rho_norm = np.linalg.norm(tensor.reshape(d * d, n) @ reps, axis=1).max()
+        rows.append((d, residual, frobenius, size, rho_norm, rep_norm * defect, np.linalg.norm(tensor)))
     return _readonly(np.array(rows))
-
-
-def _kernel_frobenius(g: FiniteQuantumGroup, ts: TruncatedSystem) -> np.ndarray:
-    """Frobenius norms of (tau (x) rho)Delta(v) for v in ker tau.
-
-    Each bounds the operator norm from above.  With W[ab, l] the compressed
-    coefficient of e_l, ||sum_l W_l (x) rho(e_l)||_F^2 = sum W*_l W_l' G[l, l']
-    through the Hilbert-Schmidt Gram matrix G of rho.
-    """
-    n = g.dim
-    deltas = (ts.kernel @ g.comult.reshape(n, n * n)).reshape(-1, n, n)
-    taus = ts.tau_matrix @ deltas                  # (n_ker, r*r, n)
-    reps = g.rep.reshape(n, -1)
-    gram = reps.conj() @ reps.T
-    squares = np.sum(taus.conj() * (taus @ gram.T), axis=(1, 2)).real
-    return np.sqrt(np.maximum(squares, 0.0))
 
 
 def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float:

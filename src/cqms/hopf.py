@@ -386,16 +386,16 @@ def _co_opposite(g: FiniteQuantumGroup) -> FiniteQuantumGroup:
 
 def _coaction_certificates(g: FiniteQuantumGroup, tensor) -> tuple[float, float]:
     """(coaction residual, Podles witness) of a carrier-first right coaction tensor, from one product."""
-    residual, frobenius, size = _coaction_parts(g, tensor)
+    residual, frobenius, size, _ = _coaction_parts(g, tensor)
     return residual, _podles_witness(g, frobenius, size, tensor.shape[0])
 
 
-def _coaction_parts(g: FiniteQuantumGroup, tensor) -> tuple[float, float, float]:
-    """(coaction residual, ||D||_F, ||u||_F) of a carrier-first right coaction tensor.
+def _coaction_parts(g: FiniteQuantumGroup, tensor) -> tuple[float, float, float, float]:
+    """(coaction residual, ||D||_F, ||u||_F, max_km ||E_km||_F) of a carrier-first right coaction tensor.
 
     u[k, m, p, l] = sum_c tensor[k, c, l] tensor[c, m, p] is the coefficient of
     x_m (x) e_p (x) e_l in (alpha (x) id)alpha(x_k).  The coaction residual is
-    max|u - (id (x) Delta)alpha|.
+    max|u - (id (x) Delta)alpha|, and E_km its (n, n) slice at (k, m).
 
     Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
     Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)).  Both are left A-module maps, so
@@ -415,7 +415,8 @@ def _coaction_parts(g: FiniteQuantumGroup, tensor) -> tuple[float, float, float]
         frobenius = np.sqrt(max(float(np.vdot(cols, cols @ gram.T).real), 0.0))
     size = float(np.linalg.norm(u))
     u -= tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)
-    return _maxabs(u), frobenius, size
+    mag = np.abs(u)
+    return float(mag.max()), frobenius, size, float(np.sqrt(np.einsum("ij,ij->i", mag, mag).max()))
 
 
 def _podles_witness(g: FiniteQuantumGroup, frobenius: float, size: float, s: int) -> float:

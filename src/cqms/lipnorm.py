@@ -136,8 +136,8 @@ def lip_fourier(g: FiniteQuantumGroup) -> PolyhedralSeminorm:
 
 @lru_cache(maxsize=32)
 def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
-                  ) -> tuple[PolyhedralSeminorm, PolyhedralSeminorm, np.ndarray | None]:
-    """(lp_family, radius_family, metric): the rows each consumer needs, built once.
+                  ) -> tuple[PolyhedralSeminorm, PolyhedralSeminorm, np.ndarray | None, float]:
+    """(lp_family, radius_family, metric, drift): the rows each consumer needs, built once.
 
     A pair row is a row equal to +-(e_a - e_b).  The LP family drops a pair
     row when the pair rows kept so far, taken in order of increasing weight,
@@ -151,13 +151,14 @@ def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
 
     The radius family serves induced_lip.  On F(G) with a pure pair family
     whose kept pairs and weights are invariant under left and right
-    translation (``_translation_drift``) it is the kept rows through the
-    identity, one per {k, k^-1}: translations act on P A P by unitaries (P
-    projects onto Peter-Weyl summands), so the slice at (a, b) is a unitary
-    conjugate of the slice at (e, a^-1 b) on the right and at (e, b a^-1) on
-    the left, and the numerical radius does not see the conjugation.
-    Otherwise it is the LP family.  The invariance gate reads only the LP
-    family, since the radius family assumes the invariance the gate checks.
+    translation (``drift``, the LP family's ``_translation_drift``, at most
+    ORBIT_RTOL) it is the kept rows through the identity, one per {k, k^-1}:
+    translations act on P A P by unitaries (P projects onto Peter-Weyl
+    summands), so the slice at (a, b) is a unitary conjugate of the slice at
+    (e, a^-1 b) on the right and at (e, b a^-1) on the left, and the
+    numerical radius does not see the conjugation.  Otherwise it is the LP
+    family.  The invariance gate reads only the drift, since the radius
+    family assumes the invariance the gate checks.
 
     ``metric`` is the (n, n) read-only matrix of shortest kept-path weights
     when the LP family is a pure pair family on F(G), else None.  Its unit
@@ -171,7 +172,9 @@ def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
     lp_family = lip if keep.all() else PolyhedralSeminorm(
         functionals=lip.functionals[keep], weights=lip.weights[keep], label=lip.label)
     pure = g.kind == "function" and keep.any() and np.all(ends[keep] >= 0)
-    return lp_family, _orbit_family(g, lp_family), _readonly(path) if pure else None
+    drift = _translation_drift(g, lp_family)
+    radius_family = lp_family if drift > ORBIT_RTOL else _orbit_family(g, lp_family)
+    return lp_family, radius_family, _readonly(path) if pure else None, drift
 
 
 def _pair_ends(functionals) -> np.ndarray:
@@ -239,9 +242,7 @@ def _translation_drift(g: FiniteQuantumGroup, family: PolyhedralSeminorm) -> flo
 
 
 def _orbit_family(g: FiniteQuantumGroup, lp_family: PolyhedralSeminorm) -> PolyhedralSeminorm:
-    """One row per translation orbit of a bi-invariant pair family on F(G), else the family."""
-    if _translation_drift(g, lp_family) > ORBIT_RTOL:
-        return lp_family
+    """One row per translation orbit of a bi-invariant pair family on F(G)."""
     ends = _pair_ends(lp_family.functionals)
     identity, inverse = groups.validate_cayley(np.asarray(g.group_table))
     rows, seen = [], set()

@@ -36,8 +36,8 @@ from .compress import TruncatedSystem, pullback_state
 from .errors import CertificationError, DegenerateKernelError
 from .hopf import (FiniteQuantumGroup, Functional, State, _maxabs, _orthonormalize, _readonly,
                    counit_state, spectral_norms)
-from .lipnorm import (EPS, ORBIT_RTOL, LipValueBracket, PolyhedralSeminorm, _translation_drift,
-                      check_invariance, reduce_family)
+from .lipnorm import (EPS, ORBIT_RTOL, LipValueBracket, PolyhedralSeminorm, check_invariance,
+                      reduce_family)
 from .sampling import basis_vector_state, random_elements, random_state
 from .simplex import LPProblem, solve_lp
 
@@ -157,6 +157,7 @@ class MKResult:
     element: np.ndarray          # optimizer in A-coordinates, L(element) <= 1
     lp_iterations: int
     refinement_rounds: int
+    gap: float                   # value - gap is a lower bound; 0 unless the disc bracket stays open
 
 
 def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
@@ -164,8 +165,8 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     """sup{|mu(x) - nu(x)| : L(x) <= 1} up to LP_TOL, exactly or by certified LP.
 
     As the simplex does, an objective with max|c| <= LP_TOL gives 0, so the
-    full level of a chain reads exactly 0.  ``lp_iterations`` and
-    ``refinement_rounds`` are 0 unless the LP runs.
+    full level of a chain reads exactly 0.  ``lp_iterations``,
+    ``refinement_rounds`` and ``gap`` are 0 unless the LP runs.
 
     Point mass on F(G): when the LP family (``reduce_family``) is a pure pair
     family on a function algebra and one argument is a point mass delta_b,
@@ -181,7 +182,8 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     Otherwise the dense LP runs over the outer polygon.  Purely polyhedral
     constraint families solve exactly (up to solver roundoff); disc
     constraints report the outer-approximation optimum, which never
-    undershoots the supremum and exceeds it by at most a relative LP_TOL.
+    undershoots the supremum and exceeds it by at most a relative LP_TOL, or,
+    when 80 rounds leave the bracket open, by at most its width ``gap``.
     Every optimizer is rescaled until ``lip.value(element)`` is at most
     1 - 4 (n + 2) eps max_i (|f_i| . |element|) / w_i, a bound on the
     roundoff of ``lip.value``, so that L(element) <= 1 holds in exact
@@ -193,7 +195,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     mu_c = mu.coeffs if isinstance(mu, Functional) else np.asarray(mu, dtype=complex)
     nu_c = nu.coeffs if isinstance(nu, Functional) else np.asarray(nu, dtype=complex)
     quotient, z, weights, product, radii, cuts, bounds, owner = _unit_ball(g, lip)
-    family, _, metric = reduce_family(g, lip)
+    family, _, metric, _ = reduce_family(g, lip)
     w = mu_c - nu_c
 
     objective = np.real(quotient @ w)
@@ -201,7 +203,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     if herm_res > 1e-8 * max(1.0, _maxabs(w)):
         raise CertificationError(f"mu - nu is not hermitian (imaginary part {herm_res:.2e})")
 
-    iterations = rounds = 0
+    iterations, rounds, gap = 0, 0, 0.0
     point = -1 if metric is None else max(_point_mass(nu_c), _point_mass(mu_c))
     if _maxabs(objective) <= LP_TOL:
         element = np.zeros(g.dim, dtype=complex)
@@ -213,8 +215,8 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
         if len(radii):
             value, t = _product_support(product, radii, z, weights, objective)
         else:
-            value, t, iterations, rounds = _refined_lp(z, weights, cuts, bounds, owner, objective,
-                                                       LP_TOL)
+            value, t, iterations, rounds, gap = _refined_lp(z, weights, cuts, bounds, owner,
+                                                            objective, LP_TOL)
         element = quotient.T @ t
 
     # lip.value errs by less than 1 - limit, so a value <= limit gives L(element) <= 1 exactly
@@ -229,7 +231,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
             step *= 2
     if return_result:
         return MKResult(value=value, element=element, lp_iterations=iterations,
-                        refinement_rounds=rounds)
+                        refinement_rounds=rounds, gap=gap)
     return value
 
 
@@ -285,7 +287,8 @@ def _product_support(product, radii, z, weights, objective) -> tuple[float, np.n
 
 
 def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
-    """(value, t, iterations, rounds): the LP over the outer polygon, discs refined until closed."""
+    """(value, t, iterations, rounds, gap): the LP over the outer polygon, discs refined until
+    closed or for 80 rounds; t / ratio lies in every disc, so value - gap = value / ratio."""
     # the rows that own cuts; np.unique would import numpy.ma (~1.8 MB resident)
     discs = np.flatnonzero(np.bincount(owner + 1, minlength=len(weights) + 1)[1:])
     rounds = 0
@@ -299,12 +302,13 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
         vals = (z @ t)[discs]
         ratio = np.max(np.abs(vals) / weights[discs], initial=1.0)
         upper = solution.value
-        lower = solution.value / ratio
-        if upper - lower <= lp_tol * max(1.0, abs(upper)):
+        gap = upper - upper / ratio
+        if gap <= lp_tol * max(1.0, abs(upper)):
+            gap = 0.0
+            break
+        if rounds == 80:
             break
         rounds += 1
-        if rounds > 80:
-            raise CertificationError(f"disc refinement stalled with bracket [{lower}, {upper}]")
         # one tangent at the optimum per touched disc, kept after its disc's earlier cuts
         hit = np.abs(vals) > weights[discs] * (1 - 1e-12)
         touched = discs[hit]
@@ -313,7 +317,7 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
         owner = np.concatenate([owner, touched])
         order = np.argsort(owner, kind="stable")
         cuts, bounds, owner = cuts[order], bounds[order], owner[order]
-    return max(solution.value, 0.0), t, solution.iterations, rounds
+    return max(solution.value, 0.0), t, solution.iterations, rounds, gap
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +329,12 @@ def truncation_bound(g: FiniteQuantumGroup, ts: TruncatedSystem, lip: Polyhedral
     """B(Lambda, phi) = 2 d^L(tau* phi, counit), the certified truncation bound.
 
     The bi-invariance gate first takes the bound that the translation test
-    proves (``lipnorm._translation_drift``, 0 for exactly invariant pair
+    proves (the drift of ``reduce_family``, 0 for exactly invariant pair
     weights on F(G)); a family that fails that test is checked by sampling
     (``check_invariance``).
     """
     if check_invariant:
-        violation = _translation_drift(g, reduce_family(g, lip)[0])
+        violation = reduce_family(g, lip)[3]
         if violation > ORBIT_RTOL:
             violation = check_invariance(lip, g, side="bi", samples=12, seed=seed, tol=1e-7)
         if violation > 1e-6:
@@ -353,7 +357,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     and the kept rows' ball exceeds the full family's by at most a factor
     1 + 4 eps.
 
-    Otherwise, lower: max distance over sampled state pairs (coordinate
+    Otherwise, lower: max of value - gap over sampled state pairs (coordinate
     vector states first, then random states).  upper: twice a certified
     radius bound, by vertex enumeration of the unit ball in low dimension and
     by the coordinate-wise dual-norm box containment otherwise, whose support
@@ -361,7 +365,7 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     ball and an LP over the outer polygon elsewhere.
     """
     quotient, z, weights, product, radii, cuts, bounds, owner = _unit_ball(g, lip)
-    family, _, metric = reduce_family(g, lip)
+    family, _, metric, _ = reduce_family(g, lip)
     if metric is not None:
         diameter = float(np.max(metric))
         charge = (4 * len(family.weights) + 8) * EPS
@@ -375,7 +379,8 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
     lower = 0.0
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            lower = max(lower, mk_distance(g, lip, states[i], states[j]))
+            result = mk_distance(g, lip, states[i], states[j], return_result=True)
+            lower = max(lower, result.value - result.gap)
 
     q_dim = quotient.shape[0]
     upper = None

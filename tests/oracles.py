@@ -274,14 +274,18 @@ def loop_mk_distance(g, lip, mu, nu, lp_tol=1e-9):
         solution.certify(tol=1e-7)
         t = solution.x
         if not disc_angles:
+            gap = 0.0
             break
         vals = z @ t
         ratio = max(float(np.max(np.abs(vals[i]) / weights[i])) for i in disc_angles)
         upper = solution.value
-        if upper - upper / max(ratio, 1.0) <= lp_tol * max(1.0, abs(upper)):
+        gap = upper - upper / max(ratio, 1.0)
+        if gap <= lp_tol * max(1.0, abs(upper)):
+            gap = 0.0
+            break
+        if rounds == 80:
             break
         rounds += 1
-        assert rounds <= 80, "disc refinement stalled"
         for i in disc_angles:
             if abs(vals[i]) > weights[i] * (1 - 1e-12):
                 disc_angles[i].append(float(np.angle(vals[i])))
@@ -296,7 +300,7 @@ def loop_mk_distance(g, lip, mu, nu, lp_tol=1e-9):
             element = element * (1.0 - step)
             step *= 2
     return mkdist.MKResult(value=max(solution.value, 0.0), element=element,
-                           lp_iterations=solution.iterations, refinement_rounds=rounds)
+                           lp_iterations=solution.iterations, refinement_rounds=rounds, gap=gap)
 
 
 def einsum_axiom_residuals(g):
@@ -543,3 +547,15 @@ def loop_check_invariance(lip, g, side, samples, seed, tol):
                                                    lip.weights, tol) for co in views)
         worst = max(worst, upgrade - base - 2 * tol)
     return float(worst)
+
+
+def sliced_frobenius_norms(g, ts, rows, side):
+    """||(tau (x) rho)Delta(v)||_F (left: (rho (x) tau)) for each row v, by dense products.
+
+    The Kronecker sum of ``sliced_kernel_matrix`` has the entries of
+    T Delta(v) R, with T the tau matrix and R the (n, d0^2) matrix of rho.
+    """
+    n = g.dim
+    comult = g.comult if side == "right" else g.comult.transpose(0, 2, 1)
+    deltas = (np.asarray(rows, dtype=complex) @ comult.reshape(n, n * n)).reshape(-1, n, n)
+    return np.linalg.norm(ts.tau_matrix @ deltas @ g.rep.reshape(n, -1), axis=(1, 2))

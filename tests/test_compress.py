@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import itertools
 import re
-import types
 
 import numpy as np
 import pytest
@@ -23,11 +22,11 @@ def _oriented(g, side):
 def test_full_truncation_is_isomorphic(z8_setup):
     g, irreps, dec, _ = z8_setup
     ts = compress.truncate(g, irreps, range(8), dec=dec)
-    assert ts.dim_sys == 8
-    assert len(ts.kernel) == 0
+    assert ts.dim_sys == 8 and ts.kept == tuple(range(8))
     rng = np.random.default_rng(0)
     a = random_elements(g, rng, 1)[0]
-    assert np.allclose(ts.lift(ts.tau(a)), a, atol=1e-10)
+    recovered = np.linalg.lstsq(ts.tau_matrix, ts.tau(a).reshape(-1), rcond=None)[0]
+    assert np.allclose(recovered, a, atol=1e-10)
 
 
 def test_toeplitz_form_of_z4_truncation(f_z4):
@@ -61,17 +60,26 @@ def test_system_basis_is_the_normalized_kept_coefficient_blocks(name, f_z8, c_s3
         ts = compress.truncate(g, irreps, range(stop), dec=dec)
         s = ts.dim_sys
         # tau keeps or drops whole blocks: the kept ranks add up to the rank of tau,
-        # and the dropped blocks span its kernel
+        # and the dropped blocks, whose norms c_sigma vanish, span its kernel
         assert sum(irreps[k].dim ** 2 for k in ts.kept) == s == np.linalg.matrix_rank(ts.tau_matrix)
-        assert len(ts.kernel) == g.dim - s and np.abs(ts.tau(ts.kernel)).max(initial=0.0) < 1e-12
-        assert np.allclose(ts.kernel.conj() @ ts.kernel.T, np.eye(g.dim - s), atol=1e-12)
+        dropped = _dropped_rows(ts)
+        assert len(dropped) == g.dim - s and np.abs(ts.tau(dropped)).max(initial=0.0) < 1e-12
+        assert np.delete(ts.norms, ts.kept).max(initial=0.0) < 1e-12 < ts.norms[list(ts.kept)].min()
         basis = ts.sys_basis.reshape(s, -1)
         assert np.abs(basis @ basis.conj().T - np.eye(s)).max() < 1e-13
         rows = np.vstack([irreps[k].u.reshape(irreps[k].dim ** 2, -1) for k in ts.kept])
         images = ts.tau(rows).reshape(s, -1)
         scale = np.linalg.norm(images, axis=1)
         assert np.allclose(images, scale[:, None] * basis, rtol=0.0, atol=1e-13)
-        assert np.allclose(ts.tau((ts.lift_matrix @ basis.T).T).reshape(s, -1), basis, atol=1e-12)
+        kept_norms = np.repeat(ts.norms[list(ts.kept)], [irreps[k].dim ** 2 for k in ts.kept])
+        assert np.allclose(scale, kept_norms, rtol=1e-13, atol=0.0)
+
+
+def _dropped_rows(ts):
+    """The coefficient rows u^sigma_ij of the irreps that ts drops, which span ker tau."""
+    irreps = ts.decomposition.irreps
+    rows = [irreps[k].u.reshape(irreps[k].dim ** 2, -1) for k in range(len(irreps)) if k not in ts.kept]
+    return np.vstack(rows) if rows else np.zeros((0, ts.g.dim), dtype=complex)
 
 
 def test_truncation_rejects_a_block_that_is_no_multiple_of_an_isometry(f_s3):
@@ -142,6 +150,8 @@ def test_podles_witness_agrees_with_svd_rank(name, f_z8, f_s3, c_s3):
                 assert oracles.svd_podles_defect(g, co.tensor) == 0
                 assert oracles.einsum_coaction_residual(g, co.tensor, side) <= co.coaction_residual < 1e-12
                 assert co.fixed_space_dim == oracles.svd_fixed_space_dim(co.tensor, g.unit)
+                dense = oracles.sliced_frobenius_norms(g, ts, _dropped_rows(ts), side)
+                assert dense.max(initial=0.0) <= co.well_definedness_residual < 1e-12
 
 
 def _chain_algebra(name, f_z8, c_s3):
@@ -167,6 +177,9 @@ def test_derived_bounds_dominate_the_dense_residuals_on_every_chain_level(name, 
             assert oracles.dense_podles_frobenius(g, co.tensor, side) <= co.podles_residual < 1e-12
             assert co.podles_residual < hopf._podles_limit(g.dim, ts.dim_sys)
             assert co.fixed_space_dim == oracles.svd_fixed_space_dim(co.tensor, g.unit)
+            # the charge for forming tau's images grows as n ||T||_F ||u||_F max ||rho(u_kj)||_F
+            dense = oracles.sliced_frobenius_norms(g, ts, _dropped_rows(ts), side)
+            assert dense.max(initial=0.0) <= co.well_definedness_residual < 1e-11
 
 
 @pytest.mark.parametrize("name", ["F(Z_8)", "C*(S_3)", "kp8"])
@@ -204,10 +217,12 @@ def test_derived_bounds_stay_below_tol_on_the_f_z64_chain():
         ts = compress.truncate(g, irreps, subset, dec=dec)
         for side in ("right", "left"):
             co = compress.induced_coaction(g, ts, side)
-            assert max(co.coaction_residual, co.podles_residual) < 1e-9
+            assert max(co.coaction_residual, co.podles_residual, co.well_definedness_residual) < 1e-9
             if ts.dim_sys <= 9:
                 assert oracles.einsum_coaction_residual(g, co.tensor, side) <= co.coaction_residual
                 assert oracles.dense_podles_frobenius(g, co.tensor, side) <= co.podles_residual
+                dense = oracles.sliced_frobenius_norms(g, ts, _dropped_rows(ts), side)
+                assert dense.max() <= co.well_definedness_residual
 
 
 def _failed_certificate(exc, name) -> float:
@@ -224,7 +239,7 @@ def test_full_level_fails_on_a_non_coassociative_comultiplication(z8_setup, side
     assert hopf._counit_residual(bad) == hopf._counit_residual(hopf._co_opposite(bad)) == 0.0
     assert hopf._comult_certificates(_oriented(bad, side))[0] > 1e-4
     full = compress.truncate(bad, irreps, range(8), dec=dec)
-    assert len(full.kernel) == 0
+    assert full.kept == tuple(range(8))
     with pytest.raises(InternalInconsistencyError, match="induced coaction certificates failed") as exc:
         compress.induced_coaction(bad, full, side)
     assert _failed_certificate(exc, "coaction") > 1e-9
@@ -305,35 +320,30 @@ def test_podles_columns_give_the_dense_frobenius_norm_off_the_identity(name, f_z
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_frobenius_well_definedness_bounds_the_operator_norm(z8_setup, side):
+    # the bound covers the dense (tau (x) rho)Delta(v) on every dropped coefficient row v,
+    # for the true comultiplication and for one bumped off the corepresentation identity
     g, irreps, dec, _ = z8_setup
-    ts = compress.truncate(g, irreps, (0, 1, 7), dec=dec)
-    assert np.all(compress._kernel_frobenius(_oriented(g, side), ts) < 1e-12)
     comult = g.comult.copy()
     comult[3, 1, 2] += 1e-3
-    bad = dataclasses.replace(g, comult=comult)
-    ts = compress.truncate(bad, irreps, (0, 1, 7), dec=dec)
-    bounds = compress._kernel_frobenius(_oriented(bad, side), ts)
-    dense = [oracles.sliced_kernel_matrix(bad, ts, v, side) for v in ts.kernel]
-    assert bounds == pytest.approx([np.linalg.norm(m) for m in dense], rel=1e-12)
-    norms = [np.linalg.norm(m, 2) for m in dense]
-    assert max(norms) > 1e-5 and np.all(bounds >= np.array(norms) * (1 - 1e-12))
-    if side == "right":
-        assert norms == pytest.approx([compress._tensor_opnorm(bad, ts, v[None, None])
-                                       for v in ts.kernel], rel=1e-12)
-    # rho's Gram matrix is the identity above; random data with a non-orthogonal rho
-    rng = np.random.default_rng(12)
-    n, r, d0 = 5, 2, 3
-    comult, rep, tau_matrix, kernel = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                                       for shape in [(n, n, n), (n, d0, d0), (r * r, n), (2, n)])
-    fake_g = types.SimpleNamespace(dim=n, comult=comult, rep=rep,
-                                   coproduct=lambda a: np.einsum("i,ijk->jk", a, comult))
-    fake_alg = types.SimpleNamespace(dim=n, rep=rep,
-                                     comult=comult if side == "right" else comult.transpose(0, 2, 1))
-    fake_ts = types.SimpleNamespace(kernel=kernel, tau_matrix=tau_matrix,
-                                    tau=lambda a: (tau_matrix @ a).reshape(r, r))
-    dense = [oracles.sliced_kernel_matrix(fake_g, fake_ts, v, side) for v in kernel]
-    assert compress._kernel_frobenius(fake_alg, fake_ts) == pytest.approx(
-        [np.linalg.norm(m) for m in dense], rel=1e-12)
+    bumped = dataclasses.replace(g, comult=comult)
+    for alg in (g, bumped):
+        ts = compress.truncate(alg, irreps, (0, 1, 7), dec=dec)
+        well = compress.induced_coaction(alg, ts, side, tol=np.inf).well_definedness_residual
+        rows = _dropped_rows(ts)
+        dense = [oracles.sliced_kernel_matrix(alg, ts, v, side) for v in rows]
+        frobenius = [np.linalg.norm(m) for m in dense]
+        assert frobenius == pytest.approx(oracles.sliced_frobenius_norms(alg, ts, rows, side), rel=1e-12)
+        norms = [np.linalg.norm(m, 2) for m in dense]
+        assert max(norms) <= max(frobenius) <= well
+        if side == "right":
+            assert norms == pytest.approx([compress._tensor_opnorm(alg, ts, v[None, None])
+                                           for v in rows], rel=1e-12)
+        if alg is g:
+            assert well < 1e-12
+        else:
+            assert max(norms) > 1e-5
+            with pytest.raises(InternalInconsistencyError, match="kernel of tau is not contained"):
+                compress.induced_coaction(alg, ts, side)
 
 
 def test_trivial_coaction_is_unital(f_z4):
@@ -440,9 +450,10 @@ def test_down_up_and_up_down_identities(z8_mid):
         assert np.allclose(down_up, direct, atol=1e-10)
         x = ts.tau(a)
         up_down = ts.tau(sym(ts.expand(x)))
-        lifted = ts.lift(x)
+        kernel = _dropped_rows(ts)
+        preimage = a + rng.normal(size=len(kernel)) @ kernel          # another preimage of x
         expected = np.stack(
-            [ts.tau(g.coproduct(lifted)[:, l]) for l in range(g.dim)], axis=-1) @ pulled.coeffs
+            [ts.tau(g.coproduct(preimage)[:, l]) for l in range(g.dim)], axis=-1) @ pulled.coeffs
         assert np.allclose(up_down, expected, atol=1e-10)
 
 

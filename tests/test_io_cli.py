@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -119,6 +120,7 @@ def test_cli_truncate(z4_file, capsys):
     found = re.search(r"counit residuals: right (\S+), left (\S+); "
                       r"Podles witnesses: right (\S+), left (\S+)$", out, re.MULTILINE)
     assert found and all(float(value) < 1e-11 for value in found.groups())
+    assert float(re.search(r"well-definedness (\S+),", out).group(1)) < 1e-11
 
 
 def test_cli_bound_closed_form(z4_file, capsys):
@@ -192,6 +194,22 @@ def test_cli_sweep_bad_chain(z8_file, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
     assert "chain" in err
+
+
+def test_cli_sweep_runs_where_the_disc_refinement_stalls(s3c_file, tmp_path, capsys):
+    # the word-length rows plus x_(01) + x_(012): some diameter pairs end at the round cap
+    g = io.load_input(s3c_file).algebra
+    lip = lipnorm.lip_fourier(g)
+    row = np.zeros((1, g.dim), dtype=complex)
+    row[0, 1] = row[0, 4] = 1.0
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"functionals": io._encode_complex(np.vstack([lip.functionals, row])),
+                                "weights": np.append(lip.weights, 1.0).tolist()}))
+    code = cli.main(["sweep", "--input", s3c_file, "--seminorm", f"file:{path}", "--samples", "5",
+                     "--format", "csv"])
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert code == cli.EXIT_OK and len(rows) == 4
+    assert all(float(r["diam_lower"]) <= float(r["diam_upper"]) for r in rows)
 
 
 def test_cli_pw(s3c_file, capsys):

@@ -434,8 +434,9 @@ def _metric_algebra(name):
 def test_reduce_family_row_counts(name, full, pruned, orbits):
     g = _metric_algebra(name)
     lip = lipnorm.lip_from_metric(g)
-    lp_family, radius_family, metric = lipnorm.reduce_family(g, lip)
+    lp_family, radius_family, metric, drift = lipnorm.reduce_family(g, lip)
     assert (len(lip.weights), len(lp_family.weights), len(radius_family.weights)) == (full, pruned, orbits)
+    assert drift == 0.0                                              # metrics of groups are bi-invariant
     assert lipnorm.reduce_family(g, lip)[0] is lp_family            # cached per (algebra, family)
     assert (lp_family is lip) == (pruned == full)
     # the kept rows are the nearest neighbours: every longer pair is a sum of steps
@@ -447,13 +448,13 @@ def test_reduce_family_row_counts(name, full, pruned, orbits):
 
 def test_reduce_family_leaves_fourier_and_non_pair_rows(s3c_setup, f_z4):
     g, _, _, lip = s3c_setup
-    assert lipnorm.reduce_family(g, lip) == (lip, lip, None)
+    assert lipnorm.reduce_family(g, lip) == (lip, lip, None, np.inf)
     # a non-pair row is kept even where the pair rows are pruned, and stops the orbit reduction
     metric = lipnorm.lip_from_metric(f_z4)
     extra = np.array([[2.0, -1.0, 0.0, -1.0]], dtype=complex)
     mixed = lipnorm.PolyhedralSeminorm(functionals=np.vstack([metric.functionals, extra]),
                                        weights=np.append(metric.weights, 0.5))
-    lp_family, radius_family, metric = lipnorm.reduce_family(f_z4, mixed)
+    lp_family, radius_family, metric, _ = lipnorm.reduce_family(f_z4, mixed)
     assert len(lp_family.weights) == 5
     assert np.array_equal(lp_family.functionals[-1], extra[0])
     assert radius_family is lp_family and metric is None
@@ -464,10 +465,10 @@ def test_non_invariant_pair_family_keeps_the_lp_rows(f_z4):
     metric = lipnorm.lip_from_metric(f_z4)
     lopsided = lipnorm.PolyhedralSeminorm(functionals=metric.functionals,
                                           weights=np.array([1, 2, 1.5, 1, 2, 1.0]))
-    lp_family, radius_family, metric = lipnorm.reduce_family(f_z4, lopsided)
+    lp_family, radius_family, metric, drift = lipnorm.reduce_family(f_z4, lopsided)
     assert len(lp_family.weights) == 4
     assert radius_family is lp_family
-    assert lipnorm._translation_drift(f_z4, lp_family) == 0.5         # the 4-cycle, one side 1.5
+    assert drift == lipnorm._translation_drift(f_z4, lp_family) == 0.5    # the 4-cycle, one side 1.5
     # a pure pair family still has its shortest-path metric over the kept rows
     assert (metric[0, 3], metric[1, 3], metric[0, 2]) == (1.5, 2.0, 2.0)
 

@@ -142,6 +142,40 @@ def _mixed_disc_family(g, lip):
     return family
 
 
+def _interacting_disc_family(g, lip):
+    """The C*(S_3) coefficient rows plus the real row x_(01) + x_(012), weight 1: its discs interact."""
+    row = np.zeros((1, g.dim), dtype=complex)
+    row[0, 1] = row[0, 4] = 1.0
+    return lipnorm.PolyhedralSeminorm(functionals=np.vstack([lip.functionals, row]),
+                                      weights=np.append(lip.weights, 1.0))
+
+
+def test_stalled_refinement_reports_its_open_bracket(s3c_setup):
+    # 80 rounds leave some brackets open; the outer optimum comes back with the
+    # bracket's width, and its lower end is attained by the certified optimizer
+    g, _, _, lip = s3c_setup
+    family = _interacting_disc_family(g, lip)
+    rng = np.random.default_rng(40)
+    capped = 0
+    for _ in range(24):
+        mu, nu = random_state(g, rng), random_state(g, rng)
+        try:
+            result = mkdist.mk_distance(g, family, mu, nu, return_result=True)
+        except CertificationError as exc:       # the simplex's own certificate, not the refinement
+            assert "LP certificates" in str(exc)
+            continue
+        assert (result.refinement_rounds == 80) == (result.gap > 0)
+        capped += result.gap > 0
+        attained = abs(np.dot(mu.coeffs - nu.coeffs, result.element))
+        assert family.value(result.element) <= 1.0
+        slack = mkdist.LP_TOL * max(1.0, result.value)            # a closed bracket's width
+        assert result.value - result.gap - slack <= attained <= result.value
+        assert result.gap <= 1e-6 * result.value
+    assert capped > 0
+    bracket = mkdist.diameter_bracket(g, family, samples=10, seed=0)
+    assert 0 < bracket.lower <= bracket.upper
+
+
 @pytest.mark.parametrize("name", ["C*(S_3)", "F(Z_8)"])
 def test_array_refinement_matches_the_angle_list_reference(name, s3c_setup, z8_setup, monkeypatch):
     # every LP and every result equal the dict-of-angles refinement's, bit for bit
@@ -460,7 +494,7 @@ def test_point_mass_distance_is_never_below_its_exact_value():
     for name in ("F(Z_8)", "F(Z_24)", "F(S_3)"):
         g = _metric_algebra(name)
         lip = lipnorm.lip_from_metric(g)
-        family, _, metric = lipnorm.reduce_family(g, lip)
+        family, _, metric, _ = lipnorm.reduce_family(g, lip)
         exact = _exact_shortest_paths(family, g.dim)
         irreps = corep.default_irreps(g)
         dec = corep.pw_decompose(g, irreps)
@@ -504,8 +538,8 @@ def test_perturbed_pair_weight_keeps_the_sampled_invariance_check(scale, z8_setu
     weights = np.array(lip.weights)
     weights[0] *= scale                                # the pair (0, 1)
     family = lipnorm.PolyhedralSeminorm(functionals=lip.functionals, weights=weights)
-    lp_family = lipnorm.reduce_family(g, family)[0]
-    drift = lipnorm._translation_drift(g, lp_family)
+    lp_family, _, _, drift = lipnorm.reduce_family(g, family)
+    assert drift == lipnorm._translation_drift(g, lp_family)
     assert len(lp_family.weights) == 8 and drift == pytest.approx((1 - scale) / scale, rel=1e-2)
     sampled = []
     check = mkdist.check_invariance

@@ -1,4 +1,4 @@
-"""Every definition and every option of src/cqms is used outside the tests.
+"""Every definition, method and option of src/cqms is used outside the tests.
 
 Reachability is by name: every identifier (a name, an attribute or a string
 that spells one) in ``cli.py``, ``demos/*.py``, ``perfbench/*.py`` and
@@ -7,6 +7,10 @@ a module-level definition of ``src/cqms`` that a root names is reached,
 together with every name its body references.  Names in type annotations do
 not count.  Matching by name over-approximates what runs, so a definition
 this test calls unreachable has no caller outside the tests.
+
+The method census asks, of every method and property of a src/cqms class,
+that its name appears in src/cqms or an entry point.  Dunder methods are
+called by the language, not by name, and are not counted.
 
 The option census asks the same of parameters with a default: one counts as
 set when a call in ``src/cqms``, ``demos/*.py`` or ``perfbench/*.py`` passes
@@ -89,11 +93,14 @@ def _definitions() -> dict[str, set[str]]:
     return defs
 
 
+def _entry_points() -> list[Path]:
+    return [PACKAGE / "cli.py", ROOT / "tests" / "kp8_example.py",
+            *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+
+
 def unreachable_definitions() -> set[str]:
     roots: set[str] = set()
-    entry_points = [PACKAGE / "cli.py", ROOT / "tests" / "kp8_example.py",
-                    *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
-    for path in entry_points:
+    for path in _entry_points():
         roots |= _names(ast.parse(path.read_text(encoding="utf-8")))
     defs = _definitions()
     reached: set[str] = set()
@@ -108,6 +115,25 @@ def unreachable_definitions() -> set[str]:
 
 def test_only_criterion_09_machinery_is_unreachable():
     assert unreachable_definitions() == CRITERION_09
+
+
+def unnamed_methods() -> set[str]:
+    """``Class.method`` for each method or property of a src/cqms class named nowhere outside the tests."""
+    named: set[str] = set()
+    methods: set[tuple[str, str]] = set()
+    for path in {*PACKAGE.glob("*.py"), *_entry_points()}:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named |= _names(tree)
+        if path.parent == PACKAGE:
+            methods |= {(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))}
+    return {f"{cls}.{name}" for cls, name in methods if name not in named}
+
+
+def test_every_method_is_named_outside_the_tests():
+    assert unnamed_methods() == set()
 
 
 # Written as the group-file ``irreps`` field, which only the tests' own group
