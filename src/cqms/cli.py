@@ -306,7 +306,7 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
             result = mkdist.mk_distance(g, lip, pulled, eps, return_result=True)
             return result.value, result.element
 
-        density, _ = compress.optimized_symbol_state(g, ts, objective, seed=seed)
+        density, _ = compress.optimized_symbol_state(g, ts, objective)
     else:
         vec = config.explicit_vector
         if vec.shape != (ts.rank,):

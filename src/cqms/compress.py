@@ -21,7 +21,7 @@ from .sampling import random_density
 
 GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
 DESCENT_STEP = 0.25    # first step length of the projected gradient, halved on each rejection
-DESCENT_STARTS = 4     # the canonical state and three random vectors
+DESCENT_STARTS = 4     # the canonical state, then Frank-Wolfe vertices
 DESCENT_ITERS = 60     # gradient steps per start
 
 
@@ -464,51 +464,48 @@ def duality_lower_bound(ts: TruncatedSystem, slicer) -> float:
     return float(eigs[0] - np.dot(counit, x).real - roundoff)
 
 
-def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance, seed: int = 0):
-    """Projected gradient over vector states minimizing ``distance``, stopped by a duality gap.
+def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance):
+    """Projected gradient over vector states minimizing ``distance``, restarted at
+    Frank-Wolfe vertices and stopped by a duality gap.
 
     ``distance(density)`` must return (value, slicer) where slicer is a
     self-adjoint optimizer of the distance with L(slicer) <= 1, such as
     ``MKResult.element``; the envelope gradient of the value at a vector
-    state xi is then tau(slicer) xi.  The descent runs from the canonical
-    state and from DESCENT_STARTS - 1 random vectors, up to DESCENT_ITERS steps each.
-    Every accepted value is checked against ``duality_lower_bound`` at its
-    slicer, which no density beats: once value - lower <= GAP_RTOL max(1,
-    value), no further step can gain more than that gap and the best state
-    found so far is returned.  Where no gap closes, the descent runs all its
-    starts.  Returns (density, value).
+    state xi is then tau(slicer) xi, and the Frank-Wolfe vertex of a slicer,
+    the density that attains ``duality_lower_bound`` for it, is the bottom
+    eigenvector of the hermitian part of tau(slicer).  Every value is checked
+    against that bound, which no density beats: once value - lower <=
+    GAP_RTOL max(1, value), no further step can gain more than that gap and
+    the best state found so far is returned.  Returns (density, value).
 
-    Before the descent, when the canonical state's gap is open, the bottom
-    eigenvector of the hermitian part of tau(slicer) is tried: it is the
-    density that attains ``duality_lower_bound`` for that slicer.  If its gap
-    closes below the canonical value it is returned; otherwise the descent
-    runs as if it had not been tried.  On F(G) with a pair family every
-    state's slicer is sp(., e) (``mkdist.mk_distance``), so the distance is
-    linear in the density and this closes the gap at 2 lambda_min(K),
-    K = tau(sp(., e)), with no descent.
+    The canonical state is evaluated first, then the vertex of its slicer,
+    which is returned when its gap closes below the canonical value.  On F(G)
+    with a pair family every state's slicer is sp(., e)
+    (``mkdist.mk_distance``), so the distance is linear in the density and
+    the vertex closes the gap at 2 lambda_min(K), K = tau(sp(., e)).
+    Otherwise the descent runs up to DESCENT_ITERS steps from each start: the
+    canonical state, that vertex, and then the vertex of the best slicer.  It
+    stops when a gap closes, when a start after the first does not lower the
+    best value, or after DESCENT_STARTS starts.  Nothing is random.
     """
     def closed(value, slicer) -> bool:
         return value - duality_lower_bound(ts, slicer) <= GAP_RTOL * max(1.0, value)
 
-    rng = np.random.default_rng(seed)
-    best_density = canonical_symbol_state(g, ts)
-    best_value, slicer = distance(best_density)
-    if not closed(best_value, slicer):
+    def vertex(slicer):
         tau_x = ts.tau(slicer)
-        bottom = np.linalg.eigh((tau_x + tau_x.conj().T) / 2)[1][:, 0]
-        density = np.outer(bottom, bottom.conj())
-        value, bottom_slicer = distance(density)
-        if value < best_value and closed(value, bottom_slicer):
-            return density, value
-    r = ts.rank
+        v = np.linalg.eigh((tau_x + tau_x.conj().T) / 2)[1][:, 0]
+        return (v, *distance(np.outer(v, v.conj())))
+
+    best_density = canonical_symbol_state(g, ts)
+    best_value, best_slicer = distance(best_density)
+    if closed(best_value, best_slicer):
+        return best_density, best_value
+    starts = [(np.linalg.eigh(best_density)[1][:, -1], best_value, best_slicer), vertex(best_slicer)]
+    v, value, slicer = starts[1]
+    if value < best_value and closed(value, slicer):
+        return np.outer(v, v.conj()), value
     for start in range(DESCENT_STARTS):
-        if start:
-            v = rng.normal(size=r) + 1j * rng.normal(size=r)
-            v = v / np.linalg.norm(v)
-            value, slicer = distance(np.outer(v, v.conj()))
-        else:                  # the canonical state, already evaluated
-            v = np.linalg.eigh(best_density)[1][:, -1]
-            v, value = v / np.linalg.norm(v), best_value
+        v, value, slicer = starts[start] if start < 2 else vertex(best_slicer)
         eta = DESCENT_STEP
         done = closed(value, slicer)
         for _ in range(DESCENT_ITERS):
@@ -529,8 +526,9 @@ def optimized_symbol_state(g: FiniteQuantumGroup, ts: TruncatedSystem, distance,
                 if eta < 1e-6:
                     break
         if value < best_value:
-            best_value = value
-            best_density = np.outer(v, v.conj())
+            best_density, best_value, best_slicer = np.outer(v, v.conj()), value, slicer
+        elif start:
+            break
         if done:
             break
     return best_density, best_value

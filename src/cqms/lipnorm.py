@@ -160,6 +160,11 @@ def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
     family.  The invariance gate reads only the drift, since the radius
     family assumes the invariance the gate checks.
 
+    On C*(G), where Delta(lambda_g) = lambda_g (x) lambda_g and |mu(lambda_g)| <= 1,
+    a slice of a by a state mu on either side is the Fourier multiplier
+    sum_g a_g mu(lambda_g) lambda_g.  So a family whose every row reads one
+    coordinate has L(slice) <= L(a) exactly on both sides, and its drift is 0.
+
     ``metric`` is the (n, n) read-only matrix of shortest kept-path weights
     when the LP family is a pure pair family on F(G), else None.  Its unit
     ball is then exactly the set of functions that are 1-Lipschitz for this
@@ -172,8 +177,9 @@ def reduce_family(g: FiniteQuantumGroup, lip: PolyhedralSeminorm
     lp_family = lip if keep.all() else PolyhedralSeminorm(
         functionals=lip.functionals[keep], weights=lip.weights[keep], label=lip.label)
     pure = g.kind == "function" and keep.any() and np.all(ends[keep] >= 0)
-    drift = _translation_drift(g, lp_family)
-    radius_family = lp_family if drift > ORBIT_RTOL else _orbit_family(g, lp_family)
+    multiplier = g.kind == "group" and np.all(np.count_nonzero(lip.functionals, axis=1) <= 1)
+    drift = 0.0 if multiplier else _translation_drift(g, lp_family)
+    radius_family = _orbit_family(g, lp_family) if pure and drift <= ORBIT_RTOL else lp_family
     return lp_family, radius_family, _readonly(path) if pure else None, drift
 
 

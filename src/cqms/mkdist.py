@@ -183,7 +183,8 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
     constraint families solve exactly (up to solver roundoff); disc
     constraints report the outer-approximation optimum, which never
     undershoots the supremum and exceeds it by at most a relative LP_TOL, or,
-    when 80 rounds leave the bracket open, by at most its width ``gap``.
+    when 80 rounds or a failed LP certificate leave the bracket open, by at
+    most its width ``gap``.
     Every optimizer is rescaled until ``lip.value(element)`` is at most
     1 - 4 (n + 2) eps max_i (|f_i| . |element|) / w_i, a bound on the
     roundoff of ``lip.value``, so that L(element) <= 1 holds in exact
@@ -288,7 +289,10 @@ def _product_support(product, radii, z, weights, objective) -> tuple[float, np.n
 
 def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
     """(value, t, iterations, rounds, gap): the LP over the outer polygon, discs refined until
-    closed or for 80 rounds; t / ratio lies in every disc, so value - gap = value / ratio."""
+    closed or for 80 rounds; t / ratio lies in every disc, so value - gap = value / ratio.
+
+    When a later round's LP fails its certificate, as near-parallel tangent cuts pile
+    up, the last certified round's outer optimum comes back with its open bracket."""
     # the rows that own cuts; np.unique would import numpy.ma (~1.8 MB resident)
     discs = np.flatnonzero(np.bincount(owner + 1, minlength=len(weights) + 1)[1:])
     rounds = 0
@@ -297,8 +301,14 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
                             tol=lp_tol)
         if solution.status == "unbounded":
             raise DegenerateKernelError("distance LP is unbounded; the seminorm is degenerate")
-        solution.certify(tol=1e-7)
-        t = solution.x
+        try:
+            solution.certify(tol=1e-7)
+        except CertificationError:
+            if not rounds:
+                raise
+            rounds -= 1
+            break
+        certified, t = solution, solution.x
         vals = (z @ t)[discs]
         ratio = np.max(np.abs(vals) / weights[discs], initial=1.0)
         upper = solution.value
@@ -317,7 +327,7 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
         owner = np.concatenate([owner, touched])
         order = np.argsort(owner, kind="stable")
         cuts, bounds, owner = cuts[order], bounds[order], owner[order]
-    return max(solution.value, 0.0), t, solution.iterations, rounds, gap
+    return max(certified.value, 0.0), t, certified.iterations, rounds, gap
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +338,10 @@ def truncation_bound(g: FiniteQuantumGroup, ts: TruncatedSystem, lip: Polyhedral
                      density: np.ndarray, check_invariant: bool = True, seed: int = 0) -> float:
     """B(Lambda, phi) = 2 d^L(tau* phi, counit), the certified truncation bound.
 
-    The bi-invariance gate first takes the bound that the translation test
-    proves (the drift of ``reduce_family``, 0 for exactly invariant pair
-    weights on F(G)); a family that fails that test is checked by sampling
-    (``check_invariance``).
+    The bi-invariance gate first takes the bound that ``reduce_family`` proves
+    (its drift: 0 for exactly invariant pair weights on F(G) and for rows that
+    each read one coordinate of C*(G)); any other family is checked by
+    sampling (``check_invariance``).
     """
     if check_invariant:
         violation = reduce_family(g, lip)[3]

@@ -593,7 +593,7 @@ def test_optimized_symbol_state_not_worse(z8_setup):
 
     canonical = compress.canonical_symbol_state(g, ts)
     base, _ = objective(canonical)
-    density, value = compress.optimized_symbol_state(g, ts, objective, seed=1)
+    density, value = compress.optimized_symbol_state(g, ts, objective)
     assert value <= base + 1e-12
     compress.certify_system_state(ts, density)
 
@@ -629,10 +629,10 @@ def test_duality_lower_bound_is_below_every_density(name, s3c_setup, z8_setup):
 def test_descent_stops_once_the_duality_gap_closes(s3c_setup):
     g, irreps, dec, lip = s3c_setup
     calls = []
-    for level, subset in enumerate(chains.length_chain(g)):
+    for subset in chains.length_chain(g):
         ts = compress.truncate(g, irreps, subset, dec=dec)
         objective = _counit_objective(g, ts, lip)
-        density, value = compress.optimized_symbol_state(g, ts, objective, seed=level)
+        density, value = compress.optimized_symbol_state(g, ts, objective)
         calls.append(objective.calls)
         if ts.rank == 1 or ts.rank == g.dim:
             assert objective.calls == 1
@@ -647,24 +647,31 @@ def test_descent_stops_once_the_duality_gap_closes(s3c_setup):
 def test_descent_runs_where_neither_start_closes_the_gap(z8_setup):
     # one row that is no pair makes the distance nonlinear in the density: the three
     # interior levels of F(Z_8) close no gap at the canonical state or its bottom
-    # eigenvector, so the projected gradient runs
+    # eigenvector, so the projected gradient runs, restarted at Frank-Wolfe vertices;
+    # each value is at most the one that three random restarts reached (ranks 3, 5, 7)
     g, irreps, dec, lip = z8_setup
-    row = np.array([1, 1, -1, -1, 0, 0, 0, 0], dtype=complex)
-    family = lipnorm.PolyhedralSeminorm(functionals=np.vstack([lip.functionals, row]),
-                                        weights=np.append(lip.weights, 1.0))
-    descended = []
-    for level, subset in enumerate(chains.frequency_chain(g.dim)):
-        ts = compress.truncate(g, irreps, subset, dec=dec)
-        objective = _counit_objective(g, ts, family)
-        density, value = compress.optimized_symbol_state(g, ts, objective, seed=level)
-        if objective.calls > 2:            # more than the canonical state and its vertex
-            descended.append(ts.rank)
-        compress.certify_system_state(ts, density)
-        again, slicer = objective(density)
-        assert again == value
-        assert compress.duality_lower_bound(ts, slicer) <= value
-        assert value <= objective(compress.canonical_symbol_state(g, ts))[0]
-    assert descended == [3, 5, 7]
+    random_restarts = {(0, 1, 2, 3): (0.571488939883, 0.320897768134, 0.134527951735),
+                       (0, 1, 4, 5): (0.571956922966, 0.317356794188, 0.130182572940),
+                       (0, 2, 4, 6): (0.579362551936, 0.325504191522, 0.150240222396)}
+    for support, previous in random_restarts.items():
+        row = np.zeros(g.dim, dtype=complex)
+        row[list(support)] = [1, 1, -1, -1]
+        family = lipnorm.PolyhedralSeminorm(functionals=np.vstack([lip.functionals, row]),
+                                            weights=np.append(lip.weights, 1.0))
+        descended = []
+        for subset in chains.frequency_chain(g.dim):
+            ts = compress.truncate(g, irreps, subset, dec=dec)
+            objective = _counit_objective(g, ts, family)
+            density, value = compress.optimized_symbol_state(g, ts, objective)
+            if objective.calls > 2:            # more than the canonical state and its vertex
+                descended.append(ts.rank)
+                assert value <= previous[len(descended) - 1] + 1e-12
+            compress.certify_system_state(ts, density)
+            again, slicer = objective(density)
+            assert again == value
+            assert compress.duality_lower_bound(ts, slicer) <= value
+            assert value <= objective(compress.canonical_symbol_state(g, ts))[0]
+        assert descended == [3, 5, 7]
 
 
 def test_bottom_eigenvector_closes_the_gap_on_a_function_algebra():
@@ -676,10 +683,10 @@ def test_bottom_eigenvector_closes_the_gap_on_a_function_algebra():
     irreps = corep.default_irreps(g)
     dec = corep.pw_decompose(g, irreps)
     sp = lipnorm.reduce_family(g, lip)[2][:, groups.validate_cayley(g.group_table)[0]]
-    for level, subset in enumerate(chains.frequency_chain(g.dim)):
+    for subset in chains.frequency_chain(g.dim):
         ts = compress.truncate(g, irreps, subset, dec=dec)
         objective = _counit_objective(g, ts, lip)
-        density, value = compress.optimized_symbol_state(g, ts, objective, seed=level)
+        density, value = compress.optimized_symbol_state(g, ts, objective)
         assert objective.calls <= 2
         again, slicer = objective(density)
         assert again == value

@@ -248,6 +248,25 @@ def test_cli_bound_optimized_not_worse(z8_file, capsys):
     assert optimized <= canonical + 1e-9
 
 
+def test_cli_optimized_bound_does_not_read_the_seed(z8_file, tmp_path, capsys):
+    # the arc pairs of F(Z_8) plus the 8 translates of e0 + e1 - e2 - e3 (weight 1): a
+    # bi-invariant family on which the descent runs; bound_B is one column for every seed,
+    # and level 3 is below all that random restarts reached over seeds 0-4
+    g = io.load_input(z8_file).algebra
+    lip = lipnorm.lip_from_metric(g)
+    rows = np.array([np.roll([1, 1, -1, -1, 0, 0, 0, 0], k) for k in range(8)], dtype=complex)
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"functionals": io._encode_complex(np.vstack([lip.functionals, rows])),
+                                "weights": np.append(lip.weights, np.ones(8)).tolist()}))
+    columns = []
+    for seed in range(5):
+        code = cli.main(["sweep", "--input", z8_file, "--state", "optimized", "--seminorm",
+                         f"file:{path}", "--samples", "5", "--seed", str(seed)])
+        assert code == cli.EXIT_OK
+        columns.append([row["bound_B"] for row in csv.DictReader(capsys.readouterr().out.splitlines())])
+    assert all(column == columns[0] for column in columns)
+    assert float(columns[0][3]) <= 0.228539937977
+
 def test_run_sweep_config_roundtrip(z8_file):
     loaded = io.load_input(z8_file)
     irreps = loaded.irreps_or_default()

@@ -448,7 +448,8 @@ def test_reduce_family_row_counts(name, full, pruned, orbits):
 
 def test_reduce_family_leaves_fourier_and_non_pair_rows(s3c_setup, f_z4):
     g, _, _, lip = s3c_setup
-    assert lipnorm.reduce_family(g, lip) == (lip, lip, None, np.inf)
+    # one coordinate per row on C*(G): every slice is a Fourier multiplier, invariance is proven
+    assert lipnorm.reduce_family(g, lip) == (lip, lip, None, 0.0)
     # a non-pair row is kept even where the pair rows are pruned, and stops the orbit reduction
     metric = lipnorm.lip_from_metric(f_z4)
     extra = np.array([[2.0, -1.0, 0.0, -1.0]], dtype=complex)

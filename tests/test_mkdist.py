@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -151,30 +152,59 @@ def _interacting_disc_family(g, lip):
 
 
 def test_stalled_refinement_reports_its_open_bracket(s3c_setup):
-    # 80 rounds leave some brackets open; the outer optimum comes back with the
-    # bracket's width, and its lower end is attained by the certified optimizer
+    # 80 rounds leave some brackets open, and on one pair the LP of round 8 fails its
+    # certificate; the last certified outer optimum comes back with the bracket's width,
+    # and its lower end is attained by the certified optimizer
     g, _, _, lip = s3c_setup
     family = _interacting_disc_family(g, lip)
     rng = np.random.default_rng(40)
-    capped = 0
-    for _ in range(24):
+    capped, fallback = 0, []
+    for pair in range(24):
         mu, nu = random_state(g, rng), random_state(g, rng)
-        try:
-            result = mkdist.mk_distance(g, family, mu, nu, return_result=True)
-        except CertificationError as exc:       # the simplex's own certificate, not the refinement
-            assert "LP certificates" in str(exc)
-            continue
-        assert (result.refinement_rounds == 80) == (result.gap > 0)
-        capped += result.gap > 0
+        result = mkdist.mk_distance(g, family, mu, nu, return_result=True)
         attained = abs(np.dot(mu.coeffs - nu.coeffs, result.element))
         assert family.value(result.element) <= 1.0
         slack = mkdist.LP_TOL * max(1.0, result.value)            # a closed bracket's width
         assert result.value - result.gap - slack <= attained <= result.value
+        if 0 < result.refinement_rounds < 80 and result.gap > 0:
+            fallback.append(pair)
+            assert result.refinement_rounds == 7
+            assert result.value == pytest.approx(1.5774613443, abs=1e-10)
+            assert 1e-6 <= result.gap <= 2e-6
+            continue
+        assert (result.refinement_rounds == 80) == (result.gap > 0)
+        capped += result.gap > 0
         assert result.gap <= 1e-6 * result.value
-    assert capped > 0
+    assert capped > 0 and fallback == [5]
     bracket = mkdist.diameter_bracket(g, family, samples=10, seed=0)
     assert 0 < bracket.lower <= bracket.upper
 
+
+@pytest.mark.parametrize("fail", [0, 3])
+def test_failed_lp_certificate_returns_the_last_certified_round(fail, s3c_setup, monkeypatch):
+    # a failed certificate in round 0 raises; in a later round the previous round's
+    # certified outer optimum comes back with its open bracket
+    g, _, _, lip = s3c_setup
+    family = _interacting_disc_family(g, lip)
+    rng = np.random.default_rng(40)
+    mu, nu = [(random_state(g, rng), random_state(g, rng)) for _ in range(5)][4]     # 13 rounds
+    solve, values = mkdist.solve_lp, []
+
+    def flaky(problem, tol):
+        solution = solve(problem, tol=tol)
+        values.append(solution.value)
+        return dataclasses.replace(solution, gap_residual=1.0) if len(values) == fail + 1 else solution
+
+    monkeypatch.setattr(mkdist, "solve_lp", flaky)
+    if fail == 0:
+        with pytest.raises(CertificationError, match="LP certificates"):
+            mkdist.mk_distance(g, family, mu, nu)
+        return
+    result = mkdist.mk_distance(g, family, mu, nu, return_result=True)
+    assert result.refinement_rounds == fail - 1 and result.value == values[fail - 1]
+    assert result.gap > 0 and family.value(result.element) <= 1.0
+    attained = abs(np.dot(mu.coeffs - nu.coeffs, result.element))
+    assert result.value - result.gap - mkdist.LP_TOL * result.value <= attained <= result.value
 
 @pytest.mark.parametrize("name", ["C*(S_3)", "F(Z_8)"])
 def test_array_refinement_matches_the_angle_list_reference(name, s3c_setup, z8_setup, monkeypatch):
@@ -554,6 +584,32 @@ def test_perturbed_pair_weight_keeps_the_sampled_invariance_check(scale, z8_setu
         assert mkdist.truncation_bound(g, ts, family, density) > 0
     assert len(sampled) == (drift > lipnorm.ORBIT_RTOL)
 
+
+
+def test_group_algebra_gate_proves_one_coordinate_rows(s3c_setup, monkeypatch):
+    # on C*(G) every slice by a state is a Fourier multiplier: rows that each read one
+    # coordinate, with any weights and phases, are proven bi-invariant and sampled nowhere;
+    # a row on two coordinates, x_(01) + x_(012), is not invariant and is still sampled
+    g, irreps, dec, lip = s3c_setup
+    sampled = []
+    check = mkdist.check_invariance
+    monkeypatch.setattr(mkdist, "check_invariance",
+                        lambda *a, **k: sampled.append(1) or check(*a, **k))
+    ts = compress.truncate(g, irreps, (0, 1, 2), dec=dec)
+    density = compress.canonical_symbol_state(g, ts)
+    phases = np.exp(1j * np.arange(len(lip.weights)))[:, None]
+    odd = lipnorm.PolyhedralSeminorm(functionals=lip.functionals * phases,
+                                     weights=np.random.default_rng(3).uniform(0.2, 3.0, len(lip.weights)))
+    for family in (lip, odd):
+        assert lipnorm.reduce_family(g, family)[3] == 0.0
+        assert check(family, g, "bi", samples=30, seed=2, tol=1e-9) == 0.0    # the samples agree
+        assert mkdist.truncation_bound(g, ts, family, density) > 0
+    assert sampled == []
+    family = _interacting_disc_family(g, lip)
+    assert lipnorm.reduce_family(g, family)[3] == np.inf
+    with pytest.raises(CertificationError, match="not bi-invariant"):
+        mkdist.truncation_bound(g, ts, family, density, seed=1)
+    assert sampled == [1]
 
 def test_pair_families_and_product_balls_run_no_lp(tmp_path, monkeypatch):
     counts = collections.Counter()

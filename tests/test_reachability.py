@@ -17,6 +17,10 @@ set when a call in ``src/cqms``, ``demos/*.py`` or ``perfbench/*.py`` passes
 it a value.  Calls match definitions by name.  Passing through the
 same-named parameter of an enclosing function counts only when that
 parameter is itself set.  A parameter that no caller sets is a constant.
+
+The seed census lists every def of src/cqms that takes a ``seed`` or an
+``rng``, or calls ``default_rng``: only the sampled diagnostics and the
+random generators draw random numbers, so no certified output reads a seed.
 """
 
 import ast
@@ -242,3 +246,39 @@ def test_no_private_definition_takes_a_side():
                 if "side" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
                     sided.append(f"{path.stem}.{node.name}")
     assert sided == []
+
+
+# The sampled diagnostics, the sampled invariance gate that ``truncation_bound`` falls
+# back to, and two fixed seeds: the multiplicative unitary's sampled implementation
+# witness and the generic weights that split the characters of an abelian table.
+SAMPLED = {"compress.liftable_states", "compress.isometry_witness_residual",
+           "lipnorm.check_invariance", "mkdist.truncation_bound", "mkdist.diameter_bracket",
+           "mkdist.matrix_mk_lower_bound", "cli._bound_row", "cli._hausdorff_lower",
+           "corep._implementation_residual", "groups.abelian_characters"}
+
+
+def seeded_definitions() -> set[str]:
+    """``module.def`` for each def of src/cqms that takes ``seed`` or ``rng`` or calls ``default_rng``."""
+    found: set[str] = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                draws = any(isinstance(n, ast.Call) and "default_rng" in
+                            (getattr(n.func, "attr", None), getattr(n.func, "id", None))
+                            for n in ast.walk(child))
+                if params & {"seed", "rng"} or draws:
+                    found.add(".".join(prefix + [child.name]))
+                visit(child, prefix + [child.name])
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_only_sampled_diagnostics_take_a_seed():
+    assert {name for name in seeded_definitions() if not name.startswith("sampling.")} == SAMPLED
