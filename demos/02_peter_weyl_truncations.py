@@ -1,4 +1,4 @@
-"""Peter-Weyl blocks, multiplicative unitaries and truncated operator systems.
+"""Peter-Weyl blocks, the multiplicative unitary W and truncated operator systems.
 
 The GNS space of the invariant state splits into blocks spanned by matrix
 coefficients of the irreducible corepresentations.  Compressing the algebra
@@ -32,11 +32,11 @@ dec = pw_decompose(g, irreps)
 print("F(Z_8): eight characters, blocks of dimension 1, sum d^2 =",
       sum(p.dim ** 2 for p in irreps))
 
-w = multiplicative_unitary(g, "W")
+w = multiplicative_unitary(g)
 print(f"multiplicative unitary W: unitarity residual {w.unitarity_residual:.1e}, "
       f"implements the comultiplication to {w.implementation_residual:.1e}")
 p = dec.projector([0, 1, 7])
-print(f"W commutes with P (x) 1 to {commutation_residual(w.matrix, p, 'W', 8):.1e}")
+print(f"W commutes with P (x) 1 to {commutation_residual(w.matrix, p, 8):.1e}")
 print()
 
 print("compression by the window {0, +-1} is a 3x3 matrix of Fourier")

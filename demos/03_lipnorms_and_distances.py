@@ -36,7 +36,7 @@ print("the Lipschitz seminorm of the arc metric on Z_8:")
 chi1 = np.exp(2j * np.pi * np.arange(8) / 8)
 print(f"  L(chi_1) = {lip.value(chi1):.6f}")
 print(f"  L(1)     = {lip.value(g.unit):.1e}")
-print(f"  bi-invariance violation (sampled + exact upgrade): "
+print(f"  bi-invariance violation (exact upgrade on sampled elements): "
       f"{check_invariance(lip, g, 'bi', samples=20, seed=0, tol=1e-8):.2e}")
 print()
 

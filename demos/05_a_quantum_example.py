@@ -30,7 +30,6 @@ from cqms import (
     check_axioms,
     cocommutation_residual,
     compress,
-    corep,
     haar_state,
     pw_decompose,
 )
@@ -49,11 +48,10 @@ print(f"the invariant state is the trace at the identity word: "
 print()
 
 print("irreducible corepresentations: four group-likes and one 2-dim block")
-for p in irreps:
-    r = corep.validate_corep(g, p)
-    print(f"  {p.label}: dim {p.dim}, unitarity {r.unitarity_residual:.1e}, "
-          f"corep identity {r.corep_residual:.1e}, End dim {r.end_dim}")
 dec = pw_decompose(g, irreps)
+for p, r in zip(dec.irreps, dec.reports):
+    print(f"  {p.label}: dim {p.dim}, unitarity {r.unitarity_residual:.1e}, "
+          f"corep identity {r.corep_residual:.1e}")
 print(f"sum of squared dimensions = {sum(p.dim**2 for p in irreps)} = dim: "
       "the family is complete")
 print()

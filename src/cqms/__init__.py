@@ -29,7 +29,6 @@ from .corep import (
     corep_from_group_rep,
     default_irreps,
     gns_build,
-    mor_dim,
     multiplicative_unitary,
     pw_decompose,
     validate_corep,

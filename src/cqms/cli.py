@@ -255,11 +255,9 @@ def cmd_pw(args, out) -> int:
     loaded, irreps = _load(args)
     g = loaded.algebra
     dec = corep.pw_decompose(g, irreps, tol=1e-10)
-    for k, pi in enumerate(dec.irreps):
-        rep = corep.validate_corep(g, pi)
+    for k, (pi, rep) in enumerate(zip(dec.irreps, dec.reports)):
         print(f"irrep {k} ({pi.label or 'unnamed'}): dim {pi.dim}, "
-              f"unitarity {rep.unitarity_residual:.2e}, corep {rep.corep_residual:.2e}, "
-              f"End dim {rep.end_dim}", file=out)
+              f"unitarity {rep.unitarity_residual:.2e}, corep {rep.corep_residual:.2e}", file=out)
     print(f"complete: sum d^2 = {sum(p.dim ** 2 for p in dec.irreps)} = dim {g.dim}", file=out)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""GNS construction, corepresentations, Peter-Weyl projectors, multiplicative unitaries.
+"""GNS construction, corepresentations, Peter-Weyl projectors, the multiplicative unitary.
 
 The GNS space carries the inner product <a, b> = h(b* a) (antilinear in the
 second slot).  Corepresentations are stored through their matrix coefficients:
@@ -14,8 +14,8 @@ import numpy as np
 
 from . import groups
 from .errors import CompletenessError, InternalInconsistencyError, SchurError, StructureError
-from .hopf import (FiniteQuantumGroup, _co_opposite, _maxabs, _orthonormalize, _positivity_witness,
-                   _rank, _rep_residuals, _unitarity_residual)
+from .hopf import (FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness,
+                   _rep_residuals, _unitarity_residual)
 
 GNS_TOL = 1e-10
 UNITARY_SAMPLES = 8      # random elements on which a multiplicative unitary must implement Delta
@@ -138,24 +138,18 @@ def default_irreps(g: FiniteQuantumGroup) -> list[Corepresentation]:
 class CorepReport:
     unitarity_residual: float
     corep_residual: float
-    end_dim: int
-
-    @property
-    def irreducible(self) -> bool:
-        return self.end_dim == 1
 
     def passed(self, tol: float) -> bool:
         return max(self.unitarity_residual, self.corep_residual) < tol
 
 
-def validate_corep(g: FiniteQuantumGroup, pi: Corepresentation, tol: float = GNS_TOL) -> CorepReport:
-    """Residuals of unitarity and the corepresentation identity, plus dim End(pi)."""
+def validate_corep(g: FiniteQuantumGroup, pi: Corepresentation) -> CorepReport:
+    """Residuals of unitarity and the corepresentation identity."""
     unit_res = _unitarity_residual(amplified_corep(g, pi))
     lhs = np.einsum("ijn,npq->ijpq", pi.u, g.comult)
     rhs = np.einsum("ikp,kjq->ijpq", pi.u, pi.u)
     corep_res = _maxabs(lhs - rhs)
-    return CorepReport(unitarity_residual=unit_res, corep_residual=corep_res,
-                       end_dim=mor_dim(g, pi, pi))
+    return CorepReport(unitarity_residual=unit_res, corep_residual=corep_res)
 
 
 def amplified_corep(g: FiniteQuantumGroup, pi: Corepresentation) -> np.ndarray:
@@ -166,20 +160,6 @@ def amplified_corep(g: FiniteQuantumGroup, pi: Corepresentation) -> np.ndarray:
     return big.reshape(d * d0, d * d0)
 
 
-def mor_dim(g: FiniteQuantumGroup, pi: Corepresentation, rho: Corepresentation) -> int:
-    """dim Mor(pi, rho): solutions T of (T (x) 1) U^pi = U^rho (T (x) 1)."""
-    dp, dr, n = pi.dim, rho.dim, g.dim
-    m = np.zeros((dr * dp * n, dr * dp), dtype=complex)
-    for p in range(dr):
-        for q in range(dp):
-            # coefficient of T[p, q] in constraint[i, j, :] over (i, j) in dr x dp
-            block = np.zeros((dr, dp, n), dtype=complex)
-            block[p, :, :] += pi.u[q, :, :]
-            block[:, q, :] -= rho.u[:, p, :]
-            m[:, p * dp + q] = block.reshape(-1)
-    return int(dr * dp - _rank(m))
-
-
 @dataclass(frozen=True, eq=False)
 class PWDecomposition:
     """Orthogonal blocks of the GNS space spanned by matrix coefficients."""
@@ -187,6 +167,7 @@ class PWDecomposition:
     gns: GNSSpace
     irreps: tuple
     blocks: tuple            # per irrep: (d^2, n) array, rows orthonormal in GNS coords
+    reports: tuple           # per irrep: its CorepReport
 
     def projector(self, subset) -> np.ndarray:
         n = self.gns.onb.shape[0]
@@ -204,26 +185,29 @@ class PWDecomposition:
 def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecomposition:
     """Validate a complete irreducible family and orthonormalize its coefficient blocks.
 
-    Blocks of inequivalent irreps are orthogonal (Schur), equivalent ones coincide:
-    one Gram matrix of all blocks certifies both.
+    A unitary corepresentation is irreducible exactly when its d^2 matrix
+    coefficients are linearly independent (Woronowicz): an intertwiner T != c 1
+    gives the relation sum_k (T_ik u_kj - u_ik T_kj) = 0 among them.  So the
+    rank of each orthonormalized block decides irreducibility.  Blocks of
+    inequivalent irreps are orthogonal (Schur), equivalent ones coincide: one
+    Gram matrix of all blocks certifies both.
     """
     gns = gns_build(g)
     irreps = tuple(irreps)
-    blocks = []
+    blocks, reports = [], []
     for k, pi in enumerate(irreps):
-        report = validate_corep(g, pi, tol)
+        report = validate_corep(g, pi)
         if not report.passed(tol):
             raise StructureError(
                 f"irrep {k} fails validation (unitarity {report.unitarity_residual:.2e}, "
                 f"corep {report.corep_residual:.2e})")
-        if not report.irreducible:
-            raise SchurError(f"irrep {k} is reducible (dim End = {report.end_dim})")
         vecs = np.array([gns.vector(pi.u[i, j]) for i in range(pi.dim) for j in range(pi.dim)])
         q = _orthonormalize(vecs)
         if q.shape[0] != pi.dim ** 2:
-            raise StructureError(
-                f"matrix coefficients of a d={pi.dim} irrep span rank {q.shape[0]}, expected {pi.dim ** 2}")
+            raise SchurError(f"irrep {k} is reducible: its d^2 = {pi.dim ** 2} coefficients "
+                             f"span rank {q.shape[0]}")
         blocks.append(q)
+        reports.append(report)
 
     owner = np.repeat(np.arange(len(blocks)), [len(q) for q in blocks])
     stacked = np.vstack(blocks) if blocks else np.zeros((0, g.dim), dtype=complex)
@@ -237,48 +221,40 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecom
     total = sum(pi.dim ** 2 for pi in irreps)
     if total != g.dim:
         raise CompletenessError(f"sum of squared dimensions is {total}, expected {g.dim}")
-    return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks))
+    return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks), reports=tuple(reports))
 
 
 # ---------------------------------------------------------------------------
-# multiplicative unitaries
+# the multiplicative unitary
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class MultiplicativeUnitary:
-    side: str                    # "W" on H (x) H0, "V" on H0 (x) H
-    matrix: np.ndarray
+    matrix: np.ndarray           # W on H (x) H0
     unitarity_residual: float
     implementation_residual: float
 
 
-def multiplicative_unitary(g: FiniteQuantumGroup, side: str = "W") -> MultiplicativeUnitary:
+def multiplicative_unitary(g: FiniteQuantumGroup) -> MultiplicativeUnitary:
     """Dense multiplicative unitary with certificates of its defining identities.
 
     W(Lambda(a) (x) xi) = (pi (x) rho)(Delta a)(Lambda(1) (x) xi) on H (x) H0,
     verified to implement the comultiplication by conjugation on
-    UNITARY_SAMPLES seeded random elements.  V on H0 (x) H is W of A^cop
-    (``hopf._co_opposite``, Delta's legs swapped) with both legs flipped.
+    UNITARY_SAMPLES seeded random elements.
     """
-    if side not in ("W", "V"):
-        raise ValueError(f"side must be 'W' or 'V', got {side!r}")
-    alg = g if side == "W" else _co_opposite(g)
-    gns = gns_build(alg)
+    gns = gns_build(g)
     n = g.dim
     d0 = g.rep.shape[1]
     acted = np.einsum("jpq,q->jp", gns.rep, gns.cyclic)      # pi(e_j) Lambda(1)
     mat = np.zeros((n * d0, n * d0), dtype=complex)
     for m in range(n):
-        delta = alg.coproduct(gns.onb_inv[:, m])
+        delta = g.coproduct(gns.onb_inv[:, m])
         # column (m, k): sum_{j,l} delta[j,l] (pi(e_j) cyclic) (x) (rho(e_l) e_k)
         cols = np.einsum("jl,jp,lqk->pqk", delta, acted, g.rep)
         mat[:, m * d0:(m + 1) * d0] = cols.reshape(n * d0, d0)
     unit_res = _unitarity_residual(mat)
-    impl_res = _implementation_residual(alg, gns, mat)
-    if side == "V":
-        mat = mat.reshape(n, d0, n, d0).transpose(1, 0, 3, 2).reshape(d0 * n, d0 * n)
-    return MultiplicativeUnitary(side=side, matrix=mat, unitarity_residual=unit_res,
-                                 implementation_residual=impl_res)
+    impl_res = _implementation_residual(g, gns, mat)
+    return MultiplicativeUnitary(matrix=mat, unitarity_residual=unit_res, implementation_residual=impl_res)
 
 
 def _implementation_residual(g, gns, mat) -> float:
@@ -294,10 +270,7 @@ def _implementation_residual(g, gns, mat) -> float:
     return worst
 
 
-def commutation_residual(mat: np.ndarray, projector: np.ndarray, side: str, d0: int) -> float:
-    """Residual of [W, P (x) 1] = 0 (side W) or [V, 1 (x) P] = 0 (side V)."""
-    if side == "W":
-        big = np.kron(projector, np.eye(d0))
-    else:
-        big = np.kron(np.eye(d0), projector)
+def commutation_residual(mat: np.ndarray, projector: np.ndarray, d0: int) -> float:
+    """Residual of [W, P (x) 1] = 0."""
+    big = np.kron(projector, np.eye(d0))
     return _maxabs(mat @ big - big @ mat)

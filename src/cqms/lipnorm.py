@@ -20,7 +20,7 @@ from . import groups
 from .compress import InducedCoaction, TruncatedSystem, comultiplication_coaction
 from .errors import LengthError, MetricError, UnsupportedSeminormError
 from .hopf import FiniteQuantumGroup, _maxabs, _rank, _readonly, spectral_norms
-from .sampling import random_state_density
+from .sampling import random_elements
 
 W_TOL = 1e-6
 EPS = float(np.finfo(float).eps)
@@ -581,32 +581,17 @@ def invariant_upgrade(lip: PolyhedralSeminorm, g: FiniteQuantumGroup, side: str 
 
 def check_invariance(lip: PolyhedralSeminorm, g: FiniteQuantumGroup, side: str = "right",
                      samples: int = 50, seed: int = 0, tol: float = W_TOL) -> float:
-    """Largest positive violation of coaction invariance found.
+    """Largest positive violation upgrade(a) - L(a) of coaction invariance found.
 
-    Combines sampled-state slices L(slice) - L(a) with the exact check
-    upgrade(a) <= L(a) on sampled elements (exact over states by the
-    numerical-radius reduction).  Reads the LP family only: the orbit-reduced
-    radius family assumes the invariance checked here.  The samples are
-    drawn one at a time and evaluated as one stack.
+    The upgrade is exact over all states (the numerical-radius reduction), so
+    no slice by a single state can exceed it; only the elements are sampled.
+    A positive value refutes invariance, but 0 proves nothing about elements
+    the samples missed.  Reads the LP family only: the orbit-reduced radius
+    family assumes the invariance checked here.
     """
-    rng = np.random.default_rng(seed)
-    n = g.dim
-    upgrade = invariant_upgrade(lip, g, side, tol)
-    lip = reduce_family(g, lip)[0]
-    draws = []
-    for _ in range(samples):            # an element, then a state: one sample at a time
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        draws.append((a, random_state_density(g, rng)))
-    elements, densities = map(np.array, zip(*draws))
-    # mu_k(e_i) = tr(density_k rho(e_i))
-    mu = densities.transpose(0, 2, 1).reshape(samples, -1) @ g.rep.reshape(n, -1).T
-    delta = (elements @ g.comult.reshape(n, n * n)).reshape(samples, n, n)
-    base = lip.value(elements)
-    worst = [upgrade(elements) - base - 2 * tol]
-    if side in ("right", "bi"):
-        worst.append(lip.value((delta @ mu[:, :, None])[:, :, 0]) - base)
-    if side in ("left", "bi"):
-        worst.append(lip.value((mu[:, None, :] @ delta)[:, 0]) - base)
+    elements = random_elements(g, np.random.default_rng(seed), samples)
+    base = reduce_family(g, lip)[0].value(elements)
+    worst = invariant_upgrade(lip, g, side, tol)(elements) - base - 2 * tol
     return float(np.max(worst, initial=0.0))
 
 

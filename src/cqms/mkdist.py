@@ -216,8 +216,7 @@ def mk_distance(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, mu, nu,
         if len(radii):
             value, t = _product_support(product, radii, z, weights, objective)
         else:
-            value, t, iterations, rounds, gap = _refined_lp(z, weights, cuts, bounds, owner,
-                                                            objective, LP_TOL)
+            value, t, iterations, rounds, gap = _refined_lp(z, weights, cuts, bounds, owner, objective)
         element = quotient.T @ t
 
     # lip.value errs by less than 1 - limit, so a value <= limit gives L(element) <= 1 exactly
@@ -287,7 +286,7 @@ def _product_support(product, radii, z, weights, objective) -> tuple[float, np.n
     return value, t
 
 
-def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
+def _refined_lp(z, weights, cuts, bounds, owner, objective):
     """(value, t, iterations, rounds, gap): the LP over the outer polygon, discs refined until
     closed or for 80 rounds; t / ratio lies in every disc, so value - gap = value / ratio.
 
@@ -297,12 +296,11 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
     discs = np.flatnonzero(np.bincount(owner + 1, minlength=len(weights) + 1)[1:])
     rounds = 0
     while True:
-        solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds),
-                            tol=lp_tol)
+        solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds))
         if solution.status == "unbounded":
             raise DegenerateKernelError("distance LP is unbounded; the seminorm is degenerate")
         try:
-            solution.certify(tol=1e-7)
+            solution.certify()
         except CertificationError:
             if not rounds:
                 raise
@@ -313,7 +311,7 @@ def _refined_lp(z, weights, cuts, bounds, owner, objective, lp_tol):
         ratio = np.max(np.abs(vals) / weights[discs], initial=1.0)
         upper = solution.value
         gap = upper - upper / ratio
-        if gap <= lp_tol * max(1.0, abs(upper)):
+        if gap <= LP_TOL * max(1.0, abs(upper)):
             gap = 0.0
             break
         if rounds == 80:
@@ -341,7 +339,8 @@ def truncation_bound(g: FiniteQuantumGroup, ts: TruncatedSystem, lip: Polyhedral
     The bi-invariance gate first takes the bound that ``reduce_family`` proves
     (its drift: 0 for exactly invariant pair weights on F(G) and for rows that
     each read one coordinate of C*(G)); any other family is checked by
-    sampling (``check_invariance``).
+    sampling (``check_invariance``), which can refute bi-invariance but never
+    prove it.
     """
     if check_invariant:
         violation = reduce_family(g, lip)[3]
@@ -426,10 +425,10 @@ def diameter_bracket(g: FiniteQuantumGroup, lip: PolyhedralSeminorm, samples: in
 
 def _support_lp(g, lip, objective) -> float:
     cuts, bounds = _unit_ball(g, lip)[5:7]
-    solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds), tol=LP_TOL)
+    solution = solve_lp(LPProblem(objective=objective, inequalities=cuts, bounds=bounds))
     if solution.status != "optimal":
         raise DegenerateKernelError("support LP unbounded; the seminorm is degenerate")
-    solution.certify(tol=1e-7)
+    solution.certify()
     return float(solution.value)
 
 

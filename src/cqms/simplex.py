@@ -39,21 +39,22 @@ class LPSolution:
     gap_residual: float
     iterations: int
 
-    def certify(self, tol: float = 1e-7) -> None:
+    def certify(self) -> None:
+        """Raise unless optimal with every scaled residual at most 1e-7."""
         if self.status != "optimal":
             raise CertificationError(f"LP did not reach an optimum (status {self.status})")
         worst = max(self.primal_residual, self.dual_residual, self.gap_residual)
-        if worst > tol:
-            raise CertificationError(f"LP certificates exceed tolerance: {worst:.3e} > {tol:.1e}")
+        if worst > 1e-7:
+            raise CertificationError(f"LP certificates exceed tolerance: {worst:.3e} > 1.0e-07")
 
 
-def solve_lp(problem: LPProblem, tol: float = FEAS_TOL) -> LPSolution:
+def solve_lp(problem: LPProblem) -> LPSolution:
     c = np.asarray(problem.objective, dtype=float)
     a = np.asarray(problem.inequalities, dtype=float)
     b = np.asarray(problem.bounds, dtype=float)
     if a.ndim != 2 or a.shape != (len(b), len(c)):
         raise ValueError(f"inconsistent LP shapes A {a.shape}, b {b.shape}, c {c.shape}")
-    if np.any(b < -tol):
+    if np.any(b < -FEAS_TOL):
         raise ValueError("solve_lp requires b >= 0 (the origin must be feasible)")
     m, k = a.shape
 
@@ -73,20 +74,20 @@ def solve_lp(problem: LPProblem, tol: float = FEAS_TOL) -> LPSolution:
         if iters >= MAX_ITERS:
             raise CertificationError(f"simplex exceeded {MAX_ITERS} iterations")
         iters += 1
-        eligible = np.nonzero(tab[m, :ncols] < -tol)[0]
+        eligible = np.nonzero(tab[m, :ncols] < -FEAS_TOL)[0]
         if len(eligible) == 0:
             break
         entering = int(eligible[0])       # Bland: smallest eligible index enters
         col = tab[:m, entering]
         rhs = tab[:m, -1]
-        rows = np.nonzero(col > tol)[0]
+        rows = np.nonzero(col > FEAS_TOL)[0]
         if len(rows) == 0:
             return LPSolution(status="unbounded", x=None, value=np.inf, dual=None,
                               primal_residual=np.inf, dual_residual=np.inf,
                               gap_residual=np.inf, iterations=iters)
         ratios = rhs[rows] / col[rows]
         best = np.min(ratios)
-        ties = rows[ratios <= best + tol]
+        ties = rows[ratios <= best + FEAS_TOL]
         leaving = int(ties[np.argmin(basis_arr[ties])])   # Bland: smallest basic index leaves
         pivot_row = tab[leaving] / tab[leaving, entering]
         factors = tab[:, entering].copy()

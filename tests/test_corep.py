@@ -41,33 +41,49 @@ def test_validate_trivial_corep(f_z4):
     report = corep.validate_corep(f_z4, corep.Corepresentation(u=f_z4.unit.reshape(1, 1, 4)))
     assert report.unitarity_residual < 1e-12
     assert report.corep_residual < 1e-12
-    assert report.irreducible
 
 
 def test_validate_z4_character(f_z4):
     chi1 = corep.default_irreps(f_z4)[1]
     report = corep.validate_corep(f_z4, chi1)
-    assert report.passed(1e-10)
-    assert report.irreducible and chi1.dim == 1
+    assert report.passed(1e-10) and chi1.dim == 1
+
+
+def _direct_sum(*parts):
+    d = sum(p.dim for p in parts)
+    u = np.zeros((d, d, parts[0].u.shape[2]), dtype=complex)
+    k = 0
+    for p in parts:
+        u[k:k + p.dim, k:k + p.dim] = p.u
+        k += p.dim
+    return corep.Corepresentation(u=u)
 
 
 def test_s3_standard_rep_irreducible(f_s3):
-    std = corep.default_irreps(f_s3)[2]
+    # its four coefficients are linearly independent: the block has full rank d^2
+    irreps = corep.default_irreps(f_s3)
+    std = irreps[2]
     assert std.dim == 2
-    report = corep.validate_corep(f_s3, std)
-    assert report.passed(1e-10)
-    assert report.end_dim == 1
+    dec = corep.pw_decompose(f_s3, irreps)
+    assert dec.blocks[2].shape == (4, 6)
+    assert dec.reports[2].passed(1e-10)
 
 
 def test_reducible_corep_detected(f_s3):
+    # std + std is a unitary corepresentation whose 16 coefficients span rank 4
     irr = corep.default_irreps(f_s3)
-    u = np.zeros((2, 2, 6), dtype=complex)
-    u[0, 0] = irr[0].u[0, 0]
-    u[1, 1] = irr[1].u[0, 0]
-    direct_sum = corep.Corepresentation(u=u)
-    report = corep.validate_corep(f_s3, direct_sum)
-    assert report.passed(1e-10)
-    assert report.end_dim == 2
+    doubled = _direct_sum(irr[2], irr[2])
+    assert corep.validate_corep(f_s3, doubled).passed(1e-10)
+    with pytest.raises(SchurError, match="irrep 2 is reducible.*16 coefficients span rank 4"):
+        corep.pw_decompose(f_s3, [irr[0], irr[1], doubled])
+
+
+def test_pw_decompose_rejects_a_reducible_first_member(f_s3):
+    irr = corep.default_irreps(f_s3)
+    trivial_sign = _direct_sum(irr[0], irr[1])
+    assert corep.validate_corep(f_s3, trivial_sign).passed(1e-10)
+    with pytest.raises(SchurError, match="irrep 0 is reducible.*4 coefficients span rank 2"):
+        corep.pw_decompose(f_s3, [trivial_sign, irr[2]])
 
 
 def test_matrix_coefficients(f_z4, c_s3):
@@ -131,7 +147,7 @@ def test_join_of_projectors(z8_setup):
 
 def test_multiplicative_unitary_z2():
     g = hopf.function_algebra(groups.cyclic_table(2))
-    w = corep.multiplicative_unitary(g, "W")
+    w = corep.multiplicative_unitary(g)
     assert w.matrix.shape == (4, 4)
     assert w.unitarity_residual < 1e-12
     assert w.implementation_residual < 1e-12
@@ -142,17 +158,14 @@ def test_multiplicative_unitary_commutes_with_projectors(f_z4, c_s3):
         irreps = corep.default_irreps(g)
         dec = corep.pw_decompose(g, irreps)
         d0 = g.rep.shape[1]
-        w = corep.multiplicative_unitary(g, "W")
-        v = corep.multiplicative_unitary(g, "V")
+        w = corep.multiplicative_unitary(g)
         assert w.implementation_residual < 1e-11
-        assert v.implementation_residual < 1e-11
         for subset in ([0], [0, 1], list(range(len(irreps)))):
             p = dec.projector(subset)
-            assert corep.commutation_residual(w.matrix, p, "W", d0) < 1e-12
-            assert corep.commutation_residual(v.matrix, p, "V", d0) < 1e-12
+            assert corep.commutation_residual(w.matrix, p, d0) < 1e-12
 
 
 def test_multiplicative_unitary_s3_nonabelian(f_s3):
-    w = corep.multiplicative_unitary(f_s3, "W")
+    w = corep.multiplicative_unitary(f_s3)
     assert w.unitarity_residual < 1e-12
     assert w.implementation_residual < 1e-11

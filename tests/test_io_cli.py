@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqms import cli, corep, groups, hopf, io, lipnorm
+from cqms import cli, corep, groups, hopf, io, lipnorm, mkdist
 
 import oracles
 
@@ -196,20 +196,31 @@ def test_cli_sweep_bad_chain(z8_file, capsys):
     assert "chain" in err
 
 
-def test_cli_sweep_runs_where_the_disc_refinement_stalls(s3c_file, tmp_path, capsys):
-    # the word-length rows plus x_(01) + x_(012): some diameter pairs end at the round cap
-    g = io.load_input(s3c_file).algebra
-    lip = lipnorm.lip_fourier(g)
-    row = np.zeros((1, g.dim), dtype=complex)
-    row[0, 1] = row[0, 4] = 1.0
+def test_cli_sweep_runs_where_the_disc_refinement_stalls(tmp_path, capsys, monkeypatch):
+    # F(Z_6): the arc pair rows plus the translates of e0 + i e1 - e2 - i e3 and their
+    # conjugates, a bi-invariant family on which one diameter LP ends at the round cap
+    z6 = str(tmp_path / "z6.json")
+    io.dump_group_file(z6, groups.cyclic_table(6), metric=groups.arc_metric(6))
+    lip = lipnorm.lip_from_metric(io.load_input(z6).algebra)
+    translates = np.array([np.roll([1, 1j, -1, -1j, 0, 0], k) for k in range(6)])
+    extra = np.vstack([translates, translates.conj()])
     path = tmp_path / "family.json"
-    path.write_text(json.dumps({"functionals": io._encode_complex(np.vstack([lip.functionals, row])),
-                                "weights": np.append(lip.weights, 1.0).tolist()}))
-    code = cli.main(["sweep", "--input", s3c_file, "--seminorm", f"file:{path}", "--samples", "5",
+    path.write_text(json.dumps({"functionals": io._encode_complex(np.vstack([lip.functionals, extra])),
+                                "weights": np.append(lip.weights, np.ones(len(extra))).tolist()}))
+    rounds, refine = [], mkdist._refined_lp
+
+    def spy(*args):
+        result = refine(*args)
+        rounds.append(result[3])
+        return result
+
+    monkeypatch.setattr(mkdist, "_refined_lp", spy)
+    code = cli.main(["sweep", "--input", z6, "--seminorm", f"file:{path}", "--samples", "5",
                      "--format", "csv"])
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert code == cli.EXIT_OK and len(rows) == 4
     assert all(float(r["diam_lower"]) <= float(r["diam_upper"]) for r in rows)
+    assert 80 in rounds
 
 
 def test_cli_pw(s3c_file, capsys):

@@ -190,8 +190,8 @@ def test_failed_lp_certificate_returns_the_last_certified_round(fail, s3c_setup,
     mu, nu = [(random_state(g, rng), random_state(g, rng)) for _ in range(5)][4]     # 13 rounds
     solve, values = mkdist.solve_lp, []
 
-    def flaky(problem, tol):
-        solution = solve(problem, tol=tol)
+    def flaky(problem):
+        solution = solve(problem)
         values.append(solution.value)
         return dataclasses.replace(solution, gap_residual=1.0) if len(values) == fail + 1 else solution
 
@@ -214,9 +214,9 @@ def test_array_refinement_matches_the_angle_list_reference(name, s3c_setup, z8_s
         lip = _mixed_disc_family(g, lip)
     solve, lps = mkdist.solve_lp, []
 
-    def record(problem, tol):
+    def record(problem):
         lps.append(_lp_arrays(problem))
-        return solve(problem, tol=tol)
+        return solve(problem)
 
     monkeypatch.setattr(mkdist, "solve_lp", record)
     rng = np.random.default_rng(40)
@@ -497,7 +497,7 @@ def test_closed_form_matches_the_lp_on_the_canonical_chain(n):
             assert result.value == 0.0 and not np.any(result.element)
             continue
         objective = np.real(quotient @ (pulled.coeffs - eps.coeffs))
-        lp_value = mkdist._refined_lp(z, weights, cuts, bounds, owner, objective, mkdist.LP_TOL)[0]
+        lp_value = mkdist._refined_lp(z, weights, cuts, bounds, owner, objective)[0]
         assert lp_value <= result.value <= lp_value * (1 + 1e-12)
 
 
@@ -607,9 +607,19 @@ def test_group_algebra_gate_proves_one_coordinate_rows(s3c_setup, monkeypatch):
     assert sampled == []
     family = _interacting_disc_family(g, lip)
     assert lipnorm.reduce_family(g, family)[3] == np.inf
-    with pytest.raises(CertificationError, match="not bi-invariant"):
-        mkdist.truncation_bound(g, ts, family, density, seed=1)
-    assert sampled == [1]
+    # a deterministic witness: a = x_(01) - x_(012) / 2 has L(a) = 1 and upgrade 3/2
+    a = np.zeros(g.dim, dtype=complex)
+    a[1], a[4] = 1.0, -0.5
+    assert lipnorm.reduce_family(g, family)[0].value(a) == pytest.approx(1.0, abs=1e-12)
+    for side in ("right", "left", "bi"):
+        assert lipnorm.invariant_upgrade(family, g, side)(a) == pytest.approx(1.5, abs=1e-6)
+    # the sampled gate can only refute: wherever it does, the bound is refused
+    caught = [s for s in range(41) if check(family, g, "bi", samples=12, seed=s, tol=1e-7) > 1e-6]
+    assert caught
+    for seed in caught:
+        with pytest.raises(CertificationError, match="not bi-invariant"):
+            mkdist.truncation_bound(g, ts, family, density, seed=seed)
+    assert sampled == [1] * len(caught)
 
 def test_pair_families_and_product_balls_run_no_lp(tmp_path, monkeypatch):
     counts = collections.Counter()

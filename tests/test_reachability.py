@@ -14,9 +14,12 @@ called by the language, not by name, and are not counted.
 
 The option census asks the same of parameters with a default: one counts as
 set when a call in ``src/cqms``, ``demos/*.py`` or ``perfbench/*.py`` passes
-it a value.  Calls match definitions by name.  Passing through the
-same-named parameter of an enclosing function counts only when that
-parameter is itself set.  A parameter that no caller sets is a constant.
+it a value other than its default.  Literals and the module-level constants
+of ``src/cqms`` are resolved, so ``tol=1e-10`` against ``tol=GNS_TOL`` is
+the default again; any other expression counts as a different value.  Calls
+match definitions by name.  Passing through the same-named parameter of an
+enclosing function counts only when that parameter is itself set.  A
+parameter that no caller sets is a constant.
 
 The seed census lists every def of src/cqms that takes a ``seed`` or an
 ``rng``, or calls ``default_rng``: only the sampled diagnostics and the
@@ -143,6 +146,44 @@ def test_every_method_is_named_outside_the_tests():
 # Written as the group-file ``irreps`` field, which only the tests' own group
 # files carry; the demos and perfbench use the built-in irreducible families.
 TEST_ONLY_OPTIONS = {"io.dump_group_file(irreps)"}
+# Every caller passes the default, but the perfbench ``certified`` set-up names it.
+DEFAULT_ONLY_OPTIONS = {"corep.pw_decompose(tol)"}
+
+UNRESOLVED = object()
+
+
+def _constants() -> dict:
+    """Module-level ``NAME = literal`` of src/cqms; a name bound to two values is dropped."""
+    found: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                value = _literal(node.value, {})
+                name = node.targets[0].id
+                if value is not UNRESOLVED and found.get(name, value) == value:
+                    found[name] = value
+                else:
+                    found[name] = UNRESOLVED
+    return found
+
+
+def _literal(node, constants):
+    """The value a literal or a src/cqms constant (bare or as ``module.NAME``) spells."""
+    if isinstance(node, ast.Name):
+        return constants.get(node.id, UNRESOLVED)
+    if isinstance(node, ast.Attribute):
+        return constants.get(node.attr, UNRESOLVED)
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return UNRESOLVED
+    return (type(value), value)
+
+
+def _same(node, default, constants) -> bool:
+    value = _literal(node, constants)
+    return value is not UNRESOLVED and value == _literal(default, constants)
 
 
 class _Census(ast.NodeVisitor):
@@ -151,7 +192,7 @@ class _Census(ast.NodeVisitor):
     def __init__(self, module: str):
         self.prefix = [module]
         self.scope: list[str] = []
-        self.defs: dict[str, tuple] = {}        # key -> (name, params as called, all, defaulted)
+        self.defs: dict[str, tuple] = {}        # key -> (name, params as called, all, defaults)
         self.calls: list[tuple] = []            # (call, keys of the enclosing defs)
         self.in_class = False
 
@@ -165,12 +206,12 @@ class _Census(ast.NodeVisitor):
     def _visit_function(self, node):
         args = node.args
         positional = [a.arg for a in args.posonlyargs + args.args]
-        defaulted = positional[len(positional) - len(args.defaults):] + [
-            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
         every = set(positional) | {a.arg for a in args.kwonlyargs}
         called = positional[1:] if self.in_class else positional      # obj.method(...)
         key = ".".join(self.prefix + [node.name])
-        self.defs[key] = (node.name, called, every, set(defaulted))
+        self.defs[key] = (node.name, called, every, defaults)
         self.prefix.append(node.name)
         self.scope.append(key)
         outer, self.in_class = self.in_class, False
@@ -187,7 +228,8 @@ class _Census(ast.NodeVisitor):
 
 
 def unset_options() -> set[str]:
-    """``module.function(param)`` for each defaulted parameter of src/cqms that no caller sets."""
+    """``module.function(param)`` for each defaulted parameter of src/cqms that no caller sets
+    to a value other than its default."""
     defs: dict[str, tuple] = {}
     calls: list[tuple] = []
     package: set[str] = set()
@@ -199,6 +241,7 @@ def unset_options() -> set[str]:
         calls += census.calls
         if path.parent == PACKAGE:
             package.update(census.defs)
+    constants = _constants()
     by_name: dict[str, list[str]] = {}
     for key, (name, *_) in defs.items():
         by_name.setdefault(name, []).append(key)
@@ -209,16 +252,16 @@ def unset_options() -> set[str]:
         func = call.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         for key in by_name.get(name, []):
-            _, called, _, defaulted = defs[key]
+            _, called, _, defaults = defs[key]
             given = [*zip(called, call.args), *((k.arg, k.value) for k in call.keywords)]
             for param, value in given:
-                if param not in defaulted:
+                if param not in defaults:
                     continue
                 owner = next((o for o in reversed(scope) if isinstance(value, ast.Name)
                               and value.id == param and param in defs[o][2]), None)
                 if owner is not None and param in defs[owner][3]:
                     passes.append(((key, param), (owner, param)))
-                else:
+                elif not _same(value, defaults[param], constants):
                     set_params.add((key, param))
     grown = True
     while grown:
@@ -232,7 +275,7 @@ def unset_options() -> set[str]:
 
 
 def test_every_option_is_set_outside_the_tests():
-    assert unset_options() == TEST_ONLY_OPTIONS
+    assert unset_options() == TEST_ONLY_OPTIONS | DEFAULT_ONLY_OPTIONS
 
 
 def test_no_private_definition_takes_a_side():

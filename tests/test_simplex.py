@@ -48,7 +48,7 @@ def test_duality_certificates_random():
         sol = solve_lp(LPProblem(objective=c, inequalities=a, bounds=b))
         if sol.status != "optimal":
             continue
-        sol.certify(tol=1e-7)
+        sol.certify()
         assert sol.primal_residual <= 1e-7
         assert sol.gap_residual <= 1e-7
 
