@@ -14,8 +14,8 @@ z unitary of order four, and the comultiplication
 
 The antipode is solved from its convolution equation, the faithful
 representation is bootstrapped from the invariant state's GNS frame, and
-the 2-dimensional irreducible corepresentation is recognized numerically
-from the coefficient coalgebra of the z-words.
+the irreducible corepresentations are read off the structure tensors by
+``default_irreps``, as for any other input.
 """
 
 import sys
@@ -30,13 +30,14 @@ from cqms import (
     check_axioms,
     cocommutation_residual,
     compress,
+    default_irreps,
     haar_state,
     pw_decompose,
 )
 
 np.set_printoptions(precision=4, suppress=True)
 
-g, irreps = build_kp8()
+g, _ = build_kp8()
 print("dim 8 quantum group on the word basis x^a y^b z^c")
 noncomm = np.max(np.abs(g.mult - g.mult.transpose(1, 0, 2)))
 noncocomm = np.max(np.abs(g.comult - g.comult.transpose(0, 2, 1)))
@@ -48,6 +49,7 @@ print(f"the invariant state is the trace at the identity word: "
 print()
 
 print("irreducible corepresentations: four group-likes and one 2-dim block")
+irreps = default_irreps(g)
 dec = pw_decompose(g, irreps)
 for p, r in zip(dec.irreps, dec.reports):
     print(f"  {p.label}: dim {p.dim}, unitarity {r.unitarity_residual:.1e}, "

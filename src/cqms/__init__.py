@@ -26,7 +26,6 @@ from .corep import (
     Corepresentation,
     GNSSpace,
     PWDecomposition,
-    corep_from_group_rep,
     default_irreps,
     gns_build,
     multiplicative_unitary,

@@ -129,14 +129,13 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared assembly
 # ---------------------------------------------------------------------------
 
-def _load(args) -> tuple[io.LoadedInput, list]:
+def _load(args) -> io.LoadedInput:
     family = "auto"
     if args.seminorm == "metric":
         family = "function"
     elif args.seminorm == "length":
         family = "group"
-    loaded = io.load_input(args.input, family=family)
-    return loaded, loaded.irreps_or_default()
+    return io.load_input(args.input, family=family)
 
 
 def _seminorm(args, loaded: io.LoadedInput) -> lipnorm.PolyhedralSeminorm:
@@ -234,7 +233,7 @@ def _lambda_id(subset) -> str:
 
 def cmd_check(args, out) -> int:
     _check_tol(args.tol)
-    loaded, irreps = _load(args)
+    loaded = _load(args)
     g = loaded.algebra
     report = hopf.check_axioms(g, tol=args.tol)
     print(f"algebra: {g.label or args.input} (dim {g.dim})", file=out)
@@ -242,7 +241,7 @@ def cmd_check(args, out) -> int:
     haar = hopf.haar_state(g, tol=args.tol)
     print(f"invariant state certified (min witness eigenvalue {haar.min_eig:.3e})", file=out)
     if args.pw:
-        dec = corep.pw_decompose(g, irreps, tol=1e-10)
+        dec = corep.pw_decompose(g, loaded.irreps_or_default(), tol=1e-10)
         total = sum(pi.dim ** 2 for pi in dec.irreps)
         print(f"peter-weyl: {len(dec.irreps)} irreps, sum d^2 = {total} = dim, blocks orthogonal",
               file=out)
@@ -252,7 +251,8 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_pw(args, out) -> int:
-    loaded, irreps = _load(args)
+    loaded = _load(args)
+    irreps = loaded.irreps_or_default()
     g = loaded.algebra
     dec = corep.pw_decompose(g, irreps, tol=1e-10)
     for k, (pi, rep) in enumerate(zip(dec.irreps, dec.reports)):
@@ -265,7 +265,8 @@ def cmd_pw(args, out) -> int:
 def cmd_truncate(args, out) -> int:
     _check_samples(args.samples)
     _check_tol(args.tol)
-    loaded, irreps = _load(args)
+    loaded = _load(args)
+    irreps = loaded.irreps_or_default()
     g = loaded.algebra
     subset = _parse_lambda(args.lam, len(irreps))
     ts = compress.truncate(g, irreps, subset)
@@ -356,7 +357,8 @@ def _hausdorff_lower(g, lip, smoothed, order, rng, probes, samples) -> float:
 
 
 def cmd_bound(args, out) -> int:
-    loaded, irreps = _load(args)
+    loaded = _load(args)
+    irreps = loaded.irreps_or_default()
     explicit, note = None, None
     if args.state == "explicit":
         if not args.vector:
@@ -383,7 +385,8 @@ def cmd_bound(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    loaded, irreps = _load(args)
+    loaded = _load(args)
+    irreps = loaded.irreps_or_default()
     config = SweepConfig(
         loaded=loaded, irreps=irreps, seminorm=_seminorm(args, loaded),
         chain=_parse_chain(args.chain, loaded, irreps), state_mode=args.state,

@@ -209,7 +209,8 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
                         matrix; d c_sigma = ||tau(u)||_F is charged 4 n eps ||T||_F ||U_sigma||_F;
       counit            max|T eps - I| of the level's tensor;
       coaction          the largest of the kept irreps' residuals, each from
-                        ``hopf._coaction_parts`` of its own tensor against this algebra;
+                        ``hopf._coaction_parts`` of its own tensor against this algebra
+                        and charged with its rounding;
       Podles            the witness of ``hopf._podles_witness``, whose Frobenius
                         parts add over the summands as sqrt(sum_sigma d_sigma w_sigma^2),
                         each w_sigma charged with the rounding of its column sums.
@@ -268,8 +269,10 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
     4 m eps sqrt(||G||) ||F||_F, F = (|t||t|)|W| + |1| on the diagonal columns, with
     m = d + (nonzeros in a column of W) + 2 roundings and ||G|| bounded by its
     largest absolute row sum.  E is charged 4 eps ((d + 2) |t||t| + (k + 2) |t||Delta|) at
-    its largest rows, k the most nonzeros in a column of Delta.  Cached per (oriented
-    algebra, irreps), so every level reads the same rows.
+    its largest rows, k the most nonzeros in a column of Delta, and the coaction residual
+    max|E| at the largest entries of |t||t| and |t||Delta|, so it bounds any evaluation of
+    max|E| in floating point.  Cached per (oriented algebra, irreps), so every level reads
+    the same rows.
     """
     parts, n = _podles_parts(alg), alg.dim
     eps = np.finfo(float).eps
@@ -289,6 +292,7 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
         grown = np.abs(tensor)
         products = np.matmul(grown.reshape(d, d * n).T, grown).reshape(d * d, n * n)
         through = grown.reshape(d * d, n) @ abs_comult
+        residual += 4 * eps * ((d + 2) * products.max() + comult_terms * through.max())
         defect += 4 * eps * ((d + 2) * np.linalg.norm(products, axis=1).max()
                              + comult_terms * np.linalg.norm(through, axis=1).max())
         if parts is not None:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups
 from .errors import CompletenessError, InternalInconsistencyError, SchurError, StructureError
-from .hopf import (FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness,
+from .hopf import (RANK_RTOL, FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness,
                    _rep_residuals, _unitarity_residual)
 
 GNS_TOL = 1e-10
@@ -44,14 +43,7 @@ class GNSSpace:
 
 def gns_build(g: FiniteQuantumGroup) -> GNSSpace:
     """Left regular representation on H = A with <a, b> = h(b* a)."""
-    gram = _positivity_witness(g, g.haar)
-    gram = (gram + gram.conj().T) / 2
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= eigs[-1] * 1e-12:
-        raise InternalInconsistencyError(
-            f"Gram matrix is not positive definite (min eig {eigs[0]:.3e}); invariant state not faithful")
-    chol = np.linalg.cholesky(gram)          # gram = chol @ chol^H
-    onb = chol.conj().T                      # coords v -> onb @ v carry the standard inner product
+    gram, onb = _haar_frame(g)
     onb_inv = np.linalg.inv(onb)
     left = g.mult.transpose(0, 2, 1)         # left[i] maps b-coords to (e_i b)-coords
     rep = onb @ left @ onb_inv
@@ -59,6 +51,17 @@ def gns_build(g: FiniteQuantumGroup) -> GNSSpace:
     space = GNSSpace(gram=gram, onb=onb, onb_inv=onb_inv, rep=rep, cyclic=cyclic)
     _certify_gns(g, space)
     return space
+
+
+def _haar_frame(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(Gram matrix h(e_i* e_j), onb): coordinates v -> onb @ v carry the standard inner product."""
+    gram = _positivity_witness(g, g.haar)
+    gram = (gram + gram.conj().T) / 2
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] <= eigs[-1] * 1e-12:
+        raise InternalInconsistencyError(
+            f"Gram matrix is not positive definite (min eig {eigs[0]:.3e}); invariant state not faithful")
+    return gram, np.linalg.cholesky(gram).conj().T          # gram = chol @ chol^H
 
 
 def _certify_gns(g: FiniteQuantumGroup, s: GNSSpace) -> None:
@@ -87,51 +90,133 @@ class Corepresentation:
         return self.u.shape[0]
 
 
-def corep_from_group_rep(values, label: str = "") -> Corepresentation:
-    """Corepresentation of F(G) from unitary representation values pi(g)_{ij}.
-
-    ``values`` has shape (|G|, d, d); entry (i, j) of the corepresentation is
-    the function g -> pi(g)_{ij}.
-    """
-    values = np.asarray(values, dtype=complex)
-    return Corepresentation(u=values.transpose(1, 2, 0), label=label)
-
-
-def group_element_coreps(g: FiniteQuantumGroup) -> list[Corepresentation]:
-    """The one-dimensional corepresentations lambda_g of a group algebra."""
-    out = []
-    for k in range(g.dim):
-        u = np.zeros((1, 1, g.dim), dtype=complex)
-        u[0, 0, k] = 1.0
-        out.append(Corepresentation(u=u, label=f"lambda_{k}"))
-    return out
-
-
 def default_irreps(g: FiniteQuantumGroup) -> list[Corepresentation]:
-    """Built-in complete irreducible families.
+    """Every irreducible corepresentation of g, read off (A, Delta, h) alone.
 
-    Group algebras get one corepresentation per group element.  Function
-    algebras of abelian groups get their characters; the stored tables cover
-    S_3, D_4 and Q_8.  Anything else must supply its own list.
+    The characters span the cocommutative elements {a : Delta a = Delta^op a}.
+    Convolution a -> (id (x) h(c* .))Delta a by a generic c among them acts on
+    each Peter-Weyl block as a scalar, conj(h(c* chi_sigma)) / d_sigma by
+    Woronowicz's orthogonality relations, and is normal in the GNS frame: its
+    eigenspaces are the blocks.  This is the generic-element splitting of
+    Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27 (2010).  A
+    1-dim block is spanned by a group-like; a d^2-dim block is a matrix
+    coalgebra (``_matrix_coalgebra_corep``).  The irreps are sorted by
+    dimension, then by the angles of the coefficients of chi_sigma / d_sigma.
+    ``pw_decompose`` certifies the family, as it certifies a supplied one.
     """
-    if g.kind == "group":
-        return group_element_coreps(g)
-    if g.kind == "function" and g.group_table is not None:
-        table = np.asarray(g.group_table)
-        if np.array_equal(table, table.T):
-            chars = groups.abelian_characters(table)
-            return [corep_from_group_rep(c, label=f"chi_{k}") for k, c in enumerate(chars)]
-        for name, maker, irreps in (
-            ("S3", groups.s3_table, groups.s3_irrep_matrices),
-            ("D4", groups.d4_table, groups.d4_irrep_matrices),
-            ("Q8", groups.q8_table, groups.q8_irrep_matrices),
-        ):
-            ref = maker()
-            if table.shape == ref.shape and np.array_equal(table, ref):
-                return [corep_from_group_rep(v, label=f"{name}_{k}") for k, v in enumerate(irreps())]
-        raise CompletenessError(
-            "no stored irreducible family for this nonabelian group; supply irreps explicitly")
-    raise CompletenessError("no built-in irreducible family for this algebra; supply irreps explicitly")
+    n = g.dim
+    gram, onb = _haar_frame(g)
+    onb_inv = np.linalg.inv(onb)
+    cocommutator = (g.comult - g.comult.transpose(0, 2, 1)).reshape(n, n * n).T
+    _, sv, vh = np.linalg.svd(cocommutator, full_matrices=False)      # vh is n x n
+    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 1e-12 else 0
+    characters = vh[rank:].conj().T
+    c = characters @ _generic_weights(characters.shape[1])
+    conv = (g.comult @ (np.conj(c) @ gram)).T
+    m = onb @ conv @ onb_inv
+    scale = np.linalg.norm(m)
+    skew = (m - m.conj().T) / 2j
+    # a wide gap in the Hermitian part first, then the commuting skew part on each
+    # cluster: one split at a gap narrow enough for both merges characters of F(Z_48)
+    blocks = []
+    herm_vals, herm_vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    for coarse in _clusters(herm_vals, 1e-3 * scale):
+        x = herm_vecs[:, coarse]
+        if len(coarse) == 1:
+            blocks.append(x)
+            continue
+        skew_vals, skew_vecs = np.linalg.eigh(x.conj().T @ skew @ x)
+        blocks += [x @ skew_vecs[:, fine] for fine in _clusters(skew_vals, 1e-9 * scale)]
+    sizes = [b.shape[1] for b in blocks]
+    if any(round(np.sqrt(k)) ** 2 != k for k in sizes):
+        raise CompletenessError(f"the generic convolution splits A into blocks of dimensions {sizes}, "
+                                "not all squares; supply irreps explicitly")
+    grouplikes = _grouplikes(g, gram, onb_inv @ np.hstack([b for b in blocks if b.shape[1] == 1]))
+    coreps = list(grouplikes.T.reshape(-1, 1, 1, n))
+    coreps += [_matrix_coalgebra_corep(g, gram, onb_inv @ b) for b in blocks if b.shape[1] > 1]
+    # by dimension, then by the angle in [0, 2 pi) of each coefficient of chi / d to 8 digits,
+    # zero coefficients last; rounding before reducing mod the rounded 2 pi puts the angle
+    # of 1 - 1e-17j at 0 with that of 1
+    dims = np.array([u.shape[0] for u in coreps])
+    chis = np.array([np.trace(u) for u in coreps]) / dims[:, None]
+    angles = np.round(np.angle(chis) % (2 * np.pi), 8) % np.round(2 * np.pi, 8)
+    angles[np.abs(chis) < 1e-8] = np.inf
+    order = np.lexsort(np.vstack([angles.T[::-1], dims]))
+    return [Corepresentation(u=coreps[k], label=f"irrep_{i}") for i, k in enumerate(order)]
+
+
+def _generic_weights(k: int) -> np.ndarray:
+    """k fixed weights with no rational relation among them: generic without a seeded generator."""
+    j = np.arange(1, k + 1)
+    return np.sqrt(j) * np.exp(1j * np.sqrt(2.0) * j)
+
+
+def _clusters(sorted_values, gap) -> list:
+    return np.split(np.arange(len(sorted_values)), np.flatnonzero(np.diff(sorted_values) > gap) + 1)
+
+
+def _grouplikes(g: FiniteQuantumGroup, gram, vecs) -> np.ndarray:
+    """Columns x = v / eps(v), each refined once by x -> (id (x) h(x* .))Delta x and renormalized.
+
+    The map fixes a group-like and converges to it quadratically.
+    """
+    x = vecs / _counits(g, vecs)
+    refined = np.einsum("ijs,is->js", g.comult @ (gram.T @ x.conj()), x)
+    return refined / _counits(g, refined)
+
+
+def _counits(g: FiniteQuantumGroup, vecs) -> np.ndarray:
+    eps = g.counit @ vecs
+    if np.any(np.abs(eps) < 1e-8):
+        raise CompletenessError("a one-dimensional block holds no group-like; supply irreps explicitly")
+    return eps
+
+
+def _matrix_coalgebra_corep(g: FiniteQuantumGroup, gram, block) -> np.ndarray:
+    """The (d, d, n) irrep whose coefficients span the d^2 columns of ``block``.
+
+    The block basis b_a is the one that reads 1 at its own pivot coordinate p_a
+    and 0 at the others, so the dual basis is f_a = e_{p_a}^* and
+    Delta b_a = sum t[a, b, c] b_b (x) b_c reads t off Delta b_a at the pivots.
+    The dual basis multiplies as f_b f_c = sum_a t[a, b, c] f_a: a copy of M_d.
+    An eigenvector of a generic element generates a minimal left ideal, on
+    which the dual algebra acts by pi; then u_ij = sum_b pi(f_b)_ij b_b is a
+    corepresentation, and Q_ij = sum_k h(u_ki* u_kj) unitarizes it.
+    """
+    n, k = block.shape
+    d = round(np.sqrt(k))
+    pivots = _pivot_rows(block)
+    basis = block @ np.linalg.inv(block[pivots])
+    delta = (basis.T @ g.comult.reshape(n, n * n)).reshape(k, n, n)
+    left = delta[:, pivots][:, :, pivots].transpose(1, 0, 2)     # left[b][a, c] = t[a, b, c]
+    _, vecs = np.linalg.eig(np.einsum("b,bac->ac", _generic_weights(k), left))
+    ideal = np.linalg.svd((left @ vecs[:, 0]).T, full_matrices=False)[0][:, :d]
+    u = np.einsum("bij,nb->ijn", ideal.conj().T @ left @ ideal, basis)
+    eigs, vecs = np.linalg.eigh(np.einsum("kin,nm,kjm->ij", u.conj(), gram, u))
+    half, inv_half = (vecs * np.sqrt(eigs)) @ vecs.conj().T, (vecs / np.sqrt(eigs)) @ vecs.conj().T
+    return np.einsum("ik,kln,lj->ijn", half, u, inv_half)
+
+
+def _pivot_rows(block) -> list:
+    """The first rows of the (n, k) ``block``, in order, each independent of those before it.
+
+    A row counts when it leaves a residual above 1e-3 of ||block||_2 against the rows before
+    it, so block[pivots] stays well conditioned.  On F(G) and C*(G) the columns are
+    orthogonal and of one length, so some row not yet visited always leaves 1/sqrt(n) of
+    ||block||_2 and k rows are found; elsewhere a short count raises.
+    """
+    floor = 1e-3 * np.linalg.norm(block, 2)
+    accepted = np.zeros((0, block.shape[1]), dtype=complex)
+    pivots = []
+    for r, row in enumerate(block):
+        rest = row - (row @ accepted.conj().T) @ accepted
+        if np.linalg.norm(rest) > floor:
+            accepted = np.vstack([accepted, rest / np.linalg.norm(rest)])
+            pivots.append(r)
+            if len(pivots) == block.shape[1]:
+                return pivots
+    raise CompletenessError(f"a block of dimension {block.shape[1]} has only {len(pivots)} "
+                            "well-conditioned pivot coordinates; supply irreps explicitly")
 
 
 @dataclass(frozen=True)

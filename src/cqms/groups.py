@@ -1,8 +1,8 @@
-"""Finite group tables, built-in irreducible representations, metrics and lengths.
+"""Finite group tables, metrics and lengths.
 
 Groups are handled as 0-based Cayley tables ``table[i, j] = index of g_i g_j``.
-The built-ins ship the data the rest of the package needs: unitary irreps as
-arrays of matrix values, bi-invariant metrics and symmetric word lengths.
+The built-ins ship the data the rest of the package needs: bi-invariant
+metrics and symmetric word lengths.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def check_length(table, length) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stored nonabelian groups: S_3, D_4, Q_8
+# the symmetric group S_3
 # ---------------------------------------------------------------------------
 
 _S3_ELEMENTS = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
@@ -166,132 +166,6 @@ def s3_table() -> np.ndarray:
     return table
 
 
-def s3_irrep_matrices() -> list[np.ndarray]:
-    """Unitary irreps of S_3 as arrays of shape (|G|, d, d): trivial, sign, standard."""
-    n = 6
-    triv = np.ones((n, 1, 1), dtype=complex)
-    sign = np.array([[[(-1.0) ** _parity(p)]] for p in _S3_ELEMENTS], dtype=complex)
-    basis = np.array([[1, 1], [-1, 1], [0, -2]], dtype=float)
-    basis[:, 0] /= np.sqrt(2.0)
-    basis[:, 1] /= np.sqrt(6.0)
-    std = np.zeros((n, 2, 2), dtype=complex)
-    for g, p in enumerate(_S3_ELEMENTS):
-        perm = np.zeros((3, 3))
-        for a in range(3):
-            perm[p[a], a] = 1.0
-        std[g] = basis.T @ perm @ basis
-    return [triv, sign, std]
-
-
-def _parity(p) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
-
-
 def s3_word_generators() -> list[int]:
     """Adjacent transpositions (01) and (12)."""
     return [1, 2]
-
-
-def d4_table() -> np.ndarray:
-    """Dihedral group of the square; order e, r, r2, r3, s, rs, r2s, r3s."""
-    r = np.array([[0, -1], [1, 0]])
-    s = np.array([[1, 0], [0, -1]])
-    mats = [np.linalg.matrix_power(r, k) for k in range(4)]
-    mats += [m @ s for m in mats]
-    return _table_from_matrices(mats)
-
-
-def d4_irrep_matrices() -> list[np.ndarray]:
-    r = np.array([[0, -1], [1, 0]], dtype=complex)
-    s = np.array([[1, 0], [0, -1]], dtype=complex)
-    two = [np.linalg.matrix_power(r, k) for k in range(4)]
-    two += [m @ s for m in two]
-    out = []
-    for cr, cs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        vals = [cr ** k for k in range(4)] + [cr ** k * cs for k in range(4)]
-        out.append(np.array(vals, dtype=complex).reshape(8, 1, 1))
-    out.append(np.array(two))
-    return out
-
-
-def q8_table() -> np.ndarray:
-    """Quaternion group; order 1, -1, i, -i, j, -j, k, -k."""
-    i2 = np.array([[1j, 0], [0, -1j]])
-    j2 = np.array([[0, 1], [-1, 0]], dtype=complex)
-    k2 = i2 @ j2
-    mats = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex), i2, -i2, j2, -j2, k2, -k2]
-    return _table_from_matrices(mats)
-
-
-def q8_irrep_matrices() -> list[np.ndarray]:
-    i2 = np.array([[1j, 0], [0, -1j]])
-    j2 = np.array([[0, 1], [-1, 0]], dtype=complex)
-    k2 = i2 @ j2
-    two = np.array([np.eye(2), -np.eye(2), i2, -i2, j2, -j2, k2, -k2], dtype=complex)
-    out = []
-    for ci, cj in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        vals = [1, 1, ci, ci, cj, cj, ci * cj, ci * cj]
-        out.append(np.array(vals, dtype=complex).reshape(8, 1, 1))
-    out.append(two)
-    return out
-
-
-def _table_from_matrices(mats) -> np.ndarray:
-    n = len(mats)
-    table = np.full((n, n), -1, dtype=int)
-    for a in range(n):
-        for b in range(n):
-            prod = mats[a] @ mats[b]
-            for c in range(n):
-                if np.allclose(prod, mats[c], atol=1e-12):
-                    table[a, b] = c
-                    break
-            if table[a, b] < 0:
-                raise GroupTableError("matrix set not closed under products")
-    return table
-
-
-# ---------------------------------------------------------------------------
-# characters of abelian groups
-# ---------------------------------------------------------------------------
-
-def cyclic_characters(n: int) -> list[np.ndarray]:
-    """Characters of Z_n in frequency order, as (n, 1, 1) value arrays."""
-    j = np.arange(n)
-    return [np.exp(2j * np.pi * j * k / n).reshape(n, 1, 1) for k in range(n)]
-
-
-def abelian_characters(table) -> list[np.ndarray]:
-    """Characters of an arbitrary abelian Cayley table.
-
-    Found as the common eigenvectors of the commuting regular representation,
-    normalized to value 1 at the identity and sorted deterministically.
-    """
-    identity, _ = validate_cayley(table)
-    table = np.asarray(table)
-    n = table.shape[0]
-    if not np.array_equal(table, table.T):
-        raise GroupTableError("character construction requires an abelian table")
-    if is_cyclic_canonical(table):
-        return cyclic_characters(n)
-    # generic weights split all joint eigenspaces of the regular representation
-    rng = np.random.default_rng(1234)
-    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
-    m = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        reg = np.zeros((n, n))
-        reg[table[g], np.arange(n)] = 1.0
-        m += coeffs[g] * reg
-    _, vecs = np.linalg.eig(m)
-    chars = []
-    for v in vecs.T:
-        if abs(v[identity]) < 1e-8:
-            raise GroupTableError("degenerate character candidate; table may not be a group")
-        chi = v / v[identity]
-        mult_residual = np.max(np.abs(chi[table] - np.outer(chi, chi)))
-        if mult_residual > 1e-8:
-            raise GroupTableError("joint eigenvector is not multiplicative; table may not be abelian")
-        chars.append(chi)
-    order = sorted(range(n), key=lambda i: tuple(np.round(chars[i], 8).view(float)))
-    return [chars[i].reshape(n, 1, 1) for i in order]

@@ -68,7 +68,7 @@ def _as_real(node, shape: tuple, name: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LoadedInput:
     algebra: FiniteQuantumGroup
-    irreps: list | None          # None means "not supplied"; fall back to built-ins
+    irreps: list | None          # None means "not supplied": the finder reads them off the algebra
     source: str                  # "group" | "quantum_group"
 
     def irreps_or_default(self):

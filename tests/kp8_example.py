@@ -10,7 +10,9 @@ zy = xz, z^2 = (1 + x + y - xy)/2, z unitary of order four, and
 The basis is x^a y^b z^c with index a + 2b + 4c.  The antipode is solved
 from its defining convolution equation and the faithful representation is
 bootstrapped from the invariant state's GNS frame, so the construction only
-relies on machinery the package certifies.
+relies on machinery the package certifies.  Its irreducible corepresentations,
+four group-likes and one 2-dim block on the z-words, are found by
+``corep.default_irreps`` from the structure tensors alone.
 """
 
 import itertools
@@ -40,7 +42,7 @@ def _word_product(a, b, c, a2, b2, c2):
 
 
 def build_kp8() -> tuple[hopf.FiniteQuantumGroup, list]:
-    """The quantum group together with its complete irreducible family."""
+    """The quantum group together with its complete irreducible family, as the finder reads it off."""
     n = 8
     mult = np.zeros((n, n, n), dtype=complex)
     for word in itertools.product((0, 1), repeat=6):
@@ -100,53 +102,4 @@ def build_kp8() -> tuple[hopf.FiniteQuantumGroup, list]:
     algebra = hopf.FiniteQuantumGroup(
         dim=n, mult=mult, unit=unit, star=star, comult=comult, counit=counit,
         antipode=antipode, rep=rep, haar=haar, kind="custom", label="quantum-8")
-    return algebra, kp8_irreps(algebra)
-
-
-def kp8_irreps(algebra) -> list:
-    """Four group-like corepresentations plus the recognized 2-dim block."""
-    n = algebra.dim
-    onedim = []
-    for k in range(4):
-        u = np.zeros((1, 1, n), dtype=complex)
-        u[0, 0, k] = 1.0
-        onedim.append(corep.Corepresentation(u=u, label=f"grouplike_{k}"))
-
-    # the z-word span is a simple subcoalgebra; recognize it as a matrix
-    # coalgebra by representing its dual algebra on a minimal left ideal
-    block_idx = [4, 5, 6, 7]
-    t = np.zeros((4, 4, 4), dtype=complex)
-    for i, gi in enumerate(block_idx):
-        full = algebra.comult[gi]
-        outside = full.copy()
-        outside[np.ix_(block_idx, block_idx)] = 0.0
-        if np.max(np.abs(outside)) > 1e-12:
-            raise ValueError("z-words do not span a subcoalgebra")
-        t[i] = full[np.ix_(block_idx, block_idx)]
-    struct = np.einsum("cab->abc", t)            # dual product f_a f_b = sum M[a,b,c] f_c
-    left = [struct[a].T for a in range(4)]
-    rng = np.random.default_rng(5)
-    generic = sum((rng.normal() + 1j * rng.normal()) * left[a] for a in range(4))
-    _, vecs = np.linalg.eig(generic)
-    ideal = np.stack([left[a] @ vecs[:, 0] for a in range(4)], axis=1)
-    q, _ = np.linalg.qr(ideal)
-    basis = q[:, :2]
-    pi = [np.linalg.lstsq(basis, left[a] @ basis, rcond=None)[0] for a in range(4)]
-
-    u = np.zeros((2, 2, n), dtype=complex)
-    for a in range(4):
-        u[:, :, block_idx[a]] += pi[a]
-
-    # unitarize by averaging against the invariant state
-    qmat = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            total = np.zeros(n, dtype=complex)
-            for k in range(2):
-                total += algebra.product(algebra.star_of(u[k, i]), u[k, j])
-            qmat[i, j] = np.dot(algebra.haar, total)
-    eigs, vecs = np.linalg.eigh((qmat + qmat.conj().T) / 2)
-    q_half = vecs @ np.diag(np.sqrt(eigs)) @ vecs.conj().T
-    q_mhalf = vecs @ np.diag(1.0 / np.sqrt(eigs)) @ vecs.conj().T
-    u = np.einsum("ik,kln,lj->ijn", q_half, u, q_mhalf)
-    return onedim + [corep.Corepresentation(u=u, label="two_dim")]
+    return algebra, corep.default_irreps(algebra)

@@ -5,6 +5,7 @@ through scipy's LP, numerical ranges through dense sampling, convolutions
 through direct group sums.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -498,6 +499,56 @@ def star_closure_residual(lip, g):
         gaps = np.max(np.abs(lip.functionals - f), axis=1) + np.abs(lip.weights - lip.weights[i])
         worst = max(worst, float(np.min(gaps)))
     return worst
+
+
+def matrix_group_table(mats):
+    """Cayley table of the finite matrix group listed in ``mats``, by matching products."""
+    index = [[next(c for c, m in enumerate(mats) if np.allclose(a @ b, m, atol=1e-12)) for b in mats]
+             for a in mats]
+    return np.array(index)
+
+
+def d4_table():
+    """Dihedral group of the square; order e, r, r2, r3, s, rs, r2s, r3s."""
+    r = np.array([[0, -1], [1, 0]])
+    s = np.array([[1, 0], [0, -1]])
+    mats = [np.linalg.matrix_power(r, k) for k in range(4)]
+    return matrix_group_table(mats + [m @ s for m in mats])
+
+
+def q8_table():
+    """Quaternion group; order 1, -1, i, -i, j, -j, k, -k."""
+    i2 = np.array([[1j, 0], [0, -1j]])
+    j2 = np.array([[0, 1], [-1, 0]], dtype=complex)
+    k2 = i2 @ j2
+    return matrix_group_table([np.eye(2), -np.eye(2), i2, -i2, j2, -j2, k2, -k2])
+
+
+def permutation_group_table(perms):
+    """Cayley table of a composition-closed list of permutations: p_i p_j = p_i o p_j."""
+    perms = [tuple(p) for p in perms]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[a] for a in q)] for q in perms] for p in perms])
+
+
+def s4_table():
+    """S_4 in the order of itertools.permutations, the identity first."""
+    return permutation_group_table(itertools.permutations(range(4)))
+
+
+def d5_table():
+    """The dihedral group of the pentagon: the permutations of its vertices that keep
+    neighbours neighbours, in the order of itertools.permutations."""
+    return permutation_group_table(
+        p for p in itertools.permutations(range(5))
+        if {(p[(i + 1) % 5] - p[i]) % 5 for i in range(5)} in ({1}, {4}))
+
+
+def s4_transposition_metric():
+    """Bi-invariant word metric on S_4 from the conjugation-closed set of all transpositions."""
+    perms = list(itertools.permutations(range(4)))
+    return word_metric(s4_table(), [i for i, p in enumerate(perms)
+                                    if sum(a != b for a, b in enumerate(p)) == 2])
 
 
 def word_metric(table, generators):

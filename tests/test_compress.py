@@ -53,7 +53,7 @@ def test_system_basis_is_the_normalized_kept_coefficient_blocks(name, f_z8, c_s3
     if name == "kp8":
         g, irreps = build_kp8()
     else:
-        g = {"F(Z_8)": f_z8, "C*(S_3)": c_s3, "F(D_4)": hopf.function_algebra(groups.d4_table())}[name]
+        g = {"F(Z_8)": f_z8, "C*(S_3)": c_s3, "F(D_4)": hopf.function_algebra(oracles.d4_table())}[name]
         irreps = corep.default_irreps(g)
     dec = corep.pw_decompose(g, irreps)
     for stop in range(1, len(irreps) + 1):
@@ -137,7 +137,7 @@ def test_podles_witness_agrees_with_svd_rank(name, f_z8, f_s3, c_s3):
         g, irreps = build_kp8()
     else:
         g = {"F(Z_8)": f_z8, "F(S_3)": f_s3, "C*(S_3)": c_s3,
-             "F(D_4)": hopf.function_algebra(groups.d4_table())}[name]
+             "F(D_4)": hopf.function_algebra(oracles.d4_table())}[name]
         irreps = corep.default_irreps(g)
     dec = corep.pw_decompose(g, irreps)
     others = range(1, len(irreps))
@@ -334,7 +334,10 @@ def test_frobenius_well_definedness_bounds_the_operator_norm(z8_setup, side):
         frobenius = [np.linalg.norm(m) for m in dense]
         assert frobenius == pytest.approx(oracles.sliced_frobenius_norms(alg, ts, rows, side), rel=1e-12)
         norms = [np.linalg.norm(m, 2) for m in dense]
-        assert max(norms) <= max(frobenius) <= well
+        # ||M||_2 <= ||M||_F, with equality on the bumped algebra, whose slices are rank one in
+        # exact arithmetic: the two floating results may then differ by a few ulps either way
+        assert max(norms) <= max(frobenius) * (1 + 4 * np.finfo(float).eps)
+        assert max(frobenius) <= well
         if side == "right":
             assert norms == pytest.approx([compress._tensor_opnorm(alg, ts, v[None, None])
                                            for v in rows], rel=1e-12)
@@ -699,7 +702,7 @@ def test_bottom_eigenvector_closes_the_gap_on_a_function_algebra():
 
 def test_d4_function_algebra_pipeline():
     # bi-invariant word metric from the conjugation-closed set of reflections
-    table = groups.d4_table()
+    table = oracles.d4_table()
     metric = oracles.word_metric(table, [4, 5, 6, 7])
     g = hopf.function_algebra(table, metric=metric)
     irreps = corep.default_irreps(g)
@@ -721,7 +724,7 @@ def test_d4_function_algebra_pipeline():
 
 
 def test_q8_group_algebra_bound_chain():
-    table = groups.q8_table()
+    table = oracles.q8_table()
     length = groups.symmetric_word_length(table, [2, 4])     # i and j generate
     g = hopf.group_algebra(table, length=length)
     assert hopf.check_axioms(g).passed

@@ -94,6 +94,17 @@ def test_matrix_coefficients(f_z4, c_s3):
     assert np.allclose(lam.u[0, 0], np.eye(6)[3])
 
 
+@pytest.mark.parametrize("name, dims", [("F(S_4)", [1, 1, 2, 3, 3]), ("C*(S_4)", [1] * 24),
+                                        ("F(D_5)", [1, 1, 2, 2])])
+def test_default_irreps_decompose_groups_with_no_stored_irreps(name, dims):
+    table = oracles.d5_table() if name == "F(D_5)" else oracles.s4_table()
+    g = (hopf.group_algebra if name.startswith("C*") else hopf.function_algebra)(table)
+    irreps = corep.default_irreps(g)
+    assert [pi.dim for pi in irreps] == dims
+    dec = corep.pw_decompose(g, irreps)
+    assert all(report.passed(1e-12) for report in dec.reports)
+
+
 def test_pw_projector_full_and_trivial(f_z4):
     dec = corep.pw_decompose(f_z4, corep.default_irreps(f_z4))
     full = dec.projector(range(4))

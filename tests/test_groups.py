@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cqms import groups
+from cqms import corep, groups, hopf
 from cqms.errors import GroupTableError, LengthError, MetricError
 
 import oracles
 
 
 def test_validate_cayley_accepts_builtins():
-    for table in (groups.cyclic_table(5), groups.s3_table(), groups.d4_table(), groups.q8_table()):
+    for table in (groups.cyclic_table(5), groups.s3_table(), oracles.d4_table(), oracles.q8_table()):
         identity, inverse = groups.validate_cayley(table)
         n = table.shape[0]
         assert all(table[g, inverse[g]] == identity for g in range(n))
@@ -65,23 +65,26 @@ def test_transposition_metric_is_biinvariant():
     groups.check_metric(groups.s3_table(), oracles.s3_transposition_metric())
 
 
-def test_cyclic_characters_multiplicative():
-    chars = groups.cyclic_characters(6)
-    table = groups.cyclic_table(6)
-    for chi in chars:
-        flat = chi.reshape(6)
-        assert np.allclose(flat[table], np.outer(flat, flat))
-
-
-def test_abelian_characters_klein_group():
-    table = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-    chars = groups.abelian_characters(table)
-    assert len(chars) == 4
-    mat = np.array([c.reshape(4) for c in chars])
-    assert np.allclose(np.abs(mat), 1.0)
-    assert np.linalg.matrix_rank(mat) == 4
-
-
-def test_abelian_characters_reject_nonabelian():
-    with pytest.raises(GroupTableError):
-        groups.abelian_characters(groups.s3_table())
+def test_default_irreps_come_in_the_order_the_chains_index():
+    # the finder reads the irreps off (A, Delta, h) alone; closed forms pin its order
+    for n in (6, 24):
+        irreps = corep.default_irreps(hopf.function_algebra(groups.cyclic_table(n)))
+        j = np.arange(n)
+        chars = np.array([pi.u[0, 0] for pi in irreps])
+        assert np.allclose(chars, np.exp(2j * np.pi * np.outer(j, j) / n), rtol=0, atol=1e-12)
+    for table in (groups.cyclic_table(5), groups.s3_table()):
+        irreps = corep.default_irreps(hopf.group_algebra(table))
+        assert np.allclose([pi.u[0, 0] for pi in irreps], np.eye(len(table)), rtol=0, atol=1e-12)
+    klein = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    for table, signs, dims in [
+            (groups.s3_table(), [[1] * 6, [1, -1, -1, -1, 1, 1]], [1, 1, 2]),
+            (oracles.d4_table(), [[1] * 8, [1, 1, 1, 1, -1, -1, -1, -1], [1, -1, 1, -1, 1, -1, 1, -1],
+                                  [1, -1, 1, -1, -1, 1, -1, 1]], [1, 1, 1, 1, 2]),
+            (oracles.q8_table(), [[1] * 8, [1, 1, 1, 1, -1, -1, -1, -1], [1, 1, -1, -1, 1, 1, -1, -1],
+                                  [1, 1, -1, -1, -1, -1, 1, 1]], [1, 1, 1, 1, 2]),
+            (klein, [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], [1, 1, 1, 1])]:
+        irreps = corep.default_irreps(hopf.function_algebra(table))
+        assert [pi.dim for pi in irreps] == dims
+        assert np.allclose([pi.u[0, 0] for pi in irreps if pi.dim == 1], signs, rtol=0, atol=1e-12)
+    standard = corep.default_irreps(hopf.function_algebra(groups.s3_table()))[2]
+    assert np.allclose(np.trace(standard.u), [2, 0, 0, 0, -1, -1], rtol=0, atol=1e-12)

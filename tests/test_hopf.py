@@ -18,9 +18,9 @@ REFERENCE_ALGEBRAS = {
     "F(Z_6)": lambda: hopf.function_algebra(groups.cyclic_table(6)),
     "F(S_3)": lambda: hopf.function_algebra(groups.s3_table()),
     "C*(S_3)": lambda: hopf.group_algebra(groups.s3_table()),
-    "F(D_4)": lambda: hopf.function_algebra(groups.d4_table()),
-    "F(Q_8)": lambda: hopf.function_algebra(groups.q8_table()),
-    "C*(Q_8)": lambda: hopf.group_algebra(groups.q8_table()),
+    "F(D_4)": lambda: hopf.function_algebra(oracles.d4_table()),
+    "F(Q_8)": lambda: hopf.function_algebra(oracles.q8_table()),
+    "C*(Q_8)": lambda: hopf.group_algebra(oracles.q8_table()),
     "kp8": lambda: build_kp8()[0],
 }
 # one entry per tensor; comult[1, 0, 1] sits on the identity's leg of Delta(e_1) in F(G),
@@ -56,9 +56,9 @@ def test_axioms_all_builtins():
         hopf.group_algebra(groups.s3_table()),
         hopf.function_algebra(groups.cyclic_table(4)),
         hopf.group_algebra(groups.cyclic_table(4)),
-        hopf.function_algebra(groups.d4_table()),
-        hopf.function_algebra(groups.q8_table()),
-        hopf.group_algebra(groups.q8_table()),
+        hopf.function_algebra(oracles.d4_table()),
+        hopf.function_algebra(oracles.q8_table()),
+        hopf.group_algebra(oracles.q8_table()),
     ]
     for g in cases:
         report = hopf.check_axioms(g)

@@ -11,6 +11,7 @@ import pytest
 from cqms import cli, corep, groups, hopf, io, lipnorm, mkdist
 
 import oracles
+from kp8_example import build_kp8
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +330,26 @@ def test_full_level_row_skips_the_c1_radii(z8_file, monkeypatch):
         np.testing.assert_allclose(x, ts.tau(a), rtol=0, atol=1e-14)
         np.testing.assert_allclose(c, ts.expand(ts.tau(a)), rtol=0, atol=1e-14)
         np.testing.assert_allclose(b, sym(ts.expand(ts.tau(a))), rtol=0, atol=1e-14)
+
+
+def test_cli_sweeps_f_s4_with_irreps_read_off_the_algebra(tmp_path):
+    path, out = tmp_path / "s4.json", tmp_path / "s4.csv"
+    io.dump_group_file(str(path), oracles.s4_table(), metric=oracles.s4_transposition_metric())
+    assert cli.main(["sweep", "--input", str(path), "--output", str(out)]) == cli.EXIT_OK
+    bounds = [float(row["bound_B"]) for row in csv.DictReader(out.read_text().splitlines())]
+    assert len(bounds) == 5 and bounds[-1] == 0.0
+    assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:]))
+
+
+def test_cli_check_pw_reads_the_irreps_a_quantum_group_file_leaves_out(tmp_path, capsys):
+    algebra, irreps = build_kp8()
+    outputs = []
+    for name, supplied in (("with.json", irreps), ("without.json", None)):
+        io.dump_quantum_group_file(str(tmp_path / name), algebra, supplied)
+        assert cli.main(["check", "--pw", "--input", str(tmp_path / name)]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0][0] != outputs[1][0]           # the algebra line names the file
+    assert outputs[0][1:] == outputs[1][1:]
 
 
 def _strip_runtime(text):

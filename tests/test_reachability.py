@@ -292,12 +292,11 @@ def test_no_private_definition_takes_a_side():
 
 
 # The sampled diagnostics, the sampled invariance gate that ``truncation_bound`` falls
-# back to, and two fixed seeds: the multiplicative unitary's sampled implementation
-# witness and the generic weights that split the characters of an abelian table.
+# back to, and one fixed seed: the multiplicative unitary's sampled implementation witness.
 SAMPLED = {"compress.liftable_states", "compress.isometry_witness_residual",
            "lipnorm.check_invariance", "mkdist.truncation_bound", "mkdist.diameter_bracket",
            "mkdist.matrix_mk_lower_bound", "cli._bound_row", "cli._hausdorff_lower",
-           "corep._implementation_residual", "groups.abelian_characters"}
+           "corep._implementation_residual"}
 
 
 def seeded_definitions() -> set[str]:
