@@ -65,24 +65,40 @@ def test_transposition_metric_is_biinvariant():
     groups.check_metric(groups.s3_table(), oracles.s3_transposition_metric())
 
 
+def test_cyclic_characters_multiplicative():
+    # the finder reads the characters of F(Z_n) off (A, Delta, h) alone; closed forms pin its order
+    for n in (6, 24):
+        table = groups.cyclic_table(n)
+        irreps = corep.default_irreps(hopf.function_algebra(table))
+        chars = np.array([pi.u[0, 0] for pi in irreps])
+        for flat in chars:
+            assert np.allclose(flat[table], np.outer(flat, flat), rtol=0, atol=1e-12)
+        j = np.arange(n)
+        assert np.allclose(chars, np.exp(2j * np.pi * np.outer(j, j) / n), rtol=0, atol=1e-12)
+
+
+def test_abelian_characters_klein_group():
+    klein = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    irreps = corep.default_irreps(hopf.function_algebra(klein))
+    assert [pi.dim for pi in irreps] == [1, 1, 1, 1]
+    mat = np.array([pi.u[0, 0] for pi in irreps])
+    assert np.allclose(np.abs(mat), 1.0)
+    assert np.linalg.matrix_rank(mat) == 4
+    assert np.allclose(mat, [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
+                       rtol=0, atol=1e-12)
+
+
 def test_default_irreps_come_in_the_order_the_chains_index():
     # the finder reads the irreps off (A, Delta, h) alone; closed forms pin its order
-    for n in (6, 24):
-        irreps = corep.default_irreps(hopf.function_algebra(groups.cyclic_table(n)))
-        j = np.arange(n)
-        chars = np.array([pi.u[0, 0] for pi in irreps])
-        assert np.allclose(chars, np.exp(2j * np.pi * np.outer(j, j) / n), rtol=0, atol=1e-12)
     for table in (groups.cyclic_table(5), groups.s3_table()):
         irreps = corep.default_irreps(hopf.group_algebra(table))
         assert np.allclose([pi.u[0, 0] for pi in irreps], np.eye(len(table)), rtol=0, atol=1e-12)
-    klein = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     for table, signs, dims in [
             (groups.s3_table(), [[1] * 6, [1, -1, -1, -1, 1, 1]], [1, 1, 2]),
             (oracles.d4_table(), [[1] * 8, [1, 1, 1, 1, -1, -1, -1, -1], [1, -1, 1, -1, 1, -1, 1, -1],
                                   [1, -1, 1, -1, -1, 1, -1, 1]], [1, 1, 1, 1, 2]),
             (oracles.q8_table(), [[1] * 8, [1, 1, 1, 1, -1, -1, -1, -1], [1, 1, -1, -1, 1, 1, -1, -1],
-                                  [1, 1, -1, -1, -1, -1, 1, 1]], [1, 1, 1, 1, 2]),
-            (klein, [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], [1, 1, 1, 1])]:
+                                  [1, 1, -1, -1, -1, -1, 1, 1]], [1, 1, 1, 1, 2])]:
         irreps = corep.default_irreps(hopf.function_algebra(table))
         assert [pi.dim for pi in irreps] == dims
         assert np.allclose([pi.u[0, 0] for pi in irreps if pi.dim == 1], signs, rtol=0, atol=1e-12)
