@@ -208,9 +208,9 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
                         + ||T||_F ||R||_2 ||E_ij||_F, T the tau matrix and R rho's (n, d0^2)
                         matrix; d c_sigma = ||tau(u)||_F is charged 4 n eps ||T||_F ||U_sigma||_F;
       counit            max|T eps - I| of the level's tensor;
-      coaction          the largest of the kept irreps' residuals, each from
-                        ``hopf._coaction_parts`` of its own tensor against this algebra
-                        and charged with its rounding;
+      coaction          the largest of the kept irreps' residuals, each its own rows of
+                        ``hopf._coaction_parts`` on the irreps' direct sum against this
+                        algebra, charged with its rounding;
       Podles            the witness of ``hopf._podles_witness``, whose Frobenius
                         parts add over the summands as sqrt(sum_sigma d_sigma w_sigma^2),
                         each w_sigma charged with the rounding of its column sums.
@@ -263,9 +263,10 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
     """Rows (d, coaction residual, charged Frobenius part, ||(alpha (x) id)alpha||_F,
     max_kj ||rho(u_kj)||_F, ||R||_2 max_ij ||E_ij||_F charged, ||U_sigma||_F), one per irrep.
 
-    The summand's tensor is t[j, k] = u_kj (u_jk for A^cop); ``hopf._coaction_parts``
-    gives its residuals against ``alg``, E among them.  The Frobenius part is charged with the
-    forward roundoff of its column sums, as ``duality_lower_bound`` charges its own:
+    The summand's tensor is t[j, k] = u_kj (u_jk for A^cop).  ``hopf._coaction_parts``
+    of the summands' direct sum gives every residual against ``alg`` at once, E among
+    them, split by summand.  The Frobenius part is charged with the forward roundoff of
+    its column sums, as ``duality_lower_bound`` charges its own:
     4 m eps sqrt(||G||) ||F||_F, F = (|t||t|)|W| + |1| on the diagonal columns, with
     m = d + (nonzeros in a column of W) + 2 roundings and ||G|| bounded by its
     largest absolute row sum.  E is charged 4 eps ((d + 2) |t||t| + (k + 2) |t||Delta|) at
@@ -276,32 +277,32 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
     """
     parts, n = _podles_parts(alg), alg.dim
     eps = np.finfo(float).eps
+    dims = np.array([pi.dim for pi in irreps])
+    first, starts = np.cumsum(dims) - dims, np.cumsum(dims ** 2) - dims ** 2     # each summand's rows
+    s = int(dims.sum())
+    # row (k, m) of the direct sum, summands stacked in order: t[k, m] of its own summand
+    flat = np.concatenate([(pi.u if flip else pi.u.transpose(1, 0, 2)).reshape(-1, n) for pi in irreps])
+    owner = np.repeat(np.arange(len(dims)), dims ** 2)
+    local, d = np.arange(len(flat)) - starts[owner], dims[owner]
+    row, l = np.nonzero(flat)
+    keys = ((first[owner] + local // d)[row] * s + (first[owner] + local % d)[row]) * n + l
+    rows = _coaction_parts(alg, ((s, s, n), keys, flat[row, l]))
+    top, ssq = np.maximum.reduceat(rows, first), np.add.reduceat(rows, first)
+
+    comult_terms = int(np.count_nonzero(alg.comult.reshape(n, n * n), axis=0).max()) + 2
+    residual = top[:, 0] + 4 * eps * ((dims + 2) * top[:, 4] + comult_terms * top[:, 6])
+    defect = top[:, 3] + 4 * eps * ((dims + 2) * top[:, 5] + comult_terms * top[:, 7])
+    frobenius = np.sqrt(np.maximum(ssq[:, 1], 0.0))
     if parts is not None:
         w, gram = parts[:2]
-        abs_w = np.abs(w)
         scale = 4 * eps * np.sqrt(np.abs(gram).sum(axis=1).max())
         terms = int(np.count_nonzero(w, axis=0).max()) + 2
+        frobenius += (dims + terms) * scale * np.sqrt(ssq[:, 8])
     reps = alg.rep.reshape(n, -1)
+    rho_norms = np.maximum.reduceat(np.linalg.norm(flat @ reps, axis=1), starts)
     rep_norm = float(np.linalg.norm(reps, 2))
-    abs_comult = np.abs(alg.comult).reshape(n, n * n)
-    comult_terms = int(np.count_nonzero(abs_comult, axis=0).max()) + 2
-    rows = []
-    for pi in irreps:
-        tensor, d = (pi.u if flip else pi.u.transpose(1, 0, 2)), pi.dim
-        residual, frobenius, size, defect = _coaction_parts(alg, tensor)
-        grown = np.abs(tensor)
-        products = np.matmul(grown.reshape(d, d * n).T, grown).reshape(d * d, n * n)
-        through = grown.reshape(d * d, n) @ abs_comult
-        residual += 4 * eps * ((d + 2) * products.max() + comult_terms * through.max())
-        defect += 4 * eps * ((d + 2) * np.linalg.norm(products, axis=1).max()
-                             + comult_terms * np.linalg.norm(through, axis=1).max())
-        if parts is not None:
-            formed = products @ abs_w
-            formed[::d + 1] += np.abs(alg.unit)
-            frobenius += (d + terms) * scale * np.linalg.norm(formed)
-        rho_norm = np.linalg.norm(tensor.reshape(d * d, n) @ reps, axis=1).max()
-        rows.append((d, residual, frobenius, size, rho_norm, rep_norm * defect, np.linalg.norm(tensor)))
-    return _readonly(np.array(rows))
+    return _readonly(np.column_stack([dims, residual, frobenius, np.sqrt(ssq[:, 2]), rho_norms, rep_norm * defect,
+                                      [np.linalg.norm(pi.u) for pi in irreps]]))
 
 
 def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float:

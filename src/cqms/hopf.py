@@ -24,6 +24,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 RANK_RTOL = 1e-10             # singular values below this fraction of the largest count as zero
+CHUNK_TERMS = 1 << 15         # products of nonzeros that ``_coaction_parts`` forms at a time
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -231,8 +232,11 @@ def _solve_haar(comult, unit, n) -> np.ndarray:
 
 def _invariance_system(comult, unit, n) -> np.ndarray:
     """(id (x) h)Delta = h(.)1 in rows (i, j), then (h (x) id)Delta = h(.)1 in rows (i, k)."""
-    shift = np.einsum("j,ik->ijk", unit, np.eye(n))          # unit_j delta_ik
-    return np.concatenate([comult - shift, comult.transpose(0, 2, 1) - shift]).reshape(2 * n * n, n)
+    system = np.concatenate([comult, comult.transpose(0, 2, 1)])
+    idx = np.arange(n)
+    system[idx, :, idx] -= unit                               # unit_j delta_ik
+    system[n + idx, :, idx] -= unit
+    return system.reshape(2 * n * n, n)
 
 
 def haar_state(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> State:
@@ -320,17 +324,15 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     # Delta is a unital *-homomorphism.  [i, j, p, q]: coefficient of e_p (x) e_q in
     # Delta(e_i e_j) - Delta(e_i) Delta(e_j), the product summed as
     # sum_{b, c} (sum_a Delta[i, a, b] mult[a, c, p]) (sum_d Delta[j, c, d] mult[b, d, q])
-    hom = (flat_mult @ g.comult.reshape(n, n * n)).reshape(n, n, n, n)
-    first = (cop.comult.reshape(n * n, n) @ g.mult.reshape(n, n * n)).reshape(n, n, n, n)  # [i, b, c, p]
-    second = (g.comult.reshape(n * n, n) @ g.mult.transpose(1, 0, 2).reshape(n, n * n))  # [(j, c), (b, q)]
-    second = second.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n)     # [(b, c), (j, q)]
-    prod = first.transpose(0, 3, 1, 2).reshape(n * n, n * n) @ second                    # [(i, p), (j, q)]
-    hom -= prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    res["comult_multiplicative"] = _maxabs(hom)
+    mult, comult = _coo(g.mult), _coo(g.comult)
+    first = _summed(_product("iab,acp->ibcp", comult, mult))
+    second = _summed(_product("jcd,bdq->jcbq", comult, mult))
+    _, _, (hom, prod) = _sums(_product("ijl,lpq->ijpq", mult, comult),
+                              _product("ibcp,jcbq->ijpq", first, second))
+    res["comult_multiplicative"] = _maxabs(hom - prod)
     # [i, p, q]: coefficient of e_p (x) e_q in Delta(e_i^*) - (* (x) *)Delta(e_i)
-    starhom = (g.star @ g.comult.reshape(n, n * n)).reshape(n, n, n)
-    starhom -= g.star.T @ np.conj(g.comult) @ g.star
-    res["comult_star"] = _maxabs(starhom)
+    res["comult_star"] = _maxabs((g.star @ g.comult.reshape(n, n * n)).reshape(n, n, n)
+                                 - g.star.T @ np.conj(g.comult) @ g.star)
     res["comult_unital"] = _maxabs((g.unit @ g.comult.reshape(n, n * n)).reshape(n, n)
                                    - np.outer(g.unit, g.unit))
 
@@ -343,9 +345,9 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
 
     res["star_involutive"] = _maxabs(np.conj(g.star) @ g.star - np.eye(n))
     # [i, j, p]: coefficient of e_p in (e_i e_j)^* - e_j^* e_i^*
-    anti = (np.conj(flat_mult) @ g.star).reshape(n, n, n)
-    anti -= (g.star @ (g.star @ g.mult.transpose(1, 0, 2)).reshape(n, n * n)).reshape(n, n, n)
-    res["star_antimultiplicative"] = _maxabs(anti)
+    res["star_antimultiplicative"] = _maxabs(
+        (np.conj(flat_mult) @ g.star).reshape(n, n, n)
+        - (g.star @ (g.star @ g.mult.transpose(1, 0, 2)).reshape(n, n * n)).reshape(n, n, n))
     res["star_unit"] = _maxabs(g.star.T @ np.conj(g.unit) - g.unit)
 
     # representation: unital *-homomorphism, injective
@@ -386,37 +388,81 @@ def _co_opposite(g: FiniteQuantumGroup) -> FiniteQuantumGroup:
 
 def _coaction_certificates(g: FiniteQuantumGroup, tensor) -> tuple[float, float]:
     """(coaction residual, Podles witness) of a carrier-first right coaction tensor, from one product."""
-    residual, frobenius, size, _ = _coaction_parts(g, tensor)
-    return residual, _podles_witness(g, frobenius, size, tensor.shape[0])
+    rows = _coaction_parts(g, _coo(tensor))
+    frobenius = float(np.sqrt(max(rows[:, 1].sum(), 0.0)))
+    return (float(rows[:, 0].max(initial=0.0)),
+            _podles_witness(g, frobenius, float(np.sqrt(rows[:, 2].sum())), tensor.shape[0]))
 
 
-def _coaction_parts(g: FiniteQuantumGroup, tensor) -> tuple[float, float, float, float]:
-    """(coaction residual, ||D||_F, ||u||_F, max_km ||E_km||_F) of a carrier-first right coaction tensor.
+def _coaction_parts(g: FiniteQuantumGroup, t) -> np.ndarray:
+    """One row per carrier row k of a carrier-first right coaction tensor, given as a COO ``t``.
 
-    u[k, m, p, l] = sum_c tensor[k, c, l] tensor[c, m, p] is the coefficient of
-    x_m (x) e_p (x) e_l in (alpha (x) id)alpha(x_k).  The coaction residual is
-    max|u - (id (x) Delta)alpha|, and E_km its (n, n) slice at (k, m).
+    u[k, m, p, l] = sum_c t[k, c, l] t[c, m, p] is the coefficient of
+    x_m (x) e_p (x) e_l in (alpha (x) id)alpha(x_k); E = u - (id (x) Delta)alpha,
+    with (n, n) slice E_km at (k, m).
 
     Podles density: Phi(x (x) a) = (1 (x) a)alpha(x) has the inverse
     Psi(x (x) a) = x_(0) (x) a S^-1(x_(1)).  Both are left A-module maps, so
     D = Psi Phi - I has D(x (x) a) = a D(x (x) 1) and is fixed by its s columns
     c_k = D(x_k (x) 1) = sum u[k, m, p, l] x_m (x) e_l S^-1(e_p) - x_k (x) 1, and
     ||D||_F = sqrt(sum_k c_k* G c_k) through the Gram matrix G of left
-    multiplication; inf for a singular S.
+    multiplication (W and G of ``_podles_parts``).
+
+    Row k holds  0 max|E_k..|, 1 c_k* G c_k, 2 sum|u_k..|^2, 3 max_m ||E_km||_F,
+    then over moduli  4 max (|t||t|)_k.., 5 max_m ||(|t||t|)_km||_F,
+    6 max (|t||Delta|)_k.., 7 max_m ||(|t||Delta|)_km||_F and
+    8 sum_m ||(|t||t|)_km |W| + [k = m] |1| ||^2, which bound the rounding of
+    the sums; 1 and 8 are inf for a singular S.  Row k reads only alpha(x_k),
+    so the rows of a direct sum of coactions split by summand.  Every sum runs
+    over products of nonzeros, about CHUNK_TERMS of them at a time: no
+    (s^2, n^2) array is formed.
     """
-    n, s = g.dim, tensor.shape[0]
-    u = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s * s, n * n)
-    parts = _podles_parts(g)
-    frobenius = np.inf
-    if parts is not None:
-        w, gram = parts[:2]
-        cols = u @ w                           # [(k, m), r]: coefficient of x_m (x) e_r
-        cols[::s + 1] -= g.unit
-        frobenius = np.sqrt(max(float(np.vdot(cols, cols @ gram.T).real), 0.0))
-    size = float(np.linalg.norm(u))
-    u -= tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)
-    mag = np.abs(u)
-    return float(mag.max()), frobenius, size, float(np.sqrt(np.einsum("ij,ij->i", mag, mag).max()))
+    (s, _, n), keys, values = t
+    comult, parts = _coo(g.comult), _podles_parts(g)
+    w = None if parts is None else _coo(parts[0].reshape(n, n, n))
+    t_mod, comult_mod = np.abs(values), np.abs(comult[2])
+    # entry t[k, c, l] meets the entries of t in row c and those of Delta at c
+    terms = (np.bincount(keys // (s * n), minlength=s)[keys // n % s].sum()
+             + np.bincount(comult[1] // (n * n), minlength=n)[keys % n].sum())
+    step = max(1, s * CHUNK_TERMS // max(int(terms), 1))
+    rows = np.zeros((s, 9))
+    for a in range(0, s, step):
+        b = min(a + step, s)
+        lo, hi = np.searchsorted(keys, [a * s * n, b * s * n])
+        part, part_mod = (t[0], keys[lo:hi], values[lo:hi]), t_mod[lo:hi]
+        shape, uu, uu_left, uu_right = _pairs("kcl,cmp->kmpl", part, t)
+        _, ud, ud_left, ud_right = _pairs("kmc,cpl->kmpl", part, comult)
+        at, (uu, ud) = _union(uu, ud)
+        u = _sum_at(uu, part[2][uu_left] * values[uu_right], len(at))
+        u_mod = _sum_at(uu, part_mod[uu_left] * t_mod[uu_right], len(at))
+        mags = np.empty((3, len(at)))
+        np.abs(u - _sum_at(ud, part[2][ud_left] * comult[2][ud_right], len(at)), out=mags[0])
+        mags[1], mags[2] = u_mod, _sum_at(ud, part_mod[ud_left] * comult_mod[ud_right], len(at))
+        km = at // (n * n)                                   # (k, m), nondecreasing
+        rows[a:b, 2] = np.bincount(km // s - a, u.real ** 2 + u.imag ** 2, b - a)
+        slices = np.flatnonzero(_run_starts(km))
+        k = km[slices] // s
+        firsts = np.flatnonzero(_run_starts(k))
+        rows[k[firsts, None], [0, 4, 6]] = np.maximum.reduceat(
+            np.maximum.reduceat(mags, slices, axis=1), firsts, axis=1).T
+        rows[k[firsts, None], [3, 5, 7]] = np.sqrt(np.maximum.reduceat(
+            np.add.reduceat(mags * mags, slices, axis=1), firsts, axis=1)).T
+        if w is None:
+            continue
+        _, at, left, right = _pairs("kmpl,plr->kmr", (shape, at, u), w)
+        # the columns (k, m) that u W reaches, and every diagonal one for the -1 of c_k and the |1| of F
+        columns, (slot, diagonal) = _union(at // n, np.arange(a, b) * (s + 1))
+        slot = slot * n + at % n
+        cols = _sum_at(slot, u[left] * w[2][right], len(columns) * n).reshape(-1, n)
+        formed = _sum_at(slot, u_mod[left] * np.abs(w[2][right]), len(columns) * n).reshape(-1, n)
+        cols[diagonal] -= g.unit
+        formed[diagonal] += np.abs(g.unit)
+        k = columns // s - a
+        rows[a:b, 1] = np.bincount(k, np.einsum("ij,ij->i", cols.conj(), cols @ parts[1].T).real, b - a)
+        rows[a:b, 8] = np.bincount(k, (formed * formed).sum(axis=1), b - a)
+    if w is None:
+        rows[:, [1, 8]] = np.inf
+    return rows
 
 
 def _podles_witness(g: FiniteQuantumGroup, frobenius: float, size: float, s: int) -> float:
@@ -494,9 +540,9 @@ def _mult_parts(key: _ByIdentity) -> tuple[float, float, np.ndarray]:
     """
     mult = key.obj
     n = mult.shape[0]
-    flat = mult.reshape(n * n, n)
-    assoc = flat @ mult.reshape(n, n * n)                   # [(i, j), (k, l)]
-    assoc -= np.matmul(flat, mult).reshape(n * n, n * n)     # [i, (j, k), l] read the same way
+    m = _coo(mult)
+    _, _, (left, right) = _sums(_product("ijm,mkl->ijkl", m, m), _product("jkm,iml->ijkl", m, m))
+    assoc = left - right
     by_right = mult.transpose(1, 0, 2).reshape(n, n * n)
     gram = _readonly(by_right.conj() @ by_right.T)
     return _maxabs(assoc), float(np.linalg.norm(assoc)), gram
@@ -513,13 +559,16 @@ def _podles_limit(n: int, s: int) -> float:
 
 
 def _rep_residuals(g: FiniteQuantumGroup, rep) -> tuple[float, float, float]:
-    """Residuals of rep(e_i) rep(e_j) = rep(e_i e_j), rep(e_i^*) = rep(e_i)^* and rep(1) = 1."""
+    """Residuals of rep(e_i) rep(e_j) = rep(e_i e_j), rep(e_i^*) = rep(e_i)^* and rep(1) = 1.
+
+    The first is summed over products of nonzeros at [i, j, k, m], entry (k, m) of both sides.
+    """
     n, d = rep.shape[0], rep.shape[1]
     flat = rep.reshape(n, d * d)
-    # products[i, k, j, m] = (rep(e_i) rep(e_j))[k, m]
-    products = (rep.reshape(n * d, d) @ rep.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
-    images = (g.mult.reshape(n * n, n) @ flat).reshape(n, n, d, d)
-    multiplicative = _maxabs(products.transpose(0, 2, 1, 3) - images)
+    r = _coo(rep)
+    _, _, (products, images) = _sums(_product("ikl,jlm->ijkm", r, r),
+                                     _product("ijp,pkm->ijkm", _coo(g.mult), r))
+    multiplicative = _maxabs(products - images)
     star = _maxabs((g.star @ flat).reshape(n, d, d) - rep.conj().transpose(0, 2, 1))
     unital = _maxabs((g.unit @ flat).reshape(d, d) - np.eye(d))
     return multiplicative, star, unital
@@ -560,6 +609,98 @@ def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
 def _maxabs(x) -> float:
     x = np.asarray(x)
     return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# sums over nonzeros
+# ---------------------------------------------------------------------------
+#
+# A COO is (shape, keys, values): the C-order flat indices of an array's listed
+# entries and their values; a key may repeat, its values then add.  A product of
+# two structure tensors is summed over pairs of nonzeros that meet on the shared
+# indices, the sparse-operand iteration of Kjolstad et al., "The tensor algebra
+# compiler" (OOPSLA 2017): the dense sum minus terms that are exactly zero.  A
+# dense tensor is the COO that lists every entry.
+
+def _coo(a) -> tuple:
+    """The COO of a's nonzero entries."""
+    keys = np.flatnonzero(a)
+    return a.shape, keys, np.ravel(a)[keys]
+
+
+def _join(lkey, rkey, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (l, r) of positions with lkey[l] == rkey[r], for keys in [0, size)."""
+    counts = np.bincount(rkey, minlength=size)
+    per = counts[lkey]
+    left = np.arange(len(lkey)).repeat(per)
+    # the r of a pair is its rank within lkey[l]'s run of the stably sorted rkey
+    runs = counts.cumsum() - counts
+    rank = np.arange(len(left)) + (runs[lkey] + per - per.cumsum()).repeat(per)
+    return left, rkey.argsort(kind="stable")[rank]
+
+
+def _product(spec: str, x, y) -> tuple:
+    """The einsum ``spec`` of two COOs, one term per pair of entries that agree on the shared letters."""
+    shape, key, left, right = _pairs(spec, x, y)
+    return shape, key, x[2][left] * y[2][right]
+
+
+def _pairs(spec: str, x, y) -> tuple:
+    """(output shape, output keys, x entries, y entries) of every pair of entries of two COOs
+    that agree on the letters ``spec`` shares between them."""
+    operands, out = spec.split("->")
+    xs, ys = operands.split(",")
+    shared = [c for c in xs if c in ys]
+    at = dict(zip(ys, np.unravel_index(y[1], y[0]))), dict(zip(xs, np.unravel_index(x[1], x[0])))
+    dims = dict(zip(ys + xs, y[0] + x[0]))
+    size = tuple(dims[c] for c in shared)
+    left, right = _join(np.ravel_multi_index([at[1][c] for c in shared], size),
+                        np.ravel_multi_index([at[0][c] for c in shared], size), int(np.multiply.reduce(size, initial=1)))
+    shape = tuple(dims[c] for c in out)
+    key = np.ravel_multi_index([at[1][c][left] if c in xs else at[0][c][right] for c in out], shape)
+    return shape, key, left, right
+
+
+def _sums(*terms) -> tuple:
+    """COOs of one shape, each summed by key on the union of their keys: (shape, keys, [sums])."""
+    keys, slots = _union(*(t[1] for t in terms))
+    return terms[0][0], keys, [_sum_at(at, t[2], len(keys)) for at, t in zip(slots, terms)]
+
+
+def _union(*keysets) -> tuple[np.ndarray, list]:
+    """The distinct keys of several key arrays, sorted, and each array's slots among them."""
+    every = np.concatenate(keysets)
+    order = every.argsort(kind="stable")
+    first = _run_starts(every[order])
+    slots = np.empty(len(order), dtype=np.int64)
+    slots[order] = first.cumsum() - 1
+    parts, start = [], 0
+    for k in keysets:
+        parts.append(slots[start:start + len(k)])
+        start += len(k)
+    return every[order[first]], parts
+
+
+def _run_starts(ordered) -> np.ndarray:
+    """True where a run of equal entries begins in a sorted array."""
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _sum_at(slots, values, size: int) -> np.ndarray:
+    """values added up at their slots, each slot in the order of its values."""
+    total = np.zeros(size, dtype=values.dtype)
+    np.add.at(total, slots, values)
+    return total
+
+
+def _summed(terms) -> tuple:
+    """One COO summed by key, with its exact zeros dropped."""
+    shape, keys, (values,) = _sums(terms)
+    nonzero = np.flatnonzero(values)
+    return shape, keys[nonzero], values[nonzero]
 
 
 def spectral_norms(stack) -> np.ndarray:

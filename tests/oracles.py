@@ -377,6 +377,83 @@ def einsum_rep_residuals(g, rep):
     return tuple(float(np.max(np.abs(x))) for x in (hom, star, unital))
 
 
+def dense_rep_residuals(g, rep):
+    """``einsum_rep_residuals`` by reshaped dense products: the reference for the sums over nonzeros
+    of ``hopf._rep_residuals``."""
+    n, d = rep.shape[0], rep.shape[1]
+    flat = rep.reshape(n, d * d)
+    # products[i, k, j, m] = (rep(e_i) rep(e_j))[k, m]
+    products = (rep.reshape(n * d, d) @ rep.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
+    images = (g.mult.reshape(n * n, n) @ flat).reshape(n, n, d, d)
+    star = (g.star @ flat).reshape(n, d, d) - rep.conj().transpose(0, 2, 1)
+    unital = (g.unit @ flat).reshape(d, d) - np.eye(d)
+    return tuple(float(np.max(np.abs(x), initial=0.0))
+                 for x in (products.transpose(0, 2, 1, 3) - images, star, unital))
+
+
+def dense_mult_parts(mult):
+    """(max, Frobenius norm) of the associator (e_i e_j) e_k - e_i (e_j e_k), from one dense n^4 array."""
+    n = mult.shape[0]
+    flat = mult.reshape(n * n, n)
+    assoc = flat @ mult.reshape(n, n * n)                   # [(i, j), (k, l)]
+    assoc -= np.matmul(flat, mult).reshape(n * n, n * n)     # [i, (j, k), l] read the same way
+    return float(np.max(np.abs(assoc))), float(np.linalg.norm(assoc))
+
+
+def dense_comult_multiplicative(g):
+    """max |Delta(e_i e_j) - Delta(e_i) Delta(e_j)| from reshaped dense products, an n^6 product among them."""
+    n = g.dim
+    cop_comult = g.comult.transpose(0, 2, 1)
+    hom = (g.mult.reshape(n * n, n) @ g.comult.reshape(n, n * n)).reshape(n, n, n, n)
+    first = (cop_comult.reshape(n * n, n) @ g.mult.reshape(n, n * n)).reshape(n, n, n, n)  # [i, b, c, p]
+    second = (g.comult.reshape(n * n, n) @ g.mult.transpose(1, 0, 2).reshape(n, n * n))  # [(j, c), (b, q)]
+    second = second.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n)     # [(b, c), (j, q)]
+    prod = first.transpose(0, 3, 1, 2).reshape(n * n, n * n) @ second                    # [(i, p), (j, q)]
+    hom -= prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    return float(np.max(np.abs(hom)))
+
+
+def dense_coaction_parts(g, tensor, w, gram):
+    """``hopf._coaction_parts`` of a carrier-first right coaction tensor from dense (s^2, n^2) arrays,
+    its rows reduced: the largest of columns 0 and 3-7 and the sums of columns 1, 2 and 8.
+
+    W and G are ``hopf._podles_parts``' (n^2, n) matrix and Gram matrix.
+    """
+    n, s = g.dim, tensor.shape[0]
+    u = np.matmul(tensor.reshape(s, s * n).T, tensor).reshape(s * s, n * n)
+    cols = u @ w                           # [(k, m), r]: coefficient of x_m (x) e_r
+    cols[::s + 1] -= g.unit
+    defect = u - tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)
+    grown = np.abs(tensor)
+    products = np.matmul(grown.reshape(s, s * n).T, grown).reshape(s * s, n * n)
+    through = grown.reshape(s * s, n) @ np.abs(g.comult).reshape(n, n * n)
+    formed = products @ np.abs(w)
+    formed[::s + 1] += np.abs(g.unit)
+    top = [float(np.max(np.abs(x))) for x in (defect, products, through)]
+    rows = [float(np.linalg.norm(x, axis=1).max()) for x in (defect, products, through)]
+    return (top[0], float(np.vdot(cols, cols @ gram.T).real), float(np.linalg.norm(u)) ** 2, rows[0],
+            top[1], rows[1], top[2], rows[2], float(np.linalg.norm(formed)) ** 2)
+
+
+def dense_summand_certificates(alg, irreps, flip, w, gram):
+    """``compress._summand_certificates`` one irrep at a time, from ``dense_coaction_parts``."""
+    n, eps = alg.dim, np.finfo(float).eps
+    scale = 4 * eps * np.sqrt(np.abs(gram).sum(axis=1).max())
+    terms = int(np.count_nonzero(w, axis=0).max()) + 2
+    comult_terms = int(np.count_nonzero(alg.comult.reshape(n, n * n), axis=0).max()) + 2
+    reps = alg.rep.reshape(n, -1)
+    rep_norm = np.linalg.norm(reps, 2)
+    rows = []
+    for pi in irreps:
+        t, d = (pi.u if flip else pi.u.transpose(1, 0, 2)), pi.dim
+        p = dense_coaction_parts(alg, t, w, gram)
+        rows.append((d, p[0] + 4 * eps * ((d + 2) * p[4] + comult_terms * p[6]),
+                     np.sqrt(max(p[1], 0.0)) + (d + terms) * scale * np.sqrt(p[8]), np.sqrt(p[2]),
+                     np.linalg.norm(t.reshape(d * d, n) @ reps, axis=1).max(),
+                     rep_norm * (p[3] + 4 * eps * ((d + 2) * p[5] + comult_terms * p[7])), np.linalg.norm(t)))
+    return np.array(rows)
+
+
 def einsum_podles_witness(g, side):
     """max|Psi Phi - I| for Delta as the coaction of A on itself, from the legs of Delta.
 

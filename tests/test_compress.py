@@ -264,14 +264,14 @@ def test_full_level_fails_on_an_antipode_that_breaks_the_podles_identity(z8_setu
 
 
 def test_induced_coactions_reuse_the_comultiplications_own_certificates(monkeypatch):
-    # every level's certificates are its kept irreps' own, each computed once per side
-    # however many levels keep it
+    # every level's certificates are its kept irreps' own, all 24 computed in one pass
+    # over their direct sum per side, however many levels keep them
     calls = collections.Counter()
     original = compress._coaction_parts
 
-    def counting(g, tensor):
-        calls[id(g), tensor.shape[0]] += 1
-        return original(g, tensor)
+    def counting(g, coo):
+        calls[id(g), coo[0][0]] += 1          # the carrier dimension of the COO's shape
+        return original(g, coo)
 
     monkeypatch.setattr(compress, "_coaction_parts", counting)
     g = hopf.function_algebra(groups.cyclic_table(24), metric=groups.arc_metric(24))
@@ -283,7 +283,23 @@ def test_induced_coactions_reuse_the_comultiplications_own_certificates(monkeypa
         for side in ("right", "left"):
             compress.induced_coaction(g, ts, side)
     assert len(chain) == 13
-    assert calls == {(id(g), 1): 24, (id(hopf._co_opposite(g)), 1): 24}
+    assert calls == {(id(g), 24): 1, (id(hopf._co_opposite(g)), 24): 1}
+
+
+@pytest.mark.parametrize("name", ["F(Z_8)", "F(D_4)", "C*(S_3)", "C*(D_4)", "kp8"])
+def test_summand_rows_split_the_direct_sum_by_irrep(name, f_z8, c_s3):
+    # one pass over the summands' direct sum gives each irrep's own row, charges included
+    if name == "kp8":
+        g, irreps = build_kp8()
+    else:
+        g = {"F(Z_8)": lambda: f_z8, "F(D_4)": lambda: hopf.function_algebra(oracles.d4_table()),
+             "C*(S_3)": lambda: c_s3, "C*(D_4)": lambda: hopf.group_algebra(oracles.d4_table())}[name]()
+        irreps = corep.default_irreps(g)
+    for alg, flip in ((g, False), (hopf._co_opposite(g), True)):
+        w, gram = hopf._podles_parts(alg)[:2]
+        got = compress._summand_certificates(alg, tuple(irreps), flip)
+        assert got == pytest.approx(oracles.dense_summand_certificates(alg, irreps, flip, w, gram),
+                                    rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

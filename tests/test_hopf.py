@@ -241,6 +241,59 @@ def test_comult_multiplicative_matmuls_match_the_einsum(name, f_z8, c_s3):
     assert (want >= 1e-3) == name.endswith("bumped")
 
 
+def _dense_random_algebra():
+    """n = 4 with every entry of every tensor nonzero: no quantum group, only sums to check."""
+    rng = np.random.default_rng(7)
+
+    def entries(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return hopf.FiniteQuantumGroup(dim=4, mult=entries(4, 4, 4), unit=entries(4), star=entries(4, 4),
+                                   comult=entries(4, 4, 4), counit=entries(4), antipode=entries(4, 4),
+                                   rep=entries(4, 3, 3), haar=entries(4))
+
+
+SPARSE_SUM_ALGEBRAS = {**REFERENCE_ALGEBRAS, "C*(D_4)": lambda: hopf.group_algebra(oracles.d4_table()),
+                       "dense n=4": _dense_random_algebra}
+
+
+def _reduced(rows):
+    """``hopf._coaction_parts``' rows reduced as ``oracles.dense_coaction_parts`` reduces them."""
+    return tuple(float(rows[:, j].sum() if j in (1, 2, 8) else rows[:, j].max()) for j in range(9))
+
+
+@pytest.mark.parametrize("bump", [None, *BUMPS])
+@pytest.mark.parametrize("name", list(SPARSE_SUM_ALGEBRAS))
+def test_sums_over_nonzeros_match_the_dense_products(name, bump):
+    g = SPARSE_SUM_ALGEBRAS[name]()
+    if bump is not None:
+        g = _bumped(g, bump)
+
+    def close(got, want):
+        return got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    assert close(hopf._mult_parts(hopf._ByIdentity(g.mult))[:2], oracles.dense_mult_parts(g.mult))
+    assert close(hopf.check_axioms(g).residuals["comult_multiplicative"], oracles.dense_comult_multiplicative(g))
+    assert close(hopf._rep_residuals(g, g.rep), oracles.dense_rep_residuals(g, g.rep))
+    for alg in (g, hopf._co_opposite(g)):
+        w, gram = hopf._podles_parts(alg)[:2]
+        assert close(_reduced(hopf._coaction_parts(alg, hopf._coo(alg.comult))),
+                     oracles.dense_coaction_parts(alg, alg.comult, w, gram))
+
+
+def test_all_zero_operands_give_their_residuals(f_s3):
+    # an empty COO joins to no terms: the residuals are those of the zero array
+    zero_rep = np.zeros_like(f_s3.rep)
+    got = hopf._rep_residuals(f_s3, zero_rep)
+    assert got == (0.0, 0.0, 1.0) == oracles.dense_rep_residuals(f_s3, zero_rep)
+    report = hopf.check_axioms(dataclasses.replace(f_s3, rep=zero_rep))
+    assert report.residuals["rep_unital"] == 1.0 and not report.passed
+    zero_tensor = np.zeros((2, 2, f_s3.dim), dtype=complex)
+    w, gram = hopf._podles_parts(f_s3)[:2]
+    assert _reduced(hopf._coaction_parts(f_s3, hopf._coo(zero_tensor))) == pytest.approx(
+        oracles.dense_coaction_parts(f_s3, zero_tensor, w, gram), rel=1e-12, abs=1e-15)
+
+
 def test_podles_witness_bounds_a_unital_but_non_associative_mult(f_s3):
     # the bump has zero row and column sums, so 1 stays a unit and only the
     # associator term keeps the witness above ||Psi Phi - I||_F
