@@ -158,11 +158,15 @@ def _clusters(sorted_values, gap) -> list:
 def _grouplikes(g: FiniteQuantumGroup, gram, vecs) -> np.ndarray:
     """Columns x = v / eps(v), each refined once by x -> (id (x) h(x* .))Delta x and renormalized.
 
-    The map fixes a group-like and converges to it quadratically.
+    The map fixes a group-like and converges to it quadratically.  The unit is
+    a group-like and distinct group-likes are independent, so the column
+    nearest the unit is the unit itself, exactly.
     """
     x = vecs / _counits(g, vecs)
     refined = np.einsum("ijs,is->js", g.comult @ (gram.T @ x.conj()), x)
-    return refined / _counits(g, refined)
+    refined /= _counits(g, refined)
+    refined[:, np.argmin(np.linalg.norm(refined - g.unit[:, None], axis=0))] = g.unit
+    return refined
 
 
 def _counits(g: FiniteQuantumGroup, vecs) -> np.ndarray:

@@ -180,3 +180,15 @@ def test_multiplicative_unitary_s3_nonabelian(f_s3):
     w = corep.multiplicative_unitary(f_s3)
     assert w.unitarity_residual < 1e-12
     assert w.implementation_residual < 1e-11
+
+
+@pytest.mark.parametrize("name", ["F(Z_8)", "F(Z_24)", "F(S_3)", "C*(S_3)", "F(D_4)", "kp8"])
+def test_the_trivial_irrep_is_exactly_the_unit(name, f_s3, c_s3):
+    g = {"F(Z_8)": lambda: hopf.function_algebra(groups.cyclic_table(8)),
+         "F(Z_24)": lambda: hopf.function_algebra(groups.cyclic_table(24)),
+         "F(S_3)": lambda: f_s3, "C*(S_3)": lambda: c_s3,
+         "F(D_4)": lambda: hopf.function_algebra(oracles.d4_table()), "kp8": lambda: build_kp8()[0]}[name]()
+    trivial = corep.default_irreps(g)[0]
+    assert trivial.dim == 1 and np.array_equal(trivial.u[0, 0], g.unit)
+    report = corep.validate_corep(g, trivial)
+    assert report.unitarity_residual == report.corep_residual == 0.0
