@@ -650,14 +650,15 @@ def _pairs(spec: str, x, y) -> tuple:
     that agree on the letters ``spec`` shares between them."""
     operands, out = spec.split("->")
     xs, ys = operands.split(",")
+    at_x = dict(zip(xs, np.unravel_index(x[1], x[0])))
+    at_y = dict(zip(ys, np.unravel_index(y[1], y[0])))
+    dims = dict(zip(xs + ys, x[0] + y[0]))
     shared = [c for c in xs if c in ys]
-    at = dict(zip(ys, np.unravel_index(y[1], y[0]))), dict(zip(xs, np.unravel_index(x[1], x[0])))
-    dims = dict(zip(ys + xs, y[0] + x[0]))
     size = tuple(dims[c] for c in shared)
-    left, right = _join(np.ravel_multi_index([at[1][c] for c in shared], size),
-                        np.ravel_multi_index([at[0][c] for c in shared], size), int(np.multiply.reduce(size, initial=1)))
+    left, right = _join(np.ravel_multi_index([at_x[c] for c in shared], size),
+                        np.ravel_multi_index([at_y[c] for c in shared], size), int(np.multiply.reduce(size)))
     shape = tuple(dims[c] for c in out)
-    key = np.ravel_multi_index([at[1][c][left] if c in xs else at[0][c][right] for c in out], shape)
+    key = np.ravel_multi_index([at_x[c][left] if c in at_x else at_y[c][right] for c in out], shape)
     return shape, key, left, right
 
 
