@@ -265,7 +265,8 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
 
     The summand's tensor is t[j, k] = u_kj (u_jk for A^cop).  ``hopf._coaction_parts``
     of the summands' direct sum gives every residual against ``alg`` at once, E among
-    them, split by summand.  The Frobenius part is charged with the forward roundoff of
+    them, split by summand; the charges below read each irrep's own (d^2, n^2) moduli
+    |t||t| and |t||Delta|.  The Frobenius part is charged with the forward roundoff of
     its column sums, as ``duality_lower_bound`` charges its own:
     4 m eps sqrt(||G||) ||F||_F, F = (|t||t|)|W| + |1| on the diagonal columns, with
     m = d + (nonzeros in a column of W) + 2 roundings and ||G|| bounded by its
@@ -289,15 +290,25 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
     rows = _coaction_parts(alg, ((s, s, n), keys, flat[row, l]))
     top, ssq = np.maximum.reduceat(rows, first), np.add.reduceat(rows, first)
 
-    comult_terms = int(np.count_nonzero(alg.comult.reshape(n, n * n), axis=0).max()) + 2
-    residual = top[:, 0] + 4 * eps * ((dims + 2) * top[:, 4] + comult_terms * top[:, 6])
-    defect = top[:, 3] + 4 * eps * ((dims + 2) * top[:, 5] + comult_terms * top[:, 7])
-    frobenius = np.sqrt(np.maximum(ssq[:, 1], 0.0))
     if parts is not None:
-        w, gram = parts[:2]
-        scale = 4 * eps * np.sqrt(np.abs(gram).sum(axis=1).max())
-        terms = int(np.count_nonzero(w, axis=0).max()) + 2
-        frobenius += (dims + terms) * scale * np.sqrt(ssq[:, 8])
+        abs_w = np.abs(parts[0])
+        scale = 4 * eps * np.sqrt(np.abs(parts[1]).sum(axis=1).max())
+        terms = int(np.count_nonzero(parts[0], axis=0).max()) + 2
+    abs_comult = np.abs(alg.comult).reshape(n, n * n)
+    comult_terms = int(np.count_nonzero(abs_comult, axis=0).max()) + 2
+    residual, defect, frobenius = top[:, 0], top[:, 3], np.sqrt(np.maximum(ssq[:, 1], 0.0))
+    for i, pi in enumerate(irreps):
+        d = pi.dim
+        grown = np.abs(pi.u if flip else pi.u.transpose(1, 0, 2))
+        products = np.matmul(grown.reshape(d, d * n).T, grown).reshape(d * d, n * n)
+        through = grown.reshape(d * d, n) @ abs_comult
+        residual[i] += 4 * eps * ((d + 2) * products.max() + comult_terms * through.max())
+        defect[i] += 4 * eps * ((d + 2) * np.linalg.norm(products, axis=1).max()
+                                + comult_terms * np.linalg.norm(through, axis=1).max())
+        if parts is not None:
+            formed = products @ abs_w
+            formed[::d + 1] += np.abs(alg.unit)
+            frobenius[i] += (d + terms) * scale * np.linalg.norm(formed)
     reps = alg.rep.reshape(n, -1)
     rho_norms = np.maximum.reduceat(np.linalg.norm(flat @ reps, axis=1), starts)
     rep_norm = float(np.linalg.norm(reps, 2))

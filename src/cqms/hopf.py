@@ -24,7 +24,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 RANK_RTOL = 1e-10             # singular values below this fraction of the largest count as zero
-CHUNK_TERMS = 1 << 15         # products of nonzeros that ``_coaction_parts`` forms at a time
+CHUNK_TERMS = 1 << 15         # products of nonzeros that a sum over nonzeros forms at a time
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -325,11 +325,10 @@ def check_axioms(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> AxiomReport
     # Delta(e_i e_j) - Delta(e_i) Delta(e_j), the product summed as
     # sum_{b, c} (sum_a Delta[i, a, b] mult[a, c, p]) (sum_d Delta[j, c, d] mult[b, d, q])
     mult, comult = _coo(g.mult), _coo(g.comult)
-    first = _summed(_product("iab,acp->ibcp", comult, mult))
-    second = _summed(_product("jcd,bdq->jcbq", comult, mult))
-    _, _, (hom, prod) = _sums(_product("ijl,lpq->ijpq", mult, comult),
-                              _product("ibcp,jcbq->ijpq", first, second))
-    res["comult_multiplicative"] = _maxabs(hom - prod)
+    first = _summed("iab,acp->ibcp", comult, mult)
+    second = _summed("jcd,bdq->jcbq", comult, mult)
+    res["comult_multiplicative"] = _difference_norms(("ijl,lpq->ijpq", mult, comult),
+                                                     ("ibcp,jcbq->ijpq", first, second))[0]
     # [i, p, q]: coefficient of e_p (x) e_q in Delta(e_i^*) - (* (x) *)Delta(e_i)
     res["comult_star"] = _maxabs((g.star @ g.comult.reshape(n, n * n)).reshape(n, n, n)
                                  - g.star.T @ np.conj(g.comult) @ g.star)
@@ -408,60 +407,46 @@ def _coaction_parts(g: FiniteQuantumGroup, t) -> np.ndarray:
     ||D||_F = sqrt(sum_k c_k* G c_k) through the Gram matrix G of left
     multiplication (W and G of ``_podles_parts``).
 
-    Row k holds  0 max|E_k..|, 1 c_k* G c_k, 2 sum|u_k..|^2, 3 max_m ||E_km||_F,
-    then over moduli  4 max (|t||t|)_k.., 5 max_m ||(|t||t|)_km||_F,
-    6 max (|t||Delta|)_k.., 7 max_m ||(|t||Delta|)_km||_F and
-    8 sum_m ||(|t||t|)_km |W| + [k = m] |1| ||^2, which bound the rounding of
-    the sums; 1 and 8 are inf for a singular S.  Row k reads only alpha(x_k),
-    so the rows of a direct sum of coactions split by summand.  Every sum runs
-    over products of nonzeros, about CHUNK_TERMS of them at a time: no
-    (s^2, n^2) array is formed.
+    Row k holds max|E_k..|, c_k* G c_k (inf for a singular S), sum|u_k..|^2 and
+    max_m ||E_km||_F.  Row k reads only alpha(x_k), so the rows of a direct sum
+    of coactions split by summand.  Every sum runs over products of nonzeros,
+    about CHUNK_TERMS of them at a time: no (s^2, n^2) array is formed.
     """
     (s, _, n), keys, values = t
     comult, parts = _coo(g.comult), _podles_parts(g)
     w = None if parts is None else _coo(parts[0].reshape(n, n, n))
-    t_mod, comult_mod = np.abs(values), np.abs(comult[2])
     # entry t[k, c, l] meets the entries of t in row c and those of Delta at c
     terms = (np.bincount(keys // (s * n), minlength=s)[keys // n % s].sum()
              + np.bincount(comult[1] // (n * n), minlength=n)[keys % n].sum())
     step = max(1, s * CHUNK_TERMS // max(int(terms), 1))
-    rows = np.zeros((s, 9))
+    rows = np.zeros((s, 4))
     for a in range(0, s, step):
         b = min(a + step, s)
         lo, hi = np.searchsorted(keys, [a * s * n, b * s * n])
-        part, part_mod = (t[0], keys[lo:hi], values[lo:hi]), t_mod[lo:hi]
+        part = (t[0], keys[lo:hi], values[lo:hi])
         shape, uu, uu_left, uu_right = _pairs("kcl,cmp->kmpl", part, t)
         _, ud, ud_left, ud_right = _pairs("kmc,cpl->kmpl", part, comult)
         at, (uu, ud) = _union(uu, ud)
         u = _sum_at(uu, part[2][uu_left] * values[uu_right], len(at))
-        u_mod = _sum_at(uu, part_mod[uu_left] * t_mod[uu_right], len(at))
-        mags = np.empty((3, len(at)))
-        np.abs(u - _sum_at(ud, part[2][ud_left] * comult[2][ud_right], len(at)), out=mags[0])
-        mags[1], mags[2] = u_mod, _sum_at(ud, part_mod[ud_left] * comult_mod[ud_right], len(at))
+        mags = np.abs(u - _sum_at(ud, part[2][ud_left] * comult[2][ud_right], len(at)))
         km = at // (n * n)                                   # (k, m), nondecreasing
         rows[a:b, 2] = np.bincount(km // s - a, u.real ** 2 + u.imag ** 2, b - a)
         slices = np.flatnonzero(_run_starts(km))
         k = km[slices] // s
         firsts = np.flatnonzero(_run_starts(k))
-        rows[k[firsts, None], [0, 4, 6]] = np.maximum.reduceat(
-            np.maximum.reduceat(mags, slices, axis=1), firsts, axis=1).T
-        rows[k[firsts, None], [3, 5, 7]] = np.sqrt(np.maximum.reduceat(
-            np.add.reduceat(mags * mags, slices, axis=1), firsts, axis=1)).T
+        rows[k[firsts], 0] = np.maximum.reduceat(np.maximum.reduceat(mags, slices), firsts)
+        rows[k[firsts], 3] = np.sqrt(np.maximum.reduceat(np.add.reduceat(mags * mags, slices), firsts))
         if w is None:
             continue
         _, at, left, right = _pairs("kmpl,plr->kmr", (shape, at, u), w)
-        # the columns (k, m) that u W reaches, and every diagonal one for the -1 of c_k and the |1| of F
+        # the columns (k, m) that u W reaches, and every diagonal one for the -1 of c_k
         columns, (slot, diagonal) = _union(at // n, np.arange(a, b) * (s + 1))
-        slot = slot * n + at % n
-        cols = _sum_at(slot, u[left] * w[2][right], len(columns) * n).reshape(-1, n)
-        formed = _sum_at(slot, u_mod[left] * np.abs(w[2][right]), len(columns) * n).reshape(-1, n)
+        cols = _sum_at(slot * n + at % n, u[left] * w[2][right], len(columns) * n).reshape(-1, n)
         cols[diagonal] -= g.unit
-        formed[diagonal] += np.abs(g.unit)
-        k = columns // s - a
-        rows[a:b, 1] = np.bincount(k, np.einsum("ij,ij->i", cols.conj(), cols @ parts[1].T).real, b - a)
-        rows[a:b, 8] = np.bincount(k, (formed * formed).sum(axis=1), b - a)
+        rows[a:b, 1] = np.bincount(columns // s - a, np.einsum("ij,ij->i", cols.conj(), cols @ parts[1].T).real,
+                                   b - a)
     if w is None:
-        rows[:, [1, 8]] = np.inf
+        rows[:, 1] = np.inf
     return rows
 
 
@@ -541,11 +526,10 @@ def _mult_parts(key: _ByIdentity) -> tuple[float, float, np.ndarray]:
     mult = key.obj
     n = mult.shape[0]
     m = _coo(mult)
-    _, _, (left, right) = _sums(_product("ijm,mkl->ijkl", m, m), _product("jkm,iml->ijkl", m, m))
-    assoc = left - right
+    top, frobenius = _difference_norms(("ijm,mkl->ijkl", m, m), ("jkm,iml->ijkl", m, m))
     by_right = mult.transpose(1, 0, 2).reshape(n, n * n)
     gram = _readonly(by_right.conj() @ by_right.T)
-    return _maxabs(assoc), float(np.linalg.norm(assoc)), gram
+    return top, frobenius, gram
 
 
 def _counit_residual(g: FiniteQuantumGroup) -> float:
@@ -566,9 +550,7 @@ def _rep_residuals(g: FiniteQuantumGroup, rep) -> tuple[float, float, float]:
     n, d = rep.shape[0], rep.shape[1]
     flat = rep.reshape(n, d * d)
     r = _coo(rep)
-    _, _, (products, images) = _sums(_product("ikl,jlm->ijkm", r, r),
-                                     _product("ijp,pkm->ijkm", _coo(g.mult), r))
-    multiplicative = _maxabs(products - images)
+    multiplicative = _difference_norms(("ikl,jlm->ijkm", r, r), ("ijp,pkm->ijkm", _coo(g.mult), r))[0]
     star = _maxabs((g.star @ flat).reshape(n, d, d) - rep.conj().transpose(0, 2, 1))
     unital = _maxabs((g.unit @ flat).reshape(d, d) - np.eye(d))
     return multiplicative, star, unital
@@ -616,7 +598,7 @@ def _maxabs(x) -> float:
 # ---------------------------------------------------------------------------
 #
 # A COO is (shape, keys, values): the C-order flat indices of an array's listed
-# entries and their values; a key may repeat, its values then add.  A product of
+# entries, sorted, and their values; a key may repeat, its values then add.  A product of
 # two structure tensors is summed over pairs of nonzeros that meet on the shared
 # indices, the sparse-operand iteration of Kjolstad et al., "The tensor algebra
 # compiler" (OOPSLA 2017): the dense sum minus terms that are exactly zero.  A
@@ -636,7 +618,8 @@ def _join(lkey, rkey, size: int) -> tuple[np.ndarray, np.ndarray]:
     # the r of a pair is its rank within lkey[l]'s run of the stably sorted rkey
     runs = counts.cumsum() - counts
     rank = np.arange(len(left)) + (runs[lkey] + per - per.cumsum()).repeat(per)
-    return left, rkey.argsort(kind="stable")[rank]
+    # a stable sort of keys below 2^16 is a radix sort in 16 bits
+    return left, rkey.astype(np.uint16 if size <= 1 << 16 else rkey.dtype).argsort(kind="stable")[rank]
 
 
 def _product(spec: str, x, y) -> tuple:
@@ -648,18 +631,94 @@ def _product(spec: str, x, y) -> tuple:
 def _pairs(spec: str, x, y) -> tuple:
     """(output shape, output keys, x entries, y entries) of every pair of entries of two COOs
     that agree on the letters ``spec`` shares between them."""
+    out, at_x, at_y, dims, shared = _indices(spec, x, y)
+    left, right = _join(*shared)
+    shape = tuple(dims[c] for c in out)
+    # each operand's share of the output key, read once per entry instead of once per pair
+    parts = [np.zeros(len(x[1]), dtype=np.int64), np.zeros(len(y[1]), dtype=np.int64)]
+    for c, stride in zip(out, np.cumprod((1,) + shape[:0:-1])[::-1]):
+        if c in at_x:
+            parts[0] += at_x[c] * stride
+        else:
+            parts[1] += at_y[c] * stride
+    return shape, parts[0][left] + parts[1][right], left, right
+
+
+def _indices(spec: str, x, y) -> tuple:
+    """(output letters, x's and y's index arrays by letter, each letter's dimension, and
+    (x's keys, y's keys, number of keys) over the letters the operands share)."""
     operands, out = spec.split("->")
     xs, ys = operands.split(",")
     at_x = dict(zip(xs, np.unravel_index(x[1], x[0])))
     at_y = dict(zip(ys, np.unravel_index(y[1], y[0])))
     dims = dict(zip(xs + ys, x[0] + y[0]))
-    shared = [c for c in xs if c in ys]
-    size = tuple(dims[c] for c in shared)
-    left, right = _join(np.ravel_multi_index([at_x[c] for c in shared], size),
-                        np.ravel_multi_index([at_y[c] for c in shared], size), int(np.multiply.reduce(size)))
-    shape = tuple(dims[c] for c in out)
-    key = np.ravel_multi_index([at_x[c][left] if c in at_x else at_y[c][right] for c in out], shape)
-    return shape, key, left, right
+    size = tuple(dims[c] for c in xs if c in ys)
+    shared = (np.ravel_multi_index([at_x[c] for c in xs if c in ys], size),
+              np.ravel_multi_index([at_y[c] for c in xs if c in ys], size), int(np.multiply.reduce(size)))
+    return out, at_x, at_y, dims, shared
+
+
+def _pieces(products, position: int = 0):
+    """The products ``(spec, x, y)`` of one output shape restricted to pieces of that output,
+    each holding about CHUNK_TERMS products of nonzeros in all.
+
+    A piece is a run of values of the output index at ``position``; a single value that holds
+    more is split along the next output index.  Restriction keeps the order of the terms, so
+    every output entry is summed as in the whole product.
+    """
+    if sum(len(x[1]) * len(y[1]) for _, x, y in products) > CHUNK_TERMS:
+        counts = sum(_terms_along(product, position) for product in products)
+        if counts.sum() > CHUNK_TERMS:
+            ends, a = np.cumsum(counts), 0
+            while a < len(counts):
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + CHUNK_TERMS, side="right")))
+                piece = [_restrict(product, position, a, b) for product in products]
+                if counts[a] > CHUNK_TERMS and position + 1 < len(products[0][0].split("->")[1]):
+                    yield from _pieces(piece, position + 1)
+                else:
+                    yield piece
+                a = b
+            return
+    yield products
+
+
+def _terms_along(product, position: int) -> np.ndarray:
+    """How many products of nonzeros each value of the output index at ``position`` receives."""
+    out, at_x, at_y, dims, (lkey, rkey, size) = _indices(*product)
+    c = out[position]
+    if c in at_x:
+        return np.bincount(at_x[c], np.bincount(rkey, minlength=size)[lkey], dims[c])
+    return np.bincount(at_y[c], np.bincount(lkey, minlength=size)[rkey], dims[c])
+
+
+def _restrict(product, position: int, lo: int, hi: int) -> tuple:
+    """The product with the output index at ``position`` restricted to [lo, hi)."""
+    spec = product[0]
+    c = spec.split("->")[1][position]
+    cut = []
+    for letters, (shape, keys, values) in zip(spec.split("->")[0].split(","), product[1:]):
+        if c in letters:
+            axis = letters.index(c)
+            stride = int(np.multiply.reduce(shape[axis + 1:]))
+            if axis == 0:                                      # a run of the sorted keys
+                keep = slice(*np.searchsorted(keys, (lo * stride, hi * stride)))
+            else:
+                keep = (keys // stride % shape[axis] >= lo) & (keys // stride % shape[axis] < hi)
+            keys, values = keys[keep], values[keep]
+        cut.append((shape, keys, values))
+    return (spec, *cut)
+
+
+def _difference_norms(plus, minus) -> tuple[float, float]:
+    """(max|P - M|, ||P - M||_F) for P and M two einsum products ``(spec, x, y)`` of COOs with
+    one output shape, formed in ``_pieces``; each entry of P and of M is summed in term order."""
+    top, square = 0.0, 0.0
+    for piece in _pieces([plus, minus]):
+        _, _, (p, m) = _sums(*(_product(*product) for product in piece))
+        p -= m
+        top = max(top, _maxabs(p))
+        square += float(p.real @ p.real + p.imag @ p.imag)
+    return top, float(np.sqrt(square))
 
 
 def _sums(*terms) -> tuple:
@@ -669,17 +728,21 @@ def _sums(*terms) -> tuple:
 
 
 def _union(*keysets) -> tuple[np.ndarray, list]:
-    """The distinct keys of several key arrays, sorted, and each array's slots among them."""
+    """Sorted keys that include every key of several key arrays, and each array's slots among them.
+
+    Keys that span a range no longer than their count give that whole range, with no sort;
+    other keys give their distinct values.
+    """
     every = np.concatenate(keysets)
-    order = every.argsort(kind="stable")
-    first = _run_starts(every[order])
-    slots = np.empty(len(order), dtype=np.int64)
-    slots[order] = first.cumsum() - 1
-    parts, start = [], 0
-    for k in keysets:
-        parts.append(slots[start:start + len(k)])
-        start += len(k)
-    return every[order[first]], parts
+    if len(every) and every.max() - every.min() < len(every):
+        keys, slots = np.arange(every.min(), every.max() + 1), every - every.min()
+    else:
+        order = every.argsort()
+        first = _run_starts(every[order])
+        slots = np.empty(len(order), dtype=np.int64)
+        slots[order] = first.cumsum() - 1
+        keys = every[order[first]]
+    return keys, np.split(slots, np.cumsum([len(k) for k in keysets[:-1]]))
 
 
 def _run_starts(ordered) -> np.ndarray:
@@ -697,11 +760,15 @@ def _sum_at(slots, values, size: int) -> np.ndarray:
     return total
 
 
-def _summed(terms) -> tuple:
-    """One COO summed by key, with its exact zeros dropped."""
-    shape, keys, (values,) = _sums(terms)
-    nonzero = np.flatnonzero(values)
-    return shape, keys[nonzero], values[nonzero]
+def _summed(spec: str, x, y) -> tuple:
+    """The einsum ``spec`` of two COOs summed by key, formed in ``_pieces``, its exact zeros dropped."""
+    keys, values = [], []
+    for (product,) in _pieces([(spec, x, y)]):
+        shape, at, (total,) = _sums(_product(*product))
+        nonzero = np.flatnonzero(total)
+        keys.append(at[nonzero])
+        values.append(total[nonzero])
+    return shape, np.concatenate(keys), np.concatenate(values)
 
 
 def spectral_norms(stack) -> np.ndarray:

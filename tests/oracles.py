@@ -415,7 +415,7 @@ def dense_comult_multiplicative(g):
 
 def dense_coaction_parts(g, tensor, w, gram):
     """``hopf._coaction_parts`` of a carrier-first right coaction tensor from dense (s^2, n^2) arrays,
-    its rows reduced: the largest of columns 0 and 3-7 and the sums of columns 1, 2 and 8.
+    its rows reduced: the largest of columns 0 and 3 and the sums of columns 1 and 2.
 
     W and G are ``hopf._podles_parts``' (n^2, n) matrix and Gram matrix.
     """
@@ -424,15 +424,8 @@ def dense_coaction_parts(g, tensor, w, gram):
     cols = u @ w                           # [(k, m), r]: coefficient of x_m (x) e_r
     cols[::s + 1] -= g.unit
     defect = u - tensor.reshape(s * s, n) @ g.comult.reshape(n, n * n)
-    grown = np.abs(tensor)
-    products = np.matmul(grown.reshape(s, s * n).T, grown).reshape(s * s, n * n)
-    through = grown.reshape(s * s, n) @ np.abs(g.comult).reshape(n, n * n)
-    formed = products @ np.abs(w)
-    formed[::s + 1] += np.abs(g.unit)
-    top = [float(np.max(np.abs(x))) for x in (defect, products, through)]
-    rows = [float(np.linalg.norm(x, axis=1).max()) for x in (defect, products, through)]
-    return (top[0], float(np.vdot(cols, cols @ gram.T).real), float(np.linalg.norm(u)) ** 2, rows[0],
-            top[1], rows[1], top[2], rows[2], float(np.linalg.norm(formed)) ** 2)
+    return (float(np.max(np.abs(defect), initial=0.0)), float(np.vdot(cols, cols @ gram.T).real),
+            float(np.linalg.norm(u)) ** 2, float(np.linalg.norm(defect, axis=1).max(initial=0.0)))
 
 
 def dense_summand_certificates(alg, irreps, flip, w, gram):
@@ -447,10 +440,17 @@ def dense_summand_certificates(alg, irreps, flip, w, gram):
     for pi in irreps:
         t, d = (pi.u if flip else pi.u.transpose(1, 0, 2)), pi.dim
         p = dense_coaction_parts(alg, t, w, gram)
-        rows.append((d, p[0] + 4 * eps * ((d + 2) * p[4] + comult_terms * p[6]),
-                     np.sqrt(max(p[1], 0.0)) + (d + terms) * scale * np.sqrt(p[8]), np.sqrt(p[2]),
+        grown = np.abs(t)
+        products = np.matmul(grown.reshape(d, d * n).T, grown).reshape(d * d, n * n)
+        through = grown.reshape(d * d, n) @ np.abs(alg.comult).reshape(n, n * n)
+        formed = products @ np.abs(w)
+        formed[::d + 1] += np.abs(alg.unit)
+        rows.append((d, p[0] + 4 * eps * ((d + 2) * products.max() + comult_terms * through.max()),
+                     np.sqrt(max(p[1], 0.0)) + (d + terms) * scale * np.linalg.norm(formed), np.sqrt(p[2]),
                      np.linalg.norm(t.reshape(d * d, n) @ reps, axis=1).max(),
-                     rep_norm * (p[3] + 4 * eps * ((d + 2) * p[5] + comult_terms * p[7])), np.linalg.norm(t)))
+                     rep_norm * (p[3] + 4 * eps * ((d + 2) * np.linalg.norm(products, axis=1).max()
+                                                   + comult_terms * np.linalg.norm(through, axis=1).max())),
+                     np.linalg.norm(t)))
     return np.array(rows)
 
 
