@@ -634,14 +634,8 @@ def _pairs(spec: str, x, y) -> tuple:
     out, at_x, at_y, dims, shared = _indices(spec, x, y)
     left, right = _join(*shared)
     shape = tuple(dims[c] for c in out)
-    # each operand's share of the output key, read once per entry instead of once per pair
-    parts = [np.zeros(len(x[1]), dtype=np.int64), np.zeros(len(y[1]), dtype=np.int64)]
-    for c, stride in zip(out, np.cumprod((1,) + shape[:0:-1])[::-1]):
-        if c in at_x:
-            parts[0] += at_x[c] * stride
-        else:
-            parts[1] += at_y[c] * stride
-    return shape, parts[0][left] + parts[1][right], left, right
+    key = np.ravel_multi_index([at_x[c][left] if c in at_x else at_y[c][right] for c in out], shape)
+    return shape, key, left, right
 
 
 def _indices(spec: str, x, y) -> tuple:
