@@ -697,7 +697,8 @@ def _restrict(product, position: int, lo: int, hi: int) -> tuple:
             if axis == 0:                                      # a run of the sorted keys
                 keep = slice(*np.searchsorted(keys, (lo * stride, hi * stride)))
             else:
-                keep = (keys // stride % shape[axis] >= lo) & (keys // stride % shape[axis] < hi)
+                at = keys // stride % shape[axis]
+                keep = (at >= lo) & (at < hi)
             keys, values = keys[keep], values[keep]
         cut.append((shape, keys, values))
     return (spec, *cut)
