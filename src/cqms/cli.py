@@ -185,23 +185,29 @@ def _check_tol(tol: float) -> None:
 
 
 def _parse_chain(text: str, loaded: io.LoadedInput, irreps) -> list:
+    """The chain of irrep subsets, in the indices of ``irreps``.
+
+    Frequency and length levels name irreps as ``corep.default_irreps`` orders them, so each
+    is mapped through the order ``corep.character_order`` gives the supplied irreps: a file
+    may list them in another order.  Prefix chains and explicit lists keep file order.
+    """
     g = loaded.algebra
     count = len(irreps)
-    if text == "auto":
-        if g.kind == "function" and g.group_table is not None \
-                and groups.is_cyclic_canonical(g.group_table):
-            return chains.frequency_chain(g.dim)
-        if g.kind == "group" and g.length is not None:
-            return chains.length_chain(g)
+    cyclic = g.kind == "function" and g.group_table is not None and groups.is_cyclic_canonical(g.group_table)
+    if text == "freq" and not cyclic:
+        raise ConfigError("frequency chains need the canonical cyclic function algebra")
+    if text in ("auto", "freq") and cyclic:
+        levels = chains.frequency_chain(g.dim)
+    elif text == "auto" and g.kind == "group" and g.length is not None:
+        levels = chains.length_chain(g)
+    elif text in ("auto", "prefix"):
         return chains.prefix_chain(count)
-    if text == "freq":
-        if not (g.kind == "function" and g.group_table is not None
-                and groups.is_cyclic_canonical(g.group_table)):
-            raise ConfigError("frequency chains need the canonical cyclic function algebra")
-        return chains.frequency_chain(g.dim)
-    if text == "prefix":
-        return chains.prefix_chain(count)
-    return [_parse_lambda(part, count) for part in text.split(";") if part.strip()]
+    else:
+        return [_parse_lambda(part, count) for part in text.split(";") if part.strip()]
+    if count != g.dim:                  # not n characters: pw_decompose rejects the family
+        return levels
+    order = corep.character_order([pi.u for pi in irreps])
+    return [tuple(sorted(int(order[k]) for k in level)) for level in levels]
 
 
 def _emit(out, fmt: str, rows: list[dict]) -> None:
@@ -320,7 +326,7 @@ def _bound_row(config: SweepConfig, index: int, dec, diam) -> dict:
     taus = ts.tau(elements)
     coords = ts.expand(taus)
     images = sym(coords)
-    lhs1 = hopf.element_norms(g, images - elements)
+    lhs1 = hopf.element_norms(g, (images - elements)[:, None, None])
     lhs2 = hopf.spectral_norms(ts.tau(images) - taus)
     # the radii only enter multiplied by bound, which is 0 at the full level
     excess = (lipnorm.induced_lip_excess(lip, beta, coords, lhs2, bound, tol=1e-7) if bound

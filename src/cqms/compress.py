@@ -15,8 +15,9 @@ import numpy as np
 from .corep import GNSSpace, PWDecomposition, pw_decompose
 from .errors import InternalInconsistencyError, StateCertificationError, StructureError
 from .hopf import (DEFAULT_TOL, RANK_RTOL, FiniteQuantumGroup, State, _co_opposite, _coaction_parts,
-                   _comult_certificates, _counit_residual, _maxabs, _podles_limit, _podles_parts,
-                   _podles_witness, _readonly, certify_state, counit_support_projection)
+                   _comult_certificates, _coo, _counit_residual, _difference_norms, _maxabs, _podles_limit,
+                   _podles_parts, _podles_witness, _readonly, certify_state, counit_support_projection,
+                   element_norms)
 from .sampling import random_density
 
 GAP_RTOL = 1e-12       # duality gap, relative to max(1, value), that stops the descent
@@ -317,24 +318,27 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
 
 
 def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float:
-    """Operator norm of (tau (x) rho)Delta on a p x p matrix over A.
+    """Operator norm of (tau (x) rho)Delta on a p x p matrix over A, block by block on rho.
 
     ``entries`` is a (p, p, n) block of elements; p = 1 is a single element.
+    (tau (x) id)Delta of the block is a (p r) x (p r) matrix over A, whose norm
+    under rho ``hopf.element_norms`` takes.
     """
-    p, r, d0 = entries.shape[0], ts.rank, g.rep.shape[1]
-    delta = np.einsum("pqi,ijl->pqjl", entries, g.comult)
-    taus = (ts.tau_matrix @ delta).reshape(p, p, r, r, g.dim)
-    big = np.einsum("pqabl,lcd->pacqbd", taus, g.rep).reshape(p * r * d0, p * r * d0)
-    return float(np.linalg.norm(big, 2))
+    p, r, n = entries.shape[0], ts.rank, g.dim
+    delta = (entries.reshape(p * p, n) @ g.comult.reshape(n, n * n)).reshape(p, p, n, n)
+    sliced = (ts.tau_matrix @ delta).reshape(p, p, r, r, n)          # [p, q, a, b, l]
+    return float(element_norms(g, sliced.transpose(0, 2, 1, 3, 4).reshape(1, p * r, p * r, n))[0])
 
 
 def cocommutation_residual(alpha: InducedCoaction, beta: InducedCoaction) -> float:
-    """Residual of (beta (x) id) alpha = (id (x) alpha) beta."""
+    """Residual of (beta (x) id) alpha = (id (x) alpha) beta, summed over nonzeros.
+
+    Both sides are written with alpha first, so a pair of equal terms rounds alike.
+    """
     if alpha.side != "right" or beta.side != "left":
         raise ValueError("cocommutation takes a right coaction and a left coaction")
-    lhs = np.einsum("kml,mpj->kjpl", alpha.tensor, beta.tensor)
-    rhs = np.einsum("kmj,mpl->kjpl", beta.tensor, alpha.tensor)
-    return _maxabs(lhs - rhs)
+    a, b = _coo(alpha.tensor), _coo(beta.tensor)
+    return _difference_norms(("kml,mpj->kjpl", a, b), ("mpl,kmj->kjpl", a, b))[0]
 
 
 def isometry_witness_residual(g: FiniteQuantumGroup, ts: TruncatedSystem, samples: int = 50,

@@ -101,7 +101,8 @@ def default_irreps(g: FiniteQuantumGroup) -> list[Corepresentation]:
     Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27 (2010).  A
     1-dim block is spanned by a group-like; a d^2-dim block is a matrix
     coalgebra (``_matrix_coalgebra_corep``).  The irreps are sorted by
-    dimension, then by the angles of the coefficients of chi_sigma / d_sigma.
+    dimension, then by the angles of the coefficients of chi_sigma / d_sigma
+    (``character_order``).
     ``pw_decompose`` certifies the family, as it certifies a supplied one.
     """
     n = g.dim
@@ -134,15 +135,21 @@ def default_irreps(g: FiniteQuantumGroup) -> list[Corepresentation]:
     grouplikes = _grouplikes(g, gram, onb_inv @ np.hstack([b for b in blocks if b.shape[1] == 1]))
     coreps = list(grouplikes.T.reshape(-1, 1, 1, n))
     coreps += [_matrix_coalgebra_corep(g, gram, onb_inv @ b) for b in blocks if b.shape[1] > 1]
-    # by dimension, then by the angle in [0, 2 pi) of each coefficient of chi / d to 8 digits,
-    # zero coefficients last; rounding before reducing mod the rounded 2 pi puts the angle
-    # of 1 - 1e-17j at 0 with that of 1
+    return [Corepresentation(u=coreps[k], label=f"irrep_{i}") for i, k in enumerate(character_order(coreps))]
+
+
+def character_order(coreps) -> np.ndarray:
+    """The indices that sort (d, d, n) corepresentation arrays as ``default_irreps`` lists them.
+
+    By dimension, then by the angle in [0, 2 pi) of each coefficient of chi / d to 8 digits,
+    zero coefficients last; rounding before reducing mod the rounded 2 pi puts the angle of
+    1 - 1e-17j at 0 with that of 1.  The key reads only the character, not the frame.
+    """
     dims = np.array([u.shape[0] for u in coreps])
     chis = np.array([np.trace(u) for u in coreps]) / dims[:, None]
     angles = np.round(np.angle(chis) % (2 * np.pi), 8) % np.round(2 * np.pi, 8)
     angles[np.abs(chis) < 1e-8] = np.inf
-    order = np.lexsort(np.vstack([angles.T[::-1], dims]))
-    return [Corepresentation(u=coreps[k], label=f"irrep_{i}") for i, k in enumerate(order)]
+    return np.lexsort(np.vstack([angles.T[::-1], dims]))
 
 
 def _generic_weights(k: int) -> np.ndarray:

@@ -409,44 +409,53 @@ def _coaction_parts(g: FiniteQuantumGroup, t) -> np.ndarray:
 
     Row k holds max|E_k..|, c_k* G c_k (inf for a singular S), sum|u_k..|^2 and
     max_m ||E_km||_F.  Row k reads only alpha(x_k), so the rows of a direct sum
-    of coactions split by summand.  Every sum runs over products of nonzeros,
-    about CHUNK_TERMS of them at a time: no (s^2, n^2) array is formed.
+    of coactions split by summand.  Both products and u W are formed in ``_pieces``,
+    and every total is added up entry by entry in key order, so the rows do not
+    depend on where the pieces end: a column (k, m) of u W that a piece leaves open
+    goes on in the next one.  No (s^2, n^2) array is formed.
     """
-    (s, _, n), keys, values = t
-    comult, parts = _coo(g.comult), _podles_parts(g)
-    w = None if parts is None else _coo(parts[0].reshape(n, n, n))
-    # entry t[k, c, l] meets the entries of t in row c and those of Delta at c
-    terms = (np.bincount(keys // (s * n), minlength=s)[keys // n % s].sum()
-             + np.bincount(comult[1] // (n * n), minlength=n)[keys % n].sum())
-    step = max(1, s * CHUNK_TERMS // max(int(terms), 1))
-    rows = np.zeros((s, 4))
-    for a in range(0, s, step):
-        b = min(a + step, s)
-        lo, hi = np.searchsorted(keys, [a * s * n, b * s * n])
-        part = (t[0], keys[lo:hi], values[lo:hi])
-        shape, uu, uu_left, uu_right = _pairs("kcl,cmp->kmpl", part, t)
-        _, ud, ud_left, ud_right = _pairs("kmc,cpl->kmpl", part, comult)
-        at, (uu, ud) = _union(uu, ud)
-        u = _sum_at(uu, part[2][uu_left] * values[uu_right], len(at))
-        mags = np.abs(u - _sum_at(ud, part[2][ud_left] * comult[2][ud_right], len(at)))
-        km = at // (n * n)                                   # (k, m), nondecreasing
-        rows[a:b, 2] = np.bincount(km // s - a, u.real ** 2 + u.imag ** 2, b - a)
-        slices = np.flatnonzero(_run_starts(km))
-        k = km[slices] // s
-        firsts = np.flatnonzero(_run_starts(k))
-        rows[k[firsts], 0] = np.maximum.reduceat(np.maximum.reduceat(mags, slices), firsts)
-        rows[k[firsts], 3] = np.sqrt(np.maximum.reduceat(np.add.reduceat(mags * mags, slices), firsts))
-        if w is None:
-            continue
-        _, at, left, right = _pairs("kmpl,plr->kmr", (shape, at, u), w)
-        # the columns (k, m) that u W reaches, and every diagonal one for the -1 of c_k
-        columns, (slot, diagonal) = _union(at // n, np.arange(a, b) * (s + 1))
-        cols = _sum_at(slot * n + at % n, u[left] * w[2][right], len(columns) * n).reshape(-1, n)
+    s, _, n = t[0]
+    parts = _podles_parts(g)
+    w = None if parts is None else _coo(parts[0])
+    rows, slices, reached = np.zeros((s, 4)), np.zeros(s * s), np.zeros(s, dtype=bool)
+
+    def close(columns, cols):
+        """Add c_k* G c_k of finished columns (k, m) to their rows, with the -1 of c_k on the diagonal."""
+        if not len(columns):
+            return
+        diagonal = columns // s == columns % s
         cols[diagonal] -= g.unit
-        rows[a:b, 1] = np.bincount(columns // s - a, np.einsum("ij,ij->i", cols.conj(), cols @ parts[1].T).real,
-                                   b - a)
+        reached[columns[diagonal] // s] = True
+        np.add.at(rows[:, 1], columns // s,
+                  np.einsum("ij,ij->i", cols.conj(), np.matmul(cols[:, None], parts[1].T)[:, 0]).real)
+
+    columns, cols = np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=complex)    # the open column
+    for piece in _pieces([("kcl,cmp->kmpl", t, t), ("kmc,cpl->kmpl", t, _coo(g.comult))]):
+        shape, at, (u, ud) = _sums(*(_product(*product) for product in piece))
+        mags, km = np.abs(u - ud), at // (n * n)              # km: (k, m), nondecreasing
+        np.maximum.at(rows[:, 0], km // s, mags)
+        np.add.at(slices, km, mags * mags)
+        np.add.at(rows[:, 2], km // s, u.real ** 2 + u.imag ** 2)
+        if w is None or not len(km):
+            continue
+        opened, last = km[_run_starts(km)], cols
+        if not (len(columns) and opened[0] == columns[0]):    # else the open column goes on here
+            close(columns, cols)
+            last = cols[:0]
+        columns, cols = opened, np.zeros((len(opened), n), dtype=complex)
+        cols[:len(last)] = last
+        for (product,) in _pieces([("cx,xr->cr", ((s * s, n * n), at, u), w)]):    # c = (k, m), x = (p, l)
+            _, key, values = _product(*product)
+            np.add.at(cols.reshape(-1), np.searchsorted(columns, key // n) * n + key % n, values)
+        close(columns[:-1], cols[:-1])
+        columns, cols = columns[-1:], cols[-1:]
+    rows[:, 3] = np.sqrt(slices.reshape(s, s).max(axis=1, initial=0.0))
     if w is None:
         rows[:, 1] = np.inf
+        return rows
+    close(columns, cols)
+    missing = np.flatnonzero(~reached)                     # diagonal columns that u W never reaches
+    close(missing * (s + 1), np.zeros((len(missing), n), dtype=complex))
     return rows
 
 
@@ -815,18 +824,24 @@ def _rep_blocks(g: FiniteQuantumGroup) -> tuple:
 
 
 def element_norms(g: FiniteQuantumGroup, coeffs) -> np.ndarray:
-    """||rho(y_k)|| for a (k, n) stack of coefficient rows: the max of rho's block norms.
+    """||rho(y_k)|| for a (k, q, q, n) stack of q x q matrices over A: the max of rho's block norms.
 
-    On F(G) every block is 1 x 1, so this is the abs-max of one (k, n) product.
+    Each block of size b maps y_k to a (q b) x (q b) matrix; the blocks are taken about
+    CHUNK_TERMS matrix entries at a time, and at least one at a time.  q = 1 is a stack of
+    elements.  On F(G) every block is 1 x 1.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    norms = []
+    k, q = coeffs.shape[:2]
+    flat = coeffs.reshape(-1, g.dim)
+    norms = np.zeros(k)
     for idx in _rep_blocks(g):
         b = idx.shape[1]
-        gathered = g.rep[:, idx[:, :, None], idx[:, None, :]].reshape(g.dim, -1)   # row i: rho(e_i)'s blocks
-        blocks = (coeffs @ gathered).reshape(-1, b, b)
-        norms.append(spectral_norms(blocks).reshape(len(coeffs), -1).max(axis=1))
-    return np.max(norms, axis=0)
+        step = max(1, CHUNK_TERMS // (k * q * q * b * b))
+        for part in np.split(idx, range(step, len(idx), step)):
+            gathered = g.rep[:, part[:, :, None], part[:, None, :]].reshape(g.dim, -1)   # row i: rho(e_i)'s blocks
+            blocks = (flat @ gathered).reshape(k, q, q, -1, b, b).transpose(0, 3, 1, 4, 2, 5)
+            norms = np.maximum(norms, spectral_norms(blocks.reshape(-1, q * b, q * b)).reshape(k, -1).max(axis=1))
+    return norms
 
 
 # ---------------------------------------------------------------------------

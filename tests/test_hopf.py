@@ -489,12 +489,20 @@ def _interleaved_s3():
                                   lambda: hopf.group_algebra(groups.s3_table()),
                                   lambda: build_kp8()[0], _interleaved_s3],
                          ids=["F(Z_8)", "C*(S_3)", "kp8", "interleaved"])
-def test_element_norms_match_the_dense_representation(make):
+def test_element_norms_match_the_dense_representation(make, monkeypatch):
     g = make()
     rng = np.random.default_rng(61)
     coeffs = rng.normal(size=(30, g.dim)) + 1j * rng.normal(size=(30, g.dim))
     want = np.array([np.linalg.norm(g.rho_of(c), 2) for c in coeffs])
-    assert np.allclose(hopf.element_norms(g, coeffs), want, rtol=1e-13, atol=0)
+    assert np.allclose(hopf.element_norms(g, coeffs[:, None, None]), want, rtol=1e-13, atol=0)
+    # 3 x 3 matrices over A against the dense block matrix [rho(y_ij)], with rho's blocks
+    # taken all at once and one at a time
+    mats = rng.normal(size=(5, 3, 3, g.dim)) + 1j * rng.normal(size=(5, 3, 3, g.dim))
+    want = [np.linalg.norm(np.block([[g.rho_of(y) for y in row] for row in m]), 2) for m in mats]
+    got = hopf.element_norms(g, mats)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    monkeypatch.setattr(hopf, "CHUNK_TERMS", 1)
+    assert np.allclose(hopf.element_norms(g, mats), got, rtol=1e-13, atol=0)
     sizes = sorted(idx.shape[1] for idx in hopf._rep_blocks(g) for _ in idx)
     assert sum(sizes) == g.rep.shape[1]
     if make is _interleaved_s3:

@@ -320,7 +320,7 @@ def test_full_level_row_skips_the_c1_radii(z8_file, monkeypatch):
     taus = ts.tau(elements)
     coords = ts.expand(taus)
     images = sym(coords)
-    lhs1 = hopf.element_norms(g, images - elements)
+    lhs1 = hopf.element_norms(g, (images - elements)[:, None, None])
     lhs2 = hopf.spectral_norms(ts.tau(images) - taus)
     excess = lipnorm.induced_lip_excess(lip, beta, coords, lhs2, 0.0, tol=1e-7)
     assert excess == np.max(lhs2)
