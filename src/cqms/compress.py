@@ -318,11 +318,8 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
 
 
 def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float:
-    """Operator norm of (tau (x) rho)Delta on a p x p matrix over A, block by block on rho.
-
-    ``entries`` is a (p, p, n) block of elements; p = 1 is a single element.
-    (tau (x) id)Delta of the block is a (p r) x (p r) matrix over A, whose norm
-    under rho ``hopf.element_norms`` takes.
+    """Operator norm of (tau (x) rho)Delta on a p x p matrix over A: ``hopf.element_norms`` of
+    the (p r) x (p r) matrix (tau (x) id)Delta over A.  ``entries`` is a (p, p, n) block of elements.
     """
     p, r, n = entries.shape[0], ts.rank, g.dim
     delta = (entries.reshape(p * p, n) @ g.comult.reshape(n, n * n)).reshape(p, p, n, n)
@@ -331,10 +328,8 @@ def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float
 
 
 def cocommutation_residual(alpha: InducedCoaction, beta: InducedCoaction) -> float:
-    """Residual of (beta (x) id) alpha = (id (x) alpha) beta, summed over nonzeros.
-
-    Both sides are written with alpha first, so a pair of equal terms rounds alike.
-    """
+    """Residual of (beta (x) id) alpha = (id (x) alpha) beta, summed over nonzeros with alpha
+    first on both sides, so that equal terms round alike."""
     if alpha.side != "right" or beta.side != "left":
         raise ValueError("cocommutation takes a right coaction and a left coaction")
     a, b = _coo(alpha.tensor), _coo(beta.tensor)

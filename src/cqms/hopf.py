@@ -409,10 +409,8 @@ def _coaction_parts(g: FiniteQuantumGroup, t) -> np.ndarray:
 
     Row k holds max|E_k..|, c_k* G c_k (inf for a singular S), sum|u_k..|^2 and
     max_m ||E_km||_F.  Row k reads only alpha(x_k), so the rows of a direct sum
-    of coactions split by summand.  Both products and u W are formed in ``_pieces``,
-    and every total is added up entry by entry in key order, so the rows do not
-    depend on where the pieces end: a column (k, m) of u W that a piece leaves open
-    goes on in the next one.  No (s^2, n^2) array is formed.
+    of coactions split by summand.  Both products and u W are formed in ``_pieces``;
+    each total adds its terms in key order, across pieces, so no row depends on where one ends.
     """
     s, _, n = t[0]
     parts = _podles_parts(g)
@@ -420,7 +418,7 @@ def _coaction_parts(g: FiniteQuantumGroup, t) -> np.ndarray:
     rows, slices, reached = np.zeros((s, 4)), np.zeros(s * s), np.zeros(s, dtype=bool)
 
     def close(columns, cols):
-        """Add c_k* G c_k of finished columns (k, m) to their rows, with the -1 of c_k on the diagonal."""
+        """Add c_k* G c_k of finished columns (k, m) to their rows, the -1 of c_k on the diagonal."""
         if not len(columns):
             return
         diagonal = columns // s == columns % s
@@ -431,19 +429,20 @@ def _coaction_parts(g: FiniteQuantumGroup, t) -> np.ndarray:
 
     columns, cols = np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=complex)    # the open column
     for piece in _pieces([("kcl,cmp->kmpl", t, t), ("kmc,cpl->kmpl", t, _coo(g.comult))]):
-        shape, at, (u, ud) = _sums(*(_product(*product) for product in piece))
+        _, at, (u, ud) = _sums(*(_product(*product) for product in piece))
         mags, km = np.abs(u - ud), at // (n * n)              # km: (k, m), nondecreasing
         np.maximum.at(rows[:, 0], km // s, mags)
         np.add.at(slices, km, mags * mags)
         np.add.at(rows[:, 2], km // s, u.real ** 2 + u.imag ** 2)
         if w is None or not len(km):
             continue
-        opened, last = km[_run_starts(km)], cols
-        if not (len(columns) and opened[0] == columns[0]):    # else the open column goes on here
+        opened = km[_run_starts(km)]
+        if len(columns) and columns[0] == opened[0]:          # the open column goes on here
+            cols = np.concatenate([cols, np.zeros((len(opened) - 1, n), dtype=complex)])
+        else:
             close(columns, cols)
-            last = cols[:0]
-        columns, cols = opened, np.zeros((len(opened), n), dtype=complex)
-        cols[:len(last)] = last
+            cols = np.zeros((len(opened), n), dtype=complex)
+        columns = opened
         for (product,) in _pieces([("cx,xr->cr", ((s * s, n * n), at, u), w)]):    # c = (k, m), x = (p, l)
             _, key, values = _product(*product)
             np.add.at(cols.reshape(-1), np.searchsorted(columns, key // n) * n + key % n, values)
@@ -633,18 +632,11 @@ def _join(lkey, rkey, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _product(spec: str, x, y) -> tuple:
     """The einsum ``spec`` of two COOs, one term per pair of entries that agree on the shared letters."""
-    shape, key, left, right = _pairs(spec, x, y)
-    return shape, key, x[2][left] * y[2][right]
-
-
-def _pairs(spec: str, x, y) -> tuple:
-    """(output shape, output keys, x entries, y entries) of every pair of entries of two COOs
-    that agree on the letters ``spec`` shares between them."""
     out, at_x, at_y, dims, shared = _indices(spec, x, y)
     left, right = _join(*shared)
     shape = tuple(dims[c] for c in out)
     key = np.ravel_multi_index([at_x[c][left] if c in at_x else at_y[c][right] for c in out], shape)
-    return shape, key, left, right
+    return shape, key, x[2][left] * y[2][right]
 
 
 def _indices(spec: str, x, y) -> tuple:
@@ -726,18 +718,13 @@ def _difference_norms(plus, minus) -> tuple[float, float]:
 
 
 def _sums(*terms) -> tuple:
-    """COOs of one shape, each summed by key on the union of their keys: (shape, keys, [sums])."""
-    keys, slots = _union(*(t[1] for t in terms))
-    return terms[0][0], keys, [_sum_at(at, t[2], len(keys)) for at, t in zip(slots, terms)]
-
-
-def _union(*keysets) -> tuple[np.ndarray, list]:
-    """Sorted keys that include every key of several key arrays, and each array's slots among them.
+    """COOs of one shape, each summed by key in the order of its values on the union of their
+    keys: (shape, keys, [sums]).
 
     Keys that span a range no longer than their count give that whole range, with no sort;
     other keys give their distinct values.
     """
-    every = np.concatenate(keysets)
+    every = np.concatenate([t[1] for t in terms])
     if len(every) and every.max() - every.min() < len(every):
         keys, slots = np.arange(every.min(), every.max() + 1), every - every.min()
     else:
@@ -746,7 +733,10 @@ def _union(*keysets) -> tuple[np.ndarray, list]:
         slots = np.empty(len(order), dtype=np.int64)
         slots[order] = first.cumsum() - 1
         keys = every[order[first]]
-    return keys, np.split(slots, np.cumsum([len(k) for k in keysets[:-1]]))
+    sums = [np.zeros(len(keys), dtype=t[2].dtype) for t in terms]
+    for total, at, t in zip(sums, np.split(slots, np.cumsum([len(t[1]) for t in terms[:-1]])), terms):
+        np.add.at(total, at, t[2])
+    return terms[0][0], keys, sums
 
 
 def _run_starts(ordered) -> np.ndarray:
@@ -755,13 +745,6 @@ def _run_starts(ordered) -> np.ndarray:
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return first
-
-
-def _sum_at(slots, values, size: int) -> np.ndarray:
-    """values added up at their slots, each slot in the order of its values."""
-    total = np.zeros(size, dtype=values.dtype)
-    np.add.at(total, slots, values)
-    return total
 
 
 def _summed(spec: str, x, y) -> tuple:
@@ -824,11 +807,8 @@ def _rep_blocks(g: FiniteQuantumGroup) -> tuple:
 
 
 def element_norms(g: FiniteQuantumGroup, coeffs) -> np.ndarray:
-    """||rho(y_k)|| for a (k, q, q, n) stack of q x q matrices over A: the max of rho's block norms.
-
-    Each block of size b maps y_k to a (q b) x (q b) matrix; the blocks are taken about
-    CHUNK_TERMS matrix entries at a time, and at least one at a time.  q = 1 is a stack of
-    elements.  On F(G) every block is 1 x 1.
+    """||rho(y_k)|| for a (k, q, q, n) stack of q x q matrices over A (q = 1: elements): the max
+    of rho's block norms, the blocks taken about CHUNK_TERMS matrix entries at a time.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     k, q = coeffs.shape[:2]

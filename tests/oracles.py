@@ -203,6 +203,24 @@ def einsum_coaction_residual(g, tensor, side):
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def dense_cocommutation_residual(alpha, beta):
+    """max|(beta (x) id) alpha - (id (x) alpha) beta| from the two dense (s^2, n^2) einsums;
+    the reference for ``compress.cocommutation_residual``, which sums over nonzeros."""
+    lhs = np.einsum("kml,mpj->kjpl", alpha.tensor, beta.tensor)
+    rhs = np.einsum("kmj,mpl->kjpl", beta.tensor, alpha.tensor)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def dense_tensor_opnorm(g, ts, entries):
+    """||(tau (x) rho)Delta(a)|| for a (p, p, n) block a over A, the SVD of the dense
+    (p r d0)^2 operator; the reference for ``compress._tensor_opnorm``, which goes block by block on rho."""
+    p, r, d0 = entries.shape[0], ts.rank, g.rep.shape[1]
+    delta = np.einsum("pqi,ijl->pqjl", entries, g.comult)
+    taus = (ts.tau_matrix @ delta).reshape(p, p, r, r, g.dim)
+    big = np.einsum("pqabl,lcd->pacqbd", taus, g.rep).reshape(p * r * d0, p * r * d0)
+    return float(np.linalg.norm(big, 2))
+
+
 def sliced_kernel_matrix(g, ts, v, side):
     """(tau (x) rho)Delta(v) (left: (rho (x) tau)Delta(v)) as a sum of Kronecker products."""
     delta = g.coproduct(v)

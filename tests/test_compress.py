@@ -400,6 +400,38 @@ def test_coaction_certificates_and_ergodicity(z8_mid, s3c_setup):
     assert compress.cocommutation_residual(a2, b2) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["F(Z_8)", "C*(S_3)", "F(D_4)", "kp8", "F(Z_8) bumped"])
+def test_cocommutation_and_the_witness_norm_match_the_dense_forms(name, f_z8, c_s3):
+    # cocommutation summed over nonzeros against the dense einsums, exactly where they read 0,
+    # and the witness norm taken block by block on rho against the dense (p r d0)^2 operator, on
+    # every prefix level with p = 1 and p = 2; Delta bumped off coassociativity makes its own
+    # cocommutation (coassociativity itself) nonzero
+    if name == "kp8":
+        g, irreps = build_kp8()
+    else:
+        g = {"C*(S_3)": c_s3, "F(D_4)": hopf.function_algebra(oracles.d4_table())}.get(name, f_z8)
+        irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    if name.endswith("bumped"):
+        comult = g.comult.copy()
+        comult[3, 1, 2] += 1e-3
+        g = dataclasses.replace(g, comult=comult)
+    rng = np.random.default_rng(29)
+    pairs = [tuple(compress.comultiplication_coaction(g, side) for side in ("right", "left"))]
+    for stop in range(1, len(irreps) + 1):
+        ts = compress.truncate(g, irreps, range(stop), dec=dec)
+        pairs.append(tuple(compress.induced_coaction(g, ts, side, tol=np.inf) for side in ("right", "left")))
+        for p in (1, 2):
+            entries = rng.normal(size=(p, p, g.dim)) + 1j * rng.normal(size=(p, p, g.dim))
+            assert compress._tensor_opnorm(g, ts, entries) == pytest.approx(
+                oracles.dense_tensor_opnorm(g, ts, entries), rel=1e-12)
+    for alpha, beta in pairs:
+        want = oracles.dense_cocommutation_residual(alpha, beta)
+        got = compress.cocommutation_residual(alpha, beta)
+        assert got == want if want == 0.0 else got == pytest.approx(want, rel=1e-12)
+    assert (compress.cocommutation_residual(*pairs[0]) > 1e-4) == name.endswith("bumped")
+
+
 def test_isometry_witness(z8_mid):
     g, _, ts, _, _ = z8_mid
     assert compress.isometry_witness_residual(g, ts, samples=30, seed=4, amplified_every=6) < 1e-10

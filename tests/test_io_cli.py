@@ -332,6 +332,27 @@ def test_full_level_row_skips_the_c1_radii(z8_file, monkeypatch):
         np.testing.assert_allclose(b, sym(ts.expand(ts.tau(a))), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", ["F(Z_8)", "C*(S_3)"])
+def test_auto_chains_name_irreps_by_character_not_by_file_position(name, tmp_path, capsys):
+    # frequency and length levels are read in the finder's order; a file that lists the same
+    # irreps in another order gets the same truncations, so the same bound_B column
+    if name == "F(Z_8)":
+        table, extra = groups.cyclic_table(8), {"metric": groups.arc_metric(8)}
+        g = hopf.function_algebra(table)
+    else:
+        table = groups.s3_table()
+        extra = {"length": groups.symmetric_word_length(table, groups.s3_word_generators())}
+        g = hopf.group_algebra(table)
+    irreps = corep.default_irreps(g)
+    columns = []
+    for listed in (irreps, [irreps[k] for k in np.random.default_rng(3).permutation(len(irreps))]):
+        path = tmp_path / "input.json"
+        io.dump_group_file(path, table, irreps=listed, **extra)
+        assert cli.main(["sweep", "--input", str(path), "--samples", "5"]) == cli.EXIT_OK
+        columns.append([row["bound_B"] for row in csv.DictReader(capsys.readouterr().out.splitlines())])
+    assert columns[0] == columns[1]
+
+
 def test_cli_sweeps_f_s4_with_irreps_read_off_the_algebra(tmp_path):
     path, out = tmp_path / "s4.json", tmp_path / "s4.csv"
     io.dump_group_file(str(path), oracles.s4_table(), metric=oracles.s4_transposition_metric())

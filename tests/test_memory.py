@@ -41,10 +41,10 @@ def test_certificates_on_f_z48_stay_below_the_limit():
     assert max(peaks.values()) < LIMIT_MB, peaks
 
 
-def _rotated_f_z16():
-    """F(Z_16) in a random unitary basis f = B e: every entry of mult and Delta nonzero."""
-    g, n = hopf.function_algebra(groups.cyclic_table(16)), 16
-    rng = np.random.default_rng(16)
+def _rotated_f_z(n):
+    """F(Z_n) in a random unitary basis f = B e: every entry of mult and Delta nonzero."""
+    g = hopf.function_algebra(groups.cyclic_table(n))
+    rng = np.random.default_rng(n)
     b, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     c = np.linalg.inv(b)
     return hopf.FiniteQuantumGroup(
@@ -55,11 +55,36 @@ def _rotated_f_z16():
 
 
 def test_certificates_on_a_dense_algebra_run_in_pieces():
-    g = _rotated_f_z16()
+    g = _rotated_f_z(16)
     assert np.count_nonzero(g.mult) == np.count_nonzero(g.comult) == 16 ** 3
     report = {}
     peaks = {"check_axioms": _peak_mb(lambda: report.update(axioms=hopf.check_axioms(g)))}
     irreps = corep.default_irreps(g)
     peaks["pw_decompose"] = _peak_mb(lambda: corep.pw_decompose(g, irreps))
     assert report["axioms"].passed
+    assert max(peaks.values()) < LIMIT_MB, peaks
+
+
+def test_coaction_rows_of_a_dense_algebra_split_a_carrier_row():
+    # a carrier row of Delta's own certificate on the rotated F(Z_24) holds n^4 products of nonzeros
+    g = _rotated_f_z(24)
+    hopf._podles_parts(g)
+    comult = hopf._coo(g.comult)
+    assert _peak_mb(lambda: hopf._coaction_parts(g, comult)) < LIMIT_MB
+
+
+def test_cocommutation_and_the_isometry_witness_stay_below_the_limit():
+    # the full levels: cocommutation's dense form is two (s^2, n^2) arrays, and the witness's
+    # dense operator is (p r d0)^2 with r = d0 = n
+    peaks = {}
+    for n, name in ((48, "cocommutation_residual"), (32, "isometry_witness_residual")):
+        g = hopf.function_algebra(groups.cyclic_table(n))
+        irreps = corep.default_irreps(g)
+        ts = compress.truncate(g, irreps, range(n))
+        if n == 48:
+            alpha, beta = (compress.induced_coaction(g, ts, side) for side in ("right", "left"))
+            peaks[name] = _peak_mb(lambda: compress.cocommutation_residual(alpha, beta))
+        else:       # one plain sample and one 2 x 2 amplified one
+            peaks[name] = _peak_mb(lambda: compress.isometry_witness_residual(g, ts, samples=2,
+                                                                             amplified_every=2))
     assert max(peaks.values()) < LIMIT_MB, peaks
