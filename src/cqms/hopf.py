@@ -631,12 +631,18 @@ def _join(lkey, rkey, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product(spec: str, x, y) -> tuple:
-    """The einsum ``spec`` of two COOs, one term per pair of entries that agree on the shared letters."""
+    """The einsum ``spec`` of two COOs, one term per pair of entries that agree on the shared letters.
+
+    A term's output key is the sum of two parts, formed once per entry: its x entry's
+    letters at their output strides, and its y entry's other letters.
+    """
     out, at_x, at_y, dims, shared = _indices(spec, x, y)
     left, right = _join(*shared)
     shape = tuple(dims[c] for c in out)
-    key = np.ravel_multi_index([at_x[c][left] if c in at_x else at_y[c][right] for c in out], shape)
-    return shape, key, x[2][left] * y[2][right]
+    stride = dict(zip(out, np.cumprod((1,) + shape[:0:-1])[::-1].tolist()))
+    part_x = sum((at_x[c] * stride[c] for c in out if c in at_x), np.zeros(len(x[1]), dtype=np.int64))
+    part_y = sum((at_y[c] * stride[c] for c in out if c not in at_x), np.zeros(len(y[1]), dtype=np.int64))
+    return shape, part_x[left] + part_y[right], x[2][left] * y[2][right]
 
 
 def _indices(spec: str, x, y) -> tuple:

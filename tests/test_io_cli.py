@@ -351,6 +351,9 @@ def test_auto_chains_name_irreps_by_character_not_by_file_position(name, tmp_pat
         assert cli.main(["sweep", "--input", str(path), "--samples", "5"]) == cli.EXIT_OK
         columns.append([row["bound_B"] for row in csv.DictReader(capsys.readouterr().out.splitlines())])
     assert columns[0] == columns[1]
+    # a family of fewer irreps reaches pw_decompose, which rejects it
+    io.dump_group_file(path, table, irreps=irreps[:2], **extra)
+    assert cli.main(["sweep", "--input", str(path), "--samples", "5"]) == cli.EXIT_VALIDATION
 
 
 def test_cli_sweeps_f_s4_with_irreps_read_off_the_algebra(tmp_path):
