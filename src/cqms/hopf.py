@@ -631,11 +631,8 @@ def _join(lkey, rkey, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product(spec: str, x, y) -> tuple:
-    """The einsum ``spec`` of two COOs, one term per pair of entries that agree on the shared letters.
-
-    A term's output key is the sum of two parts, formed once per entry: its x entry's
-    letters at their output strides, and its y entry's other letters.
-    """
+    """The einsum ``spec`` of two COOs, one term per pair of entries that agree on the shared letters;
+    a term's output key adds its x entry's part to its y entry's, each formed once per entry."""
     out, at_x, at_y, dims, shared = _indices(spec, x, y)
     left, right = _join(*shared)
     shape = tuple(dims[c] for c in out)
