@@ -76,15 +76,13 @@ def test_coaction_rows_of_a_dense_algebra_split_a_carrier_row():
 def test_cocommutation_and_the_isometry_witness_stay_below_the_limit():
     # the full levels: cocommutation's dense form is two (s^2, n^2) arrays, and the witness's
     # dense operator is (p r d0)^2 with r = d0 = n
-    peaks = {}
-    for n, name in ((48, "cocommutation_residual"), (32, "isometry_witness_residual")):
-        g = hopf.function_algebra(groups.cyclic_table(n))
-        irreps = corep.default_irreps(g)
-        ts = compress.truncate(g, irreps, range(n))
-        if n == 48:
-            alpha, beta = (compress.induced_coaction(g, ts, side) for side in ("right", "left"))
-            peaks[name] = _peak_mb(lambda: compress.cocommutation_residual(alpha, beta))
-        else:       # one plain sample and one 2 x 2 amplified one
-            peaks[name] = _peak_mb(lambda: compress.isometry_witness_residual(g, ts, samples=2,
-                                                                             amplified_every=2))
+    g = hopf.function_algebra(groups.cyclic_table(48))
+    ts = compress.truncate(g, corep.default_irreps(g), range(48))
+    alpha, beta = (compress.induced_coaction(g, ts, side) for side in ("right", "left"))
+    peaks = {"cocommutation_residual": _peak_mb(lambda: compress.cocommutation_residual(alpha, beta))}
+    g = hopf.function_algebra(groups.cyclic_table(32))
+    ts = compress.truncate(g, corep.default_irreps(g), range(32))
+    # one plain sample and one 2 x 2 amplified one
+    peaks["isometry_witness_residual"] = _peak_mb(
+        lambda: compress.isometry_witness_residual(g, ts, samples=2, amplified_every=2))
     assert max(peaks.values()) < LIMIT_MB, peaks
