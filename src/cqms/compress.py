@@ -8,7 +8,7 @@ together with a Hilbert-Schmidt orthonormal basis of its image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,9 +102,7 @@ def truncate(g: FiniteQuantumGroup, irreps, subset,
     n = g.dim
     r = frame.shape[1]
     tau_matrix = np.ascontiguousarray((frame.conj().T @ dec.gns.rep @ frame).reshape(n, r * r).T)
-    dims = np.array([pi.dim for pi in dec.irreps])
-    owner = np.repeat(np.arange(len(dims)), dims ** 2)              # the irrep of each row below
-    coeffs = np.vstack([pi.u.reshape(pi.dim ** 2, n) for pi in dec.irreps])     # rows u^sigma_ij
+    coeffs, owner, dims = dec.coefficients
     images = (tau_matrix @ coeffs.T).T                              # rows vec tau(u^sigma_ij)
     norms = np.sqrt(np.bincount(owner, np.sum(np.abs(images) ** 2, axis=1)) / dims ** 2)   # c_sigma
     keep = norms > RANK_RTOL * norms.max()
@@ -137,7 +135,6 @@ class InducedCoaction:
     """
 
     side: str
-    tensor: np.ndarray
     g: FiniteQuantumGroup
     system: TruncatedSystem | None
     well_definedness_residual: float
@@ -147,7 +144,26 @@ class InducedCoaction:
 
     @property
     def carrier_dim(self) -> int:
-        return self.tensor.shape[0]
+        return self.g.dim if self.system is None else self.system.dim_sys
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """Formed on first read: Delta, legs oriented to the side, on the algebra itself, and on
+        a truncation each kept coefficient u_ab scattered to its d places (``induced_coaction``)."""
+        alg = self.g if self.side == "right" else _co_opposite(self.g)
+        if self.system is None:
+            return alg.comult
+        ts = self.system
+        coeffs, owner, dims = ts.decomposition.coefficients
+        rows = np.flatnonzero(np.bincount(ts.kept, minlength=len(dims))[owner])   # kept u^sigma_ab, in order
+        start, d = (np.cumsum(dims ** 2) - dims ** 2)[owner[rows]], dims[owner[rows]]   # u^sigma_00's row
+        a, b = divmod(rows - start, d)
+        flip = alg is _co_opposite(ts.g)        # beta(b_ac) holds u_ab (x) b_bc, alpha(b_cb) b_ca (x) u_ab
+        key, val = (b, a) if flip else (a, b)   # the index a coaction keeps, and the one it moves
+        x, y = np.nonzero((start[:, None] == start) & (key[:, None] == key))   # nonzeros: one block, one key
+        tensor = np.zeros((ts.dim_sys, ts.dim_sys, self.g.dim), dtype=complex)
+        tensor[x, y] = coeffs[start[x] + (val[x] * d[x] + val[y] if flip else val[y] * d[x] + val[x])]
+        return tensor
 
     @property
     def fixed_space_dim(self) -> int:
@@ -184,7 +200,7 @@ def comultiplication_coaction(g: FiniteQuantumGroup, side: str = "right") -> Ind
     """The comultiplication viewed as the (right or left) coaction of A on itself, with its own residuals."""
     alg = g if side == "right" else _co_opposite(g)
     coaction_res, podles = _comult_certificates(alg)
-    return InducedCoaction(side=side, tensor=alg.comult, g=g, system=None,
+    return InducedCoaction(side=side, g=g, system=None,
                            well_definedness_residual=0.0, coaction_residual=coaction_res,
                            counit_residual=_counit_residual(alg), podles_residual=podles)
 
@@ -199,8 +215,8 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
     of ``truncate``, Delta(u_ij) = sum_k u_ik (x) u_kj makes the coaction the
     irreps' own coefficients, relabelled: alpha(b_ij) = sum_k b_ik (x) u_kj on
     the right and beta(b_ij) = sum_k u_ik (x) b_kj on the left.  So the tensor
-    is scattered, with no arithmetic, and its carrier is a direct sum of d
-    copies of each kept irrep's (d, d, n) tensor.
+    is scattered on first read, with no arithmetic; its carrier is a direct sum
+    of d copies of each kept irrep's (d, d, n) tensor, certified by their rows.
 
     Certificates:
       well-definedness  ker tau <= ker (tau (x) id) Delta over the dropped coefficients u_ij,
@@ -208,7 +224,7 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
                         ||(tau (x) rho)Delta(u_ij)||_F <= sqrt(d) d c_sigma max_kj ||rho(u_kj)||_F
                         + ||T||_F ||R||_2 ||E_ij||_F, T the tau matrix and R rho's (n, d0^2)
                         matrix; d c_sigma = ||tau(u)||_F is charged 4 n eps ||T||_F ||U_sigma||_F;
-      counit            max|T eps - I| of the level's tensor;
+      counit            max|T eps - I|, the kept irreps' largest max|t(eps) - I_d|;
       coaction          the largest of the kept irreps' residuals, each its own rows of
                         ``hopf._coaction_parts`` on the irreps' direct sum against this
                         algebra, charged with its rounding;
@@ -232,37 +248,24 @@ def induced_coaction(g: FiniteQuantumGroup, ts: TruncatedSystem, side: str = "ri
             f"kernel of tau is not contained in the sliced kernel (residual {well:.3e}); "
             "input tensors are corrupt")
 
-    s, n = ts.dim_sys, g.dim
-    tensor = np.zeros((s, s, n), dtype=complex)
-    offset = 0
-    for k in ts.kept:
-        pi = ts.decomposition.irreps[k]
-        d = pi.dim
-        block = np.zeros((d, d, d, d, n), dtype=complex)      # [i, j, i', k]: t[j, k] if i = i'
-        block[np.arange(d), :, np.arange(d)] = pi.u if flip else pi.u.transpose(1, 0, 2)
-        if flip:                                               # b_ij is the A^cop coefficient (j, i)
-            block = block.transpose(1, 0, 3, 2, 4)
-        tensor[offset:offset + d * d, offset:offset + d * d] = block.reshape(d * d, d * d, n)
-        offset += d * d
     copies, residual, frobenius, size = table[list(ts.kept), :4].T
-    coaction_res = float(residual.max())
+    coaction_res, counit_res = float(residual.max()), float(table[list(ts.kept), 7].max())
     podles = _podles_witness(alg, float(np.sqrt(copies @ frobenius ** 2)),
-                             float(np.sqrt(copies @ size ** 2)), s)
-    counit_res = _maxabs(tensor @ g.counit - np.eye(s))
+                             float(np.sqrt(copies @ size ** 2)), ts.dim_sys)
     worst = max(coaction_res, counit_res, podles)
-    if worst > tol or podles > _podles_limit(g.dim, s):
+    if worst > tol or podles > _podles_limit(g.dim, ts.dim_sys):
         raise InternalInconsistencyError(
             f"induced coaction certificates failed (coaction {coaction_res:.2e}, "
             f"counit {counit_res:.2e}, Podles {podles:.2e})")
-    return InducedCoaction(side=side, tensor=tensor, g=g, system=ts,
+    return InducedCoaction(side=side, g=g, system=ts,
                            well_definedness_residual=well, coaction_residual=coaction_res,
                            counit_residual=counit_res, podles_residual=podles)
 
 
 @lru_cache(maxsize=32)
 def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) -> np.ndarray:
-    """Rows (d, coaction residual, charged Frobenius part, ||(alpha (x) id)alpha||_F,
-    max_kj ||rho(u_kj)||_F, ||R||_2 max_ij ||E_ij||_F charged, ||U_sigma||_F), one per irrep.
+    """One row per irrep: (d, coaction residual, charged Frobenius part, ||(alpha (x) id)alpha||_F,
+    max_kj ||rho(u_kj)||_F, ||R||_2 max_ij ||E_ij||_F charged, ||U_sigma||_F, max|t(eps) - I_d|).
 
     The summand's tensor is t[j, k] = u_kj (u_jk for A^cop).  ``hopf._coaction_parts``
     of the summands' direct sum gives every residual against ``alg`` at once, E among
@@ -286,6 +289,7 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
     flat = np.concatenate([(pi.u if flip else pi.u.transpose(1, 0, 2)).reshape(-1, n) for pi in irreps])
     owner = np.repeat(np.arange(len(dims)), dims ** 2)
     local, d = np.arange(len(flat)) - starts[owner], dims[owner]
+    counit = np.maximum.reduceat(np.abs(flat @ alg.counit - (local // d == local % d)), starts)
     row, l = np.nonzero(flat)
     keys = ((first[owner] + local // d)[row] * s + (first[owner] + local % d)[row]) * n + l
     rows = _coaction_parts(alg, ((s, s, n), keys, flat[row, l]))
@@ -314,7 +318,7 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
     rho_norms = np.maximum.reduceat(np.linalg.norm(flat @ reps, axis=1), starts)
     rep_norm = float(np.linalg.norm(reps, 2))
     return _readonly(np.column_stack([dims, residual, frobenius, np.sqrt(ssq[:, 2]), rho_norms, rep_norm * defect,
-                                      [np.linalg.norm(pi.u) for pi in irreps]]))
+                                      [np.linalg.norm(pi.u) for pi in irreps], counit]))
 
 
 def _tensor_opnorm(g: FiniteQuantumGroup, ts: TruncatedSystem, entries) -> float:
@@ -382,11 +386,12 @@ def certify_system_state(ts: TruncatedSystem, density: np.ndarray) -> np.ndarray
     if density.shape != (ts.rank, ts.rank):
         raise StateCertificationError(f"density must be {ts.rank} x {ts.rank}, got {density.shape}")
     herm = _maxabs(density - density.conj().T)
-    eigs, vecs = np.linalg.eigh((density + density.conj().T) / 2)
-    if herm > DEFAULT_TOL or eigs[0] < -DEFAULT_TOL:
+    low = np.linalg.eigvalsh((density + density.conj().T) / 2)[0]
+    if herm > DEFAULT_TOL or low < -DEFAULT_TOL:
+        vec = np.linalg.eigh((density + density.conj().T) / 2)[1][:, 0]
         raise StateCertificationError(
-            f"density fails positivity (hermitian residual {herm:.2e}, min eig {eigs[0]:.3e}) "
-            f"at witness vector {np.round(vecs[:, 0], 4)}")
+            f"density fails positivity (hermitian residual {herm:.2e}, min eig {low:.3e}) "
+            f"at witness vector {np.round(vec, 4)}")
     if abs(np.trace(density) - 1.0) > DEFAULT_TOL:
         raise StateCertificationError(f"density trace is {np.trace(density):.6f}, expected 1")
     return density

@@ -9,11 +9,12 @@ an array u of shape (d, d, n) with u[i, j] the coefficient vector of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CompletenessError, InternalInconsistencyError, SchurError, StructureError
-from .hopf import (RANK_RTOL, FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness,
+from .hopf import (RANK_RTOL, FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness, _readonly,
                    _rep_residuals, _unitarity_residual)
 
 GNS_TOL = 1e-10
@@ -276,6 +277,13 @@ class PWDecomposition:
     def frame(self, subset) -> np.ndarray:
         """Orthonormal basis of H_Lambda as columns of an (n, r) matrix."""
         return np.vstack([self.blocks[k] for k in subset]).T
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """(rows u^sigma_ij stacked in (sigma, i, j) order, the irrep of each row, the dims)."""
+        dims = np.array([pi.dim for pi in self.irreps])
+        rows = np.vstack([pi.u.reshape(pi.dim ** 2, -1) for pi in self.irreps])
+        return _readonly(rows), _readonly(np.repeat(np.arange(len(dims)), dims ** 2)), _readonly(dims)
 
 
 def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecomposition:

@@ -247,7 +247,9 @@ def haar_state(g: FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> State:
     return certify_state(g, g.haar, tol=tol)
 
 
+@lru_cache(maxsize=32)
 def counit_state(g: FiniteQuantumGroup) -> State:
+    """The counit, certified once per algebra object (a state's arrays are read-only)."""
     return certify_state(g, g.counit)
 
 
@@ -258,16 +260,15 @@ def certify_state(g: FiniteQuantumGroup, coeffs, tol: float = DEFAULT_TOL) -> St
     herm = np.max(np.abs(witness - witness.conj().T))
     if herm > max(tol, 1e-10 * max(1.0, np.max(np.abs(witness)))):
         raise StateCertificationError(f"witness matrix not Hermitian (residual {herm:.2e})")
-    eigvals, eigvecs = np.linalg.eigh((witness + witness.conj().T) / 2)
-    min_eig = float(eigvals[0])
+    min_eig = float(np.linalg.eigvalsh((witness + witness.conj().T) / 2)[0])
     if min_eig < -tol:
-        vec = eigvecs[:, 0]
+        vec = np.linalg.eigh((witness + witness.conj().T) / 2)[1][:, 0]
         raise StateCertificationError(
             f"functional is not positive: mu(a*a) = {min_eig:.3e} at witness vector {np.round(vec, 4)}")
     norm_residual = abs(np.dot(coeffs, g.unit) - 1.0)
     if norm_residual > tol:
         raise StateCertificationError(f"mu(1) = 1 fails with residual {norm_residual:.3e}")
-    return State(coeffs=coeffs, witness=witness, min_eig=min_eig)
+    return State(coeffs=coeffs, witness=_readonly(witness), min_eig=min_eig)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,27 @@ def dense_coaction_parts(g, tensor, w, gram):
             float(np.linalg.norm(u)) ** 2, float(np.linalg.norm(defect, axis=1).max(initial=0.0)))
 
 
+def loop_coaction_tensor(g, ts, side):
+    """``InducedCoaction.tensor`` of ``induced_coaction(g, ts, side)``, one kept irrep at a time:
+    each a (d^2, d^2, n) block on the diagonal, t[j, k] at [(i, j), (i, k)] (u^T for A^cop)."""
+    from cqms.hopf import _co_opposite
+    alg = g if side == "right" else _co_opposite(g)
+    flip = alg is _co_opposite(ts.g)
+    s, n = ts.dim_sys, g.dim
+    tensor = np.zeros((s, s, n), dtype=complex)
+    offset = 0
+    for k in ts.kept:
+        pi = ts.decomposition.irreps[k]
+        d = pi.dim
+        block = np.zeros((d, d, d, d, n), dtype=complex)      # [i, j, i', k]: t[j, k] if i = i'
+        block[np.arange(d), :, np.arange(d)] = pi.u if flip else pi.u.transpose(1, 0, 2)
+        if flip:                                               # b_ij is the A^cop coefficient (j, i)
+            block = block.transpose(1, 0, 3, 2, 4)
+        tensor[offset:offset + d * d, offset:offset + d * d] = block.reshape(d * d, d * d, n)
+        offset += d * d
+    return tensor
+
+
 def dense_summand_certificates(alg, irreps, flip, w, gram):
     """``compress._summand_certificates`` one irrep at a time, from ``dense_coaction_parts``."""
     n, eps = alg.dim, np.finfo(float).eps
@@ -468,7 +489,7 @@ def dense_summand_certificates(alg, irreps, flip, w, gram):
                      np.linalg.norm(t.reshape(d * d, n) @ reps, axis=1).max(),
                      rep_norm * (p[3] + 4 * eps * ((d + 2) * np.linalg.norm(products, axis=1).max()
                                                    + comult_terms * np.linalg.norm(through, axis=1).max())),
-                     np.linalg.norm(t)))
+                     np.linalg.norm(t), np.max(np.abs(t @ alg.counit - np.eye(d)))))
     return np.array(rows)
 
 

@@ -247,6 +247,49 @@ def test_full_level_fails_on_a_non_coassociative_comultiplication(z8_setup, side
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
+def test_full_level_fails_on_a_counit_off_the_identity(z8_setup, side):
+    # eps(u) = I fails on every nontrivial character; Delta and S, and so the coaction and
+    # Podles certificates, are intact, and the message names the dense max|T eps - I|
+    g, irreps, dec, _ = z8_setup
+    counit = g.counit.copy()
+    counit[3] += 1e-6
+    bad = dataclasses.replace(g, counit=counit)
+    full = compress.truncate(bad, irreps, range(8), dec=dec)
+    with pytest.raises(InternalInconsistencyError, match="induced coaction certificates failed") as exc:
+        compress.induced_coaction(bad, full, side)
+    tensor = oracles.loop_coaction_tensor(bad, full, side)
+    dense = np.abs(tensor @ counit - np.eye(full.dim_sys)).max()
+    assert _failed_certificate(exc, "counit") == pytest.approx(float(f"{dense:.2e}"), rel=1e-12)
+    assert dense > 1e-7
+    assert _failed_certificate(exc, "coaction") < 1e-12
+
+
+@pytest.mark.parametrize("name", ["F(Z_8)", "F(S_3)", "C*(S_3)", "F(D_4)", "kp8", "F(S_4)"])
+def test_scattered_tensor_is_the_per_irrep_loop(name, f_z8, f_s3, c_s3):
+    # every prefix level on both sides, and the right coaction of A^cop, which forms the left one;
+    # the counit residual read off the irreps' rows is the tensor's (F(S_4): a 2-dim irrep
+    # between 1- and 3-dim ones)
+    if name == "kp8":
+        g, irreps = build_kp8()
+    else:
+        g = {"F(Z_8)": f_z8, "F(S_3)": f_s3, "C*(S_3)": c_s3,
+             "F(D_4)": hopf.function_algebra(oracles.d4_table()),
+             "F(S_4)": hopf.function_algebra(oracles.s4_table())}[name]
+        irreps = corep.default_irreps(g)
+    cop = hopf._co_opposite(g)
+    dec = corep.pw_decompose(g, irreps)
+    for subset in chains.prefix_chain(len(irreps)):
+        ts = compress.truncate(g, irreps, subset, dec=dec)
+        for alg, side in ((g, "right"), (g, "left"), (cop, "right")):
+            co = compress.induced_coaction(alg, ts, side)
+            assert co.carrier_dim == ts.dim_sys
+            tensor = oracles.loop_coaction_tensor(alg, ts, side)
+            assert np.array_equal(co.tensor, tensor)
+            dense = np.abs(tensor @ g.counit - np.eye(ts.dim_sys)).max()
+            assert co.counit_residual == pytest.approx(dense, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
 def test_full_level_fails_on_an_antipode_that_breaks_the_podles_identity(z8_setup, side):
     # Delta, and so the coaction and counit identities, are intact; only the Podles
     # witness, through S^-1 on the right or S on the left, sees the antipode
@@ -374,12 +417,19 @@ def test_trivial_coaction_is_unital(f_z4):
     assert np.allclose(out, unit[:, None] * f_z4.unit[None, :], atol=1e-12)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class _GivenTensor(compress.InducedCoaction):
+    """A coaction whose tensor is given, where ``InducedCoaction`` forms its own."""
+
+    tensor: np.ndarray = None
+
+
 def test_trivial_coaction_fixes_its_whole_carrier(f_z4):
     s = 3
     tensor = np.eye(s)[:, :, None] * f_z4.unit          # x -> x (x) 1
-    trivial = compress.InducedCoaction(side="right", tensor=tensor, g=f_z4, system=None,
-                                       well_definedness_residual=0.0, coaction_residual=0.0,
-                                       counit_residual=0.0, podles_residual=0.0)
+    trivial = _GivenTensor(side="right", tensor=tensor, g=f_z4, system=None,
+                           well_definedness_residual=0.0, coaction_residual=0.0,
+                           counit_residual=0.0, podles_residual=0.0)
     assert trivial.fixed_space_dim == s
 
 

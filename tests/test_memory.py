@@ -10,7 +10,11 @@ import tracemalloc
 
 import numpy as np
 
+import pytest
+
 from cqms import chains, compress, corep, groups, hopf
+
+import oracles
 
 LIMIT_MB = 16
 
@@ -86,3 +90,26 @@ def test_cocommutation_and_the_isometry_witness_stay_below_the_limit():
     peaks["isometry_witness_residual"] = _peak_mb(
         lambda: compress.isometry_witness_residual(g, ts, samples=2, amplified_every=2))
     assert max(peaks.values()) < LIMIT_MB, peaks
+
+
+def test_certifying_a_level_forms_no_coaction_tensor():
+    # one (48, 48, 48) complex tensor is 1.77 MB; the certificates read per-irrep rows, cached by
+    # the first level, and the tensor is formed only where it is read
+    g = _f_z48()
+    irreps = corep.default_irreps(g)
+    dec = corep.pw_decompose(g, irreps)
+    chain = chains.frequency_chain(48)
+    first = compress.truncate(g, irreps, chain[0], dec=dec)
+    for side in ("right", "left"):
+        compress.induced_coaction(g, first, side)
+    full = compress.truncate(g, irreps, chain[-1], dec=dec)
+    pair = []
+    peak = _peak_mb(lambda: pair.extend(compress.induced_coaction(g, full, side) for side in ("right", "left")))
+    assert peak < 48 ** 3 * 16 / 1e6, peak
+    for co, side in zip(pair, ("right", "left")):
+        assert np.array_equal(co.tensor, oracles.loop_coaction_tensor(g, full, side))
+    eps = hopf.counit_state(g)
+    assert hopf.counit_state(g) is eps
+    for array in (eps.coeffs, eps.witness):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
