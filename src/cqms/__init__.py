@@ -30,7 +30,7 @@ from .corep import (
     gns_build,
     multiplicative_unitary,
     pw_decompose,
-    validate_corep,
+    validate_coreps,
 )
 from .hopf import (
     AxiomReport,

@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from io import StringIO
 from pathlib import Path
 
@@ -45,8 +46,7 @@ class SweepConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     out = StringIO() if args.output else sys.stdout
     try:
         code = args.handler(args, out)
@@ -67,6 +67,7 @@ def main(argv=None) -> int:
     return code
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cqms",
                                      description="finite quantum groups as compact quantum metric spaces")

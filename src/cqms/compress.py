@@ -288,10 +288,10 @@ def _summand_certificates(alg: FiniteQuantumGroup, irreps: tuple, flip: bool) ->
     # row (k, m) of the direct sum, summands stacked in order: t[k, m] of its own summand
     flat = np.concatenate([(pi.u if flip else pi.u.transpose(1, 0, 2)).reshape(-1, n) for pi in irreps])
     owner = np.repeat(np.arange(len(dims)), dims ** 2)
-    local, d = np.arange(len(flat)) - starts[owner], dims[owner]
-    counit = np.maximum.reduceat(np.abs(flat @ alg.counit - (local // d == local % d)), starts)
+    local, row_dims = np.arange(len(flat)) - starts[owner], dims[owner]
+    counit = np.maximum.reduceat(np.abs(flat @ alg.counit - (local // row_dims == local % row_dims)), starts)
     row, l = np.nonzero(flat)
-    keys = ((first[owner] + local // d)[row] * s + (first[owner] + local % d)[row]) * n + l
+    keys = ((first[owner] + local // row_dims)[row] * s + (first[owner] + local % row_dims)[row]) * n + l
     rows = _coaction_parts(alg, ((s, s, n), keys, flat[row, l]))
     top, ssq = np.maximum.reduceat(rows, first), np.add.reduceat(rows, first)
 

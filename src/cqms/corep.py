@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CompletenessError, InternalInconsistencyError, SchurError, StructureError
-from .hopf import (RANK_RTOL, FiniteQuantumGroup, _maxabs, _orthonormalize, _positivity_witness, _readonly,
+from .hopf import (CHUNK_TERMS, RANK_RTOL, FiniteQuantumGroup, _maxabs, _orthonormalize, _readonly,
                    _rep_residuals, _unitarity_residual)
 
 GNS_TOL = 1e-10
@@ -44,25 +44,13 @@ class GNSSpace:
 
 def gns_build(g: FiniteQuantumGroup) -> GNSSpace:
     """Left regular representation on H = A with <a, b> = h(b* a)."""
-    gram, onb = _haar_frame(g)
-    onb_inv = np.linalg.inv(onb)
+    gram, onb, onb_inv = g.haar_frame
     left = g.mult.transpose(0, 2, 1)         # left[i] maps b-coords to (e_i b)-coords
     rep = onb @ left @ onb_inv
     cyclic = onb @ g.unit
     space = GNSSpace(gram=gram, onb=onb, onb_inv=onb_inv, rep=rep, cyclic=cyclic)
     _certify_gns(g, space)
     return space
-
-
-def _haar_frame(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(Gram matrix h(e_i* e_j), onb): coordinates v -> onb @ v carry the standard inner product."""
-    gram = _positivity_witness(g, g.haar)
-    gram = (gram + gram.conj().T) / 2
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= eigs[-1] * 1e-12:
-        raise InternalInconsistencyError(
-            f"Gram matrix is not positive definite (min eig {eigs[0]:.3e}); invariant state not faithful")
-    return gram, np.linalg.cholesky(gram).conj().T          # gram = chol @ chol^H
 
 
 def _certify_gns(g: FiniteQuantumGroup, s: GNSSpace) -> None:
@@ -107,8 +95,7 @@ def default_irreps(g: FiniteQuantumGroup) -> list[Corepresentation]:
     ``pw_decompose`` certifies the family, as it certifies a supplied one.
     """
     n = g.dim
-    gram, onb = _haar_frame(g)
-    onb_inv = np.linalg.inv(onb)
+    gram, onb, onb_inv = g.haar_frame
     cocommutator = (g.comult - g.comult.transpose(0, 2, 1)).reshape(n, n * n).T
     _, sv, vh = np.linalg.svd(cocommutator, full_matrices=False)      # vh is n x n
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 1e-12 else 0
@@ -240,21 +227,25 @@ class CorepReport:
         return max(self.unitarity_residual, self.corep_residual) < tol
 
 
-def validate_corep(g: FiniteQuantumGroup, pi: Corepresentation) -> CorepReport:
-    """Residuals of unitarity and the corepresentation identity."""
-    unit_res = _unitarity_residual(amplified_corep(g, pi))
-    lhs = np.einsum("ijn,npq->ijpq", pi.u, g.comult)
-    rhs = np.einsum("ikp,kjq->ijpq", pi.u, pi.u)
-    corep_res = _maxabs(lhs - rhs)
-    return CorepReport(unitarity_residual=unit_res, corep_residual=corep_res)
-
-
-def amplified_corep(g: FiniteQuantumGroup, pi: Corepresentation) -> np.ndarray:
-    """(id (x) rho)(U) as a single (d*d0) x (d*d0) matrix."""
-    d = pi.dim
+def validate_coreps(g: FiniteQuantumGroup, stack) -> list[CorepReport]:
+    """Residuals of the unitarity of (id (x) rho)(U) and of the corepresentation identity for each
+    (d, d, n) member of a (k, d, d, n) stack, in pieces of at most CHUNK_TERMS terms: one per stack
+    entry and entry of the row of Delta or rho it multiplies."""
+    stack = np.asarray(stack, dtype=complex)
+    k, d, _, n = stack.shape
     d0 = g.rep.shape[1]
-    big = np.einsum("ijn,nkl->ikjl", pi.u, g.rep)
-    return big.reshape(d * d0, d * d0)
+    eye, reports = np.eye(d * d0), []
+    step = max(1, CHUNK_TERMS // (d * d * n * max(n, d0) ** 2))
+    for u in (stack[start:start + step] for start in range(0, k, step)):
+        big = (u.reshape(-1, n) @ g.rep.reshape(n, -1)).reshape(len(u), d, d, d0, d0).swapaxes(2, 3)
+        big = big.reshape(len(u), d * d0, d * d0)
+        adj = big.conj().transpose(0, 2, 1)
+        unitarity = np.abs(np.stack([adj @ big, big @ adj]) - eye).max(axis=(0, 2, 3))
+        lhs = (u.reshape(-1, n) @ g.comult.reshape(n, -1)).reshape(len(u), d, d, n, n)
+        corep = np.abs(lhs - np.einsum("kimp,kmjq->kijpq", u, u)).max(axis=(1, 2, 3, 4))
+        reports += [CorepReport(unitarity_residual=float(a), corep_residual=float(b))
+                    for a, b in zip(unitarity, corep)]
+    return reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,9 +289,13 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecom
     """
     gns = gns_build(g)
     irreps = tuple(irreps)
-    blocks, reports = [], []
-    for k, pi in enumerate(irreps):
-        report = validate_corep(g, pi)
+    reports = {}
+    for d in {pi.dim for pi in irreps}:
+        members = [k for k, pi in enumerate(irreps) if pi.dim == d]
+        reports.update(zip(members, validate_coreps(g, np.stack([irreps[k].u for k in members]))))
+    reports = tuple(reports[k] for k in range(len(irreps)))
+    blocks = []
+    for k, (pi, report) in enumerate(zip(irreps, reports)):
         if not report.passed(tol):
             raise StructureError(
                 f"irrep {k} fails validation (unitarity {report.unitarity_residual:.2e}, "
@@ -311,7 +306,6 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecom
             raise SchurError(f"irrep {k} is reducible: its d^2 = {pi.dim ** 2} coefficients "
                              f"span rank {q.shape[0]}")
         blocks.append(q)
-        reports.append(report)
 
     owner = np.repeat(np.arange(len(blocks)), [len(q) for q in blocks])
     stacked = np.vstack(blocks) if blocks else np.zeros((0, g.dim), dtype=complex)
@@ -325,7 +319,7 @@ def pw_decompose(g: FiniteQuantumGroup, irreps, tol: float = GNS_TOL) -> PWDecom
     total = sum(pi.dim ** 2 for pi in irreps)
     if total != g.dim:
         raise CompletenessError(f"sum of squared dimensions is {total}, expected {g.dim}")
-    return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks), reports=tuple(reports))
+    return PWDecomposition(gns=gns, irreps=irreps, blocks=tuple(blocks), reports=reports)
 
 
 # ---------------------------------------------------------------------------

@@ -23,20 +23,17 @@ def validate_cayley(table) -> tuple[int, np.ndarray]:
     if table.min() < 0 or table.max() >= n:
         raise GroupTableError("table entries must lie in 0..n-1")
 
-    identity = None
-    for e in range(n):
-        if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
-            identity = e
-            break
-    if identity is None:
+    idx = np.arange(n)
+    identities = np.flatnonzero(np.all(table == idx, axis=1) & np.all(table == idx[:, None], axis=0))
+    if not len(identities):
         raise GroupTableError("table has no two-sided identity")
+    identity = int(identities[0])
 
-    inverse = np.full(n, -1, dtype=int)
-    for g in range(n):
-        hits = np.where(table[g] == identity)[0]
-        if len(hits) != 1 or table[hits[0], g] != identity:
-            raise GroupTableError(f"element {g} has no two-sided inverse")
-        inverse[g] = hits[0]
+    hits = table == identity
+    inverse = np.argmax(hits, axis=1)
+    lacking = np.flatnonzero((hits.sum(axis=1) != 1) | (table[inverse, idx] != identity))
+    if len(lacking):
+        raise GroupTableError(f"element {lacking[0]} has no two-sided inverse")
 
     # associativity: (gh)k == g(hk) for all triples
     left = table[table, :]            # left[g, h, k] = (gh)k
@@ -72,19 +69,12 @@ def word_length(table, generators) -> np.ndarray:
     table = np.asarray(table)
     n = table.shape[0]
     length = np.full(n, np.inf)
-    length[identity] = 0.0
-    frontier = [identity]
-    d = 0
-    while frontier:
+    frontier, d = np.array([identity]), 0
+    while len(frontier):
+        length[frontier] = d
         d += 1
-        nxt = []
-        for g in frontier:
-            for s in generators:
-                h = table[g, s]
-                if not np.isfinite(length[h]):
-                    length[h] = d
-                    nxt.append(h)
-        frontier = nxt
+        frontier = np.unique(table[frontier][:, list(generators)])
+        frontier = frontier[np.isinf(length[frontier])]
     if not np.all(np.isfinite(length)):
         raise GroupTableError("generators do not generate the group")
     return length
@@ -118,32 +108,29 @@ def check_metric(table, metric) -> None:
     if np.any(off <= 0):
         g, h = np.argwhere(off <= 0)[0]
         raise MetricError(f"zero distance between distinct elements ({g}, {h})")
-    tri = d[:, None, :] + d[None, :, :]       # tri[g,h,k] = d(g,k) + d(k,h) by symmetry
-    viol = d[:, :, None] - tri > 1e-12
+    viol = d[:, :, None] - (d[:, None, :] + d[None, :, :]) > 1e-12     # d(g,h) - d(g,k) - d(k,h) by symmetry
     if np.any(viol):
         g, h, k = np.argwhere(viol)[0]
         raise MetricError(f"triangle inequality fails at triple ({g}, {h}, {k})")
-    # bi-invariance: d(gk, hk) = d(g, h) = d(kg, kh), exact loop over k
-    for k in range(n):
-        right = d[table[:, k][:, None], table[:, k][None, :]]
-        if not np.allclose(right, d, rtol=0, atol=1e-12):
-            g, h = np.argwhere(~np.isclose(right, d, rtol=0, atol=1e-12))[0]
-            raise MetricError(f"right invariance fails at triple ({g}, {h}, {k})")
-        left = d[table[k][:, None], table[k][None, :]]
-        if not np.allclose(left, d, rtol=0, atol=1e-12):
-            g, h = np.argwhere(~np.isclose(left, d, rtol=0, atol=1e-12))[0]
-            raise MetricError(f"left invariance fails at triple ({g}, {h}, {k})")
+    # bi-invariance: moved[k] is d(gk, hk), then d(kg, kh); C order names the lowest k, right before left
+    perms = np.stack([table.T, table], axis=1)
+    moved = d[perms[..., :, None], perms[..., None, :]]
+    moved -= d
+    bad = np.abs(moved, out=moved) > 1e-12
+    k, side, g, h = np.unravel_index(np.argmax(bad), bad.shape)
+    if bad[k, side, g, h]:
+        raise MetricError(f"{('right', 'left')[side]} invariance fails at triple ({g}, {h}, {k})")
 
 
-def check_length(table, length) -> None:
-    identity, _ = validate_cayley(table)
+def check_length(length, identity: int, n: int) -> None:
+    """Validate a length on a group of order n whose identity (from ``validate_cayley``) is given."""
     ell = np.asarray(length, dtype=float)
-    if ell.shape != (np.asarray(table).shape[0],):
+    if ell.shape != (n,):
         raise LengthError(f"length must have one value per element, got shape {ell.shape}")
     if abs(ell[identity]) > 1e-12:
         raise LengthError(f"length of the identity must be 0, got {ell[identity]}")
-    bad = [g for g in range(len(ell)) if g != identity and ell[g] <= 0]
-    if bad:
+    bad = np.flatnonzero((ell <= 0) & (np.arange(n) != identity))
+    if len(bad):
         raise LengthError(f"length must be positive off the identity, violated at {bad[0]}")
 
 

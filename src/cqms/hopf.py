@@ -10,7 +10,7 @@ C*(G) of a finite group G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,6 +95,22 @@ class FiniteQuantumGroup:
             if val is not None:
                 object.__setattr__(self, name, _readonly(np.asarray(val)))
         _check_shapes(self)
+
+    @cached_property
+    def haar_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Gram matrix h(e_i* e_j), onb, onb^-1), read-only, formed once per algebra object:
+        coordinates v -> onb @ v carry the standard inner product."""
+        gram = _positivity_witness(self, self.haar)
+        gram = (gram + gram.conj().T) / 2
+        eigs = np.linalg.eigvalsh(gram)
+        if eigs[0] <= eigs[-1] * 1e-12:
+            raise InternalInconsistencyError(
+                f"Gram matrix is not positive definite (min eig {eigs[0]:.3e}); invariant state not faithful")
+        onb = np.linalg.cholesky(gram).conj().T          # gram = chol @ chol^H
+        frame = gram, onb, np.linalg.inv(onb)
+        for a in frame:
+            a.setflags(write=False)                      # onb keeps its layout
+        return frame
 
     # -- basic algebra operations on coefficient vectors -------------------
 
@@ -206,7 +222,7 @@ def group_algebra(group_table, length=None) -> FiniteQuantumGroup:
         rep[g, table[g], idx] = 1.0
 
     if length is not None:
-        groups.check_length(table, length)
+        groups.check_length(length, identity, n)
 
     haar = _solve_haar(comult, unit, n)
     return FiniteQuantumGroup(

@@ -110,8 +110,8 @@ def lip_fourier(g: FiniteQuantumGroup) -> PolyhedralSeminorm:
         raise UnsupportedSeminormError("Fourier Lip-norms require a group algebra C*(G)")
     if g.length is None:
         raise LengthError("no length stored on the algebra")
-    groups.check_length(g.group_table, g.length)
     identity, inverse = groups.validate_cayley(g.group_table)
+    groups.check_length(g.length, identity, g.dim)
     ell = np.asarray(g.length, dtype=float)
     asym = np.max(np.abs(ell - ell[inverse]))
     if asym > 1e-12:

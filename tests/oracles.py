@@ -716,3 +716,120 @@ def sliced_frobenius_norms(g, ts, rows, side):
     comult = g.comult if side == "right" else g.comult.transpose(0, 2, 1)
     deltas = (np.asarray(rows, dtype=complex) @ comult.reshape(n, n * n)).reshape(-1, n, n)
     return np.linalg.norm(ts.tau_matrix @ deltas @ g.rep.reshape(n, -1), axis=(1, 2))
+
+
+def loop_validate_cayley(table):
+    """``groups.validate_cayley`` with its identity and inverses found one element at a time."""
+    from cqms.errors import GroupTableError
+
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise GroupTableError(f"table must be square, got shape {table.shape}")
+    n = table.shape[0]
+    if not np.issubdtype(table.dtype, np.integer):
+        raise GroupTableError("table entries must be integers")
+    if table.min() < 0 or table.max() >= n:
+        raise GroupTableError("table entries must lie in 0..n-1")
+    identity = None
+    for e in range(n):
+        if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
+            identity = e
+            break
+    if identity is None:
+        raise GroupTableError("table has no two-sided identity")
+    inverse = np.full(n, -1, dtype=int)
+    for g in range(n):
+        hits = np.where(table[g] == identity)[0]
+        if len(hits) != 1 or table[hits[0], g] != identity:
+            raise GroupTableError(f"element {g} has no two-sided inverse")
+        inverse[g] = hits[0]
+    left, right = table[table, :], table[:, table]
+    bad = np.argwhere(left != right)
+    if len(bad):
+        g, h, k = bad[0]
+        raise GroupTableError(f"associativity fails at triple ({g}, {h}, {k})")
+    return identity, inverse
+
+
+def loop_check_metric(table, metric):
+    """``groups.check_metric`` with bi-invariance checked one translation k at a time."""
+    from cqms.errors import MetricError
+
+    table = np.asarray(table)
+    n = table.shape[0]
+    d = np.asarray(metric, dtype=float)
+    if d.shape != (n, n):
+        raise MetricError(f"metric must be {n}x{n}, got {d.shape}")
+    if np.any(d < 0):
+        g, h = np.argwhere(d < 0)[0]
+        raise MetricError(f"negative distance at pair ({g}, {h})")
+    if not np.allclose(d, d.T, rtol=0, atol=1e-12):
+        g, h = np.argwhere(~np.isclose(d, d.T, rtol=0, atol=1e-12))[0]
+        raise MetricError(f"metric not symmetric at pair ({g}, {h})")
+    if np.any(np.abs(np.diag(d)) > 1e-12):
+        g = int(np.argmax(np.abs(np.diag(d))))
+        raise MetricError(f"nonzero distance d({g}, {g})")
+    off = d + np.eye(n)
+    if np.any(off <= 0):
+        g, h = np.argwhere(off <= 0)[0]
+        raise MetricError(f"zero distance between distinct elements ({g}, {h})")
+    viol = d[:, :, None] - (d[:, None, :] + d[None, :, :]) > 1e-12
+    if np.any(viol):
+        g, h, k = np.argwhere(viol)[0]
+        raise MetricError(f"triangle inequality fails at triple ({g}, {h}, {k})")
+    for k in range(n):
+        right = d[table[:, k][:, None], table[:, k][None, :]]
+        if not np.allclose(right, d, rtol=0, atol=1e-12):
+            g, h = np.argwhere(~np.isclose(right, d, rtol=0, atol=1e-12))[0]
+            raise MetricError(f"right invariance fails at triple ({g}, {h}, {k})")
+        left = d[table[k][:, None], table[k][None, :]]
+        if not np.allclose(left, d, rtol=0, atol=1e-12):
+            g, h = np.argwhere(~np.isclose(left, d, rtol=0, atol=1e-12))[0]
+            raise MetricError(f"left invariance fails at triple ({g}, {h}, {k})")
+
+
+def loop_check_length(table, length):
+    """``groups.check_length`` validating the table itself and scanning the elements in a loop."""
+    from cqms.errors import LengthError
+
+    identity, _ = loop_validate_cayley(table)
+    ell = np.asarray(length, dtype=float)
+    if ell.shape != (np.asarray(table).shape[0],):
+        raise LengthError(f"length must have one value per element, got shape {ell.shape}")
+    if abs(ell[identity]) > 1e-12:
+        raise LengthError(f"length of the identity must be 0, got {ell[identity]}")
+    bad = [g for g in range(len(ell)) if g != identity and ell[g] <= 0]
+    if bad:
+        raise LengthError(f"length must be positive off the identity, violated at {bad[0]}")
+
+
+def loop_word_length(table, generators):
+    """``groups.word_length`` by breadth-first search one element and generator at a time."""
+    table = np.asarray(table)
+    identity, _ = loop_validate_cayley(table)
+    length = np.full(table.shape[0], np.inf)
+    length[identity] = 0.0
+    frontier, d = [identity], 0
+    while frontier:
+        d += 1
+        nxt = []
+        for g in frontier:
+            for s in generators:
+                h = table[g, s]
+                if not np.isfinite(length[h]):
+                    length[h] = d
+                    nxt.append(h)
+        frontier = nxt
+    return length
+
+
+def loop_validate_corep(g, pi):
+    """The report ``corep.validate_coreps`` gives one corepresentation, by one dense einsum each."""
+    from cqms.corep import CorepReport
+    from cqms.hopf import _maxabs, _unitarity_residual
+
+    d, d0 = pi.dim, g.rep.shape[1]
+    amplified = np.einsum("ijn,nkl->ikjl", pi.u, g.rep).reshape(d * d0, d * d0)
+    lhs = np.einsum("ijn,npq->ijpq", pi.u, g.comult)
+    rhs = np.einsum("ikp,kjq->ijpq", pi.u, pi.u)
+    return CorepReport(unitarity_residual=_unitarity_residual(amplified), corep_residual=_maxabs(lhs - rhs))

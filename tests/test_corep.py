@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from cqms import corep, groups, hopf
-from cqms.errors import CompletenessError, SchurError
+from cqms.errors import CompletenessError, SchurError, StructureError
 
 import oracles
 from kp8_example import build_kp8
@@ -38,14 +40,14 @@ def test_gns_residuals_match_the_einsum_reference(name, f_s3, c_s3):
 
 
 def test_validate_trivial_corep(f_z4):
-    report = corep.validate_corep(f_z4, corep.Corepresentation(u=f_z4.unit.reshape(1, 1, 4)))
+    report, = corep.validate_coreps(f_z4, f_z4.unit.reshape(1, 1, 1, 4))
     assert report.unitarity_residual < 1e-12
     assert report.corep_residual < 1e-12
 
 
 def test_validate_z4_character(f_z4):
     chi1 = corep.default_irreps(f_z4)[1]
-    report = corep.validate_corep(f_z4, chi1)
+    report, = corep.validate_coreps(f_z4, chi1.u[None])
     assert report.passed(1e-10) and chi1.dim == 1
 
 
@@ -73,7 +75,7 @@ def test_reducible_corep_detected(f_s3):
     # std + std is a unitary corepresentation whose 16 coefficients span rank 4
     irr = corep.default_irreps(f_s3)
     doubled = _direct_sum(irr[2], irr[2])
-    assert corep.validate_corep(f_s3, doubled).passed(1e-10)
+    assert corep.validate_coreps(f_s3, doubled.u[None])[0].passed(1e-10)
     with pytest.raises(SchurError, match="irrep 2 is reducible.*16 coefficients span rank 4"):
         corep.pw_decompose(f_s3, [irr[0], irr[1], doubled])
 
@@ -81,7 +83,7 @@ def test_reducible_corep_detected(f_s3):
 def test_pw_decompose_rejects_a_reducible_first_member(f_s3):
     irr = corep.default_irreps(f_s3)
     trivial_sign = _direct_sum(irr[0], irr[1])
-    assert corep.validate_corep(f_s3, trivial_sign).passed(1e-10)
+    assert corep.validate_coreps(f_s3, trivial_sign.u[None])[0].passed(1e-10)
     with pytest.raises(SchurError, match="irrep 0 is reducible.*4 coefficients span rank 2"):
         corep.pw_decompose(f_s3, [trivial_sign, irr[2]])
 
@@ -190,5 +192,56 @@ def test_the_trivial_irrep_is_exactly_the_unit(name, f_s3, c_s3):
          "F(D_4)": lambda: hopf.function_algebra(oracles.d4_table()), "kp8": lambda: build_kp8()[0]}[name]()
     trivial = corep.default_irreps(g)[0]
     assert trivial.dim == 1 and np.array_equal(trivial.u[0, 0], g.unit)
-    report = corep.validate_corep(g, trivial)
+    report, = corep.validate_coreps(g, trivial.u[None])
     assert report.unitarity_residual == report.corep_residual == 0.0
+
+
+_FAMILIES = {"F(Z_8)": lambda: hopf.function_algebra(groups.cyclic_table(8)),
+             "F(S_3)": lambda: hopf.function_algebra(groups.s3_table()),
+             "C*(S_3)": lambda: hopf.group_algebra(groups.s3_table()),
+             "F(D_4)": lambda: hopf.function_algebra(oracles.d4_table()),
+             "F(Q_8)": lambda: hopf.function_algebra(oracles.q8_table()),
+             "kp8": lambda: build_kp8()[0], "F(S_4)": lambda: hopf.function_algebra(oracles.s4_table())}
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_batched_reports_equal_the_loop_reference(name, monkeypatch):
+    g = _FAMILIES[name]()
+    irreps = corep.default_irreps(g)
+    expected = tuple(oracles.loop_validate_corep(g, pi) for pi in irreps)
+    assert corep.pw_decompose(g, irreps).reports == expected
+    for chunk in (1, 1600):          # one member per piece; up to three 1-dim members of F(Z_8) or kp8
+        monkeypatch.setattr(corep, "CHUNK_TERMS", chunk)
+        assert corep.pw_decompose(g, irreps[::-1]).reports == expected[::-1]
+
+
+@pytest.mark.parametrize("bad", [(1,), (3,), (4, 1), (2, 4)])
+def test_the_first_failing_irrep_is_named(bad):
+    # F(S_4) has irreps of dimensions 1, 1, 2, 3, 3, validated one stacked product per dimension
+    g = hopf.function_algebra(oracles.s4_table())
+    irreps = corep.default_irreps(g)
+    for k in bad:
+        irreps[k] = corep.Corepresentation(u=irreps[k].u * 1.001)
+    report = oracles.loop_validate_corep(g, irreps[min(bad)])
+    message = (f"irrep {min(bad)} fails validation (unitarity {report.unitarity_residual:.2e}, "
+               f"corep {report.corep_residual:.2e})")
+    with pytest.raises(StructureError, match=re.escape(message)):
+        corep.pw_decompose(g, irreps)
+
+
+def test_a_reducible_irrep_before_a_failing_one_is_named_first(f_s3):
+    irr = corep.default_irreps(f_s3)
+    broken = corep.Corepresentation(u=irr[2].u * 1.001)
+    with pytest.raises(SchurError, match="irrep 0 is reducible"):
+        corep.pw_decompose(f_s3, [_direct_sum(irr[0], irr[1]), broken])
+
+
+def test_the_haar_frame_is_formed_once_per_algebra_and_read_only():
+    g = hopf.function_algebra(groups.cyclic_table(6))
+    frame = g.haar_frame
+    assert g.haar_frame is frame
+    assert corep.gns_build(g).onb is frame[1] and corep.gns_build(g).onb_inv is frame[2]
+    assert np.allclose(frame[1] @ frame[2], np.eye(6), rtol=0, atol=1e-14)
+    for array in frame:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0

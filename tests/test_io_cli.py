@@ -91,6 +91,25 @@ def test_cli_check_passes(z4_file, capsys):
     assert "max residual" in out
 
 
+def test_one_parser_serves_every_call_without_leaking_arguments(z4_file, tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    check_file, pw_file, sweep_file = (tmp_path / name for name in ("check.txt", "pw.txt", "sweep.csv"))
+    assert cli.main(["check", "--pw", "--input", z4_file, "--seed", "3", "--output", str(check_file)]) == 0
+    assert cli.main(["pw", "--input", z4_file, "--output", str(pw_file)]) == 0
+    assert cli.main(["sweep", "--input", z4_file, "--samples", "5", "--output", str(sweep_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(["check", "--input", z4_file]) == 0
+    out = capsys.readouterr().out
+    assert "all axioms pass" in out and "peter-weyl" not in out       # no --pw, no --output carried over
+    assert "peter-weyl: 4 irreps" in check_file.read_text()
+    assert pw_file.read_text().startswith("irrep 0") and sweep_file.read_text().startswith("lambda_id,")
+    for argv in (["check", "--input", z4_file, "--samples", "5"], ["sweep"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert cli.main(["check", "--input", z4_file]) == 0 and "all axioms pass" in capsys.readouterr().out
+
+
 def test_cli_check_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope}")
